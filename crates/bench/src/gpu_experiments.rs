@@ -2,7 +2,7 @@
 
 use crate::Table;
 use fnr_hw::gpu::{GpuModel, RTX_2080_TI, TABLE1};
-use fnr_nerf::models::{paper_traces, ModelKind};
+use fnr_nerf::models::paper_traces;
 
 /// Table 1: design specifications of the four GPUs.
 pub fn table1_gpu_specs() -> Table {
@@ -69,11 +69,6 @@ pub fn fig3_runtime_breakdown() -> Table {
     }
     t.note("Takeaway 1 of the paper: GEMM/GEMV dominates everywhere; encoding is considerable for KiloNeRF, NSVF and Instant-NGP (Mip-NeRF's matrix-heavy IPE is counted under GEMM, per the paper's Fig. 3 footnote).");
     t
-}
-
-/// The evaluated model list in figure order (re-exported for benches).
-pub fn model_order() -> Vec<ModelKind> {
-    ModelKind::ALL.to_vec()
 }
 
 #[cfg(test)]

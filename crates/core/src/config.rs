@@ -66,12 +66,6 @@ impl FlexNerferConfig {
         self.sparsity_enabled = enabled;
         self
     }
-
-    /// Overrides the array configuration.
-    pub fn with_array(mut self, array: ArrayConfig) -> Self {
-        self.array = array;
-        self
-    }
 }
 
 impl Default for FlexNerferConfig {

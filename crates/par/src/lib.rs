@@ -34,8 +34,6 @@
 
 #![warn(missing_docs)]
 
-pub mod mpmc;
-
 use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};

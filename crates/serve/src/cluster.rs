@@ -24,17 +24,13 @@
 //! reproduces `run_virtual` exactly (pinned in `tests/serve_equivalence.rs`).
 
 use std::collections::{BTreeMap, VecDeque};
-use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::fault::FaultInjector;
 use crate::health::{AdmissionConfig, CoDelAdmission, HealthConfig, HealthDetector, HealthState, HedgeConfig};
-use crate::metrics::{
-    ClusterMetrics, FailMetric, FrontDoorTotals, LaneAccounting, ReplicaStats, RobustTotals,
-    ServeMetrics, ShedMetric,
-};
+use crate::metrics::{ClusterMetrics, FailMetric, FrontDoorTotals, ReplicaStats, ShedMetric};
 use crate::request::{
     assemble_chunks, effective_chunks, response_set_digest, synthetic_chunk_payload, ChunkResponse,
     ChunkSpan, Request, Response,
@@ -409,9 +405,6 @@ struct Tracked {
 /// The mutable cluster state the event loop advances.
 struct ClusterState<'c> {
     cfg: &'c ClusterConfig,
-    /// Real-clock origin requests' `submitted_at` instants are rendered
-    /// onto; never a measurement.
-    epoch: Instant,
     ring: HashRing,
     pipes: Vec<VirtualPipeline>,
     life: Vec<Life>,
@@ -454,18 +447,7 @@ struct ClusterState<'c> {
 
 /// Builds one replica pipeline for `cfg` (cold cache, nominal speed).
 fn new_pipe(cfg: &ClusterConfig, track: bool) -> VirtualPipeline {
-    let mut pipe = VirtualPipeline::with_injector(
-        &cfg.server,
-        cfg.service.service_ns,
-        cfg.service.cold_start_ns,
-        true,
-        cfg.injector.or(cfg.server.injector),
-    );
-    pipe.set_per_item_ns(cfg.service.per_item_ns);
-    if track {
-        pipe.enable_event_tracking();
-    }
-    pipe
+    VirtualPipeline::new(&cfg.server, cfg.service, true, cfg.injector.or(cfg.server.injector), track)
 }
 
 impl<'c> ClusterState<'c> {
@@ -474,31 +456,14 @@ impl<'c> ClusterState<'c> {
         self.life[r] == Life::Up && self.pipes[r].inflight() < self.cfg.max_inflight
     }
 
-    /// Picks the replica for `key_hash`, walking the ring clockwise.
-    /// With the failure detector on this is a three-pass preference:
-    /// Healthy replicas first, then Suspect, then anything routable —
-    /// gray failures lose traffic without ever making the cluster
-    /// refuse work it could still do.
-    fn pick(&self, key_hash: u64, now: u64) -> Option<usize> {
-        if !self.health.enabled() {
-            return self.ring.route(key_hash, |r| self.routable(r));
-        }
-        self.ring
-            .route(key_hash, |r| {
-                self.routable(r) && self.health.state(r, now) == HealthState::Healthy
-            })
-            .or_else(|| {
-                self.ring.route(key_hash, |r| {
-                    self.routable(r) && self.health.state(r, now) < HealthState::Dead
-                })
-            })
-            .or_else(|| self.ring.route(key_hash, |r| self.routable(r)))
-    }
-
-    /// Picks a hedge target for `key_hash`: the same three-pass walk,
-    /// excluding the primary copy's replica.
-    fn pick_hedge(&self, key_hash: u64, now: u64, primary: usize) -> Option<usize> {
-        let ok = |r: usize| r != primary && self.routable(r);
+    /// Picks the replica for `key_hash`, walking the ring clockwise and
+    /// skipping `exclude` (a hedge's primary copy). With the failure
+    /// detector on this is a three-pass preference: Healthy replicas
+    /// first, then Suspect, then anything routable — gray failures lose
+    /// traffic without ever making the cluster refuse work it could still
+    /// do.
+    fn pick(&self, key_hash: u64, now: u64, exclude: Option<usize>) -> Option<usize> {
+        let ok = |r: usize| Some(r) != exclude && self.routable(r);
         if !self.health.enabled() {
             return self.ring.route(key_hash, ok);
         }
@@ -530,7 +495,7 @@ impl<'c> ClusterState<'c> {
         let key = (req.id, req.chunk.index);
         let chunk = req.chunk;
         let key_hash = HashRing::key_hash(&req.job.key());
-        match self.pick(key_hash, t) {
+        match self.pick(key_hash, t, None) {
             Some(r) => {
                 if self.pipes[r].admit_request(req, t) {
                     self.failed_over_in[r] += 1;
@@ -615,11 +580,8 @@ impl<'c> ClusterState<'c> {
                         }
                     }
                 }
-                PipeEvent::Shed { id, chunk, lane, queue_ns } => {
-                    self.settle_loss(r, (id, chunk), lane, queue_ns, false)
-                }
-                PipeEvent::Failed { id, chunk, lane, queue_ns } => {
-                    self.settle_loss(r, (id, chunk), lane, queue_ns, true)
+                PipeEvent::Lost { id, chunk, lane, queue_ns, failed } => {
+                    self.settle_loss(r, (id, chunk), lane, queue_ns, failed)
                 }
             }
         }
@@ -636,7 +598,7 @@ impl<'c> ClusterState<'c> {
         }
         let primary = tr.copies[0];
         let key_hash = HashRing::key_hash(&tr.req.job.key());
-        let Some(r2) = self.pick_hedge(key_hash, t, primary) else { return false };
+        let Some(r2) = self.pick(key_hash, t, Some(primary)) else { return false };
         let req = tr.req.clone();
         if !self.pipes[r2].admit_hedge(req, t) {
             // No lane room on the alternate: the clone never existed.
@@ -882,7 +844,6 @@ pub fn run_cluster(cfg: &ClusterConfig, jobs: &[TimedJob]) -> ClusterReport {
     let hedging = cfg.hedge.enabled();
     let track = hedging || cfg.health.enabled || cfg.admission.enabled;
     let mut state = ClusterState {
-        epoch: Instant::now(),
         ring: HashRing::new(replicas, &cfg.router),
         pipes: (0..replicas).map(|_| new_pipe(cfg, track)).collect(),
         life: vec![Life::Up; replicas],
@@ -927,7 +888,7 @@ pub fn run_cluster(cfg: &ClusterConfig, jobs: &[TimedJob]) -> ClusterReport {
         let of = effective_chunks(cfg.server.chunks, &tj.job);
         submitted_chunks += of as usize;
         let key_hash = HashRing::key_hash(&tj.job.key());
-        match state.pick(key_hash, at) {
+        match state.pick(key_hash, at, None) {
             Some(r) => {
                 if state.codel.should_shed(r, tj.priority) {
                     // Overload admission: shed Batch-class work early at
@@ -943,15 +904,7 @@ pub fn run_cluster(cfg: &ClusterConfig, jobs: &[TimedJob]) -> ClusterReport {
                     let chunk = ChunkSpan { index, of };
                     if hedging {
                         let rid = id as u64;
-                        let req = Request {
-                            id: rid,
-                            submitted_at: state.epoch + Duration::from_nanos(at),
-                            priority: tj.priority,
-                            arrival_ns: at,
-                            deadline_ns: tj.deadline.map(|d| at + d.as_nanos() as u64),
-                            chunk,
-                            job: tj.job.clone(),
-                        };
+                        let req = state.pipes[r].request(rid, at, tj, chunk);
                         if state.pipes[r].admit_request(req.clone(), at) {
                             state.pipes[r].mark_hedged(rid, index);
                             state.tracked.insert(
@@ -1018,27 +971,7 @@ pub fn run_cluster(cfg: &ClusterConfig, jobs: &[TimedJob]) -> ClusterReport {
         // served (identical to the response set at chunk count 1).
         let responses: Vec<Response> =
             chunks.iter().map(|c| Response { id: c.id, bytes: c.bytes.clone() }).collect();
-        let lane_acct: Vec<LaneAccounting> = cfg
-            .server
-            .sched
-            .lanes
-            .iter()
-            .zip(&pipe.rejected)
-            .map(|(l, &rej)| LaneAccounting { name: l.name.clone(), weight: l.weight, rejected: rej })
-            .collect();
-        let metrics = ServeMetrics::aggregate(
-            &pipe.request_metrics,
-            &pipe.batch_metrics,
-            &pipe.shed_metrics,
-            &pipe.fail_metrics,
-            &[],
-            &responses,
-            &lane_acct,
-            RobustTotals::default(),
-            pipe.wall_ns,
-            workers,
-            threads,
-        );
+        let metrics = pipe.metrics(&responses);
         let (cache_hits, cache_misses) = pipe.cache_stats();
         replica_stats.push(ReplicaStats {
             replica: i,

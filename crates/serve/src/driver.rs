@@ -8,8 +8,8 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::cluster::ClusterService;
 use crate::fault::FaultInjector;
-use crate::metrics::{LaneAccounting, RobustTotals, ServeMetrics};
 use crate::request::{assemble_chunks, effective_chunks, ChunkResponse, ChunkSpan, Response};
 use crate::server::{execute_batch, run, ServeReport, ServerConfig, WaitOutcome};
 use crate::vclock::VirtualPipeline;
@@ -167,12 +167,9 @@ impl Default for VirtualService {
 /// only accelerates the rendering of already-decided batches. The serve
 /// equivalence suite and CI's mixed-priority leg diff exactly that.
 ///
-/// The virtual pipeline mirrors the threaded one: per-lane bounded
-/// admission (a full lane *rejects* — an open-loop virtual submitter
-/// cannot park), a batch queue of `2 × workers` slots that blocks the
-/// scheduler when full (which is where queueing — and therefore deadline
-/// shedding — comes from under saturation), and the same
-/// size/linger/drain batcher.
+/// It drives the live server's own scheduling core; the one difference
+/// is that a full lane *rejects* — an open-loop virtual submitter cannot
+/// park.
 pub fn run_virtual(cfg: &ServerConfig, jobs: &[TimedJob], service: VirtualService) -> ServeReport {
     run_virtual_with_faults(cfg, jobs, service, None)
 }
@@ -190,8 +187,12 @@ pub fn run_virtual_with_faults(
     injector: Option<FaultInjector>,
 ) -> ServeReport {
     cfg.sched.validate();
-    let mut pipe = VirtualPipeline::with_injector(cfg, service.service_ns, 0, false, injector);
-    pipe.set_per_item_ns(service.per_item_ns);
+    let service = ClusterService {
+        service_ns: service.service_ns,
+        per_item_ns: service.per_item_ns,
+        cold_start_ns: 0,
+    };
+    let mut pipe = VirtualPipeline::new(cfg, service, false, injector, false);
     let mut now = 0u64;
     for (id, tj) in jobs.iter().enumerate() {
         let at = now + tj.delay_before.as_nanos() as u64;
@@ -213,27 +214,7 @@ pub fn run_virtual_with_faults(
         fnr_par::par_map(&pipe.decided, |batch| execute_batch(batch, &cfg.tables));
     let responses: Vec<Response> = assemble_chunks(nested.into_iter().flatten().collect());
 
-    let lane_acct: Vec<LaneAccounting> = cfg
-        .sched
-        .lanes
-        .iter()
-        .zip(&pipe.rejected)
-        .map(|(l, &r)| LaneAccounting { name: l.name.clone(), weight: l.weight, rejected: r })
-        .collect();
-    let metrics = ServeMetrics::aggregate(
-        &pipe.request_metrics,
-        &pipe.batch_metrics,
-        &pipe.shed_metrics,
-        &pipe.fail_metrics,
-        &[],
-        &responses,
-        &lane_acct,
-        RobustTotals::default(),
-        pipe.wall_ns,
-        cfg.workers.max(1),
-        fnr_par::current_num_threads(),
-    );
-    ServeReport { responses, metrics }
+    ServeReport { metrics: pipe.metrics(&responses), responses }
 }
 
 #[cfg(test)]

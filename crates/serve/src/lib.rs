@@ -4,10 +4,14 @@
 //! The ROADMAP's north star is serving heavy render traffic; this crate is
 //! the request-level runtime above the data-parallel substrate:
 //!
-//! * bounded per-class admission lanes ([`fnr_par::mpmc::Lanes`]) with
-//!   backpressure and a zero-capacity hard-reject posture, drained by a
-//!   clock-injected weighted-deficit scheduler ([`sched`]) with per-key
-//!   fairness and deadline shedding,
+//! * one clock-free scheduling core shared by every mode: bounded
+//!   per-class admission lanes with backpressure and a zero-capacity
+//!   hard-reject posture, drained by a clock-injected weighted-deficit
+//!   scheduler ([`sched`]) with per-key fairness and deadline shedding,
+//!   and a bounded ready queue ahead of the workers. The live [`Server`]
+//!   drives it on the real clock from its client and worker threads (no
+//!   scheduler thread); [`run_virtual`] and [`cluster`] replicas drive it
+//!   on a virtual clock,
 //! * a [`Batcher`] that coalesces compatible requests — same
 //!   scene/model/precision — into one batched render or one shared table
 //!   regeneration (the per-batch format/precision amortization is exactly
@@ -69,6 +73,7 @@ mod driver;
 pub mod fault;
 pub mod health;
 mod metrics;
+mod pipeline;
 mod request;
 pub mod router;
 pub mod sched;

@@ -193,11 +193,6 @@ pub struct ChunkSpan {
 impl ChunkSpan {
     /// The unchunked span: one chunk covering the whole response.
     pub const WHOLE: ChunkSpan = ChunkSpan { index: 0, of: 1 };
-
-    /// Whether this span is the entire response (chunk 0 of 1).
-    pub fn is_whole(self) -> bool {
-        self == ChunkSpan::WHOLE
-    }
 }
 
 /// How many chunks a job splits into under a configured chunk count `k`.

@@ -162,9 +162,10 @@ pub enum SchedStep {
 
 /// The weighted-deficit lane scheduler. Holds only policy state (deficits,
 /// the round-robin cursor, per-lane key rotations); the queues themselves
-/// are passed into [`LaneScheduler::step`], so the same state machine
-/// drives both the threaded server (via `fnr_par::mpmc::Lanes::recv_with`)
-/// and the single-threaded virtual-clock harness.
+/// are passed into [`LaneScheduler::step`]. One scheduling core owns the
+/// lanes and steps this state machine for every serving mode — the live
+/// server (under its core lock, pumped by clients and workers) and the
+/// single-threaded virtual-clock harness and cluster replicas alike.
 #[derive(Debug)]
 pub struct LaneScheduler {
     weights: Vec<u64>,
@@ -254,7 +255,7 @@ impl LaneScheduler {
     /// back. Keys enter the rotation in arrival order and leave when their
     /// last request does.
     ///
-    /// Runs under the admission-queue lock in the threaded server, so key
+    /// Runs under the scheduling-core lock in the threaded server, so key
     /// comparisons go through the allocation-free [`Workload::matches_key`]
     /// / [`Workload::same_key`] forms; a key is only ever *constructed*
     /// (cloning a table name) when it first enters the rotation.

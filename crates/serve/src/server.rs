@@ -1,7 +1,7 @@
 //! The serving runtime: multi-lane admission → scheduler → batcher →
 //! worker pool → completion board, with worker supervision and metrics.
 //!
-//! Serving concurrency (client / scheduler / worker threads) is decoupled
+//! Serving concurrency (client / worker / supervisor threads) is decoupled
 //! from data-parallel width: the roles run on dedicated `std::thread`s,
 //! while the *work* inside a batch (pixel rows, batch views) fans out over
 //! `fnr_par`'s pool and therefore honours `FNR_THREADS`. Response bytes
@@ -12,11 +12,17 @@
 //! policy — including the degenerate single-lane config — reproduces the
 //! FIFO server's response-set digest exactly.
 //!
-//! Admission is no longer one FIFO queue: requests enter the per-class
-//! bounded lane of [`fnr_par::mpmc::Lanes`] (backpressure per lane), and
-//! the scheduler thread drains them through [`LaneScheduler`] — weighted
-//! deficit across lanes, per-key round robin within a lane, and
-//! shed-on-dequeue for requests whose deadline passed while queued.
+//! Scheduling is the same clock-free core the virtual harness drives
+//! ([`Pipeline`]: per-class bounded lanes → [`crate::LaneScheduler`] →
+//! brownout → [`crate::Batcher`] → a `2 × workers` ready queue), held in
+//! one `Mutex`; there is no scheduler thread. A client pumps the core
+//! inline after each admit, and every worker pumps it on each take; an
+//! idle worker sleeps on the `work` condvar until the batcher's next
+//! linger deadline, so lingering groups flush on time. Every pump expires
+//! lingers before it steps the scheduler, so batch composition matches a
+//! dedicated timer thread. Blocking submitters park on the `space`
+//! condvar while their lane is full and wake when a pump frees a slot
+//! (served or shed) or the server drains.
 //!
 //! # Fault tolerance
 //!
@@ -32,7 +38,6 @@
 //! and under queue-depth overload the [`Brownout`] controller downgrades
 //! Standard/Batch renders one precision step instead of shedding them.
 
-use std::cell::Cell;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -42,23 +47,19 @@ use std::time::{Duration, Instant};
 
 use fnr_nerf::hashgrid::HashGridConfig;
 use fnr_nerf::render::{render_reference_rows, BatchView, NgpModel, PreparedQuantized};
-use fnr_par::mpmc::{Lanes, Queue, RecvTimeout};
 use fnr_tensor::Precision;
 
-use crate::batch::{Batch, Batcher, BatcherConfig};
-use crate::fault::{
-    degrade_precision, Brownout, BrownoutConfig, CircuitBreaker, FaultInjector, InjectedFault,
-    RetryPolicy,
-};
+use crate::batch::Batch;
+use crate::fault::{BrownoutConfig, CircuitBreaker, FaultInjector, InjectedFault, RetryPolicy};
 use crate::metrics::{
-    BatchMetric, DegradeMetric, FailMetric, LaneAccounting, RequestMetric, RobustTotals,
-    ServeMetrics, ShedMetric,
+    BatchMetric, DegradeMetric, FailMetric, RequestMetric, RobustTotals, ServeMetrics, ShedMetric,
 };
+use crate::pipeline::{Pipeline, Verdict};
 use crate::request::{
     chunk_image_bytes, effective_chunks, row_band, BatchKey, ChunkOutcome, ChunkResponse,
     ChunkSpan, RenderPrecision, Request, Response, Workload,
 };
-use crate::sched::{LaneScheduler, Priority, SchedConfig, SchedStep};
+use crate::sched::{Priority, SchedConfig};
 use crate::supervise::{panic_reason, supervisor_loop, CrashReport, SuperviseConfig};
 
 /// A named table generator the server can execute: `name → payload bytes`.
@@ -172,35 +173,19 @@ pub enum WaitOutcome {
     Closed,
 }
 
-/// What the board parks for a finished request.
-#[derive(Debug, Clone)]
-enum Completion {
-    Answered(Response),
-    Shed,
-    Failed(String),
-}
-
-/// One chunk's slot in a request's reassembly stream.
-#[derive(Debug, Clone)]
-enum ChunkCell {
-    Pending,
-    Served(Vec<u8>),
-    Shed,
-    Failed(String),
-}
-
-/// Per-request reassembly slot: one cell per chunk, opened at admission.
-/// Chunks land in any order; the request resolves once every cell is
-/// terminal. Cells stay readable afterwards so streaming clients can
-/// still collect chunks they have not consumed yet.
+/// Per-request reassembly slot: one cell per chunk (`None` while
+/// pending), opened at admission. Chunks land in any order; the request
+/// resolves once every cell is terminal. Cells stay readable afterwards
+/// so streaming clients can still collect chunks they have not consumed
+/// yet.
 struct StreamSlot {
-    cells: Vec<ChunkCell>,
+    cells: Vec<Option<ChunkOutcome>>,
     pending: usize,
 }
 
 /// Completion board: outcomes parked until their submitter collects them.
 /// Chunked requests reassemble here — workers post individual chunks, and
-/// the whole-request [`Completion`] materializes (failure-first, then
+/// the whole-request [`WaitOutcome`] materializes (failure-first, then
 /// shed, then the row-order concatenation of the chunk payloads) when the
 /// last chunk lands.
 pub(crate) struct Board {
@@ -210,7 +195,7 @@ pub(crate) struct Board {
 
 struct BoardState {
     streams: HashMap<u64, StreamSlot>,
-    done: HashMap<u64, Completion>,
+    done: HashMap<u64, WaitOutcome>,
     closed: bool,
 }
 
@@ -231,7 +216,7 @@ impl Board {
     /// can race the slot's existence.
     fn open(&self, id: u64, of: u32) {
         let mut st = self.state.lock().unwrap();
-        st.streams.insert(id, StreamSlot { cells: vec![ChunkCell::Pending; of as usize], pending: of as usize });
+        st.streams.insert(id, StreamSlot { cells: vec![None; of as usize], pending: of as usize });
     }
 
     /// Discards a slot opened by [`Board::open`] when admission of the
@@ -244,19 +229,19 @@ impl Board {
     pub(crate) fn post_served(&self, responses: Vec<ChunkResponse>) {
         let mut st = self.state.lock().unwrap();
         for r in responses {
-            st.land(r.id, r.chunk.index, ChunkCell::Served(r.bytes));
+            st.land(r.id, r.chunk.index, ChunkOutcome::Served(r.bytes));
         }
         drop(st);
         self.ready.notify_all();
     }
 
     fn post_shed(&self, id: u64, index: u32) {
-        self.state.lock().unwrap().land(id, index, ChunkCell::Shed);
+        self.state.lock().unwrap().land(id, index, ChunkOutcome::Shed);
         self.ready.notify_all();
     }
 
     pub(crate) fn post_failed(&self, id: u64, index: u32, reason: String) {
-        self.state.lock().unwrap().land(id, index, ChunkCell::Failed(reason));
+        self.state.lock().unwrap().land(id, index, ChunkOutcome::Failed(reason));
         self.ready.notify_all();
     }
 
@@ -268,12 +253,8 @@ impl Board {
     fn wait(&self, id: u64) -> WaitOutcome {
         let mut st = self.state.lock().unwrap();
         loop {
-            if let Some(c) = st.done.get(&id) {
-                return match c {
-                    Completion::Answered(r) => WaitOutcome::Answered(r.clone()),
-                    Completion::Shed => WaitOutcome::Shed,
-                    Completion::Failed(reason) => WaitOutcome::Failed(reason.clone()),
-                };
+            if let Some(outcome) = st.done.get(&id) {
+                return outcome.clone();
             }
             if st.closed {
                 return WaitOutcome::Closed;
@@ -290,10 +271,8 @@ impl Board {
         loop {
             if let Some(slot) = st.streams.get(&id) {
                 match slot.cells.get(index as usize) {
-                    Some(ChunkCell::Served(bytes)) => return ChunkOutcome::Served(bytes.clone()),
-                    Some(ChunkCell::Shed) => return ChunkOutcome::Shed,
-                    Some(ChunkCell::Failed(reason)) => return ChunkOutcome::Failed(reason.clone()),
-                    Some(ChunkCell::Pending) => {}
+                    Some(Some(outcome)) => return outcome.clone(),
+                    Some(None) => {}
                     None => return ChunkOutcome::Closed, // index out of range
                 }
             }
@@ -310,8 +289,8 @@ impl Board {
             .done
             .drain()
             .filter_map(|(_, c)| match c {
-                Completion::Answered(r) => Some(r),
-                Completion::Shed | Completion::Failed(_) => None,
+                WaitOutcome::Answered(r) => Some(r),
+                _ => None,
             })
             .collect();
         out.sort_unstable_by_key(|r| r.id);
@@ -325,13 +304,13 @@ impl BoardState {
     /// request (first failure in row order wins), else any shed chunk
     /// sheds it, else the payload is the row-order concatenation of the
     /// chunk bytes — byte-identical to the unchunked render.
-    fn land(&mut self, id: u64, index: u32, cell: ChunkCell) {
+    fn land(&mut self, id: u64, index: u32, cell: ChunkOutcome) {
         let Some(slot) = self.streams.get_mut(&id) else { return };
         let Some(target) = slot.cells.get_mut(index as usize) else { return };
-        if !matches!(target, ChunkCell::Pending) {
+        if target.is_some() {
             return; // already terminal (teardown race) — first outcome wins
         }
-        *target = cell;
+        *target = Some(cell);
         slot.pending -= 1;
         if slot.pending > 0 {
             return;
@@ -341,51 +320,83 @@ impl BoardState {
         let mut len = 0usize;
         for c in &slot.cells {
             match c {
-                ChunkCell::Failed(reason) => {
-                    failed = failed.or(Some(reason));
-                }
-                ChunkCell::Shed => shed = true,
-                ChunkCell::Served(b) => len += b.len(),
-                ChunkCell::Pending => unreachable!("pending hit zero"),
+                Some(ChunkOutcome::Failed(reason)) => failed = failed.or(Some(reason)),
+                Some(ChunkOutcome::Shed) => shed = true,
+                Some(ChunkOutcome::Served(b)) => len += b.len(),
+                Some(ChunkOutcome::Closed) | None => unreachable!("every cell landed terminal"),
             }
         }
         let completion = if let Some(reason) = failed {
-            Completion::Failed(reason.to_string())
+            WaitOutcome::Failed(reason.to_string())
         } else if shed {
-            Completion::Shed
+            WaitOutcome::Shed
         } else {
             let mut bytes = Vec::with_capacity(len);
             for c in &slot.cells {
-                if let ChunkCell::Served(b) = c {
+                if let Some(ChunkOutcome::Served(b)) = c {
                     bytes.extend_from_slice(b);
                 }
             }
-            Completion::Answered(Response { id, bytes })
+            WaitOutcome::Answered(Response { id, bytes })
         };
         self.done.insert(id, completion);
     }
 }
 
-/// Everything the serving roles share: queues, board, metrics sinks,
-/// resilience policies and robustness counters. One `Arc` of this is held
-/// by the [`Server`], every [`Client`], and every role thread.
+/// The live server's scheduling state, behind [`ServerShared::core`]: the
+/// shared [`Pipeline`] plus the records its pumps hand back and the
+/// counts of threads parked on each condvar (so a pump only signals when
+/// someone is waiting).
+pub(crate) struct LiveCore {
+    pipe: Pipeline,
+    /// Scratch for the pipeline's verdicts, drained after every pump.
+    verdicts: Vec<Verdict>,
+    shed: Vec<ShedMetric>,
+    degraded: Vec<DegradeMetric>,
+    /// Blocking submitters parked on [`ServerShared::space`].
+    parked: usize,
+    /// Workers (or the supervisor) parked on [`ServerShared::work`].
+    idle: usize,
+}
+
+impl LiveCore {
+    /// Expires lingers, then pumps the pipeline at `now_ns` and settles
+    /// its verdicts: sheds are recorded and posted to their waiters,
+    /// downgrades recorded. Returns whether any lane slot was freed.
+    fn pump(&mut self, now_ns: u64, board: &Board) -> bool {
+        self.pipe.expire(now_ns);
+        let stepped = self.pipe.pump(now_ns, &mut self.verdicts);
+        for v in self.verdicts.drain(..) {
+            match v {
+                Verdict::Shed { chunk, metric } => {
+                    board.post_shed(metric.id, chunk);
+                    self.shed.push(metric);
+                }
+                Verdict::Degraded(metric) => self.degraded.push(metric),
+            }
+        }
+        stepped > 0
+    }
+}
+
+/// Everything the serving roles share: the scheduling core, board, metrics
+/// sinks, resilience policies and robustness counters. One `Arc` of this
+/// is held by the [`Server`], every [`Client`], and every role thread.
 pub(crate) struct ServerShared {
     pub(crate) epoch: Instant,
     pub(crate) sched: SchedConfig,
     pub(crate) tables: TableRegistry,
-    pub(crate) batcher_cfg: BatcherConfig,
-    pub(crate) lanes: Lanes<Request>,
-    /// Resolved per-lane capacities; zero means hard-reject at admission.
-    pub(crate) lane_caps: Vec<usize>,
-    pub(crate) batches: Queue<Batch>,
+    pub(crate) core: Mutex<LiveCore>,
+    /// Signalled when a pump frees lane slots, and on drain.
+    pub(crate) space: Condvar,
+    /// Signalled when a batch is ready or the linger deadline moves, and
+    /// on drain.
+    pub(crate) work: Condvar,
     pub(crate) board: Board,
     pub(crate) next_id: AtomicU64,
-    pub(crate) rejected: Vec<AtomicUsize>,
     pub(crate) request_metrics: Mutex<Vec<RequestMetric>>,
     pub(crate) batch_metrics: Mutex<Vec<BatchMetric>>,
-    pub(crate) shed_metrics: Mutex<Vec<ShedMetric>>,
     pub(crate) fail_metrics: Mutex<Vec<FailMetric>>,
-    pub(crate) degrade_metrics: Mutex<Vec<DegradeMetric>>,
     /// Batches completed successfully — the supervisor reads this to
     /// reset its consecutive-crash streak.
     pub(crate) served_batches: AtomicUsize,
@@ -395,8 +406,7 @@ pub(crate) struct ServerShared {
     pub(crate) injector: Option<FaultInjector>,
     pub(crate) retry: RetryPolicy,
     pub(crate) supervise: SuperviseConfig,
-    pub(crate) brownout_cfg: BrownoutConfig,
-    /// Set by [`Server::drain`] once the pipeline threads are joined; the
+    /// Set by [`Server::drain`] once the workers are joined; the
     /// supervisor exits on its next idle tick.
     pub(crate) shutdown: AtomicBool,
     pub(crate) workers: usize,
@@ -405,9 +415,54 @@ pub(crate) struct ServerShared {
 }
 
 impl ServerShared {
-    /// Nanoseconds since the server epoch (the breaker clock).
+    /// Nanoseconds since the server epoch (the scheduling and breaker
+    /// clock).
     pub(crate) fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
+    }
+}
+
+/// Parks until the pipeline hands out a batch; `None` once it is closed
+/// and empty. Pumps before every take (expiring lingers first) and again
+/// after it (the freed ready slot admits a stalled flush), wakes parked
+/// submitters when lane slots were freed, and hands the linger timer and
+/// any further ready batch to an idle peer. Idle callers sleep until the
+/// next linger deadline. Workers and the supervisor (once the pool is
+/// extinct) both take batches here.
+pub(crate) fn next_batch(shared: &ServerShared) -> Option<Batch> {
+    let mut core = shared.core.lock().unwrap();
+    loop {
+        let now = shared.now_ns();
+        let mut freed = core.pump(now, &shared.board);
+        let batch = core.pipe.take();
+        if batch.is_some() {
+            freed |= core.pump(now, &shared.board);
+        }
+        if freed && core.parked > 0 {
+            shared.space.notify_all();
+        }
+        let closed = core.pipe.is_closed();
+        if batch.is_some() || (closed && core.pipe.is_empty()) {
+            if core.idle > 0 {
+                if closed {
+                    // Draining: every idle peer re-checks, and exits once
+                    // nothing is left.
+                    shared.work.notify_all();
+                } else if core.pipe.has_ready() || core.pipe.next_deadline().is_some() {
+                    shared.work.notify_one();
+                }
+            }
+            return batch;
+        }
+        core.idle += 1;
+        core = match core.pipe.next_deadline() {
+            Some(d) => {
+                let wait = Duration::from_nanos(d.saturating_sub(now));
+                shared.work.wait_timeout(core, wait).unwrap().0
+            }
+            None => shared.work.wait(core).unwrap(),
+        };
+        core.idle -= 1;
     }
 }
 
@@ -428,21 +483,55 @@ impl Client {
         blocking: bool,
     ) -> Result<u64, SubmitError> {
         let sh = &*self.shared;
-        let lane = sh.sched.lane_of(priority);
         let k = effective_chunks(sh.chunks, &job);
-        if sh.lane_caps[lane] == 0 {
-            sh.rejected[lane].fetch_add(k as usize, Ordering::Relaxed);
+        let mut core = sh.core.lock().unwrap();
+        let lane = core.pipe.lane_of(priority);
+        if core.pipe.capacity(lane) == 0 {
+            core.pipe.reject(lane, k as usize);
             return Err(SubmitError::Rejected);
         }
         let id = sh.next_id.fetch_add(1, Ordering::Relaxed);
-        let arrival_ns = sh.epoch.elapsed().as_nanos() as u64;
+        let arrival_ns = sh.now_ns();
         let submitted_at = Instant::now();
         let deadline_ns = deadline.map(|d| arrival_ns.saturating_add(d.as_nanos() as u64));
+        let deadline_before = core.pipe.next_deadline();
         // The reassembly slot must exist before the first chunk can reach
         // a worker, or a fast completion would have nowhere to land.
         sh.board.open(id, k);
         for index in 0..k {
-            let req = Request {
+            // Admission is atomic per request: only the first chunk can be
+            // rejected for a full lane (non-blocking submits); once it is
+            // in, the rest park on the lane until a pump frees a slot.
+            let refused = loop {
+                if core.pipe.is_closed() {
+                    break Some(SubmitError::Closed);
+                }
+                if core.pipe.has_room(lane) {
+                    break None;
+                }
+                if !blocking && index == 0 {
+                    break Some(SubmitError::Rejected);
+                }
+                // Only a take frees this lane, so idle workers must see
+                // the chunks flushed so far before this submitter parks.
+                if core.idle > 0 && (core.pipe.has_ready() || core.pipe.next_deadline().is_some()) {
+                    sh.work.notify_all();
+                }
+                core.parked += 1;
+                core = sh.space.wait(core).unwrap();
+                core.parked -= 1;
+            };
+            if let Some(e) = refused {
+                if index == 0 {
+                    sh.board.abandon(id);
+                }
+                // Admission closed mid-request (drain race): the admitted
+                // chunks terminate through the pipeline; the remainder
+                // count as rejected and the waiter observes Closed.
+                core.pipe.reject(lane, (k - index) as usize);
+                return Err(e);
+            }
+            core.pipe.admit(Request {
                 id,
                 submitted_at,
                 priority,
@@ -450,31 +539,13 @@ impl Client {
                 deadline_ns,
                 chunk: ChunkSpan { index, of: k },
                 job: job.clone(),
-            };
-            // Admission is atomic per request: only the first chunk can be
-            // rejected for a full lane (non-blocking submits); once it is
-            // in, the rest park on the lane until the scheduler drains it.
-            let sent = if blocking || index > 0 {
-                sh.lanes.send(lane, req).map_err(|_| SubmitError::Closed)
-            } else {
-                match sh.lanes.try_send(lane, req) {
-                    Ok(()) => Ok(()),
-                    Err(fnr_par::mpmc::TrySendError::Full(_)) => Err(SubmitError::Rejected),
-                    Err(fnr_par::mpmc::TrySendError::Closed(_)) => Err(SubmitError::Closed),
-                }
-            };
-            if let Err(e) = sent {
-                if index == 0 {
-                    sh.board.abandon(id);
-                    sh.rejected[lane].fetch_add(k as usize, Ordering::Relaxed);
-                } else {
-                    // Admission closed mid-request (drain race): the sent
-                    // chunks terminate through the pipeline; the remainder
-                    // count as rejected and the waiter observes Closed.
-                    sh.rejected[lane].fetch_add((k - index) as usize, Ordering::Relaxed);
-                }
-                return Err(e);
+            });
+            if core.pump(sh.now_ns(), &sh.board) && core.parked > 0 {
+                sh.space.notify_all();
             }
+        }
+        if core.idle > 0 && (core.pipe.has_ready() || core.pipe.next_deadline() != deadline_before) {
+            sh.work.notify_one();
         }
         Ok(id)
     }
@@ -553,7 +624,7 @@ pub struct ServeReport {
     pub metrics: ServeMetrics,
 }
 
-/// A live serving pipeline: scheduler, supervised worker pool, and
+/// A live serving pipeline: scheduling core, supervised worker pool, and
 /// completion board. Create with [`Server::start`], submit through
 /// [`Server::client`] handles, and finish with [`Server::drain`] —
 /// admission closes, in-flight work completes, and the final metrics
@@ -561,43 +632,40 @@ pub struct ServeReport {
 /// the metrics.
 pub struct Server {
     shared: Arc<ServerShared>,
-    scheduler: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
     supervisor: Option<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Spawns the pipeline threads (scheduler, `workers` workers, one
-    /// supervisor) and returns the running server.
+    /// Spawns the pipeline threads (`workers` workers, one supervisor)
+    /// and returns the running server.
     ///
     /// # Panics
     ///
     /// Panics on a malformed [`SchedConfig`].
     pub fn start(cfg: &ServerConfig) -> Server {
         cfg.sched.validate();
-        let lane_caps = cfg.sched.capacities(cfg.queue_capacity);
-        // Lanes require capacity >= 1; zero-capacity lanes are gated at
-        // the client and never reach the queue.
-        let floored: Vec<usize> = lane_caps.iter().map(|&c| c.max(1)).collect();
         let workers = cfg.workers.max(1);
+        let epoch = Instant::now();
         let shared = Arc::new(ServerShared {
-            epoch: Instant::now(),
+            epoch,
             sched: cfg.sched.clone(),
             tables: cfg.tables.clone(),
-            batcher_cfg: BatcherConfig { max_batch: cfg.max_batch, linger: cfg.linger },
-            lanes: Lanes::bounded(&floored),
-            lane_caps,
-            // Batch hand-off is sized to keep workers busy without
-            // unbounded buffering ahead of them.
-            batches: Queue::bounded(workers * 2),
+            core: Mutex::new(LiveCore {
+                pipe: Pipeline::new(cfg, epoch),
+                verdicts: Vec::new(),
+                shed: Vec::new(),
+                degraded: Vec::new(),
+                parked: 0,
+                idle: 0,
+            }),
+            space: Condvar::new(),
+            work: Condvar::new(),
             board: Board::new(),
             next_id: AtomicU64::new(0),
-            rejected: cfg.sched.lanes.iter().map(|_| AtomicUsize::new(0)).collect(),
             request_metrics: Mutex::new(Vec::new()),
             batch_metrics: Mutex::new(Vec::new()),
-            shed_metrics: Mutex::new(Vec::new()),
             fail_metrics: Mutex::new(Vec::new()),
-            degrade_metrics: Mutex::new(Vec::new()),
             served_batches: AtomicUsize::new(0),
             worker_restarts: AtomicUsize::new(0),
             retried: AtomicUsize::new(0),
@@ -605,16 +673,11 @@ impl Server {
             injector: cfg.injector,
             retry: cfg.retry,
             supervise: cfg.supervise,
-            brownout_cfg: cfg.brownout,
             shutdown: AtomicBool::new(false),
             workers,
             chunks: cfg.chunks,
         });
 
-        let scheduler = {
-            let sh = Arc::clone(&shared);
-            std::thread::spawn(move || scheduler_loop(&sh))
-        };
         let (crash_tx, crash_rx) = mpsc::channel::<CrashReport>();
         let worker_handles: Vec<JoinHandle<()>> = (0..workers)
             .map(|_| {
@@ -627,7 +690,7 @@ impl Server {
             let sh = Arc::clone(&shared);
             std::thread::spawn(move || supervisor_loop(&sh, crash_rx, crash_tx))
         };
-        Server { shared, scheduler: Some(scheduler), workers: worker_handles, supervisor: Some(supervisor) }
+        Server { shared, workers: worker_handles, supervisor: Some(supervisor) }
     }
 
     /// A new submission handle. Handles share the server's id space and
@@ -637,7 +700,7 @@ impl Server {
         Client { shared: Arc::clone(&self.shared) }
     }
 
-    /// Graceful drain: closes admission, lets the scheduler flush what is
+    /// Graceful drain: closes admission, lets the pipeline flush what is
     /// queued (serving the unexpired, shedding the expired), waits for
     /// every in-flight batch — including quarantine re-executions — to
     /// terminate, and returns the final report. Late submits on surviving
@@ -647,17 +710,6 @@ impl Server {
         self.shutdown();
         let sh = &self.shared;
         let responses = sh.board.drain_sorted();
-        let lane_acct: Vec<LaneAccounting> = sh
-            .sched
-            .lanes
-            .iter()
-            .zip(&sh.rejected)
-            .map(|(l, r)| LaneAccounting {
-                name: l.name.clone(),
-                weight: l.weight,
-                rejected: r.load(Ordering::Relaxed),
-            })
-            .collect();
         let robust = {
             let breaker = sh.breaker.lock().unwrap();
             RobustTotals {
@@ -667,14 +719,15 @@ impl Server {
                 breaker_half_open_probes: breaker.half_open_probes(),
             }
         };
+        let mut core = sh.core.lock().unwrap();
         let metrics = ServeMetrics::aggregate(
             &std::mem::take(&mut *sh.request_metrics.lock().unwrap()),
             &std::mem::take(&mut *sh.batch_metrics.lock().unwrap()),
-            &std::mem::take(&mut *sh.shed_metrics.lock().unwrap()),
+            &std::mem::take(&mut core.shed),
             &std::mem::take(&mut *sh.fail_metrics.lock().unwrap()),
-            &std::mem::take(&mut *sh.degrade_metrics.lock().unwrap()),
+            &std::mem::take(&mut core.degraded),
             &responses,
-            &lane_acct,
+            &core.pipe.lane_accounting(),
             robust,
             sh.epoch.elapsed().as_nanos() as u64,
             sh.workers,
@@ -683,15 +736,16 @@ impl Server {
         ServeReport { responses, metrics }
     }
 
-    /// Joins every pipeline thread: scheduler first (it flushes the lanes
-    /// and closes the batch queue), then the original workers, then the
-    /// supervisor (which joins its respawns and fail-drains the batch
-    /// queue if the pool went extinct). Idempotent.
+    /// Closes the pipeline and joins every thread: the original workers
+    /// first (they exit once the drained pipeline is empty), then the
+    /// supervisor (which joins its respawns and fail-drains the pipeline
+    /// if the pool went extinct). Idempotent.
     fn shutdown(&mut self) {
-        self.shared.lanes.close();
-        if let Some(h) = self.scheduler.take() {
-            h.join().expect("scheduler thread panicked");
-        }
+        // Later pumps drain the lanes and flush the batcher, parked
+        // submitters return `Closed`, and workers exit once it is empty.
+        self.shared.core.lock().unwrap().pipe.close();
+        self.shared.space.notify_all();
+        self.shared.work.notify_all();
         for h in self.workers.drain(..) {
             h.join().expect("worker thread panicked outside catch_unwind");
         }
@@ -733,105 +787,11 @@ pub fn run<R: Send>(cfg: &ServerConfig, drive: impl FnOnce(&Client) -> R + Send)
     }
 }
 
-/// The scheduler role: drains the admission lanes through the
-/// weighted-deficit [`LaneScheduler`] (multi-lane pop), sheds expired
-/// requests, applies the brownout precision downgrade, coalesces the
-/// served ones, and forwards flushed batches. Greedily re-steps after
-/// every pop so bursts coalesce even when workers are idle.
-fn scheduler_loop(shared: &ServerShared) {
-    let mut sched = LaneScheduler::new(&shared.sched);
-    let mut batcher = Batcher::new(shared.batcher_cfg);
-    let mut brownout = Brownout::new(shared.brownout_cfg);
-    // Total queue depth observed by the picker on its most recent pass —
-    // the brownout's pressure signal, measured where it is free to read.
-    let depth = Cell::new(0usize);
-    let now_ns = || shared.epoch.elapsed().as_nanos() as u64;
-    let pick = |sched: &mut LaneScheduler, ls: &mut [std::collections::VecDeque<Request>]| {
-        depth.set(ls.iter().map(|l| l.len()).sum());
-        sched.step(ls, now_ns())
-    };
-    // Applies one scheduling decision; returns a flushed batch if the
-    // served request completed one.
-    let apply = |step: SchedStep, batcher: &mut Batcher, brownout: &mut Brownout| -> Option<Batch> {
-        match step {
-            SchedStep::Serve { lane, mut req } => {
-                if brownout.observe(depth.get()) && req.priority != Priority::Interactive {
-                    if let Workload::Render(j) = &mut req.job {
-                        if let Some(lower) = degrade_precision(j.precision) {
-                            j.precision = lower;
-                            shared
-                                .degrade_metrics
-                                .lock()
-                                .unwrap()
-                                .push(DegradeMetric { id: req.id, lane });
-                        }
-                    }
-                }
-                batcher.offer(req, Instant::now())
-            }
-            SchedStep::Shed { lane, req } => {
-                brownout.observe(depth.get());
-                shared.shed_metrics.lock().unwrap().push(ShedMetric {
-                    id: req.id,
-                    lane,
-                    queue_ns: shared.epoch.elapsed().as_nanos() as u64 - req.arrival_ns,
-                });
-                shared.board.post_shed(req.id, req.chunk.index);
-                None
-            }
-        }
-    };
-    loop {
-        let step = match batcher.next_deadline() {
-            None => match shared.lanes.recv_with(|ls| pick(&mut sched, ls)) {
-                Some(s) => s,
-                None => break,
-            },
-            Some(deadline) => {
-                let now = Instant::now();
-                if deadline <= now {
-                    for b in batcher.expire(now) {
-                        if shared.batches.send(b).is_err() {
-                            return; // queue torn down; nothing left to do
-                        }
-                    }
-                    continue;
-                }
-                match shared.lanes.recv_with_timeout(deadline - now, |ls| pick(&mut sched, ls)) {
-                    RecvTimeout::Item(s) => s,
-                    RecvTimeout::TimedOut => continue,
-                    RecvTimeout::Closed => break,
-                }
-            }
-        };
-        let mut flushed = Vec::new();
-        if let Some(b) = apply(step, &mut batcher, &mut brownout) {
-            flushed.push(b);
-        }
-        while let Some(more) = shared.lanes.try_recv_with(|ls| pick(&mut sched, ls)) {
-            if let Some(b) = apply(more, &mut batcher, &mut brownout) {
-                flushed.push(b);
-            }
-        }
-        for b in flushed {
-            if shared.batches.send(b).is_err() {
-                return;
-            }
-        }
-    }
-    for b in batcher.drain() {
-        if shared.batches.send(b).is_err() {
-            return;
-        }
-    }
-    shared.batches.close();
-}
-
-/// The worker role: executes batches until the queue closes. A panicking
-/// batch retires this thread after shipping a [`CrashReport`] to the
-/// supervisor, which bisects the batch and respawns a replacement.
+/// The worker role: executes batches until the drained pipeline is empty.
+/// A panicking batch retires this thread after shipping a [`CrashReport`]
+/// to the supervisor, which bisects the batch and respawns a replacement.
 pub(crate) fn worker_loop(shared: &Arc<ServerShared>, crash_tx: mpsc::Sender<CrashReport>) {
-    while let Some(batch) = shared.batches.recv() {
+    while let Some(batch) = next_batch(shared) {
         if let Err(report) = attempt_batch(shared, batch) {
             // The channel outlives us (the supervisor holds the receiver
             // and a template sender); a send can only fail during teardown

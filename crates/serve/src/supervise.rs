@@ -24,9 +24,9 @@
 //!    the per-key circuit breaker.
 //!
 //! If the pool goes extinct (budget exhausted with no workers left), the
-//! supervisor becomes the batch-queue consumer and fails every remaining
-//! batch — the scheduler never wedges on a full hand-off queue and every
-//! admitted request still terminates.
+//! supervisor takes the pipeline's ready batches itself and fails every
+//! one — blocking submitters never wedge behind a full ready queue and
+//! every admitted request still terminates.
 
 use std::any::Any;
 use std::collections::HashMap;
@@ -38,7 +38,7 @@ use std::time::Duration;
 
 use crate::batch::Batch;
 use crate::request::job_hash;
-use crate::server::{attempt_batch, fail_batch, worker_loop, ServerShared};
+use crate::server::{attempt_batch, fail_batch, next_batch, worker_loop, ServerShared};
 
 /// Worker supervision knobs.
 #[derive(Debug, Clone, Copy)]
@@ -131,11 +131,11 @@ pub(crate) fn supervisor_loop(
                     respawned.push(std::thread::spawn(move || worker_loop(&sh, tx)));
                     workers_alive += 1;
                 } else if workers_alive == 0 {
-                    // Pool extinction: consume the batch queue ourselves so
-                    // the scheduler cannot wedge on a full hand-off queue,
-                    // failing everything fast. Ends when the scheduler
-                    // closes the queue at drain.
-                    while let Some(batch) = shared.batches.recv() {
+                    // Pool extinction: take the ready batches ourselves so
+                    // the pipeline cannot wedge behind a full ready queue,
+                    // failing everything fast. Ends once the drained
+                    // pipeline is empty.
+                    while let Some(batch) = next_batch(shared) {
                         fail_batch(
                             shared,
                             &batch,

@@ -1,43 +1,47 @@
-//! The single-threaded discrete-event mirror of the threaded serving
-//! pipeline, shared by the one-server virtual harness
-//! ([`crate::run_virtual`]) and the cluster simulator
-//! ([`crate::cluster::run_cluster`]): per-lane bounded queues →
-//! [`LaneScheduler`] → [`Batcher`] → a `2 × workers` batch queue →
-//! virtual workers, all on one injected virtual clock.
+//! The single-threaded discrete-event server, shared by the one-server
+//! virtual harness ([`crate::run_virtual`]) and the cluster simulator
+//! ([`crate::cluster::run_cluster`]): the scheduling core
+//! ([`Pipeline`] — lanes, [`crate::LaneScheduler`], brownout,
+//! [`crate::Batcher`], the `2 × workers` ready queue) driven on one
+//! injected virtual clock, with virtual workers taking its ready batches.
 //!
-//! Every scheduling decision is a deterministic function of the admitted
-//! schedule and the clock; batches are only *decided* here and rendered
-//! for real afterwards, so thread width can never move an outcome. The
-//! cluster layer adds three things the single-server harness leaves
-//! dormant: a per-replica inflight gauge (router admission control), a
-//! per-`(scene, precision)` model cache whose cold misses stretch the
-//! batch's virtual service time, and [`VirtualPipeline::kill`] — the
-//! fault-injection hook that orphans everything in flight so the front
-//! door can fail it over.
+//! What lives here is only what is virtual: the workers and their service
+//! model (flat, per-item, slow factor, modeled cold cache), the seeded
+//! chaos injector, and the hedging hooks. Every scheduling decision is a
+//! deterministic function of the admitted schedule and the clock; batches
+//! are only *decided* here and rendered for real afterwards, so thread
+//! width can never move an outcome. The cluster layer adds a per-replica
+//! inflight gauge (router admission control), the per-`(scene,
+//! precision)` model cache whose cold misses stretch the batch's virtual
+//! service time, and [`VirtualPipeline::kill`] — the fault-injection hook
+//! that orphans everything in flight so the front door can fail it over.
 
-use std::collections::{HashSet, VecDeque};
-use std::time::{Duration, Instant};
+use std::collections::HashSet;
+use std::time::Instant;
 
-use crate::batch::{Batch, Batcher, BatcherConfig};
+use crate::batch::Batch;
+use crate::cluster::ClusterService;
 use crate::fault::{FaultInjector, InjectedFault};
-use crate::metrics::{BatchMetric, FailMetric, RequestMetric, ShedMetric};
-use crate::request::{BatchKey, ChunkSpan, Request};
-use crate::sched::{LaneScheduler, SchedStep};
+use crate::metrics::{
+    BatchMetric, DegradeMetric, FailMetric, RequestMetric, RobustTotals, ServeMetrics, ShedMetric,
+};
+use crate::pipeline::{Pipeline, Verdict};
+use crate::request::{BatchKey, ChunkSpan, Request, Response};
 use crate::server::ServerConfig;
 use crate::workload::TimedJob;
-
-/// One virtual worker: when it frees up, and the batch it is serving (so
-/// a kill can orphan in-service work instead of silently completing it).
-struct VWorker {
-    free_at: u64,
-    running: Option<Running>,
-}
 
 /// A batch in service on a virtual worker.
 struct Running {
     batch: Batch,
     start_ns: u64,
     service_ns: u64,
+}
+
+impl Running {
+    /// Virtual time the batch completes and its worker frees up.
+    fn done_at(&self) -> u64 {
+        self.start_ns + self.service_ns
+    }
 }
 
 /// One externally visible pipeline event, emitted (only when event
@@ -52,26 +56,11 @@ pub(crate) enum PipeEvent {
     Started { id: u64, chunk: u32, queue_ns: u64 },
     /// The chunk's batch completed service (it will be served).
     Completed { id: u64, chunk: u32 },
-    /// A hedge-tracked chunk was shed by the scheduler; the terminal
-    /// record is deferred to the cluster arbiter (only emitted for chunks
-    /// marked via [`VirtualPipeline::mark_hedged`]).
-    Shed { id: u64, chunk: u32, lane: usize, queue_ns: u64 },
-    /// A hedge-tracked chunk was failed by the chaos injector; the
-    /// terminal record is deferred to the cluster arbiter.
-    Failed { id: u64, chunk: u32, lane: usize, queue_ns: u64 },
-}
-
-/// What [`VirtualPipeline::cancel`] found.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum CancelOutcome {
-    /// The copy was still queued (lane, batcher, stalled or batch queue)
-    /// and has been removed without a trace.
-    Queued,
-    /// The copy is in service on a virtual worker: it will finish, but
-    /// its completion is suppressed — no metric, no response.
-    InService,
-    /// No live copy with that id exists here.
-    NotFound,
+    /// A hedge-tracked chunk was shed by the scheduler, or `failed` by the
+    /// chaos injector; the terminal record is deferred to the cluster
+    /// arbiter (only emitted for chunks marked via
+    /// [`VirtualPipeline::mark_hedged`]).
+    Lost { id: u64, chunk: u32, lane: usize, queue_ns: u64, failed: bool },
 }
 
 /// The modeled per-replica model cache: which `(scene, precision)` render
@@ -87,38 +76,25 @@ struct ModelCache {
 
 /// The deterministic virtual pipeline for one (replica) server.
 pub(crate) struct VirtualPipeline {
-    sched_cfg: crate::sched::SchedConfig,
-    /// Arbitrary real-clock origin the virtual clock is rendered onto (the
-    /// [`Batcher`] speaks `Instant`); never a measurement.
-    epoch: Instant,
-    caps: Vec<usize>,
-    batch_q_cap: usize,
-    batcher_cfg: BatcherConfig,
-    service_ns: u64,
-    /// Size-aware service: extra virtual time per batch member, so a fat
-    /// batch costs more than a singleton and overload is a function of
-    /// batch composition. Zero (the default) reproduces the flat model.
-    per_item_ns: u64,
+    core: Pipeline,
+    /// Scratch for the core's verdicts, drained after every pump.
+    verdicts: Vec<Verdict>,
+    /// The service model: flat per-batch cost, size-aware per-member cost
+    /// (so overload is a function of batch composition) and cold-start
+    /// cost.
+    service: ClusterService,
     /// Gray-failure injection: every batch's virtual service time is
     /// multiplied by this (the `slow@T:R:F` fault). 1 = nominal speed.
     slow_factor: u64,
-    cold_start_ns: u64,
     cache: Option<ModelCache>,
     /// Seeded chaos: a poisoned request fails the moment a worker would
     /// take its batch (mirroring the live quarantine outcome, minus the
     /// real-time retry loop); a delayed one stretches its batch's virtual
     /// service time. Same seeds as live mode, same poisoned set.
     injector: Option<FaultInjector>,
-    sched: LaneScheduler,
-    batcher: Batcher,
-    vlanes: Vec<VecDeque<Request>>,
-    /// Batches flushed while the batch queue was full: the scheduler
-    /// stalls behind them, exactly like the threaded batcher parked in
-    /// `send()` — which is where queueing (and deadline shedding) comes
-    /// from under saturation.
-    stalled: VecDeque<Batch>,
-    batch_q: VecDeque<Batch>,
-    workers: Vec<VWorker>,
+    /// The batch each virtual worker is serving, if any (so a kill can
+    /// orphan in-service work instead of silently completing it).
+    workers: Vec<Option<Running>>,
     /// Requests admitted and not yet terminal (served, shed, or orphaned
     /// by a kill) — the router's per-replica admission-control gauge.
     inflight: usize,
@@ -141,51 +117,42 @@ pub(crate) struct VirtualPipeline {
     pub(crate) batch_metrics: Vec<BatchMetric>,
     pub(crate) shed_metrics: Vec<ShedMetric>,
     pub(crate) fail_metrics: Vec<FailMetric>,
-    pub(crate) rejected: Vec<usize>,
+    pub(crate) degrade_metrics: Vec<DegradeMetric>,
     /// Total virtual time the workers spent serving completed batches.
     pub(crate) busy_ns: u64,
     pub(crate) wall_ns: u64,
 }
 
 impl VirtualPipeline {
-    /// A pipeline for `cfg` with flat per-batch service time `service_ns`;
-    /// `with_cache` enables the modeled model cache (cold render keys pay
-    /// `cold_start_ns` extra on their first batch after a cold start), and
-    /// `injector` optionally adds seeded chaos (the same injector type —
-    /// and seeds — the live server takes).
-    pub(crate) fn with_injector(
+    /// A pipeline for `cfg` under the `service` model. `with_cache`
+    /// enables the modeled model cache (cold render keys pay
+    /// `service.cold_start_ns` extra on their first batch after a cold
+    /// start), `injector` optionally adds seeded chaos (the same injector
+    /// type — and seeds — the live server takes), and `track_events`
+    /// turns on [`PipeEvent`] emission (cluster resilience mode).
+    pub(crate) fn new(
         cfg: &ServerConfig,
-        service_ns: u64,
-        cold_start_ns: u64,
+        service: ClusterService,
         with_cache: bool,
         injector: Option<FaultInjector>,
+        track_events: bool,
     ) -> Self {
-        let caps = cfg.sched.capacities(cfg.queue_capacity);
-        let workers = cfg.workers.max(1);
-        let batcher_cfg = BatcherConfig { max_batch: cfg.max_batch, linger: cfg.linger };
         VirtualPipeline {
-            sched_cfg: cfg.sched.clone(),
-            epoch: Instant::now(),
-            batch_q_cap: workers * 2,
-            batcher_cfg,
-            service_ns: service_ns.max(1),
-            per_item_ns: 0,
+            // An arbitrary real-clock origin for the virtual clock; never
+            // a measurement.
+            core: Pipeline::new(cfg, Instant::now()),
+            verdicts: Vec::new(),
+            service: ClusterService { service_ns: service.service_ns.max(1), ..service },
             slow_factor: 1,
-            cold_start_ns,
             cache: with_cache.then(|| ModelCache {
                 warm: HashSet::new(),
                 hits: 0,
                 misses: 0,
             }),
             injector: injector.filter(|i| !i.is_empty()),
-            sched: LaneScheduler::new(&cfg.sched),
-            batcher: Batcher::new(batcher_cfg),
-            vlanes: caps.iter().map(|_| VecDeque::new()).collect(),
-            stalled: VecDeque::new(),
-            batch_q: VecDeque::new(),
-            workers: (0..workers).map(|_| VWorker { free_at: 0, running: None }).collect(),
+            workers: (0..cfg.workers.max(1)).map(|_| None).collect(),
             inflight: 0,
-            track_events: false,
+            track_events,
             events: Vec::new(),
             hedged: HashSet::new(),
             suppressed: HashSet::new(),
@@ -194,15 +161,10 @@ impl VirtualPipeline {
             batch_metrics: Vec::new(),
             shed_metrics: Vec::new(),
             fail_metrics: Vec::new(),
-            rejected: vec![0; caps.len()],
+            degrade_metrics: Vec::new(),
             busy_ns: 0,
             wall_ns: 0,
-            caps,
         }
-    }
-
-    fn inst(&self, vt: u64) -> Instant {
-        self.epoch + Duration::from_nanos(vt)
     }
 
     /// Requests admitted and not yet terminal.
@@ -210,9 +172,23 @@ impl VirtualPipeline {
         self.inflight
     }
 
-    /// Sets the size-aware per-member service cost.
-    pub(crate) fn set_per_item_ns(&mut self, per_item_ns: u64) {
-        self.per_item_ns = per_item_ns;
+    /// This pipeline's serving metrics over `responses`, the payloads it
+    /// served: its decision records, the core's per-lane accounting and
+    /// the virtual wall clock.
+    pub(crate) fn metrics(&self, responses: &[Response]) -> ServeMetrics {
+        ServeMetrics::aggregate(
+            &self.request_metrics,
+            &self.batch_metrics,
+            &self.shed_metrics,
+            &self.fail_metrics,
+            &self.degrade_metrics,
+            responses,
+            &self.core.lane_accounting(),
+            RobustTotals::default(),
+            self.wall_ns,
+            self.workers.len(),
+            fnr_par::current_num_threads(),
+        )
     }
 
     /// Sets the gray-failure service-time multiplier (`slow@T:R:F`);
@@ -225,11 +201,6 @@ impl VirtualPipeline {
     /// The current gray-failure multiplier.
     pub(crate) fn slow_factor(&self) -> u64 {
         self.slow_factor
-    }
-
-    /// Turns on [`PipeEvent`] emission (cluster resilience mode).
-    pub(crate) fn enable_event_tracking(&mut self) {
-        self.track_events = true;
     }
 
     /// Drains the events emitted since the last call, in event order.
@@ -247,54 +218,25 @@ impl VirtualPipeline {
     /// Whether any virtual worker is in service right now (the failure
     /// detector only expects progress from a busy replica).
     pub(crate) fn is_busy(&self) -> bool {
-        self.workers.iter().any(|w| w.running.is_some())
+        self.workers.iter().any(Option::is_some)
     }
 
     /// Cancels the live copy of `(id, chunk)`, wherever it sits: removed
     /// outright if still queued, suppressed (completes without a trace) if
     /// already in service. The hedging layer calls this on the losing copy
     /// the instant the winning copy completes.
-    pub(crate) fn cancel(&mut self, id: u64, chunk: ChunkSpan) -> CancelOutcome {
+    pub(crate) fn cancel(&mut self, id: u64, chunk: ChunkSpan) {
         self.hedged.remove(&(id, chunk.index));
-        for lane in &mut self.vlanes {
-            if let Some(pos) = lane.iter().position(|r| r.id == id && r.chunk == chunk) {
-                lane.remove(pos);
-                self.inflight -= 1;
-                return CancelOutcome::Queued;
-            }
-        }
-        if self.batcher.remove(id, chunk).is_some() {
+        if self.core.cancel(id, chunk) {
             self.inflight -= 1;
-            return CancelOutcome::Queued;
-        }
-        fn pull(q: &mut VecDeque<Batch>, id: u64, chunk: ChunkSpan) -> bool {
-            for bi in 0..q.len() {
-                if let Some(ri) =
-                    q[bi].requests.iter().position(|r| r.id == id && r.chunk == chunk)
-                {
-                    q[bi].requests.remove(ri);
-                    if q[bi].requests.is_empty() {
-                        q.remove(bi);
-                    }
-                    return true;
-                }
-            }
-            false
-        }
-        if pull(&mut self.stalled, id, chunk) || pull(&mut self.batch_q, id, chunk) {
-            self.inflight -= 1;
-            return CancelOutcome::Queued;
-        }
-        let in_service = self.workers.iter().any(|w| {
-            w.running
-                .as_ref()
-                .is_some_and(|run| run.batch.requests.iter().any(|r| r.id == id && r.chunk == chunk))
-        });
-        if in_service {
+        } else if self
+            .workers
+            .iter()
+            .flatten()
+            .any(|run| run.batch.requests.iter().any(|r| r.id == id && r.chunk == chunk))
+        {
             self.suppressed.insert((id, chunk.index));
-            return CancelOutcome::InService;
         }
-        CancelOutcome::NotFound
     }
 
     /// Cumulative `(hits, misses)` of the modeled model cache (zeros when
@@ -303,20 +245,26 @@ impl VirtualPipeline {
         self.cache.as_ref().map_or((0, 0), |c| (c.hits, c.misses))
     }
 
-    /// Admits one chunk of a scheduled job at virtual time `at`. A full
-    /// (or zero-capacity) lane rejects — a virtual open-loop submitter
-    /// cannot park. Returns whether the chunk entered its lane.
-    pub(crate) fn admit(&mut self, id: u64, at: u64, tj: &TimedJob, chunk: ChunkSpan) -> bool {
-        let arrival = Request {
+    /// Chunk `chunk` of the scheduled job `tj` as request `id` arriving at
+    /// virtual time `at` (its deadline is relative to the arrival).
+    pub(crate) fn request(&self, id: u64, at: u64, tj: &TimedJob, chunk: ChunkSpan) -> Request {
+        Request {
             id,
-            submitted_at: self.inst(at),
+            submitted_at: self.core.instant(at),
             priority: tj.priority,
             arrival_ns: at,
             deadline_ns: tj.deadline.map(|d| at + d.as_nanos() as u64),
             chunk,
             job: tj.job.clone(),
-        };
-        self.admit_request(arrival, at)
+        }
+    }
+
+    /// Admits one chunk of a scheduled job at virtual time `at`. A full
+    /// (or zero-capacity) lane rejects — a virtual open-loop submitter
+    /// cannot park. Returns whether the chunk entered its lane.
+    pub(crate) fn admit(&mut self, id: u64, at: u64, tj: &TimedJob, chunk: ChunkSpan) -> bool {
+        let req = self.request(id, at, tj, chunk);
+        self.admit_request(req, at)
     }
 
     /// Admits an already-built request at virtual time `at` — the
@@ -324,15 +272,13 @@ impl VirtualPipeline {
     /// `arrival_ns` and deadline, so its queue latency honestly includes
     /// the time it wasted on the dead replica.
     pub(crate) fn admit_request(&mut self, req: Request, at: u64) -> bool {
-        let lane = self.sched_cfg.lane_of(req.priority);
+        let lane = self.core.lane_of(req.priority);
         self.wall_ns = self.wall_ns.max(at);
-        if self.caps[lane] == 0 || self.vlanes[lane].len() >= self.caps[lane] {
-            self.rejected[lane] += 1;
-            return false;
+        let admitted = self.admit_hedge(req, at);
+        if !admitted {
+            self.core.reject(lane, 1);
         }
-        self.vlanes[lane].push_back(req);
-        self.inflight += 1;
-        true
+        admitted
     }
 
     /// Admits a hedge clone at virtual time `at` **without** counting a
@@ -340,33 +286,19 @@ impl VirtualPipeline {
     /// existed (the primary copy still owns the request), so it must not
     /// perturb the conservation law.
     pub(crate) fn admit_hedge(&mut self, req: Request, at: u64) -> bool {
-        let lane = self.sched_cfg.lane_of(req.priority);
-        if self.caps[lane] == 0 || self.vlanes[lane].len() >= self.caps[lane] {
+        if !self.core.admit(req) {
             return false;
         }
         self.wall_ns = self.wall_ns.max(at);
-        self.vlanes[lane].push_back(req);
         self.inflight += 1;
         true
     }
 
     /// Earliest pending timer: a busy worker finishing or a linger expiry.
     pub(crate) fn next_event(&self, now: u64) -> Option<u64> {
-        let completion = self
-            .workers
-            .iter()
-            .filter(|w| w.running.is_some())
-            .map(|w| w.free_at)
-            .filter(|&t| t > now)
-            .min();
-        let linger = self
-            .batcher
-            .next_deadline()
-            .map(|d| (d.saturating_duration_since(self.epoch).as_nanos() as u64).max(now));
-        match (completion, linger) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        let completion = self.workers.iter().flatten().map(Running::done_at).filter(|&t| t > now).min();
+        let linger = self.core.next_deadline().map(|d| d.max(now));
+        completion.into_iter().chain(linger).min()
     }
 
     /// Fires every timer up to `to` (in time order), pumping after each.
@@ -382,13 +314,12 @@ impl VirtualPipeline {
     }
 
     /// One timer firing at `t`: finished batches complete, linger-expired
-    /// groups flush, then the pipeline pumps to its fixpoint.
+    /// groups flush, then the pipeline pumps to its fixpoint. Lingers are
+    /// expired only here: the event loop visits every linger deadline in
+    /// time order, so a pump between timers never finds one overdue.
     pub(crate) fn fire(&mut self, t: u64) {
         self.complete_finished(t);
-        let when = self.inst(t);
-        for b in self.batcher.expire(when) {
-            self.stalled.push_back(b);
-        }
+        self.core.expire(t);
         self.pump(t);
     }
 
@@ -398,46 +329,44 @@ impl VirtualPipeline {
     /// kill at `t` can only orphan batches still genuinely in service.
     fn complete_finished(&mut self, now: u64) {
         for w in &mut self.workers {
-            if w.free_at <= now {
-                if let Some(run) = w.running.take() {
-                    let full_size = run.batch.requests.len();
-                    self.batch_metrics.push(BatchMetric {
-                        key: run.batch.key.clone(),
-                        size: full_size,
+            if let Some(run) = w.take_if(|run| run.done_at() <= now) {
+                let full_size = run.batch.requests.len();
+                self.batch_metrics.push(BatchMetric {
+                    key: run.batch.key.clone(),
+                    size: full_size,
+                    service_ns: run.service_ns,
+                    flush: run.batch.flush,
+                });
+                let mut batch = run.batch;
+                if !self.suppressed.is_empty() {
+                    // Losing hedge copies finish without a trace: the
+                    // winner already carries the request's record.
+                    let suppressed = &mut self.suppressed;
+                    batch.requests.retain(|req| !suppressed.remove(&(req.id, req.chunk.index)));
+                }
+                for req in &batch.requests {
+                    self.request_metrics.push(RequestMetric {
+                        id: req.id,
+                        lane: self.core.lane_of(req.priority),
+                        queue_ns: run.start_ns - req.arrival_ns,
                         service_ns: run.service_ns,
-                        flush: run.batch.flush,
+                        batch_size: full_size,
+                        chunk: req.chunk.index,
+                        chunk_of: req.chunk.of,
+                        deadline_missed: req
+                            .deadline_ns
+                            .is_some_and(|d| run.start_ns + run.service_ns >= d),
                     });
-                    let mut batch = run.batch;
-                    if !self.suppressed.is_empty() {
-                        // Losing hedge copies finish without a trace: the
-                        // winner already carries the request's record.
-                        let suppressed = &mut self.suppressed;
-                        batch.requests.retain(|req| !suppressed.remove(&(req.id, req.chunk.index)));
+                    if self.track_events {
+                        self.hedged.remove(&(req.id, req.chunk.index));
+                        self.events
+                            .push(PipeEvent::Completed { id: req.id, chunk: req.chunk.index });
                     }
-                    for req in &batch.requests {
-                        self.request_metrics.push(RequestMetric {
-                            id: req.id,
-                            lane: self.sched_cfg.lane_of(req.priority),
-                            queue_ns: run.start_ns - req.arrival_ns,
-                            service_ns: run.service_ns,
-                            batch_size: full_size,
-                            chunk: req.chunk.index,
-                            chunk_of: req.chunk.of,
-                            deadline_missed: req
-                                .deadline_ns
-                                .is_some_and(|d| run.start_ns + run.service_ns >= d),
-                        });
-                        if self.track_events {
-                            self.hedged.remove(&(req.id, req.chunk.index));
-                            self.events
-                                .push(PipeEvent::Completed { id: req.id, chunk: req.chunk.index });
-                        }
-                    }
-                    self.busy_ns += run.service_ns;
-                    self.inflight -= full_size;
-                    if !batch.requests.is_empty() {
-                        self.decided.push(batch);
-                    }
+                }
+                self.busy_ns += run.service_ns;
+                self.inflight -= full_size;
+                if !batch.requests.is_empty() {
+                    self.decided.push(batch);
                 }
             }
         }
@@ -450,13 +379,14 @@ impl VirtualPipeline {
     /// Chaos-injected delays are added by the caller, unscaled.
     fn service_for(&mut self, batch: &Batch) -> u64 {
         let mut svc = self
+            .service
             .service_ns
-            .saturating_add(self.per_item_ns.saturating_mul(batch.requests.len() as u64));
+            .saturating_add(self.service.per_item_ns.saturating_mul(batch.requests.len() as u64));
         if let Some(cache) = &mut self.cache {
             if matches!(batch.key, BatchKey::Render(..)) {
                 if cache.warm.insert(batch.key.clone()) {
                     cache.misses += 1;
-                    svc = svc.saturating_add(self.cold_start_ns);
+                    svc = svc.saturating_add(self.service.cold_start_ns);
                 } else {
                     cache.hits += 1;
                 }
@@ -478,17 +408,18 @@ impl VirtualPipeline {
         for req in batch.requests.drain(..) {
             match inj.decide(&req.job) {
                 Some(InjectedFault::Panic) => {
-                    let lane = self.sched_cfg.lane_of(req.priority);
+                    let lane = self.core.lane_of(req.priority);
                     let queue_ns = now - req.arrival_ns;
                     let key = (req.id, req.chunk.index);
                     if self.track_events && self.hedged.remove(&key) {
                         // A hedge-arbitrated copy: the cluster decides
                         // which copy's terminal outcome counts.
-                        self.events.push(PipeEvent::Failed {
+                        self.events.push(PipeEvent::Lost {
                             id: req.id,
                             chunk: req.chunk.index,
                             lane,
                             queue_ns,
+                            failed: true,
                         });
                     } else if !self.suppressed.remove(&key) {
                         self.fail_metrics.push(FailMetric { id: req.id, lane, queue_ns });
@@ -509,81 +440,63 @@ impl VirtualPipeline {
         Some((batch, delay_ns))
     }
 
-    /// One fixpoint pass of the virtual pipeline at time `now`: idle
-    /// workers take queued batches, freed queue slots unblock stalled
-    /// flushes, and an unblocked scheduler keeps draining the lanes.
+    /// Pumps the core at `now` and settles its verdicts: a shed is
+    /// recorded (or, for a hedge-arbitrated copy, deferred to the cluster
+    /// as an event), a downgrade is recorded.
+    fn pump_core(&mut self, now: u64) {
+        self.core.pump(now, &mut self.verdicts);
+        for v in self.verdicts.drain(..) {
+            match v {
+                Verdict::Shed { chunk, metric } => {
+                    if self.track_events && self.hedged.remove(&(metric.id, chunk)) {
+                        // Hedge-arbitrated: the cluster commits the shed
+                        // only if no other copy survives.
+                        self.events.push(PipeEvent::Lost {
+                            id: metric.id,
+                            chunk,
+                            lane: metric.lane,
+                            queue_ns: metric.queue_ns,
+                            failed: false,
+                        });
+                    } else {
+                        self.shed_metrics.push(metric);
+                    }
+                    self.inflight -= 1;
+                }
+                Verdict::Degraded(metric) => self.degrade_metrics.push(metric),
+            }
+        }
+    }
+
+    /// One fixpoint pass of the virtual pipeline at time `now`: the core
+    /// pumps, idle workers take its ready batches (in queue order), and
+    /// every take frees a ready slot the next pump can refill.
     pub(crate) fn pump(&mut self, now: u64) {
         self.complete_finished(now);
         loop {
-            let mut progress = false;
-            // Idle workers pick up queued batches (in queue order).
-            while !self.batch_q.is_empty() {
-                match self.workers.iter_mut().position(|w| w.free_at <= now && w.running.is_none())
-                {
-                    Some(wi) => {
-                        let batch = self.batch_q.pop_front().expect("non-empty");
-                        let (batch, delay_ns) = match self.apply_faults(batch, now) {
-                            Some(survivors) => survivors,
-                            None => {
-                                // Every member was poisoned: nothing to run.
-                                progress = true;
-                                continue;
-                            }
-                        };
-                        let service_ns = self.service_for(&batch) + delay_ns;
-                        if self.track_events {
-                            for req in &batch.requests {
-                                self.events.push(PipeEvent::Started {
-                                    id: req.id,
-                                    chunk: req.chunk.index,
-                                    queue_ns: now - req.arrival_ns,
-                                });
-                            }
-                        }
-                        self.workers[wi].free_at = now + service_ns;
-                        self.workers[wi].running =
-                            Some(Running { batch, start_ns: now, service_ns });
-                        progress = true;
+            self.pump_core(now);
+            let mut took = false;
+            while let Some(wi) =
+                self.workers.iter().position(Option::is_none)
+            {
+                let Some(batch) = self.core.take() else { break };
+                took = true;
+                let Some((batch, delay_ns)) = self.apply_faults(batch, now) else {
+                    continue; // every member was poisoned: nothing to run
+                };
+                let service_ns = self.service_for(&batch) + delay_ns;
+                if self.track_events {
+                    for req in &batch.requests {
+                        self.events.push(PipeEvent::Started {
+                            id: req.id,
+                            chunk: req.chunk.index,
+                            queue_ns: now - req.arrival_ns,
+                        });
                     }
-                    None => break,
                 }
+                self.workers[wi] = Some(Running { batch, start_ns: now, service_ns });
             }
-            // Freed slots admit stalled flushes.
-            while !self.stalled.is_empty() && self.batch_q.len() < self.batch_q_cap {
-                self.batch_q.push_back(self.stalled.pop_front().expect("non-empty"));
-                progress = true;
-            }
-            // The scheduler drains lanes only while nothing is stalled
-            // ahead of it (the threaded batcher parks in send() likewise).
-            if self.stalled.is_empty() {
-                match self.sched.step(&mut self.vlanes, now) {
-                    Some(SchedStep::Serve { req, .. }) => {
-                        if let Some(b) = self.batcher.offer(req, self.inst(now)) {
-                            self.stalled.push_back(b);
-                        }
-                        progress = true;
-                    }
-                    Some(SchedStep::Shed { lane, req }) => {
-                        let queue_ns = now - req.arrival_ns;
-                        if self.track_events && self.hedged.remove(&(req.id, req.chunk.index)) {
-                            // Hedge-arbitrated: the cluster commits the
-                            // shed only if no other copy survives.
-                            self.events.push(PipeEvent::Shed {
-                                id: req.id,
-                                chunk: req.chunk.index,
-                                lane,
-                                queue_ns,
-                            });
-                        } else {
-                            self.shed_metrics.push(ShedMetric { id: req.id, lane, queue_ns });
-                        }
-                        self.inflight -= 1;
-                        progress = true;
-                    }
-                    None => {}
-                }
-            }
-            if !progress {
+            if !took {
                 break;
             }
         }
@@ -592,11 +505,7 @@ impl VirtualPipeline {
     /// Whether any admitted request is still queued, pending, or in
     /// service.
     pub(crate) fn has_pending(&self) -> bool {
-        self.vlanes.iter().any(|l| !l.is_empty())
-            || !self.batcher.is_empty()
-            || !self.stalled.is_empty()
-            || !self.batch_q.is_empty()
-            || self.workers.iter().any(|w| w.running.is_some())
+        !self.core.is_empty() || self.is_busy()
     }
 
     /// Keeps firing timers until the pipeline is empty. Every queued
@@ -630,24 +539,9 @@ impl VirtualPipeline {
     pub(crate) fn kill(&mut self, t: u64) -> Vec<Request> {
         // Work that finished strictly by `t` completed before the crash.
         self.complete_finished(t);
-        let mut orphans: Vec<Request> = Vec::new();
-        for lane in &mut self.vlanes {
-            orphans.extend(lane.drain(..));
-        }
-        for b in self.batcher.drain() {
-            orphans.extend(b.requests);
-        }
-        for b in self.stalled.drain(..) {
-            orphans.extend(b.requests);
-        }
-        for b in self.batch_q.drain(..) {
-            orphans.extend(b.requests);
-        }
-        for w in &mut self.workers {
-            if let Some(run) = w.running.take() {
-                orphans.extend(run.batch.requests);
-            }
-            w.free_at = 0;
+        let mut orphans = self.core.drain_all();
+        for run in self.workers.iter_mut().filter_map(Option::take) {
+            orphans.extend(run.batch.requests);
         }
         if !self.suppressed.is_empty() {
             // A losing hedge copy orphaned by the crash stays a loser:
@@ -657,8 +551,6 @@ impl VirtualPipeline {
         }
         self.hedged.clear();
         orphans.sort_unstable_by_key(|r| (r.id, r.chunk.index));
-        self.sched = LaneScheduler::new(&self.sched_cfg);
-        self.batcher = Batcher::new(self.batcher_cfg);
         if let Some(cache) = &mut self.cache {
             cache.warm.clear();
         }

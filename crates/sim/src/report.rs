@@ -115,15 +115,6 @@ impl SimReport {
         2.0 * self.effective_macs as f64 / self.seconds(clock_hz) / 1e12
     }
 
-    /// Effective energy efficiency in TOPS/W (useful ops per joule).
-    pub fn effective_tops_per_watt(&self) -> f64 {
-        let joules = self.energy.total().joules();
-        if joules == 0.0 {
-            return 0.0;
-        }
-        2.0 * self.effective_macs as f64 / joules / 1e12
-    }
-
     /// Concatenates two phase reports (sequential execution).
     pub fn merge(&self, o: &SimReport) -> SimReport {
         let total = (self.cycles + o.cycles) as f64;

@@ -125,11 +125,6 @@ impl<T: Copy + Default> Matrix<T> {
         &mut self.data
     }
 
-    /// Consumes the matrix and returns the underlying row-major buffer.
-    pub fn into_vec(self) -> Vec<T> {
-        self.data
-    }
-
     /// The transpose.
     pub fn transpose(&self) -> Self {
         let mut out = Matrix::zeros(self.cols, self.rows);
@@ -391,14 +386,6 @@ impl Matrix<i32> {
             .enumerate()
             .filter(|(_, &v)| v != 0)
             .map(move |(i, &v)| (i / cols, i % cols, v))
-    }
-
-    /// Number of non-zeros in each row, in one pass over the backing store.
-    pub fn row_nnz(&self) -> Vec<usize> {
-        if self.cols == 0 {
-            return vec![0; self.rows];
-        }
-        self.data.chunks(self.cols).map(|row| row.iter().filter(|&&v| v != 0).count()).collect()
     }
 }
 

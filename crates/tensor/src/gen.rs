@@ -70,12 +70,6 @@ pub fn structured_prune_rows(m: &Matrix<i32>, prune_ratio: f64) -> Matrix<i32> {
     out
 }
 
-/// A matrix with the paper's "irregular GEMM" character: valid dims that do
-/// not divide the array size (e.g. 5×4 · 4×5 in Fig. 4(c)).
-pub fn irregular_dense(rows: usize, cols: usize, seed: u64) -> Matrix<i32> {
-    random_sparse_i32(rows, cols, 0.0, Precision::Int8, seed)
-}
-
 /// Per-row sparsity profile typical of post-ReLU activations: each row gets
 /// an independent sparsity drawn from `base ± jitter`, clamped to `[0, 0.99]`.
 pub fn relu_activation_like(

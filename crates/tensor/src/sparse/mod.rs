@@ -101,16 +101,6 @@ impl EncodedMatrix {
             other => other.footprint_bits(),
         }
     }
-
-    /// Number of stored non-zero payload values (dense stores everything).
-    pub fn stored_values(&self) -> usize {
-        match self {
-            EncodedMatrix::Dense(m) => m.len(),
-            EncodedMatrix::Coo(m) => m.nnz(),
-            EncodedMatrix::CscCsr(m) => m.nnz(),
-            EncodedMatrix::Bitmap(m) => m.nnz(),
-        }
-    }
 }
 
 #[cfg(test)]

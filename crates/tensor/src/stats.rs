@@ -123,15 +123,6 @@ impl ActivationStats {
             shape: (m.rows(), m.cols()),
         }
     }
-
-    /// Measures an integer stage tensor.
-    pub fn measure_i32(stage: impl Into<String>, m: &Matrix<i32>) -> Self {
-        ActivationStats {
-            stage: stage.into(),
-            sparsity_pct: m.sparsity() * 100.0,
-            shape: (m.rows(), m.cols()),
-        }
-    }
 }
 
 #[cfg(test)]

@@ -1,17 +1,19 @@
 //! Serving-runtime edge cases: admission under zero capacity, all-lanes-
-//! full backpressure, shed-everything deadlines, the single-lane FIFO
-//! digest pin, worker failure under multi-lane pop, flush-policy
-//! behaviour under real threading, and a short closed-loop soak.
+//! full backpressure and the wakeups of parked submitters (drain, deadline
+//! shed), shed-everything deadlines, the single-lane FIFO digest pin,
+//! worker failure on every lane, flush-policy behaviour under real
+//! threading, and a short closed-loop soak.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use fnr_serve::workload::{generate, ArrivalPattern, WorkloadSpec};
 use fnr_serve::{
     response_set_digest, run, run_closed_loop, run_open_loop, Priority, RenderJob,
-    RenderPrecision, SceneKind, SchedConfig, ServerConfig, SubmitError, WaitOutcome, Workload,
+    RenderPrecision, SceneKind, SchedConfig, Server, ServerConfig, SubmitError, WaitOutcome,
+    Workload,
 };
 
 fn tiny_render(seed: u64) -> Workload {
@@ -44,79 +46,221 @@ fn zero_capacity_queue_rejects_blocking_and_nonblocking_submits() {
 /// must park (true backpressure) — then drain once capacity returns.
 #[test]
 fn all_lanes_full_backpressure_rejects_try_submit_and_parks_blocking_submit() {
-    // A gated generator wedges the lone worker; max_batch 1 makes every
-    // request its own batch, so the pipeline saturates (1 executing +
-    // 2 batch-queue slots + the scheduler blocked on its hand-off) and
-    // further arrivals stack in their 2-slot lane until it fills.
-    let gate = Arc::new((Mutex::new(false), Condvar::new()));
+    let (server, gate, mut admitted) = wedged_server(2);
+    let client = server.client();
+    // The pipeline absorbs a bounded handful; well before 32 submits the
+    // standard lane must report Full.
+    let saw_reject = (0..32).any(|_| match client.try_submit(gated()) {
+        Ok(id) => {
+            admitted.push(id);
+            false
+        }
+        Err(SubmitError::Rejected) => true,
+        Err(e) => panic!("unexpected submit error {e:?}"),
+    });
+    assert!(saw_reject, "a wedged pipeline must eventually reject try_submit");
+    // A blocking submit on the full lane parks instead of rejecting.
+    std::thread::scope(|s| {
+        let parked = s.spawn(|| client.submit(gated()));
+        std::thread::sleep(Duration::from_millis(30));
+        assert!(!parked.is_finished(), "blocking submit must park while every lane slot is taken");
+        // Open the gate: the pipeline drains and the parked submit lands.
+        gate.open();
+        admitted.push(parked.join().expect("parked submitter").expect("parks, then admits"));
+    });
+    for &id in &admitted {
+        assert!(
+            matches!(client.wait_outcome(id), WaitOutcome::Answered(_)),
+            "request {id} must answer after the gate opens"
+        );
+    }
+    let report = server.drain();
+    assert_eq!(report.metrics.requests, admitted.len(), "everything admitted was answered");
+    assert!(report.metrics.rejected >= 1, "the rejection was counted");
+    assert_eq!(report.metrics.shed, 0);
+}
+
+/// A table generator that wedges every execution until the gate opens,
+/// and reports once the first execution has entered.
+struct Gate {
+    state: Mutex<(bool, bool)>, // (entered, open)
+    cv: Condvar,
+}
+
+impl Gate {
+    fn wait_entered(&self) {
+        let mut st = self.state.lock().unwrap();
+        while !st.0 {
+            st = self.cv.wait(st).unwrap();
+        }
+    }
+
+    fn open(&self) {
+        self.state.lock().unwrap().1 = true;
+        self.cv.notify_all();
+    }
+}
+
+fn gated() -> Workload {
+    Workload::Table("gated".into())
+}
+
+/// A one-worker, singleton-batch server (3 chunks per render) whose
+/// standard lane holds `lane_slots` requests, with its worker wedged on a
+/// gated request and the 2-slot ready queue plus one stalled flush filled
+/// behind it: the pipeline is full up to the still-empty standard lane.
+/// From here only client submits pump it, so its state is deterministic.
+fn wedged_server(lane_slots: usize) -> (Server, Arc<Gate>, Vec<u64>) {
+    let gate = Arc::new(Gate { state: Mutex::new((false, false)), cv: Condvar::new() });
     let mut cfg = ServerConfig {
         workers: 1,
-        queue_capacity: 2,
+        queue_capacity: lane_slots,
         max_batch: 1,
+        chunks: 3,
         ..ServerConfig::default()
     };
-    let gate_in_worker = Arc::clone(&gate);
+    let in_worker = Arc::clone(&gate);
     cfg.tables.register(
         "gated",
         Arc::new(move || {
-            let (lock, cv) = &*gate_in_worker;
-            let mut open = lock.lock().unwrap();
-            while !*open {
-                open = cv.wait(open).unwrap();
+            let mut st = in_worker.state.lock().unwrap();
+            st.0 = true;
+            in_worker.cv.notify_all();
+            while !st.1 {
+                st = in_worker.cv.wait(st).unwrap();
             }
             b"gated".to_vec()
         }),
     );
-    let (all_ids, report) = run(&cfg, |client| {
-        let mut admitted = Vec::new();
-        let mut saw_reject = false;
-        // The pipeline absorbs a bounded handful; well before 32 submits
-        // the standard lane must report Full.
-        for _ in 0..32 {
-            match client.try_submit(Workload::Table("gated".into())) {
-                Ok(id) => admitted.push(id),
-                Err(SubmitError::Rejected) => {
-                    saw_reject = true;
-                    break;
-                }
-                Err(e) => panic!("unexpected submit error {e:?}"),
-            }
-            // Give the scheduler a beat so absorption settles and the
-            // rejection genuinely means "every slot ahead is taken".
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        assert!(saw_reject, "a wedged pipeline must eventually reject try_submit");
-        // A blocking submit on the full lane parks instead of rejecting.
-        let parked_returned = AtomicBool::new(false);
-        std::thread::scope(|s| {
-            let flag = &parked_returned;
-            let parked = s.spawn(move || {
-                let id = client.submit(Workload::Table("gated".into())).expect("parks, then admits");
-                flag.store(true, Ordering::SeqCst);
-                id
-            });
-            std::thread::sleep(Duration::from_millis(30));
-            assert!(
-                !parked_returned.load(Ordering::SeqCst),
-                "blocking submit must park while every lane slot is taken"
-            );
-            // Open the gate: the pipeline drains and the parked submit lands.
-            let (lock, cv) = &*gate;
-            *lock.lock().unwrap() = true;
-            cv.notify_all();
-            admitted.push(parked.join().expect("parked submitter"));
-        });
-        for &id in &admitted {
-            assert!(
-                matches!(client.wait_outcome(id), WaitOutcome::Answered(_)),
-                "request {id} must answer after the gate opens"
-            );
-        }
-        admitted
+    let server = Server::start(&cfg);
+    let client = server.client();
+    let mut ids = vec![client.submit(gated()).unwrap()];
+    gate.wait_entered();
+    ids.extend((0..3).map(|_| client.try_submit(gated()).expect("absorbed")));
+    (server, gate, ids)
+}
+
+/// A blocking submit on a full lane parks until a worker consumes a
+/// request and frees the slot, then admits and is answered.
+#[test]
+fn blocking_submit_parks_on_a_full_lane_until_a_worker_frees_a_slot() {
+    let (server, gate, mut admitted) = wedged_server(1);
+    let client = server.client();
+    admitted.push(client.try_submit(gated()).expect("takes the lane slot"));
+    assert_eq!(client.try_submit(gated()), Err(SubmitError::Rejected));
+    std::thread::scope(|s| {
+        let parked = s.spawn(|| client.submit(gated()));
+        std::thread::sleep(Duration::from_millis(30));
+        assert!(!parked.is_finished(), "blocking submit must park while the lane is full");
+        gate.open();
+        admitted.push(parked.join().expect("parked submitter").expect("admitted once consumed"));
     });
-    assert_eq!(report.metrics.requests, all_ids.len(), "everything admitted was answered");
-    assert!(report.metrics.rejected >= 1, "the rejection was counted");
-    assert_eq!(report.metrics.shed, 0);
+    for &id in &admitted {
+        assert!(matches!(client.wait_outcome(id), WaitOutcome::Answered(_)), "request {id}");
+    }
+    let report = server.drain();
+    assert_eq!(report.metrics.requests, admitted.len(), "everything admitted was answered");
+    assert_eq!(report.metrics.rejected, 1, "only the try_submit was refused");
+}
+
+/// A blocking submit parked on a full lane returns `Closed` as soon as the
+/// server drains — not when the wedged worker finally frees a slot — and
+/// every one of its chunks counts as rejected.
+#[test]
+fn parked_blocking_submit_returns_closed_when_the_server_drains() {
+    let (server, gate, mut admitted) = wedged_server(1);
+    let client = server.client();
+    admitted.push(client.try_submit(gated()).expect("takes the lane slot"));
+    assert_eq!(client.try_submit(gated()), Err(SubmitError::Rejected));
+    let report = std::thread::scope(|s| {
+        // A 3-chunk render on the full standard lane parks on chunk 0.
+        let parked = s.spawn(|| client.submit(tiny_render(9)));
+        std::thread::sleep(Duration::from_millis(30));
+        assert!(!parked.is_finished(), "blocking submit must park on a full lane");
+        let drainer = s.spawn(move || server.drain());
+        assert_eq!(
+            parked.join().expect("parked submitter"),
+            Err(SubmitError::Closed),
+            "drain must release the parked submitter while the worker is still wedged"
+        );
+        gate.open();
+        drainer.join().expect("drain")
+    });
+    assert_eq!(report.metrics.requests, admitted.len(), "everything admitted was served");
+    // One refused table chunk plus the parked render's three chunks.
+    assert_eq!(report.metrics.lanes[1].rejected, 4);
+    assert_eq!(report.metrics.rejected, 4);
+}
+
+/// A deadline shed frees a lane slot like a served request does: the pump
+/// that sheds an expired request must wake a submitter parked on its lane.
+#[test]
+fn deadline_shed_that_frees_a_lane_slot_wakes_a_parked_submitter() {
+    let (server, gate, _) = wedged_server(1);
+    let client = server.client();
+    // The lane's one slot goes to a request that expires while it waits.
+    let doomed = client
+        .submit_with(gated(), Priority::Standard, Some(Duration::from_millis(1)))
+        .expect("takes the lane slot");
+    assert_eq!(client.try_submit(gated()), Err(SubmitError::Rejected));
+    std::thread::scope(|s| {
+        let parked = s.spawn(|| client.submit(tiny_render(1)));
+        std::thread::sleep(Duration::from_millis(30));
+        assert!(!parked.is_finished(), "blocking submit must park on a full lane");
+        // Unwedging lets the scheduler step again: its first step sheds
+        // the expired request, and that freed slot admits the parked one.
+        gate.open();
+        let id = parked.join().expect("parked submitter").expect("admitted once the shed frees a slot");
+        assert_eq!(client.wait_outcome(doomed), WaitOutcome::Shed);
+        assert!(matches!(client.wait_outcome(id), WaitOutcome::Answered(_)));
+    });
+    let report = server.drain();
+    assert_eq!(report.metrics.shed, 1);
+    assert_eq!(report.metrics.lanes[1].shed, 1);
+    assert_eq!(report.metrics.rejected, 1);
+}
+
+/// A render with more chunks than the pipeline holds (1-slot lane, 2-slot
+/// ready queue, one stalled flush) parks its own submitter mid-request
+/// while the lone worker sleeps idle. That submitter must wake the worker
+/// before it parks, or nothing ever frees the lane. Checked for blocking
+/// and non-blocking submits (only chunk 0 of a `try_submit` may reject).
+#[test]
+fn submitter_parked_mid_request_wakes_the_idle_worker() {
+    let cfg = ServerConfig {
+        workers: 1,
+        max_batch: 1,
+        queue_capacity: 1,
+        chunks: 8,
+        ..ServerConfig::default()
+    };
+    let tall = Workload::Render(RenderJob {
+        scene: SceneKind::Mic,
+        precision: RenderPrecision::Fp32,
+        width: 4,
+        height: 8,
+        spp: 2,
+        camera_seed: 3,
+    });
+    for blocking in [true, false] {
+        let (cfg, job) = (cfg.clone(), tall.clone());
+        let (tx, rx) = std::sync::mpsc::channel();
+        // On a hang the test fails at the timeout; the wedged thread leaks.
+        std::thread::spawn(move || {
+            let (outcome, report) = run(&cfg, |client| {
+                // Let the worker go idle first.
+                std::thread::sleep(Duration::from_millis(20));
+                let id = if blocking { client.submit(job) } else { client.try_submit(job) };
+                client.wait_outcome(id.expect("admitted"))
+            });
+            let _ = tx.send((outcome, report.metrics.chunks_served));
+        });
+        let (outcome, chunks) = rx
+            .recv_timeout(Duration::from_secs(30))
+            .unwrap_or_else(|_| panic!("blocking={blocking}: render never answered"));
+        assert!(matches!(outcome, WaitOutcome::Answered(_)), "blocking={blocking}: {outcome:?}");
+        assert_eq!(chunks, 8);
+    }
 }
 
 /// Deadline zero: the whole workload is expired on arrival — every

@@ -15,7 +15,7 @@ use std::time::Duration;
 use fnr_par::width_test_guard as width_guard;
 use fnr_serve::workload::{generate, ArrivalPattern, TimedJob, WorkloadSpec};
 use fnr_serve::{
-    response_set_digest, run, run_open_loop, run_virtual_with_faults, BreakerConfig,
+    response_set_digest, run, run_open_loop, run_virtual, run_virtual_with_faults, BreakerConfig,
     BrownoutConfig, FaultInjector, Priority, RenderJob, RenderPrecision, Response, RetryPolicy,
     SceneKind, Server, ServerConfig, SubmitError, SuperviseConfig, VirtualService, WaitOutcome,
     Workload,
@@ -247,7 +247,8 @@ fn breaker_opens_on_consecutive_failures_and_fast_fails_the_key() {
 }
 
 /// Brownout degrades Standard/Batch render precision while engaged and
-/// never touches Interactive traffic.
+/// never touches Interactive traffic — live and on the virtual clock
+/// alike, since both drive the same scheduling core.
 #[test]
 fn brownout_degrades_standard_renders_but_never_interactive() {
     // engage_depth 0 = always engaged: a deterministic posture that
@@ -256,7 +257,7 @@ fn brownout_degrades_standard_renders_but_never_interactive() {
         brownout: BrownoutConfig { enabled: true, engage_depth: 0, release_depth: 0 },
         ..ServerConfig::default()
     };
-    let (bytes, report) = run(&brown, |client| {
+    let live = run(&brown, |client| {
         let std_id = client
             .submit_with(tiny_render(5, RenderPrecision::Fp32), Priority::Standard, None)
             .unwrap();
@@ -269,9 +270,20 @@ fn brownout_degrades_standard_renders_but_never_interactive() {
         };
         (grab(std_id), grab(int_id))
     });
-    assert_eq!(report.metrics.degraded, 1, "exactly the Standard request degrades");
-    assert_eq!(report.metrics.lanes[1].degraded, 1, "counted on the standard lane");
-    assert_eq!(report.metrics.lanes[0].degraded, 0, "interactive is never degraded");
+    let schedule: Vec<TimedJob> = [Priority::Standard, Priority::Interactive]
+        .into_iter()
+        .map(|priority| TimedJob {
+            delay_before: Duration::ZERO,
+            priority,
+            deadline: None,
+            job: tiny_render(5, RenderPrecision::Fp32),
+        })
+        .collect();
+    let virt = {
+        let report = run_virtual(&brown, &schedule, VirtualService::default());
+        let grab = |id| report.responses.iter().find(|r| r.id == id).expect("answered").bytes.clone();
+        ((grab(0), grab(1)), report)
+    };
 
     // Reference renders at fixed precision, no brownout: the degraded
     // Standard request must match int16 bytes, the Interactive one fp32.
@@ -282,9 +294,14 @@ fn brownout_degrades_standard_renders_but_never_interactive() {
             .unwrap();
         (client.wait(fp32).unwrap().bytes, client.wait(int16).unwrap().bytes)
     });
-    assert_eq!(bytes.0, reference.1, "Standard under brownout must render at int16");
-    assert_eq!(bytes.1, reference.0, "Interactive under brownout must stay at fp32");
     assert_ne!(reference.0, reference.1, "the precision step must actually move bytes");
+    for (mode, (bytes, report)) in [("live", live), ("virtual", virt)] {
+        assert_eq!(report.metrics.degraded, 1, "{mode}: exactly the Standard request degrades");
+        assert_eq!(report.metrics.lanes[1].degraded, 1, "{mode}: counted on the standard lane");
+        assert_eq!(report.metrics.lanes[0].degraded, 0, "{mode}: interactive is never degraded");
+        assert_eq!(bytes.0, reference.1, "{mode}: Standard under brownout must render at int16");
+        assert_eq!(bytes.1, reference.0, "{mode}: Interactive under brownout must stay at fp32");
+    }
 }
 
 /// Exhausting the restart budget must fail pending work loudly — never
