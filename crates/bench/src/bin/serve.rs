@@ -63,7 +63,7 @@ use std::time::Duration;
 
 use fnr_serve::workload::{generate, total_chunks, ArrivalPattern, WorkloadSpec};
 use fnr_serve::{
-    run_closed_loop_thinking, run_cluster, run_open_loop, run_virtual_with_faults,
+    run_closed_loop_thinking, run_cluster, run_open_loop, run_virtual,
     AdmissionConfig, BrownoutConfig, ClusterConfig, ClusterService, FaultInjector, FaultPlan,
     HealthConfig, HedgeConfig, PayloadMode, RetryPolicy, RouterConfig, SchedConfig, ServeReport,
     ServerConfig, ThinkTime, VirtualService, MAX_REPLICAS,
@@ -396,14 +396,13 @@ fn main() {
         // Think-time streams derive from the workload seed, so a closed-loop
         // run's sleep schedule is reproducible end to end.
         Mode::Closed => run_closed_loop_thinking(&cfg, &jobs, args.clients, think, args.seed),
-        Mode::Virtual => run_virtual_with_faults(
+        Mode::Virtual => run_virtual(
             &cfg,
             &jobs,
             VirtualService {
                 service_ns: args.service.as_nanos() as u64,
                 per_item_ns: args.service_per_item.as_nanos() as u64,
             },
-            cfg.injector,
         ),
         Mode::Cluster => unreachable!("cluster mode returned above"),
     };

@@ -3,10 +3,11 @@
 //! The batcher groups admitted requests by [`BatchKey`] and emits a
 //! [`Batch`] when a group reaches the size threshold, when its oldest
 //! member has lingered past the timeout, or when the server drains on
-//! shutdown. All time comes in through method arguments, so every flush
-//! policy is unit-testable without threads or sleeps.
+//! shutdown. All time comes in through method arguments as nanoseconds
+//! on the caller's clock, so every flush policy is unit-testable without
+//! threads or sleeps.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::request::{BatchKey, ChunkSpan, Request};
 
@@ -45,7 +46,7 @@ pub struct Batch {
 
 struct PendingGroup {
     key: BatchKey,
-    // Each member keeps its own arrival instant. The linger deadline is
+    // Each member keeps its own arrival time. The linger deadline is
     // always anchored to the *oldest member still present* — never to a
     // group-open timestamp that can outlive (or predate) its members.
     // With a single `opened_at`, removing the oldest member (hedge
@@ -53,12 +54,12 @@ struct PendingGroup {
     // the group, flushing the survivors early; and any scheme that
     // re-anchors on arrival would let a continuous same-key trickle
     // starve the flush forever.
-    entries: Vec<(Request, Instant)>,
+    entries: Vec<(Request, u64)>,
 }
 
 impl PendingGroup {
-    /// Arrival instant of the oldest member still in the group.
-    fn oldest(&self) -> Instant {
+    /// Arrival time of the oldest member still in the group.
+    fn oldest(&self) -> u64 {
         self.entries.first().expect("groups are never empty").1
     }
 
@@ -89,7 +90,9 @@ impl Default for BatcherConfig {
 /// The coalescing state machine. Groups are kept in open order (a `Vec`,
 /// not a hash map) so drain output is deterministic.
 pub struct Batcher {
-    cfg: BatcherConfig,
+    max_batch: usize,
+    /// The linger timeout in nanoseconds (saturating).
+    linger_ns: u64,
     pending: Vec<PendingGroup>,
 }
 
@@ -97,12 +100,13 @@ impl Batcher {
     /// A batcher with the given policy.
     pub fn new(cfg: BatcherConfig) -> Self {
         assert!(cfg.max_batch >= 1, "max_batch must be at least 1");
-        Batcher { cfg, pending: Vec::new() }
+        let linger_ns = u64::try_from(cfg.linger.as_nanos()).unwrap_or(u64::MAX);
+        Batcher { max_batch: cfg.max_batch, linger_ns, pending: Vec::new() }
     }
 
-    /// Admits one request at time `now`; returns a batch if the request's
-    /// group just hit the size threshold.
-    pub fn offer(&mut self, req: Request, now: Instant) -> Option<Batch> {
+    /// Admits one request at time `now_ns`; returns a batch if the
+    /// request's group just hit the size threshold.
+    pub fn offer(&mut self, req: Request, now_ns: u64) -> Option<Batch> {
         let key = req.job.key();
         let group = match self.pending.iter_mut().find(|g| g.key == key) {
             Some(g) => g,
@@ -111,28 +115,28 @@ impl Batcher {
                 self.pending.last_mut().expect("just pushed")
             }
         };
-        group.entries.push((req, now));
-        if group.entries.len() >= self.cfg.max_batch {
+        group.entries.push((req, now_ns));
+        if group.entries.len() >= self.max_batch {
             return self.take_key(&key, FlushReason::Size);
         }
         None
     }
 
-    /// The instant at which the oldest pending group must flush, if any.
+    /// The time at which the oldest pending group must flush, if any.
     /// Anchored to each group's oldest surviving member, so a trickle of
     /// later same-key arrivals can never push the deadline out.
-    pub fn next_deadline(&self) -> Option<Instant> {
-        self.pending.iter().map(|g| g.oldest() + self.cfg.linger).min()
+    pub fn next_deadline(&self) -> Option<u64> {
+        self.pending.iter().map(|g| g.oldest().saturating_add(self.linger_ns)).min()
     }
 
     /// Flushes every group whose oldest member lingered past the timeout
-    /// at `now`, oldest first.
-    pub fn expire(&mut self, now: Instant) -> Vec<Batch> {
+    /// at `now_ns`, oldest first.
+    pub fn expire(&mut self, now_ns: u64) -> Vec<Batch> {
         let mut out = Vec::new();
         while let Some(pos) = self
             .pending
             .iter()
-            .position(|g| now.duration_since(g.oldest()) >= self.cfg.linger)
+            .position(|g| now_ns.saturating_sub(g.oldest()) >= self.linger_ns)
         {
             let g = self.pending.remove(pos);
             out.push(g.into_batch(FlushReason::Timeout));
@@ -181,10 +185,9 @@ mod tests {
     use super::*;
     use crate::request::{RenderJob, RenderPrecision, SceneKind, Workload};
 
-    fn req(id: u64, scene: SceneKind, at: Instant) -> Request {
+    fn req(id: u64, scene: SceneKind) -> Request {
         Request {
             id,
-            submitted_at: at,
             priority: crate::sched::Priority::Standard,
             arrival_ns: 0,
             deadline_ns: None,
@@ -202,11 +205,11 @@ mod tests {
 
     #[test]
     fn size_threshold_flushes_exactly_at_max_batch() {
-        let t0 = Instant::now();
+        let t0 = 1_000u64;
         let mut b = Batcher::new(BatcherConfig { max_batch: 3, linger: Duration::from_secs(60) });
-        assert!(b.offer(req(0, SceneKind::Mic, t0), t0).is_none());
-        assert!(b.offer(req(1, SceneKind::Mic, t0), t0).is_none());
-        let batch = b.offer(req(2, SceneKind::Mic, t0), t0).expect("third member flushes");
+        assert!(b.offer(req(0, SceneKind::Mic), t0).is_none());
+        assert!(b.offer(req(1, SceneKind::Mic), t0).is_none());
+        let batch = b.offer(req(2, SceneKind::Mic), t0).expect("third member flushes");
         assert_eq!(batch.flush, FlushReason::Size);
         assert_eq!(batch.requests.iter().map(|r| r.id).collect::<Vec<_>>(), vec![0, 1, 2]);
         assert!(b.is_empty(), "flushed group leaves the batcher");
@@ -214,12 +217,13 @@ mod tests {
 
     #[test]
     fn linger_timeout_flushes_undersized_groups() {
-        let t0 = Instant::now();
-        let linger = Duration::from_millis(5);
-        let mut b = Batcher::new(BatcherConfig { max_batch: 100, linger });
-        b.offer(req(0, SceneKind::Mic, t0), t0);
+        let t0 = 1_000u64;
+        let linger = 5_000_000u64;
+        let cfg = BatcherConfig { max_batch: 100, linger: Duration::from_nanos(linger) };
+        let mut b = Batcher::new(cfg);
+        b.offer(req(0, SceneKind::Mic), t0);
         assert_eq!(b.next_deadline(), Some(t0 + linger));
-        assert!(b.expire(t0 + Duration::from_millis(1)).is_empty(), "not yet");
+        assert!(b.expire(t0 + 1_000_000).is_empty(), "not yet");
         let flushed = b.expire(t0 + linger);
         assert_eq!(flushed.len(), 1);
         assert_eq!(flushed[0].flush, FlushReason::Timeout);
@@ -229,11 +233,11 @@ mod tests {
 
     #[test]
     fn distinct_keys_do_not_coalesce() {
-        let t0 = Instant::now();
+        let t0 = 1_000u64;
         let mut b = Batcher::new(BatcherConfig { max_batch: 2, linger: Duration::from_secs(1) });
-        assert!(b.offer(req(0, SceneKind::Mic, t0), t0).is_none());
-        assert!(b.offer(req(1, SceneKind::Lego, t0), t0).is_none(), "different scene, new group");
-        let batch = b.offer(req(2, SceneKind::Mic, t0), t0).expect("mic group full");
+        assert!(b.offer(req(0, SceneKind::Mic), t0).is_none());
+        assert!(b.offer(req(1, SceneKind::Lego), t0).is_none(), "different scene, new group");
+        let batch = b.offer(req(2, SceneKind::Mic), t0).expect("mic group full");
         assert_eq!(batch.requests.iter().map(|r| r.id).collect::<Vec<_>>(), vec![0, 2]);
         let rest = b.drain();
         assert_eq!(rest.len(), 1);
@@ -243,11 +247,11 @@ mod tests {
 
     #[test]
     fn remove_cancels_a_pending_member_and_empties_its_group() {
-        let t0 = Instant::now();
+        let t0 = 1_000u64;
         let mut b = Batcher::new(BatcherConfig { max_batch: 10, linger: Duration::from_secs(1) });
-        b.offer(req(0, SceneKind::Mic, t0), t0);
-        b.offer(req(1, SceneKind::Mic, t0), t0);
-        b.offer(req(2, SceneKind::Lego, t0), t0);
+        b.offer(req(0, SceneKind::Mic), t0);
+        b.offer(req(1, SceneKind::Mic), t0);
+        b.offer(req(2, SceneKind::Lego), t0);
         assert_eq!(b.remove(1, ChunkSpan::WHOLE).map(|r| r.id), Some(1));
         assert!(b.remove(1, ChunkSpan::WHOLE).is_none(), "already gone");
         assert_eq!(
@@ -266,19 +270,20 @@ mod tests {
         // out: the deadline is anchored to the oldest member's arrival, so
         // the group flushes exactly at t0 + linger no matter how many
         // younger members keep trickling in.
-        let t0 = Instant::now();
-        let linger = Duration::from_millis(4);
-        let step = Duration::from_millis(2);
-        let mut b = Batcher::new(BatcherConfig { max_batch: 100, linger });
+        let t0 = 1_000u64;
+        let linger = 4_000_000u64;
+        let step = 2_000_000u64;
+        let cfg = BatcherConfig { max_batch: 100, linger: Duration::from_nanos(linger) };
+        let mut b = Batcher::new(cfg);
         let mut flushed = Vec::new();
         for i in 0..6u64 {
-            let at = t0 + step * i as u32;
+            let at = t0 + step * i;
             if at < t0 + linger {
                 assert!(b.expire(at).is_empty(), "no flush strictly before t0 + linger");
             } else {
                 flushed.extend(b.expire(at));
             }
-            assert!(b.offer(req(i, SceneKind::Mic, at), at).is_none());
+            assert!(b.offer(req(i, SceneKind::Mic), at).is_none());
             let deadline = b.next_deadline().expect("group pending");
             assert!(
                 deadline <= at + linger,
@@ -299,12 +304,13 @@ mod tests {
 
     #[test]
     fn removing_the_oldest_member_reanchors_the_deadline() {
-        let t0 = Instant::now();
-        let linger = Duration::from_millis(10);
-        let mut b = Batcher::new(BatcherConfig { max_batch: 100, linger });
-        b.offer(req(0, SceneKind::Mic, t0), t0);
-        let t1 = t0 + Duration::from_millis(6);
-        b.offer(req(1, SceneKind::Mic, t1), t1);
+        let t0 = 1_000u64;
+        let linger = 10_000_000u64;
+        let cfg = BatcherConfig { max_batch: 100, linger: Duration::from_nanos(linger) };
+        let mut b = Batcher::new(cfg);
+        b.offer(req(0, SceneKind::Mic), t0);
+        let t1 = t0 + 6_000_000;
+        b.offer(req(1, SceneKind::Mic), t1);
         assert_eq!(b.next_deadline(), Some(t0 + linger), "anchored to the oldest member");
         b.remove(0, ChunkSpan::WHOLE);
         assert_eq!(
@@ -323,11 +329,11 @@ mod tests {
 
     #[test]
     fn drain_preserves_group_open_order() {
-        let t0 = Instant::now();
+        let t0 = 1_000u64;
         let mut b = Batcher::new(BatcherConfig { max_batch: 10, linger: Duration::from_secs(1) });
-        b.offer(req(0, SceneKind::Palace, t0), t0);
-        b.offer(req(1, SceneKind::Mic, t0), t0);
-        b.offer(req(2, SceneKind::Palace, t0), t0);
+        b.offer(req(0, SceneKind::Palace), t0);
+        b.offer(req(1, SceneKind::Mic), t0);
+        b.offer(req(2, SceneKind::Palace), t0);
         let drained = b.drain();
         assert_eq!(drained.len(), 2);
         assert_eq!(drained[0].requests.iter().map(|r| r.id).collect::<Vec<_>>(), vec![0, 2]);

@@ -30,7 +30,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::fault::FaultInjector;
 use crate::health::{AdmissionConfig, CoDelAdmission, HealthConfig, HealthDetector, HealthState, HedgeConfig};
-use crate::metrics::{ClusterMetrics, FailMetric, FrontDoorTotals, ReplicaStats, ShedMetric};
+use crate::metrics::{ClusterMetrics, FrontDoorTotals, ReplicaStats};
 use crate::request::{
     assemble_chunks, effective_chunks, response_set_digest, synthetic_chunk_payload, ChunkResponse,
     ChunkSpan, Request, Response,
@@ -526,19 +526,22 @@ impl<'c> ClusterState<'c> {
     }
 
     /// The last live copy of a tracked chunk shed or failed on replica
-    /// `r`: commit the terminal record there. While another copy is
-    /// live, a copy's loss records nothing — the survivor owns the
-    /// chunk.
-    fn settle_loss(&mut self, r: usize, key: (u64, u32), lane: usize, queue_ns: u64, failed: bool) {
+    /// `r` at `at_ns`: commit the terminal record there. While another
+    /// copy is live, a copy's loss records nothing — the survivor owns
+    /// the chunk.
+    fn settle_loss(&mut self, r: usize, key: (u64, u32), at_ns: u64, failed: bool) {
         let Some(tr) = self.tracked.get_mut(&key) else { return };
         tr.copies.retain(|&c| c != r);
         if !tr.copies.is_empty() {
             return;
         }
+        // Every copy shares the tracked request's class and arrival, so
+        // the record is the one the losing copy would have made.
+        let core = &mut self.pipes[r].core;
         if failed {
-            self.pipes[r].fail_metrics.push(FailMetric { id: key.0, lane, queue_ns });
+            core.record_failed(&tr.req, at_ns);
         } else {
-            self.pipes[r].shed_metrics.push(ShedMetric { id: key.0, lane, queue_ns });
+            core.record_shed(&tr.req, at_ns);
         }
         self.settle_terminal(key);
     }
@@ -580,8 +583,8 @@ impl<'c> ClusterState<'c> {
                         }
                     }
                 }
-                PipeEvent::Lost { id, chunk, lane, queue_ns, failed } => {
-                    self.settle_loss(r, (id, chunk), lane, queue_ns, failed)
+                PipeEvent::Lost { id, chunk, at_ns, failed } => {
+                    self.settle_loss(r, (id, chunk), at_ns, failed)
                 }
             }
         }

@@ -9,7 +9,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::cluster::ClusterService;
-use crate::fault::FaultInjector;
 use crate::request::{assemble_chunks, effective_chunks, ChunkResponse, ChunkSpan, Response};
 use crate::server::{execute_batch, run, ServeReport, ServerConfig, WaitOutcome};
 use crate::vclock::VirtualPipeline;
@@ -167,32 +166,26 @@ impl Default for VirtualService {
 /// only accelerates the rendering of already-decided batches. The serve
 /// equivalence suite and CI's mixed-priority leg diff exactly that.
 ///
-/// It drives the live server's own scheduling core; the one difference
-/// is that a full lane *rejects* — an open-loop virtual submitter cannot
-/// park.
+/// A seeded `cfg.injector` adds chaos: poisoned requests fail at the
+/// instant a virtual worker would take their batch (the virtual analogue
+/// of the live supervisor's quarantine verdict), delayed batches stretch
+/// their virtual service time. The injector takes the same seeds as the
+/// live server's, so the poisoned-request *set* is identical in both
+/// modes — CI's chaos legs diff exactly that.
+///
+/// It drives the live server's own scheduling core and ledger. What
+/// differs: a full lane *rejects* (an open-loop virtual submitter cannot
+/// park), and `cfg.retry`, `cfg.breaker` and `cfg.supervise` are unused —
+/// retries, the circuit breaker and worker supervision exist only on the
+/// live server, so a poisoned request fails on its first take.
 pub fn run_virtual(cfg: &ServerConfig, jobs: &[TimedJob], service: VirtualService) -> ServeReport {
-    run_virtual_with_faults(cfg, jobs, service, None)
-}
-
-/// [`run_virtual`] plus a seeded chaos injector: poisoned requests fail
-/// at the instant a virtual worker would take their batch (the virtual
-/// analogue of the live supervisor's quarantine verdict), delayed batches
-/// stretch their virtual service time. The injector takes the same seeds
-/// as the live server's, so the poisoned-request *set* is identical in
-/// both modes — CI's chaos legs diff exactly that.
-pub fn run_virtual_with_faults(
-    cfg: &ServerConfig,
-    jobs: &[TimedJob],
-    service: VirtualService,
-    injector: Option<FaultInjector>,
-) -> ServeReport {
     cfg.sched.validate();
     let service = ClusterService {
         service_ns: service.service_ns,
         per_item_ns: service.per_item_ns,
         cold_start_ns: 0,
     };
-    let mut pipe = VirtualPipeline::new(cfg, service, false, injector, false);
+    let mut pipe = VirtualPipeline::new(cfg, service, false, cfg.injector, false);
     let mut now = 0u64;
     for (id, tj) in jobs.iter().enumerate() {
         let at = now + tj.delay_before.as_nanos() as u64;

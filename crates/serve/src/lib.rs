@@ -88,8 +88,8 @@ pub use cluster::{
     PayloadMode,
 };
 pub use driver::{
-    run_closed_loop, run_closed_loop_thinking, run_open_loop, run_virtual,
-    run_virtual_with_faults, ThinkTime, VirtualService,
+    run_closed_loop, run_closed_loop_thinking, run_open_loop, run_virtual, ThinkTime,
+    VirtualService,
 };
 pub use fault::{
     degrade_precision, BreakerConfig, BreakerState, Brownout, BrownoutConfig, CircuitBreaker,

@@ -892,6 +892,19 @@ mod tests {
             .collect()
     }
 
+    /// `aggregate` over the given records with no degrades, responses or
+    /// robustness totals, zero wall time, one worker and one thread.
+    fn agg(
+        reqs: &[RequestMetric],
+        batches: &[BatchMetric],
+        sheds: &[ShedMetric],
+        fails: &[FailMetric],
+        lanes: &[LaneAccounting],
+    ) -> ServeMetrics {
+        let robust = RobustTotals::default();
+        ServeMetrics::aggregate(reqs, batches, sheds, fails, &[], &[], lanes, robust, 0, 1, 1)
+    }
+
     fn rm(id: u64, lane: usize, queue_ns: u64, deadline_missed: bool) -> RequestMetric {
         RequestMetric {
             id,
@@ -933,19 +946,7 @@ mod tests {
     /// case) must not panic and must report zeros.
     #[test]
     fn aggregate_of_zero_served_run_is_all_zero() {
-        let m = ServeMetrics::aggregate(
-            &[],
-            &[],
-            &[],
-            &[],
-            &[],
-            &[],
-            &acct(2),
-            RobustTotals::default(),
-            0,
-            1,
-            1,
-        );
+        let m = agg(&[], &[], &[], &[], &acct(2));
         assert_eq!(m.requests, 0);
         assert_eq!(m.queue_ns.max, 0);
         assert_eq!(m.service_ns.p95, 0);
@@ -962,19 +963,7 @@ mod tests {
             bm(k1.clone(), 1, FlushReason::Drain),
             bm(k2, 1, FlushReason::Timeout),
         ];
-        let m = ServeMetrics::aggregate(
-            &[],
-            &batches,
-            &[],
-            &[],
-            &[],
-            &[],
-            &acct(1),
-            RobustTotals::default(),
-            0,
-            1,
-            1,
-        );
+        let m = agg(&[], &batches, &[], &[], &acct(1));
         assert!((m.mean_occupancy - 5.0 / 3.0).abs() < 1e-9);
         assert!((m.coalescable_occupancy - 2.0).abs() < 1e-9, "k2 excluded: (3+1)/2");
         assert_eq!(m.flushed_size, 1);
@@ -1039,20 +1028,7 @@ mod tests {
     #[test]
     fn lane_names_are_json_escaped() {
         let lanes = vec![LaneAccounting { name: "ti\"er\\1\n".into(), weight: 1, rejected: 0 }];
-        let j = ServeMetrics::aggregate(
-            &[],
-            &[],
-            &[],
-            &[],
-            &[],
-            &[],
-            &lanes,
-            RobustTotals::default(),
-            0,
-            1,
-            1,
-        )
-        .to_json();
+        let j = agg(&[], &[], &[], &[], &lanes).to_json();
         assert!(
             j.contains("\"name\": \"ti\\\"er\\\\1\\u000a\""),
             "hostile lane name must not break the record: {j}"
@@ -1067,19 +1043,7 @@ mod tests {
             ShedMetric { id: 4, lane: 2, queue_ns: 500 },
         ];
         let fails = vec![FailMetric { id: 5, lane: 1, queue_ns: 600 }];
-        let m = ServeMetrics::aggregate(
-            &reqs,
-            &[],
-            &sheds,
-            &fails,
-            &[],
-            &[],
-            &acct(3),
-            RobustTotals::default(),
-            0,
-            1,
-            1,
-        );
+        let m = agg(&reqs, &[], &sheds, &fails, &acct(3));
         assert_eq!(m.requests, 3);
         assert_eq!(m.shed, 2);
         assert_eq!(m.expired, 1);
@@ -1113,19 +1077,7 @@ mod tests {
             rmc(1, 200, 0, 1),
             rmc(2, 400, 0, 2),
         ];
-        let m = ServeMetrics::aggregate(
-            &reqs,
-            &[],
-            &[],
-            &[],
-            &[],
-            &[],
-            &acct(1),
-            RobustTotals::default(),
-            0,
-            1,
-            1,
-        );
+        let m = agg(&reqs, &[], &[], &[], &acct(1));
         assert_eq!(m.requests, 2, "only complete parents are answered requests");
         assert_eq!(m.chunks_served, 4);
         assert_eq!(m.first_chunk_ns.max, 50_200, "per-parent minima: 50_100 and 50_200");
@@ -1192,19 +1144,7 @@ mod tests {
     #[test]
     fn histogram_totals_match_request_count_in_aggregate() {
         let reqs: Vec<RequestMetric> = (0..17).map(|i| rm(i, 0, i * 100_000, false)).collect();
-        let m = ServeMetrics::aggregate(
-            &reqs,
-            &[],
-            &[],
-            &[],
-            &[],
-            &[],
-            &acct(1),
-            RobustTotals::default(),
-            0,
-            1,
-            1,
-        );
+        let m = agg(&reqs, &[], &[], &[], &acct(1));
         assert_eq!(m.latency_hist.total(), 17);
         // Edges are compile-time constants, so bucket identity is stable.
         assert_eq!(m.latency_hist.counts().len(), LATENCY_BUCKETS);

@@ -1,15 +1,12 @@
 //! The clock-free scheduling core both serving clocks drive: per-lane
 //! bounded admission queues → [`LaneScheduler`] (with the [`Brownout`]
 //! precision downgrade) → [`Batcher`] → a bounded ready queue of
-//! `2 × workers` batches.
+//! `2 × workers` batches — plus the ledger of every terminal outcome.
 //!
-//! [`Pipeline`] is a pure state machine. Time comes in as nanoseconds on
-//! the caller's clock (real elapsed time since the server epoch in the
-//! live [`crate::Server`], virtual ticks in [`crate::vclock`]), and the
-//! decisions that are not batches — deadline sheds and brownout
-//! downgrades — come back to the caller as [`Verdict`]s, so each caller
-//! records them (and, live, posts sheds to waiters) its own way. The
-//! policy itself exists once:
+//! [`Pipeline`] is a pure state machine on one clock: time comes in as
+//! `u64` nanoseconds on the caller's clock (real elapsed time since the
+//! server epoch in the live [`crate::Server`], virtual ticks in
+//! [`crate::vclock`]). The policy exists once:
 //!
 //! * a full or zero-capacity lane refuses admission and counts the
 //!   refusal per lane;
@@ -19,33 +16,38 @@
 //!   therefore deadline shedding) comes from under saturation;
 //! * once closed, the scheduler keeps draining the lanes and then flushes
 //!   every pending group as a [`FlushReason::Drain`] batch.
+//!
+//! So does the accounting: the core's ledger holds every terminal record,
+//! and [`Pipeline::metrics`] is the one place they become a
+//! [`ServeMetrics`] report. [`Pipeline::pump`] records downgrades itself
+//! but hands sheds back for the caller to post (live) or defer to the
+//! hedge arbiter (cluster) before it records them; workers report served
+//! batches and failed chunks. Records survive [`Pipeline::drain_all`]: a
+//! crash cannot un-serve history.
 
 use std::collections::VecDeque;
-use std::time::{Duration, Instant};
 
 use crate::batch::{Batch, Batcher, BatcherConfig};
 use crate::fault::{degrade_precision, Brownout, BrownoutConfig};
-use crate::metrics::{DegradeMetric, LaneAccounting, ShedMetric};
-use crate::request::{ChunkSpan, Request, Workload};
+use crate::metrics::{
+    BatchMetric, DegradeMetric, FailMetric, LaneAccounting, RequestMetric, RobustTotals,
+    ServeMetrics, ShedMetric,
+};
+use crate::request::{ChunkSpan, Request, Response, Workload};
 use crate::sched::{LaneScheduler, Priority, SchedConfig, SchedStep};
 use crate::server::ServerConfig;
 
 #[cfg(doc)]
 use crate::batch::FlushReason;
 
-/// A non-batch decision of [`Pipeline::pump`], handed back to the caller.
-#[derive(Debug, Clone)]
-pub(crate) enum Verdict {
-    /// A request's deadline passed while it queued: it left its lane
-    /// without being batched.
-    Shed {
-        /// The shed chunk's index within its parent request.
-        chunk: u32,
-        /// The shed record (queue time measured at the shed decision).
-        metric: ShedMetric,
-    },
-    /// The brownout downgraded a request's render precision one step.
-    Degraded(DegradeMetric),
+/// The terminal records of one server, in the order they happened.
+#[derive(Default)]
+struct Ledger {
+    served: Vec<RequestMetric>,
+    batches: Vec<BatchMetric>,
+    shed: Vec<ShedMetric>,
+    failed: Vec<FailMetric>,
+    degraded: Vec<DegradeMetric>,
 }
 
 /// The scheduling core of one server (see the module docs).
@@ -53,9 +55,6 @@ pub(crate) struct Pipeline {
     sched_cfg: SchedConfig,
     batcher_cfg: BatcherConfig,
     brownout_cfg: BrownoutConfig,
-    /// Real-clock origin the nanosecond clock is rendered onto (the
-    /// [`Batcher`] speaks `Instant`).
-    epoch: Instant,
     caps: Vec<usize>,
     lanes: Vec<VecDeque<Request>>,
     /// Chunks refused admission, per lane.
@@ -69,15 +68,16 @@ pub(crate) struct Pipeline {
     flushed: VecDeque<Batch>,
     ready_cap: usize,
     closed: bool,
+    ledger: Ledger,
 }
 
 impl Pipeline {
-    /// An empty core for `cfg`, with its clock's zero at `epoch`.
+    /// An empty core for `cfg`.
     ///
     /// # Panics
     ///
     /// Panics on a malformed [`SchedConfig`].
-    pub(crate) fn new(cfg: &ServerConfig, epoch: Instant) -> Self {
+    pub(crate) fn new(cfg: &ServerConfig) -> Self {
         let caps = cfg.sched.capacities(cfg.queue_capacity);
         let batcher_cfg = BatcherConfig { max_batch: cfg.max_batch, linger: cfg.linger };
         Pipeline {
@@ -87,19 +87,14 @@ impl Pipeline {
             batcher_cfg,
             brownout: Brownout::new(cfg.brownout),
             brownout_cfg: cfg.brownout,
-            epoch,
             lanes: caps.iter().map(|_| VecDeque::new()).collect(),
             rejected: vec![0; caps.len()],
             caps,
             flushed: VecDeque::new(),
             ready_cap: cfg.workers.max(1) * 2,
             closed: false,
+            ledger: Ledger::default(),
         }
-    }
-
-    /// The real-clock instant of `ns` on this core's clock.
-    pub(crate) fn instant(&self, ns: u64) -> Instant {
-        self.epoch + Duration::from_nanos(ns)
     }
 
     /// The lane a traffic class is admitted to.
@@ -137,17 +132,18 @@ impl Pipeline {
     /// Flushes every batcher group whose oldest member lingered past the
     /// timeout at `now_ns` (oldest first) toward the ready queue.
     pub(crate) fn expire(&mut self, now_ns: u64) {
-        let now = self.instant(now_ns);
-        self.flushed.extend(self.batcher.expire(now));
+        self.flushed.extend(self.batcher.expire(now_ns));
     }
 
     /// Pumps the core to its fixpoint at `now_ns`: while nothing is
     /// stalled the scheduler steps — shedding the expired, downgrading
-    /// under brownout, and offering the rest to the batcher. Once closed, an empty set of
-    /// lanes flushes the batcher as drain batches. Sheds and downgrades
-    /// are appended to `out`. Returns how many requests left the lanes
-    /// (a caller with parked submitters wakes them when non-zero).
-    pub(crate) fn pump(&mut self, now_ns: u64, out: &mut Vec<Verdict>) -> usize {
+    /// (and recording the downgrade) under brownout, and offering the rest
+    /// to the batcher. Once closed, an empty set of lanes flushes the
+    /// batcher as drain batches. Shed requests are appended to `shed`
+    /// unrecorded (see the module docs). Returns how many requests left
+    /// the lanes (a caller with parked submitters wakes them when
+    /// non-zero).
+    pub(crate) fn pump(&mut self, now_ns: u64, shed: &mut Vec<Request>) -> usize {
         let mut stepped = 0;
         loop {
             if self.flushed.len() > self.ready_cap {
@@ -167,25 +163,18 @@ impl Pipeline {
                         if let Workload::Render(j) = &mut req.job {
                             if let Some(lower) = degrade_precision(j.precision) {
                                 j.precision = lower;
-                                out.push(Verdict::Degraded(DegradeMetric { id: req.id, lane }));
+                                self.ledger.degraded.push(DegradeMetric { id: req.id, lane });
                             }
                         }
                     }
-                    if let Some(b) = self.batcher.offer(req, self.instant(now_ns)) {
+                    if let Some(b) = self.batcher.offer(req, now_ns) {
                         self.flushed.push_back(b);
                     }
                 }
-                Some(SchedStep::Shed { lane, req }) => {
+                Some(SchedStep::Shed { req, .. }) => {
                     stepped += 1;
                     self.brownout.observe(depth);
-                    out.push(Verdict::Shed {
-                        chunk: req.chunk.index,
-                        metric: ShedMetric {
-                            id: req.id,
-                            lane,
-                            queue_ns: now_ns.saturating_sub(req.arrival_ns),
-                        },
-                    });
+                    shed.push(req);
                 }
                 None if self.closed && !self.batcher.is_empty() => {
                     self.flushed.extend(self.batcher.drain());
@@ -193,6 +182,88 @@ impl Pipeline {
                 None => return stepped,
             }
         }
+    }
+
+    /// Records `batch` as served: it started service at `start_ns` and ran
+    /// for `service_ns`. `size` members executed together — more than
+    /// `batch.requests` when losing hedge copies rode along unrecorded.
+    pub(crate) fn record_served(
+        &mut self,
+        batch: &Batch,
+        size: usize,
+        start_ns: u64,
+        service_ns: u64,
+    ) {
+        self.ledger.batches.push(BatchMetric {
+            key: batch.key.clone(),
+            size,
+            service_ns,
+            flush: batch.flush,
+        });
+        for req in &batch.requests {
+            let lane = self.lane_of(req.priority);
+            self.ledger.served.push(RequestMetric {
+                id: req.id,
+                lane,
+                queue_ns: start_ns.saturating_sub(req.arrival_ns),
+                service_ns,
+                batch_size: size,
+                chunk: req.chunk.index,
+                chunk_of: req.chunk.of,
+                deadline_missed: req.deadline_ns.is_some_and(|d| start_ns + service_ns >= d),
+            });
+        }
+    }
+
+    /// Records `req` as failed at `now_ns`.
+    pub(crate) fn record_failed(&mut self, req: &Request, now_ns: u64) {
+        let lane = self.lane_of(req.priority);
+        let queue_ns = now_ns.saturating_sub(req.arrival_ns);
+        self.ledger.failed.push(FailMetric { id: req.id, lane, queue_ns });
+    }
+
+    /// Records `req` as shed at `now_ns` (handed back by
+    /// [`Pipeline::pump`]).
+    pub(crate) fn record_shed(&mut self, req: &Request, now_ns: u64) {
+        let lane = self.lane_of(req.priority);
+        let queue_ns = now_ns.saturating_sub(req.arrival_ns);
+        self.ledger.shed.push(ShedMetric { id: req.id, lane, queue_ns });
+    }
+
+    /// The serving report over this core's records and per-lane
+    /// accounting: `responses` are the payloads it served, `robust` the
+    /// supervisor/breaker totals, `wall_ns` the run's length on this
+    /// core's clock, and `workers` the pool size.
+    pub(crate) fn metrics(
+        &self,
+        responses: &[Response],
+        robust: RobustTotals,
+        wall_ns: u64,
+        workers: usize,
+    ) -> ServeMetrics {
+        let lanes: Vec<LaneAccounting> = self
+            .sched_cfg
+            .lanes
+            .iter()
+            .zip(&self.rejected)
+            .map(|(l, &rejected)| {
+                LaneAccounting { name: l.name.clone(), weight: l.weight, rejected }
+            })
+            .collect();
+        let l = &self.ledger;
+        ServeMetrics::aggregate(
+            &l.served,
+            &l.batches,
+            &l.shed,
+            &l.failed,
+            &l.degraded,
+            responses,
+            &lanes,
+            robust,
+            wall_ns,
+            workers,
+            fnr_par::current_num_threads(),
+        )
     }
 
     /// Takes the oldest ready batch for a worker.
@@ -207,9 +278,7 @@ impl Pipeline {
 
     /// The earliest pending linger deadline on this core's clock.
     pub(crate) fn next_deadline(&self) -> Option<u64> {
-        self.batcher
-            .next_deadline()
-            .map(|d| d.saturating_duration_since(self.epoch).as_nanos() as u64)
+        self.batcher.next_deadline()
     }
 
     /// Removes the queued chunk `(id, chunk)` wherever it waits — lane,
@@ -240,7 +309,8 @@ impl Pipeline {
 
     /// Empties the core for a crash: returns every queued request (lanes,
     /// batcher, flushed — unsorted) and restarts scheduler, batcher
-    /// and brownout fresh. The per-lane rejection counts survive.
+    /// and brownout fresh. The per-lane rejection counts and the ledger
+    /// survive.
     pub(crate) fn drain_all(&mut self) -> Vec<Request> {
         let mut out: Vec<Request> = Vec::new();
         for lane in &mut self.lanes {
@@ -272,20 +342,12 @@ impl Pipeline {
             && self.batcher.is_empty()
             && self.flushed.is_empty()
     }
-
-    /// Per-lane labels, weights and rejection counts for the report.
-    pub(crate) fn lane_accounting(&self) -> Vec<LaneAccounting> {
-        self.sched_cfg
-            .lanes
-            .iter()
-            .zip(&self.rejected)
-            .map(|(l, &rejected)| LaneAccounting { name: l.name.clone(), weight: l.weight, rejected })
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
     use super::*;
     use crate::batch::FlushReason;
     use crate::request::{RenderJob, RenderPrecision, SceneKind};
@@ -303,7 +365,6 @@ mod tests {
     fn req(id: u64, priority: Priority, deadline_ns: Option<u64>) -> Request {
         Request {
             id,
-            submitted_at: Instant::now(),
             priority,
             arrival_ns: 0,
             deadline_ns,
@@ -325,7 +386,7 @@ mod tests {
 
     #[test]
     fn a_full_lane_refuses_until_a_pump_frees_a_slot() {
-        let mut p = Pipeline::new(&cfg(1, 1), Instant::now());
+        let mut p = Pipeline::new(&cfg(1, 1));
         assert!(p.admit(req(0, Priority::Standard, None)));
         assert!(!p.admit(req(1, Priority::Standard, None)), "a 1-slot lane is full");
         assert_eq!(p.pump(0, &mut Vec::new()), 1, "the queued request stepped");
@@ -334,13 +395,14 @@ mod tests {
 
     #[test]
     fn backpressure_is_per_lane() {
-        let mut p = Pipeline::new(&cfg(1, 1), Instant::now());
+        let mut p = Pipeline::new(&cfg(1, 1));
         assert!(p.admit(req(0, Priority::Standard, None)));
         assert!(!p.admit(req(1, Priority::Standard, None)), "the standard lane is full");
         p.reject(1, 1);
         assert!(p.admit(req(2, Priority::Interactive, None)), "other lanes keep their room");
         assert!(p.admit(req(3, Priority::Batch, None)));
-        let rejected: Vec<usize> = p.lane_accounting().iter().map(|l| l.rejected).collect();
+        let m = p.metrics(&[], RobustTotals::default(), 0, 1);
+        let rejected: Vec<usize> = m.lanes.iter().map(|l| l.rejected).collect();
         assert_eq!(rejected, vec![0, 1, 0]);
     }
 
@@ -348,7 +410,7 @@ mod tests {
     fn zero_capacity_lane_refuses_every_admit() {
         let mut sched = SchedConfig::priority_lanes();
         sched.lanes[2].capacity = Some(0);
-        let mut p = Pipeline::new(&ServerConfig { sched, ..cfg(4, 1) }, Instant::now());
+        let mut p = Pipeline::new(&ServerConfig { sched, ..cfg(4, 1) });
         assert!(!p.admit(req(0, Priority::Batch, None)), "a 0-slot lane refuses everything");
         assert_eq!(p.pump(0, &mut Vec::new()), 0);
         assert!(!p.admit(req(1, Priority::Batch, None)), "and keeps refusing after a pump");
@@ -359,7 +421,7 @@ mod tests {
     fn a_full_ready_queue_stalls_the_scheduler_until_a_take() {
         // One worker: two ready slots. Singleton batches fill them, the
         // third flush stalls, and the fourth request stays in its lane.
-        let mut p = Pipeline::new(&cfg(8, 1), Instant::now());
+        let mut p = Pipeline::new(&cfg(8, 1));
         for id in 0..4 {
             assert!(p.admit(req(id, Priority::Standard, None)));
         }
@@ -376,25 +438,96 @@ mod tests {
     #[test]
     fn pump_hands_back_sheds_and_brownout_downgrades() {
         let brownout = BrownoutConfig { enabled: true, engage_depth: 0, release_depth: 0 };
-        let mut p = Pipeline::new(&ServerConfig { brownout, ..cfg(8, 8) }, Instant::now());
+        let mut p = Pipeline::new(&ServerConfig { brownout, ..cfg(8, 8) });
         p.admit(req(0, Priority::Interactive, Some(50)));
         p.admit(req(1, Priority::Interactive, None));
         p.admit(req(2, Priority::Standard, None));
-        let mut out = Vec::new();
-        assert_eq!(p.pump(100, &mut out), 3);
-        assert!(matches!(
-            out.as_slice(),
-            [
-                Verdict::Shed { chunk: 0, metric: ShedMetric { id: 0, lane: 0, queue_ns: 100 } },
-                Verdict::Degraded(DegradeMetric { id: 2, lane: 1 }),
-            ]
-        ), "{out:?}");
+        let mut shed = Vec::new();
+        assert_eq!(p.pump(100, &mut shed), 3);
+        assert!(matches!(shed.as_slice(), [Request { id: 0, .. }]), "{shed:?}");
+        assert!(p.ledger.shed.is_empty(), "a shed is the caller's to record");
+        assert!(matches!(p.ledger.degraded.as_slice(), [DegradeMetric { id: 2, lane: 1 }]));
+        p.record_shed(&shed[0], 100);
+        assert!(matches!(p.ledger.shed.as_slice(), [ShedMetric { id: 0, lane: 0, queue_ns: 100 }]));
         assert_eq!(p.next_deadline(), Some(1_100), "linger anchored at the serve instant");
     }
 
     #[test]
+    fn the_ledger_conserves_every_lane_and_survives_drain_all() {
+        // Four workers (eight ready slots), brownout always engaged. Per
+        // lane: interactive serves 1 and sheds 0; standard serves 2
+        // (degraded) and fails the table 5; batch serves 4 (degraded) and
+        // sheds 3.
+        let brownout = BrownoutConfig { enabled: true, engage_depth: 0, release_depth: 0 };
+        let mut p = Pipeline::new(&ServerConfig { brownout, workers: 4, ..cfg(8, 8) });
+        let mut table = req(5, Priority::Standard, None);
+        table.job = Workload::Table("t".into());
+        let admitted = [
+            req(0, Priority::Interactive, Some(50)),
+            req(1, Priority::Interactive, None),
+            req(2, Priority::Standard, None),
+            req(3, Priority::Batch, Some(50)),
+            req(4, Priority::Batch, None),
+            table,
+        ];
+        for r in admitted {
+            assert!(p.admit(r));
+        }
+        let mut shed = Vec::new();
+        assert_eq!(p.pump(100, &mut shed), 6);
+        for r in &shed {
+            p.record_shed(r, 100);
+        }
+        p.expire(1_200);
+        p.pump(1_200, &mut shed);
+        let batches: Vec<Batch> = std::iter::from_fn(|| p.take()).collect();
+        assert_eq!(batches.len(), 3, "fp32, degraded int16 and table groups");
+        for b in &batches {
+            if matches!(b.key, crate::request::BatchKey::Table(_)) {
+                for r in &b.requests {
+                    p.record_failed(r, 1_300);
+                }
+            } else {
+                p.record_served(b, b.requests.len(), 1_200, 500);
+            }
+        }
+        // Per lane [submitted, served, shed, failed, degraded]; then the
+        // totals [requests, shed, failed, degraded, batches].
+        let tally = |p: &Pipeline| {
+            let m = p.metrics(&[], RobustTotals::default(), 2_000, 4);
+            for l in &m.lanes {
+                assert_eq!(l.submitted, l.served + l.shed + l.failed, "lane {} conserves", l.name);
+            }
+            let lanes: Vec<[usize; 5]> = m
+                .lanes
+                .iter()
+                .map(|l| [l.submitted, l.served, l.shed, l.failed, l.degraded])
+                .collect();
+            (lanes, [m.requests, m.shed, m.failed, m.degraded, m.batches])
+        };
+        let before = tally(&p);
+        assert_eq!(before.0, vec![[2, 1, 1, 0, 0], [2, 1, 0, 1, 1], [2, 1, 1, 0, 1]]);
+        assert_eq!(before.1, [3, 2, 1, 2, 2]);
+        let failed = &p.ledger.failed;
+        assert!(matches!(failed.as_slice(), [FailMetric { id: 5, lane: 1, queue_ns: 1_300 }]));
+        assert!(
+            p.ledger.served.iter().all(|r| r.queue_ns == 1_200 && !r.deadline_missed),
+            "served latency is start minus arrival on the core's clock"
+        );
+
+        // A crash orphans what is still queued; it cannot un-serve history.
+        p.admit(req(6, Priority::Interactive, None));
+        p.admit(req(7, Priority::Interactive, None));
+        p.pump(1_400, &mut shed);
+        let mut orphans: Vec<u64> = p.drain_all().iter().map(|r| r.id).collect();
+        orphans.sort_unstable();
+        assert_eq!(orphans, vec![6, 7]);
+        assert_eq!(tally(&p), before, "records survive drain_all");
+    }
+
+    #[test]
     fn expire_flushes_lingered_groups_and_close_flushes_the_rest_as_drain() {
-        let mut p = Pipeline::new(&cfg(8, 8), Instant::now());
+        let mut p = Pipeline::new(&cfg(8, 8));
         let mut out = Vec::new();
         p.admit(req(0, Priority::Standard, None));
         p.pump(0, &mut out);
@@ -419,7 +552,7 @@ mod tests {
         // Pairs, one worker: after one pump a table waits in the batcher
         // (8), two render pairs are ready (0+1, 2+3), one is stalled
         // (4+5), and the last render is left in its lane (6).
-        let mut p = Pipeline::new(&cfg(8, 2), Instant::now());
+        let mut p = Pipeline::new(&cfg(8, 2));
         let mut table = req(8, Priority::Standard, None);
         table.job = Workload::Table("t".into());
         p.admit(table);

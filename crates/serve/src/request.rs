@@ -3,7 +3,6 @@
 //! byte-for-byte across thread widths and machines.
 
 use std::fmt;
-use std::time::Instant;
 
 use fnr_nerf::camera::Camera;
 use fnr_nerf::scene::{LegoScene, MicScene, PalaceScene, Scene};
@@ -218,14 +217,12 @@ pub fn row_band(height: usize, index: u32, of: u32) -> (usize, usize) {
 }
 
 /// A request in flight: the id the server assigned at admission, its
-/// traffic class and deadline, the clock-injected admission timestamp, and
-/// the work itself.
+/// traffic class and deadline, its admission time on the scheduling clock,
+/// and the work itself.
 #[derive(Debug, Clone)]
 pub struct Request {
     /// Monotone admission id.
     pub id: u64,
-    /// When the client's submit was accepted (real-clock metrics).
-    pub submitted_at: Instant,
     /// Traffic class — selects the scheduler lane.
     pub priority: crate::sched::Priority,
     /// Admission time on the scheduler's clock (nanoseconds since the

@@ -288,13 +288,11 @@ impl LaneScheduler {
 mod tests {
     use super::*;
     use crate::request::{RenderJob, RenderPrecision, SceneKind, Workload};
-    use std::time::Instant;
 
     fn req(id: u64, scene: SceneKind, priority: Priority, deadline_ns: Option<u64>) -> Request {
         Request {
             id,
-            submitted_at: Instant::now(),
-            priority,
+                priority,
             arrival_ns: 0,
             deadline_ns,
             chunk: crate::request::ChunkSpan::WHOLE,

@@ -24,6 +24,12 @@
 //! condvar while their lane is full and wake when a pump frees a slot
 //! (served or shed) or the server drains.
 //!
+//! The core is also the server's one ledger: workers and the supervisor
+//! report served batches and failed chunks to it on its clock
+//! (nanoseconds since the server epoch), exactly as virtual mode does. No
+//! role takes a lock while it holds another: sheds are posted to waiters,
+//! and reassembly slots opened, with the core lock released.
+//!
 //! # Fault tolerance
 //!
 //! A panicking batch no longer takes the run down. Workers execute every
@@ -41,7 +47,7 @@
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -51,10 +57,8 @@ use fnr_tensor::Precision;
 
 use crate::batch::Batch;
 use crate::fault::{BrownoutConfig, CircuitBreaker, FaultInjector, InjectedFault, RetryPolicy};
-use crate::metrics::{
-    BatchMetric, DegradeMetric, FailMetric, RequestMetric, RobustTotals, ServeMetrics, ShedMetric,
-};
-use crate::pipeline::{Pipeline, Verdict};
+use crate::metrics::{RobustTotals, ServeMetrics};
+use crate::pipeline::Pipeline;
 use crate::request::{
     chunk_image_bytes, effective_chunks, row_band, BatchKey, ChunkOutcome, ChunkResponse,
     ChunkSpan, RenderPrecision, Request, Response, Workload,
@@ -235,13 +239,14 @@ impl Board {
         self.ready.notify_all();
     }
 
-    fn post_shed(&self, id: u64, index: u32) {
-        self.state.lock().unwrap().land(id, index, ChunkOutcome::Shed);
-        self.ready.notify_all();
-    }
-
-    pub(crate) fn post_failed(&self, id: u64, index: u32, reason: String) {
-        self.state.lock().unwrap().land(id, index, ChunkOutcome::Failed(reason));
+    /// Posts `outcome` (shed or failed) for each of `reqs`, under one
+    /// board lock.
+    fn post_outcome(&self, reqs: &[Request], outcome: &ChunkOutcome) {
+        let mut st = self.state.lock().unwrap();
+        for r in reqs {
+            st.land(r.id, r.chunk.index, outcome.clone());
+        }
+        drop(st);
         self.ready.notify_all();
     }
 
@@ -344,15 +349,13 @@ impl BoardState {
 }
 
 /// The live server's scheduling state, behind [`ServerShared::core`]: the
-/// shared [`Pipeline`] plus the records its pumps hand back and the
-/// counts of threads parked on each condvar (so a pump only signals when
-/// someone is waiting).
+/// shared [`Pipeline`] plus the sheds its pumps recorded but nobody has
+/// posted yet and the counts of threads parked on each condvar (so a pump
+/// only signals when someone is waiting).
 pub(crate) struct LiveCore {
     pipe: Pipeline,
-    /// Scratch for the pipeline's verdicts, drained after every pump.
-    verdicts: Vec<Verdict>,
-    shed: Vec<ShedMetric>,
-    degraded: Vec<DegradeMetric>,
+    /// Recorded sheds awaiting [`unlock_and_post`].
+    shed: Vec<Request>,
     /// Blocking submitters parked on [`ServerShared::space`].
     parked: usize,
     /// Workers (or the supervisor) parked on [`ServerShared::work`].
@@ -360,31 +363,36 @@ pub(crate) struct LiveCore {
 }
 
 impl LiveCore {
-    /// Expires lingers, then pumps the pipeline at `now_ns` and settles
-    /// its verdicts: sheds are recorded and posted to their waiters,
-    /// downgrades recorded. Returns whether any lane slot was freed.
-    fn pump(&mut self, now_ns: u64, board: &Board) -> bool {
+    /// Expires lingers, then pumps the pipeline at `now_ns` and records
+    /// its sheds, keeping them for [`unlock_and_post`]. Returns whether any
+    /// lane slot was freed.
+    fn pump(&mut self, now_ns: u64) -> bool {
         self.pipe.expire(now_ns);
-        let stepped = self.pipe.pump(now_ns, &mut self.verdicts);
-        for v in self.verdicts.drain(..) {
-            match v {
-                Verdict::Shed { chunk, metric } => {
-                    board.post_shed(metric.id, chunk);
-                    self.shed.push(metric);
-                }
-                Verdict::Degraded(metric) => self.degraded.push(metric),
-            }
+        let posted = self.shed.len();
+        let stepped = self.pipe.pump(now_ns, &mut self.shed);
+        for req in &self.shed[posted..] {
+            self.pipe.record_shed(req, now_ns);
         }
         stepped > 0
     }
 }
 
-/// Everything the serving roles share: the scheduling core, board, metrics
-/// sinks, resilience policies and robustness counters. One `Arc` of this
-/// is held by the [`Server`], every [`Client`], and every role thread.
+/// Releases the core lock, then posts the sheds it held to their waiters.
+fn unlock_and_post(sh: &ServerShared, mut core: MutexGuard<'_, LiveCore>) {
+    let shed = std::mem::take(&mut core.shed);
+    drop(core);
+    if !shed.is_empty() {
+        sh.board.post_outcome(&shed, &ChunkOutcome::Shed);
+    }
+}
+
+/// Everything the serving roles share: the scheduling core (and its
+/// ledger), board, resilience policies and robustness counters. One `Arc`
+/// of this is held by the [`Server`], every [`Client`], and every role
+/// thread.
 pub(crate) struct ServerShared {
+    /// Zero of the server's clock.
     pub(crate) epoch: Instant,
-    pub(crate) sched: SchedConfig,
     pub(crate) tables: TableRegistry,
     pub(crate) core: Mutex<LiveCore>,
     /// Signalled when a pump frees lane slots, and on drain.
@@ -394,9 +402,6 @@ pub(crate) struct ServerShared {
     pub(crate) work: Condvar,
     pub(crate) board: Board,
     pub(crate) next_id: AtomicU64,
-    pub(crate) request_metrics: Mutex<Vec<RequestMetric>>,
-    pub(crate) batch_metrics: Mutex<Vec<BatchMetric>>,
-    pub(crate) fail_metrics: Mutex<Vec<FailMetric>>,
     /// Batches completed successfully — the supervisor reads this to
     /// reset its consecutive-crash streak.
     pub(crate) served_batches: AtomicUsize,
@@ -415,8 +420,8 @@ pub(crate) struct ServerShared {
 }
 
 impl ServerShared {
-    /// Nanoseconds since the server epoch (the scheduling and breaker
-    /// clock).
+    /// Nanoseconds since the server epoch (the clock of the scheduling
+    /// core, its ledger and the breaker).
     pub(crate) fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
     }
@@ -433,10 +438,10 @@ pub(crate) fn next_batch(shared: &ServerShared) -> Option<Batch> {
     let mut core = shared.core.lock().unwrap();
     loop {
         let now = shared.now_ns();
-        let mut freed = core.pump(now, &shared.board);
+        let mut freed = core.pump(now);
         let batch = core.pipe.take();
         if batch.is_some() {
-            freed |= core.pump(now, &shared.board);
+            freed |= core.pump(now);
         }
         if freed && core.parked > 0 {
             shared.space.notify_all();
@@ -452,7 +457,15 @@ pub(crate) fn next_batch(shared: &ServerShared) -> Option<Batch> {
                     shared.work.notify_one();
                 }
             }
+            unlock_and_post(shared, core);
             return batch;
+        }
+        if !core.shed.is_empty() {
+            // Post before sleeping, then look again: the world may have
+            // moved while the lock was released.
+            unlock_and_post(shared, core);
+            core = shared.core.lock().unwrap();
+            continue;
         }
         core.idle += 1;
         core = match core.pipe.next_deadline() {
@@ -484,20 +497,22 @@ impl Client {
     ) -> Result<u64, SubmitError> {
         let sh = &*self.shared;
         let k = effective_chunks(sh.chunks, &job);
-        let mut core = sh.core.lock().unwrap();
-        let lane = core.pipe.lane_of(priority);
-        if core.pipe.capacity(lane) == 0 {
-            core.pipe.reject(lane, k as usize);
-            return Err(SubmitError::Rejected);
-        }
-        let id = sh.next_id.fetch_add(1, Ordering::Relaxed);
-        let arrival_ns = sh.now_ns();
-        let submitted_at = Instant::now();
-        let deadline_ns = deadline.map(|d| arrival_ns.saturating_add(d.as_nanos() as u64));
-        let deadline_before = core.pipe.next_deadline();
+        let (id, lane) = {
+            let mut core = sh.core.lock().unwrap();
+            let lane = core.pipe.lane_of(priority);
+            if core.pipe.capacity(lane) == 0 {
+                core.pipe.reject(lane, k as usize);
+                return Err(SubmitError::Rejected);
+            }
+            (sh.next_id.fetch_add(1, Ordering::Relaxed), lane)
+        };
         // The reassembly slot must exist before the first chunk can reach
         // a worker, or a fast completion would have nowhere to land.
         sh.board.open(id, k);
+        let mut core = sh.core.lock().unwrap();
+        let arrival_ns = sh.now_ns();
+        let deadline_ns = deadline.map(|d| arrival_ns.saturating_add(d.as_nanos() as u64));
+        let deadline_before = core.pipe.next_deadline();
         for index in 0..k {
             // Admission is atomic per request: only the first chunk can be
             // rejected for a full lane (non-blocking submits); once it is
@@ -512,6 +527,13 @@ impl Client {
                 if !blocking && index == 0 {
                     break Some(SubmitError::Rejected);
                 }
+                if !core.shed.is_empty() {
+                    // Post this submitter's sheds before it parks, then
+                    // look again.
+                    unlock_and_post(sh, core);
+                    core = sh.core.lock().unwrap();
+                    continue;
+                }
                 // Only a take frees this lane, so idle workers must see
                 // the chunks flushed so far before this submitter parks.
                 if core.idle > 0 && (core.pipe.has_ready() || core.pipe.next_deadline().is_some()) {
@@ -522,31 +544,32 @@ impl Client {
                 core.parked -= 1;
             };
             if let Some(e) = refused {
-                if index == 0 {
-                    sh.board.abandon(id);
-                }
                 // Admission closed mid-request (drain race): the admitted
                 // chunks terminate through the pipeline; the remainder
                 // count as rejected and the waiter observes Closed.
                 core.pipe.reject(lane, (k - index) as usize);
+                unlock_and_post(sh, core);
+                if index == 0 {
+                    sh.board.abandon(id);
+                }
                 return Err(e);
             }
             core.pipe.admit(Request {
                 id,
-                submitted_at,
                 priority,
                 arrival_ns,
                 deadline_ns,
                 chunk: ChunkSpan { index, of: k },
                 job: job.clone(),
             });
-            if core.pump(sh.now_ns(), &sh.board) && core.parked > 0 {
+            if core.pump(sh.now_ns()) && core.parked > 0 {
                 sh.space.notify_all();
             }
         }
         if core.idle > 0 && (core.pipe.has_ready() || core.pipe.next_deadline() != deadline_before) {
             sh.work.notify_one();
         }
+        unlock_and_post(sh, core);
         Ok(id)
     }
 
@@ -646,16 +669,12 @@ impl Server {
     pub fn start(cfg: &ServerConfig) -> Server {
         cfg.sched.validate();
         let workers = cfg.workers.max(1);
-        let epoch = Instant::now();
         let shared = Arc::new(ServerShared {
-            epoch,
-            sched: cfg.sched.clone(),
+            epoch: Instant::now(),
             tables: cfg.tables.clone(),
             core: Mutex::new(LiveCore {
-                pipe: Pipeline::new(cfg, epoch),
-                verdicts: Vec::new(),
+                pipe: Pipeline::new(cfg),
                 shed: Vec::new(),
-                degraded: Vec::new(),
                 parked: 0,
                 idle: 0,
             }),
@@ -663,9 +682,6 @@ impl Server {
             work: Condvar::new(),
             board: Board::new(),
             next_id: AtomicU64::new(0),
-            request_metrics: Mutex::new(Vec::new()),
-            batch_metrics: Mutex::new(Vec::new()),
-            fail_metrics: Mutex::new(Vec::new()),
             served_batches: AtomicUsize::new(0),
             worker_restarts: AtomicUsize::new(0),
             retried: AtomicUsize::new(0),
@@ -719,20 +735,8 @@ impl Server {
                 breaker_half_open_probes: breaker.half_open_probes(),
             }
         };
-        let mut core = sh.core.lock().unwrap();
-        let metrics = ServeMetrics::aggregate(
-            &std::mem::take(&mut *sh.request_metrics.lock().unwrap()),
-            &std::mem::take(&mut *sh.batch_metrics.lock().unwrap()),
-            &std::mem::take(&mut core.shed),
-            &std::mem::take(&mut *sh.fail_metrics.lock().unwrap()),
-            &std::mem::take(&mut core.degraded),
-            &responses,
-            &core.pipe.lane_accounting(),
-            robust,
-            sh.epoch.elapsed().as_nanos() as u64,
-            sh.workers,
-            fnr_par::current_num_threads(),
-        );
+        let wall_ns = sh.now_ns();
+        let metrics = sh.core.lock().unwrap().pipe.metrics(&responses, robust, wall_ns, sh.workers);
         ServeReport { responses, metrics }
     }
 
@@ -803,20 +807,20 @@ pub(crate) fn worker_loop(shared: &Arc<ServerShared>, crash_tx: mpsc::Sender<Cra
 }
 
 /// Executes one batch end-to-end: breaker gate, injected chaos, the real
-/// work under `catch_unwind`, then metrics + completion posting. `Ok`
+/// work under `catch_unwind`, then ledger record + completion posting. `Ok`
 /// means every member terminated (answered or fast-failed); `Err` hands
 /// the intact batch back for quarantine. Shared by workers and the
 /// supervisor's bisection re-executions so both paths stay identical.
 pub(crate) fn attempt_batch(shared: &ServerShared, batch: Batch) -> Result<(), CrashReport> {
     // Circuit-breaker gate: an open key fast-fails the whole batch
     // without executing (or crashing) anything.
-    if shared.breaker.lock().unwrap().enabled() {
-        let now = shared.now_ns();
-        let allowed = shared.breaker.lock().unwrap().allow(&batch.key, now);
-        if !allowed {
-            fail_batch(shared, &batch, &format!("circuit open for key {}", batch.key));
-            return Ok(());
-        }
+    let allowed = {
+        let mut breaker = shared.breaker.lock().unwrap();
+        !breaker.enabled() || breaker.allow(&batch.key, shared.now_ns())
+    };
+    if !allowed {
+        fail_batch(shared, &batch, &format!("circuit open for key {}", batch.key));
+        return Ok(());
     }
     // Injected delay: slow the batch down by the largest member delay.
     // Timing-only — payload bytes cannot move.
@@ -833,7 +837,7 @@ pub(crate) fn attempt_batch(shared: &ServerShared, batch: Batch) -> Result<(), C
             std::thread::sleep(Duration::from_nanos(d));
         }
     }
-    let exec_start = Instant::now();
+    let start_ns = shared.now_ns();
     let result = catch_unwind(AssertUnwindSafe(|| {
         if let Some(inj) = &shared.injector {
             if let Some(bad) = batch.requests.iter().find(|r| inj.poisons(&r.job)) {
@@ -844,32 +848,9 @@ pub(crate) fn attempt_batch(shared: &ServerShared, batch: Batch) -> Result<(), C
     }));
     match result {
         Ok(responses) => {
-            let service_ns = exec_start.elapsed().as_nanos() as u64;
-            let end_ns = shared.now_ns();
-            {
-                let mut bm = shared.batch_metrics.lock().unwrap();
-                bm.push(BatchMetric {
-                    key: batch.key.clone(),
-                    size: batch.requests.len(),
-                    service_ns,
-                    flush: batch.flush,
-                });
-            }
-            {
-                let mut rm = shared.request_metrics.lock().unwrap();
-                for req in &batch.requests {
-                    rm.push(RequestMetric {
-                        id: req.id,
-                        lane: shared.sched.lane_of(req.priority),
-                        queue_ns: exec_start.duration_since(req.submitted_at).as_nanos() as u64,
-                        service_ns,
-                        batch_size: batch.requests.len(),
-                        chunk: req.chunk.index,
-                        chunk_of: req.chunk.of,
-                        deadline_missed: req.deadline_ns.is_some_and(|d| end_ns >= d),
-                    });
-                }
-            }
+            let service_ns = shared.now_ns().saturating_sub(start_ns);
+            let size = batch.requests.len();
+            shared.core.lock().unwrap().pipe.record_served(&batch, size, start_ns, service_ns);
             shared.breaker.lock().unwrap().record_success(&batch.key);
             shared.served_batches.fetch_add(1, Ordering::Relaxed);
             shared.board.post_served(responses);
@@ -880,22 +861,17 @@ pub(crate) fn attempt_batch(shared: &ServerShared, batch: Batch) -> Result<(), C
 }
 
 /// Terminates every member of `batch` as [`WaitOutcome::Failed`] with
-/// `reason`, recording per-lane fail metrics. Waiters unblock immediately.
+/// `reason`, recording each failure on the core's ledger. Waiters unblock
+/// immediately.
 pub(crate) fn fail_batch(shared: &ServerShared, batch: &Batch, reason: &str) {
-    let now = Instant::now();
+    let now_ns = shared.now_ns();
     {
-        let mut fm = shared.fail_metrics.lock().unwrap();
+        let mut core = shared.core.lock().unwrap();
         for req in &batch.requests {
-            fm.push(FailMetric {
-                id: req.id,
-                lane: shared.sched.lane_of(req.priority),
-                queue_ns: now.duration_since(req.submitted_at).as_nanos() as u64,
-            });
+            core.pipe.record_failed(req, now_ns);
         }
     }
-    for req in &batch.requests {
-        shared.board.post_failed(req.id, req.chunk.index, reason.to_string());
-    }
+    shared.board.post_outcome(&batch.requests, &ChunkOutcome::Failed(reason.to_string()));
 }
 
 /// The per-scene NGP model, built once per process: it is a pure function

@@ -2,8 +2,10 @@
 //! virtual harness ([`crate::run_virtual`]) and the cluster simulator
 //! ([`crate::cluster::run_cluster`]): the scheduling core
 //! ([`Pipeline`] — lanes, [`crate::LaneScheduler`], brownout,
-//! [`crate::Batcher`], the `2 × workers` ready queue) driven on one
-//! injected virtual clock, with virtual workers taking its ready batches.
+//! [`crate::Batcher`], the `2 × workers` ready queue, and the ledger of
+//! terminal records) driven on one injected virtual clock, with virtual
+//! workers taking its ready batches and reporting their outcomes back to
+//! it in virtual nanoseconds.
 //!
 //! What lives here is only what is virtual: the workers and their service
 //! model (flat, per-item, slow factor, modeled cold cache), the seeded
@@ -17,15 +19,12 @@
 //! that orphans everything in flight so the front door can fail it over.
 
 use std::collections::HashSet;
-use std::time::Instant;
 
 use crate::batch::Batch;
 use crate::cluster::ClusterService;
 use crate::fault::{FaultInjector, InjectedFault};
-use crate::metrics::{
-    BatchMetric, DegradeMetric, FailMetric, RequestMetric, RobustTotals, ServeMetrics, ShedMetric,
-};
-use crate::pipeline::{Pipeline, Verdict};
+use crate::metrics::{RobustTotals, ServeMetrics};
+use crate::pipeline::Pipeline;
 use crate::request::{BatchKey, ChunkSpan, Request, Response};
 use crate::server::ServerConfig;
 use crate::workload::TimedJob;
@@ -57,10 +56,10 @@ pub(crate) enum PipeEvent {
     /// The chunk's batch completed service (it will be served).
     Completed { id: u64, chunk: u32 },
     /// A hedge-tracked chunk was shed by the scheduler, or `failed` by the
-    /// chaos injector; the terminal record is deferred to the cluster
-    /// arbiter (only emitted for chunks marked via
+    /// chaos injector, at virtual time `at_ns`; the terminal record is
+    /// deferred to the cluster arbiter (only emitted for chunks marked via
     /// [`VirtualPipeline::mark_hedged`]).
-    Lost { id: u64, chunk: u32, lane: usize, queue_ns: u64, failed: bool },
+    Lost { id: u64, chunk: u32, at_ns: u64, failed: bool },
 }
 
 /// The modeled per-replica model cache: which `(scene, precision)` render
@@ -76,9 +75,10 @@ struct ModelCache {
 
 /// The deterministic virtual pipeline for one (replica) server.
 pub(crate) struct VirtualPipeline {
-    core: Pipeline,
-    /// Scratch for the core's verdicts, drained after every pump.
-    verdicts: Vec<Verdict>,
+    /// The scheduling core and its ledger.
+    pub(crate) core: Pipeline,
+    /// Scratch for the core's sheds, drained after every pump.
+    shed: Vec<Request>,
     /// The service model: flat per-batch cost, size-aware per-member cost
     /// (so overload is a function of batch composition) and cold-start
     /// cost.
@@ -113,11 +113,6 @@ pub(crate) struct VirtualPipeline {
     /// dropped — no request metric, no response, the work was wasted.
     suppressed: HashSet<(u64, u32)>,
     pub(crate) decided: Vec<Batch>,
-    pub(crate) request_metrics: Vec<RequestMetric>,
-    pub(crate) batch_metrics: Vec<BatchMetric>,
-    pub(crate) shed_metrics: Vec<ShedMetric>,
-    pub(crate) fail_metrics: Vec<FailMetric>,
-    pub(crate) degrade_metrics: Vec<DegradeMetric>,
     /// Total virtual time the workers spent serving completed batches.
     pub(crate) busy_ns: u64,
     pub(crate) wall_ns: u64,
@@ -138,10 +133,8 @@ impl VirtualPipeline {
         track_events: bool,
     ) -> Self {
         VirtualPipeline {
-            // An arbitrary real-clock origin for the virtual clock; never
-            // a measurement.
-            core: Pipeline::new(cfg, Instant::now()),
-            verdicts: Vec::new(),
+            core: Pipeline::new(cfg),
+            shed: Vec::new(),
             service: ClusterService { service_ns: service.service_ns.max(1), ..service },
             slow_factor: 1,
             cache: with_cache.then(|| ModelCache {
@@ -157,11 +150,6 @@ impl VirtualPipeline {
             hedged: HashSet::new(),
             suppressed: HashSet::new(),
             decided: Vec::new(),
-            request_metrics: Vec::new(),
-            batch_metrics: Vec::new(),
-            shed_metrics: Vec::new(),
-            fail_metrics: Vec::new(),
-            degrade_metrics: Vec::new(),
             busy_ns: 0,
             wall_ns: 0,
         }
@@ -173,22 +161,9 @@ impl VirtualPipeline {
     }
 
     /// This pipeline's serving metrics over `responses`, the payloads it
-    /// served: its decision records, the core's per-lane accounting and
-    /// the virtual wall clock.
+    /// served: the core's ledger over the virtual wall clock.
     pub(crate) fn metrics(&self, responses: &[Response]) -> ServeMetrics {
-        ServeMetrics::aggregate(
-            &self.request_metrics,
-            &self.batch_metrics,
-            &self.shed_metrics,
-            &self.fail_metrics,
-            &self.degrade_metrics,
-            responses,
-            &self.core.lane_accounting(),
-            RobustTotals::default(),
-            self.wall_ns,
-            self.workers.len(),
-            fnr_par::current_num_threads(),
-        )
+        self.core.metrics(responses, RobustTotals::default(), self.wall_ns, self.workers.len())
     }
 
     /// Sets the gray-failure service-time multiplier (`slow@T:R:F`);
@@ -250,7 +225,6 @@ impl VirtualPipeline {
     pub(crate) fn request(&self, id: u64, at: u64, tj: &TimedJob, chunk: ChunkSpan) -> Request {
         Request {
             id,
-            submitted_at: self.core.instant(at),
             priority: tj.priority,
             arrival_ns: at,
             deadline_ns: tj.deadline.map(|d| at + d.as_nanos() as u64),
@@ -324,19 +298,14 @@ impl VirtualPipeline {
     }
 
     /// Retires every in-service batch whose completion time has passed:
-    /// records its metrics (against its stored start time) and locks it
-    /// into the decided trace. Runs before any new work is assigned, so a
-    /// kill at `t` can only orphan batches still genuinely in service.
+    /// records it served on the core's ledger (against its stored start
+    /// time) and locks it into the decided trace. Runs before any new work
+    /// is assigned, so a kill at `t` can only orphan batches still
+    /// genuinely in service.
     fn complete_finished(&mut self, now: u64) {
         for w in &mut self.workers {
             if let Some(run) = w.take_if(|run| run.done_at() <= now) {
                 let full_size = run.batch.requests.len();
-                self.batch_metrics.push(BatchMetric {
-                    key: run.batch.key.clone(),
-                    size: full_size,
-                    service_ns: run.service_ns,
-                    flush: run.batch.flush,
-                });
                 let mut batch = run.batch;
                 if !self.suppressed.is_empty() {
                     // Losing hedge copies finish without a trace: the
@@ -344,19 +313,8 @@ impl VirtualPipeline {
                     let suppressed = &mut self.suppressed;
                     batch.requests.retain(|req| !suppressed.remove(&(req.id, req.chunk.index)));
                 }
+                self.core.record_served(&batch, full_size, run.start_ns, run.service_ns);
                 for req in &batch.requests {
-                    self.request_metrics.push(RequestMetric {
-                        id: req.id,
-                        lane: self.core.lane_of(req.priority),
-                        queue_ns: run.start_ns - req.arrival_ns,
-                        service_ns: run.service_ns,
-                        batch_size: full_size,
-                        chunk: req.chunk.index,
-                        chunk_of: req.chunk.of,
-                        deadline_missed: req
-                            .deadline_ns
-                            .is_some_and(|d| run.start_ns + run.service_ns >= d),
-                    });
                     if self.track_events {
                         self.hedged.remove(&(req.id, req.chunk.index));
                         self.events
@@ -408,8 +366,6 @@ impl VirtualPipeline {
         for req in batch.requests.drain(..) {
             match inj.decide(&req.job) {
                 Some(InjectedFault::Panic) => {
-                    let lane = self.core.lane_of(req.priority);
-                    let queue_ns = now - req.arrival_ns;
                     let key = (req.id, req.chunk.index);
                     if self.track_events && self.hedged.remove(&key) {
                         // A hedge-arbitrated copy: the cluster decides
@@ -417,12 +373,11 @@ impl VirtualPipeline {
                         self.events.push(PipeEvent::Lost {
                             id: req.id,
                             chunk: req.chunk.index,
-                            lane,
-                            queue_ns,
+                            at_ns: now,
                             failed: true,
                         });
                     } else if !self.suppressed.remove(&key) {
-                        self.fail_metrics.push(FailMetric { id: req.id, lane, queue_ns });
+                        self.core.record_failed(&req, now);
                     }
                     self.inflight -= 1;
                 }
@@ -440,31 +395,25 @@ impl VirtualPipeline {
         Some((batch, delay_ns))
     }
 
-    /// Pumps the core at `now` and settles its verdicts: a shed is
-    /// recorded (or, for a hedge-arbitrated copy, deferred to the cluster
-    /// as an event), a downgrade is recorded.
+    /// Pumps the core at `now` and settles its sheds: each is recorded
+    /// or, for a hedge-arbitrated copy, deferred to the cluster as an
+    /// event.
     fn pump_core(&mut self, now: u64) {
-        self.core.pump(now, &mut self.verdicts);
-        for v in self.verdicts.drain(..) {
-            match v {
-                Verdict::Shed { chunk, metric } => {
-                    if self.track_events && self.hedged.remove(&(metric.id, chunk)) {
-                        // Hedge-arbitrated: the cluster commits the shed
-                        // only if no other copy survives.
-                        self.events.push(PipeEvent::Lost {
-                            id: metric.id,
-                            chunk,
-                            lane: metric.lane,
-                            queue_ns: metric.queue_ns,
-                            failed: false,
-                        });
-                    } else {
-                        self.shed_metrics.push(metric);
-                    }
-                    self.inflight -= 1;
-                }
-                Verdict::Degraded(metric) => self.degrade_metrics.push(metric),
+        self.core.pump(now, &mut self.shed);
+        for req in self.shed.drain(..) {
+            if self.track_events && self.hedged.remove(&(req.id, req.chunk.index)) {
+                // Hedge-arbitrated: the cluster commits the shed only if
+                // no other copy survives.
+                self.events.push(PipeEvent::Lost {
+                    id: req.id,
+                    chunk: req.chunk.index,
+                    at_ns: now,
+                    failed: false,
+                });
+            } else {
+                self.core.record_shed(&req, now);
             }
+            self.inflight -= 1;
         }
     }
 
@@ -534,8 +483,8 @@ impl VirtualPipeline {
     /// worker, or in service — is orphaned and returned (in admission-id
     /// order) for the front door to fail over or shed. Scheduler and
     /// batcher state restart fresh and the model cache goes cold; the
-    /// terminal counters (served/shed/rejected) and cache hit/miss
-    /// totals survive, because a crash cannot un-serve history.
+    /// core's ledger and rejection counts and the cache hit/miss totals
+    /// survive, because a crash cannot un-serve history.
     pub(crate) fn kill(&mut self, t: u64) -> Vec<Request> {
         // Work that finished strictly by `t` completed before the crash.
         self.complete_finished(t);

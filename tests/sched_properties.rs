@@ -6,7 +6,6 @@
 //! from its seed.
 
 use std::collections::VecDeque;
-use std::time::Instant;
 
 use fnr_serve::sched::{LaneScheduler, Priority, SchedConfig, SchedStep};
 use fnr_serve::{RenderJob, RenderPrecision, Request, SceneKind, Workload};
@@ -17,7 +16,6 @@ use rand::{Rng, SeedableRng};
 fn req(id: u64, scene: SceneKind, priority: Priority, deadline_ns: Option<u64>) -> Request {
     Request {
         id,
-        submitted_at: Instant::now(),
         priority,
         arrival_ns: 0,
         deadline_ns,

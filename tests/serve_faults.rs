@@ -15,7 +15,7 @@ use std::time::Duration;
 use fnr_par::width_test_guard as width_guard;
 use fnr_serve::workload::{generate, ArrivalPattern, TimedJob, WorkloadSpec};
 use fnr_serve::{
-    response_set_digest, run, run_open_loop, run_virtual, run_virtual_with_faults, BreakerConfig,
+    response_set_digest, run, run_open_loop, run_virtual, BreakerConfig,
     BrownoutConfig, FaultInjector, Priority, RenderJob, RenderPrecision, Response, RetryPolicy,
     SceneKind, Server, ServerConfig, SubmitError, SuperviseConfig, VirtualService, WaitOutcome,
     Workload,
@@ -136,9 +136,9 @@ fn chaos_digest_is_width_invariant_and_agrees_between_live_and_virtual() {
 
     let service = VirtualService { service_ns: 200_000, per_item_ns: 0 };
     fnr_par::set_num_threads(1);
-    let serial = run_virtual_with_faults(&cfg, &jobs, service, cfg.injector);
+    let serial = run_virtual(&cfg, &jobs, service);
     fnr_par::set_num_threads(4);
-    let parallel = run_virtual_with_faults(&cfg, &jobs, service, cfg.injector);
+    let parallel = run_virtual(&cfg, &jobs, service);
     let live = run_open_loop(&cfg, &jobs);
     fnr_par::set_num_threads(1);
 
