@@ -417,13 +417,8 @@ struct ClusterState<'c> {
     kills: Vec<usize>,
     restarts: Vec<usize>,
     suspects: Vec<usize>,
-    front_door_shed: usize,
-    overload_shed: usize,
-    hedged: usize,
-    hedge_won: usize,
-    hedge_wasted: usize,
-    joins: usize,
-    leaves: usize,
+    /// The counters only the front door knows.
+    front_door: FrontDoorTotals,
     /// Replicas currently in `Life::Draining` (gates the drain check).
     draining: usize,
     health: HealthDetector,
@@ -447,7 +442,7 @@ struct ClusterState<'c> {
 
 /// Builds one replica pipeline for `cfg` (cold cache, nominal speed).
 fn new_pipe(cfg: &ClusterConfig, track: bool) -> VirtualPipeline {
-    VirtualPipeline::new(&cfg.server, cfg.service, true, cfg.injector.or(cfg.server.injector), track)
+    VirtualPipeline::new(&cfg.server, cfg.service, cfg.injector.or(cfg.server.injector), track)
 }
 
 impl<'c> ClusterState<'c> {
@@ -481,7 +476,7 @@ impl<'c> ClusterState<'c> {
     fn settle_terminal(&mut self, key: (u64, u32)) {
         if let Some(tr) = self.tracked.remove(&key) {
             if tr.hedged {
-                self.hedge_wasted += 1;
+                self.front_door.hedge_wasted += 1;
             }
         }
     }
@@ -517,7 +512,7 @@ impl<'c> ClusterState<'c> {
                 // counted by the target pipeline.)
             }
             None => {
-                self.front_door_shed += 1;
+                self.front_door.front_door_shed += 1;
                 if self.hedging {
                     self.settle_terminal(key);
                 }
@@ -576,9 +571,9 @@ impl<'c> ClusterState<'c> {
                         }
                         if tr.hedged {
                             if Some(r) == tr.clone_replica {
-                                self.hedge_won += 1;
+                                self.front_door.hedge_won += 1;
                             } else {
-                                self.hedge_wasted += 1;
+                                self.front_door.hedge_wasted += 1;
                             }
                         }
                     }
@@ -612,7 +607,7 @@ impl<'c> ClusterState<'c> {
         tr.hedged = true;
         tr.clone_replica = Some(r2);
         tr.copies.push(r2);
-        self.hedged += 1;
+        self.front_door.hedged += 1;
         self.last_event_ns = self.last_event_ns.max(t);
         self.pipes[r2].pump(t);
         self.drain_events(r2, t);
@@ -691,7 +686,7 @@ impl<'c> ClusterState<'c> {
             self.ring.join(r).expect("index capacity checked above");
             self.health.push_replica(ev.at_ns);
             self.codel.push_replica();
-            self.joins += 1;
+            self.front_door.joins += 1;
             self.last_event_ns = self.last_event_ns.max(ev.at_ns);
             return;
         }
@@ -739,7 +734,7 @@ impl<'c> ClusterState<'c> {
             FaultKind::Leave if self.life[r] == Life::Up => {
                 self.life[r] = Life::Draining;
                 self.draining += 1;
-                self.leaves += 1;
+                self.front_door.leaves += 1;
                 self.last_event_ns = self.last_event_ns.max(ev.at_ns);
                 if self.in_ring[r] {
                     self.ring.leave(r).expect("was a member");
@@ -857,13 +852,7 @@ pub fn run_cluster(cfg: &ClusterConfig, jobs: &[TimedJob]) -> ClusterReport {
         kills: vec![0; replicas],
         restarts: vec![0; replicas],
         suspects: vec![0; replicas],
-        front_door_shed: 0,
-        overload_shed: 0,
-        hedged: 0,
-        hedge_won: 0,
-        hedge_wasted: 0,
-        joins: 0,
-        leaves: 0,
+        front_door: FrontDoorTotals::default(),
         draining: 0,
         health: HealthDetector::new(cfg.health, replicas, cfg.service.service_ns),
         codel: CoDelAdmission::new(cfg.admission, replicas),
@@ -898,8 +887,8 @@ pub fn run_cluster(cfg: &ClusterConfig, jobs: &[TimedJob]) -> ClusterReport {
                     // the front door instead of letting every class miss
                     // its deadline behind a standing queue. The whole
                     // arrival drops — all of its chunk units.
-                    state.front_door_shed += of as usize;
-                    state.overload_shed += of as usize;
+                    state.front_door.front_door_shed += of as usize;
+                    state.front_door.overload_shed += of as usize;
                     continue;
                 }
                 state.routed[r] += 1;
@@ -931,7 +920,7 @@ pub fn run_cluster(cfg: &ClusterConfig, jobs: &[TimedJob]) -> ClusterReport {
                 state.pipes[r].pump(at);
                 state.drain_events(r, at);
             }
-            None => state.front_door_shed += of as usize,
+            None => state.front_door.front_door_shed += of as usize,
         }
     }
     // Drain: remaining timers, faults and hedge deadlines, to quiescence.
@@ -1000,21 +989,12 @@ pub fn run_cluster(cfg: &ClusterConfig, jobs: &[TimedJob]) -> ClusterReport {
     // count.
     let all_responses = assemble_chunks(all_chunks);
     let digest = response_set_digest(&all_responses);
-    let front_door = FrontDoorTotals {
-        front_door_shed: state.front_door_shed,
-        overload_shed: state.overload_shed,
-        hedged: state.hedged,
-        hedge_won: state.hedge_won,
-        hedge_wasted: state.hedge_wasted,
-        joins: state.joins,
-        leaves: state.leaves,
-    };
     let metrics = ClusterMetrics::aggregate(
         replica_stats,
         jobs.len(),
         submitted_chunks,
         all_responses.len(),
-        front_door,
+        state.front_door,
         wall_ns,
         workers,
         threads,

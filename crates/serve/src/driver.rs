@@ -185,7 +185,7 @@ pub fn run_virtual(cfg: &ServerConfig, jobs: &[TimedJob], service: VirtualServic
         per_item_ns: service.per_item_ns,
         cold_start_ns: 0,
     };
-    let mut pipe = VirtualPipeline::new(cfg, service, false, cfg.injector, false);
+    let mut pipe = VirtualPipeline::new(cfg, service, cfg.injector, false);
     let mut now = 0u64;
     for (id, tj) in jobs.iter().enumerate() {
         let at = now + tj.delay_before.as_nanos() as u64;

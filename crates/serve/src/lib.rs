@@ -22,10 +22,13 @@
 //!   requests, crashed workers respawn within a bounded budget, and the
 //!   [`fault`] module adds retries, a per-key circuit breaker, precision
 //!   brownout under overload, and seeded chaos injection,
-//! * per-request / per-batch metrics ([`ServeMetrics`], queue latency,
-//!   service time, first-chunk latency, batch occupancy, failure/degrade
-//!   counters) with a JSON report in the `flexnerfer-serve-bench/4`
-//!   schema, sibling to `repro --json`'s `flexnerfer-repro-bench/2`.
+//! * metrics folded as each outcome lands — per-lane counters and
+//!   queue histograms, per-key batch totals, and only the samples the
+//!   exact percentiles need — into one [`ServeMetrics`] report (queue
+//!   latency, service time, first-chunk latency, batch occupancy,
+//!   failure/degrade counters) with a JSON record in the
+//!   `flexnerfer-serve-bench/4` schema, sibling to `repro --json`'s
+//!   `flexnerfer-repro-bench/2`.
 //!
 //! # Streaming
 //!
@@ -99,9 +102,8 @@ pub use health::{
     AdmissionConfig, CoDelAdmission, HealthConfig, HealthDetector, HealthState, HedgeConfig,
 };
 pub use metrics::{
-    BatchMetric, ClusterMetrics, DegradeMetric, FailMetric, FrontDoorTotals, LaneAccounting,
-    LaneStats, LatencyHistogram, NsStats, ReplicaStats, RequestMetric, RobustTotals, ServeMetrics,
-    ShedMetric, LATENCY_BUCKETS, LATENCY_EDGES_NS,
+    ClusterMetrics, FrontDoorTotals, LaneStats, LatencyHistogram, NsStats, ReplicaStats,
+    ServeMetrics, LATENCY_BUCKETS, LATENCY_EDGES_NS,
 };
 pub use request::{
     assemble_chunks, chunk_image_bytes, effective_chunks, fnv1a, fnv1a_with, image_bytes,

@@ -1,97 +1,14 @@
-//! Per-request / per-batch accounting and the aggregate serving report.
+//! The serving ledger and its reports: [`Ledger`] folds every terminal
+//! outcome of one scheduling core into counters, histograms, per-key
+//! batch totals and percentile samples as it lands, and builds the one
+//! [`ServeMetrics`] report from them; [`ClusterMetrics`] merges replica
+//! reports.
 
 use std::collections::HashMap;
 
 use crate::batch::FlushReason;
-use crate::request::{BatchKey, Response};
-
-/// Timing record for one completed request chunk. Unchunked requests are
-/// a single chunk (`chunk` 0 of 1), so at chunk count 1 these records are
-/// exactly the pre-streaming per-request records.
-#[derive(Debug, Clone)]
-pub struct RequestMetric {
-    /// The parent request id.
-    pub id: u64,
-    /// Scheduler lane the chunk was served from.
-    pub lane: usize,
-    /// Submit → batch-execution-start latency.
-    pub queue_ns: u64,
-    /// Batch execution wall time (shared by every member of the batch).
-    pub service_ns: u64,
-    /// Members in the batch this chunk rode in.
-    pub batch_size: usize,
-    /// Zero-based index of this chunk within its parent request.
-    pub chunk: u32,
-    /// Total chunks the parent request was split into.
-    pub chunk_of: u32,
-    /// The chunk was answered, but only after its deadline had passed
-    /// (it started in time — else it would have been shed — but finished
-    /// late). Counted as `expired` in the per-lane stats.
-    pub deadline_missed: bool,
-}
-
-/// Record for one request the scheduler shed at dequeue: its deadline
-/// passed while it queued, so it was dropped and counted, never rendered.
-#[derive(Debug, Clone)]
-pub struct ShedMetric {
-    /// The request id.
-    pub id: u64,
-    /// Scheduler lane the request was shed from.
-    pub lane: usize,
-    /// Submit → shed-decision latency (time spent queued).
-    pub queue_ns: u64,
-}
-
-/// Record for one request that terminated as `Failed`: it kept panicking
-/// under quarantine (or its key's circuit breaker was open), so the
-/// supervisor failed it instead of answering or hanging it.
-#[derive(Debug, Clone)]
-pub struct FailMetric {
-    /// The request id.
-    pub id: u64,
-    /// Scheduler lane the request was admitted to.
-    pub lane: usize,
-    /// Submit → final-failure latency.
-    pub queue_ns: u64,
-}
-
-/// Record for one request the brownout controller downgraded to a cheaper
-/// precision under overload (it was still served — with the downgraded
-/// payload — and is also counted in its lane's `served`).
-#[derive(Debug, Clone)]
-pub struct DegradeMetric {
-    /// The request id.
-    pub id: u64,
-    /// Scheduler lane the request was served from.
-    pub lane: usize,
-}
-
-/// Robustness totals only the supervisor/breaker know — handed to
-/// [`ServeMetrics::aggregate`] alongside the per-request records.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RobustTotals {
-    /// Crashed workers the supervisor respawned.
-    pub worker_restarts: usize,
-    /// Re-execution attempts of quarantined requests (each retry counts).
-    pub retried: usize,
-    /// Times a per-key circuit breaker tripped open.
-    pub breaker_opened: usize,
-    /// Half-open probes the breaker admitted after cooldowns.
-    pub breaker_half_open_probes: usize,
-}
-
-/// Per-lane admission accounting the server hands to
-/// [`ServeMetrics::aggregate`] (the lane identity plus what never entered
-/// the queue).
-#[derive(Debug, Clone)]
-pub struct LaneAccounting {
-    /// Lane label.
-    pub name: String,
-    /// Drain weight.
-    pub weight: u64,
-    /// Requests rejected at admission (full or zero-capacity lane).
-    pub rejected: usize,
-}
+use crate::request::{BatchKey, Request, Response};
+use crate::sched::{LaneConfig, SchedConfig};
 
 /// Aggregated per-lane serving outcome: every admitted request of the lane
 /// is `served`, `shed`, or `failed`; `expired` is the subset of `served`
@@ -122,19 +39,6 @@ pub struct LaneStats {
     /// Queue-latency histogram over every admitted request (served, shed
     /// and failed alike — all experienced the queue).
     pub queue_hist: LatencyHistogram,
-}
-
-/// Record for one executed batch.
-#[derive(Debug, Clone)]
-pub struct BatchMetric {
-    /// The coalescing key.
-    pub key: BatchKey,
-    /// Members executed together.
-    pub size: usize,
-    /// Execution wall time.
-    pub service_ns: u64,
-    /// Why the batch flushed.
-    pub flush: FlushReason,
 }
 
 /// Simple summary statistics over a set of nanosecond samples.
@@ -374,128 +278,6 @@ pub struct ServeMetrics {
 }
 
 impl ServeMetrics {
-    /// Builds the aggregate from raw per-request/per-batch/per-shed
-    /// records plus the lane identities (`lane_acct` order defines lane
-    /// indices).
-    #[allow(clippy::too_many_arguments)]
-    pub fn aggregate(
-        request_metrics: &[RequestMetric],
-        batch_metrics: &[BatchMetric],
-        shed_metrics: &[ShedMetric],
-        fail_metrics: &[FailMetric],
-        degrade_metrics: &[DegradeMetric],
-        responses: &[Response],
-        lane_acct: &[LaneAccounting],
-        robust: RobustTotals,
-        wall_ns: u64,
-        workers: usize,
-        threads: usize,
-    ) -> Self {
-        let lanes: Vec<LaneStats> = lane_acct
-            .iter()
-            .enumerate()
-            .map(|(li, acct)| {
-                let served: Vec<&RequestMetric> =
-                    request_metrics.iter().filter(|m| m.lane == li).collect();
-                let shed: Vec<&ShedMetric> = shed_metrics.iter().filter(|m| m.lane == li).collect();
-                let failed: Vec<&FailMetric> =
-                    fail_metrics.iter().filter(|m| m.lane == li).collect();
-                let mut queue_hist = LatencyHistogram::new();
-                for m in &served {
-                    queue_hist.record(m.queue_ns);
-                }
-                for m in &shed {
-                    queue_hist.record(m.queue_ns);
-                }
-                for m in &failed {
-                    queue_hist.record(m.queue_ns);
-                }
-                LaneStats {
-                    name: acct.name.clone(),
-                    weight: acct.weight,
-                    submitted: served.len() + shed.len() + failed.len(),
-                    served: served.len(),
-                    shed: shed.len(),
-                    expired: served.iter().filter(|m| m.deadline_missed).count(),
-                    rejected: acct.rejected,
-                    failed: failed.len(),
-                    degraded: degrade_metrics.iter().filter(|m| m.lane == li).count(),
-                    queue_hist,
-                }
-            })
-            .collect();
-        let mut key_totals: HashMap<&BatchKey, usize> = HashMap::new();
-        for b in batch_metrics {
-            *key_totals.entry(&b.key).or_insert(0) += b.size;
-        }
-        let coalescable: Vec<&BatchMetric> =
-            batch_metrics.iter().filter(|b| key_totals[&b.key] > 1).collect();
-        let mean = |batches: &[&BatchMetric]| {
-            if batches.is_empty() {
-                0.0
-            } else {
-                batches.iter().map(|b| b.size).sum::<usize>() as f64 / batches.len() as f64
-            }
-        };
-        let all: Vec<&BatchMetric> = batch_metrics.iter().collect();
-        // Group chunk records by parent request: a parent every chunk of
-        // which was served is an answered request. Its *fastest* chunk
-        // latency is the time-to-first-chunk (the stream had bytes), its
-        // *slowest* is the full-render latency (the stream completed). At
-        // chunk count 1 both equal the single chunk's latency, so the
-        // histograms and stats reproduce their pre-streaming values.
-        let mut parents: HashMap<u64, (u32, u32, u64, u64)> = HashMap::new();
-        for m in request_metrics {
-            let lat = m.queue_ns + m.service_ns;
-            let e = parents.entry(m.id).or_insert((0, m.chunk_of, u64::MAX, 0));
-            e.0 += 1;
-            e.2 = e.2.min(lat);
-            e.3 = e.3.max(lat);
-        }
-        let mut first_samples = Vec::new();
-        let mut full_samples = Vec::new();
-        for &(count, of, min, max) in parents.values() {
-            if count == of {
-                first_samples.push(min);
-                full_samples.push(max);
-            }
-        }
-        ServeMetrics {
-            requests: full_samples.len(),
-            chunks_served: request_metrics.len(),
-            rejected: lanes.iter().map(|l| l.rejected).sum(),
-            shed: shed_metrics.len(),
-            expired: lanes.iter().map(|l| l.expired).sum(),
-            failed: fail_metrics.len(),
-            degraded: degrade_metrics.len(),
-            retried: robust.retried,
-            worker_restarts: robust.worker_restarts,
-            breaker_opened: robust.breaker_opened,
-            breaker_half_open_probes: robust.breaker_half_open_probes,
-            lanes,
-            batches: batch_metrics.len(),
-            mean_occupancy: mean(&all),
-            coalescable_occupancy: mean(&coalescable),
-            flushed_size: batch_metrics.iter().filter(|b| b.flush == FlushReason::Size).count(),
-            flushed_timeout: batch_metrics.iter().filter(|b| b.flush == FlushReason::Timeout).count(),
-            flushed_drain: batch_metrics.iter().filter(|b| b.flush == FlushReason::Drain).count(),
-            queue_ns: NsStats::from_samples(
-                &request_metrics.iter().map(|m| m.queue_ns).collect::<Vec<_>>(),
-            ),
-            service_ns: NsStats::from_samples(
-                &batch_metrics.iter().map(|m| m.service_ns).collect::<Vec<_>>(),
-            ),
-            first_chunk_ns: NsStats::from_samples(&first_samples),
-            render_ns: NsStats::from_samples(&full_samples),
-            latency_hist: LatencyHistogram::from_samples(&full_samples),
-            first_chunk_hist: LatencyHistogram::from_samples(&first_samples),
-            wall_ns,
-            workers,
-            threads,
-            digest: crate::request::response_set_digest(responses),
-        }
-    }
-
     /// Renders the `flexnerfer-serve-bench/4` JSON record (hand-rolled,
     /// mirroring the `flexnerfer-repro-bench/2` trajectory format: every
     /// value is a number or a string this crate controls). Schema `/2`
@@ -580,6 +362,176 @@ fn lanes_json(lanes: &[LaneStats], indent: &str) -> String {
     out
 }
 
+/// The serving report as a fold: the scheduling core lands every terminal
+/// outcome here the moment it happens, and [`Ledger::report`] is the one
+/// place a [`ServeMetrics`] is built. It keeps counters, bucket counts
+/// and integer totals, plus only the samples the exact nearest-rank
+/// percentiles need — no per-chunk or per-batch record — so every
+/// reported number is independent of the order outcomes land in (live
+/// workers land them nondeterministically).
+#[derive(Default)]
+pub(crate) struct Ledger {
+    /// Per-lane counters and queue histograms, in lane-index order.
+    lanes: Vec<LaneStats>,
+    /// Per coalescing key: `(batches, members)` executed.
+    keys: HashMap<BatchKey, (usize, usize)>,
+    /// Batches per [`FlushReason`], in declaration order.
+    flushes: [usize; 3],
+    /// One queue latency per served chunk.
+    queue_samples: Vec<u64>,
+    /// One service time per batch.
+    service_samples: Vec<u64>,
+    /// Per answered request: its fastest chunk's end-to-end latency.
+    first_samples: Vec<u64>,
+    /// Per answered request: its slowest chunk's end-to-end latency.
+    full_samples: Vec<u64>,
+    /// Chunked requests some but not all of whose chunks were served:
+    /// `id → (chunks served, fastest, slowest)` latency so far.
+    partial: HashMap<u64, (u32, u64, u64)>,
+}
+
+impl Ledger {
+    /// An empty ledger over the lanes of `sched` (its order defines lane
+    /// indices).
+    pub(crate) fn new(sched: &SchedConfig) -> Self {
+        let lane = |l: &LaneConfig| LaneStats {
+            name: l.name.clone(),
+            weight: l.weight,
+            submitted: 0,
+            served: 0,
+            shed: 0,
+            expired: 0,
+            rejected: 0,
+            failed: 0,
+            degraded: 0,
+            queue_hist: LatencyHistogram::new(),
+        };
+        Ledger { lanes: sched.lanes.iter().map(lane).collect(), ..Ledger::default() }
+    }
+
+    /// Counts `chunks` chunk units refused admission on `lane`.
+    pub(crate) fn rejected(&mut self, lane: usize, chunks: usize) {
+        self.lanes[lane].rejected += chunks;
+    }
+
+    /// Counts one request the brownout downgraded on `lane`.
+    pub(crate) fn degraded(&mut self, lane: usize) {
+        self.lanes[lane].degraded += 1;
+    }
+
+    /// Lands one batch of `size` members on `key` that ran `service_ns`.
+    pub(crate) fn batch(&mut self, key: &BatchKey, size: usize, service_ns: u64, flush: FlushReason) {
+        match self.keys.get_mut(key) {
+            Some((batches, members)) => {
+                *batches += 1;
+                *members += size;
+            }
+            None => {
+                self.keys.insert(key.clone(), (1, size));
+            }
+        }
+        self.flushes[flush as usize] += 1;
+        self.service_samples.push(service_ns);
+    }
+
+    /// Lands chunk `req` as served from `lane`: its batch started at
+    /// `start_ns` and ran `service_ns`. The chunk's parent becomes an
+    /// answered request when its last chunk lands.
+    pub(crate) fn served(&mut self, lane: usize, req: &Request, start_ns: u64, service_ns: u64) {
+        let queue_ns = start_ns.saturating_sub(req.arrival_ns);
+        let l = self.admitted(lane, queue_ns);
+        l.served += 1;
+        l.expired += usize::from(req.deadline_ns.is_some_and(|d| start_ns + service_ns >= d));
+        self.queue_samples.push(queue_ns);
+        let lat = queue_ns + service_ns;
+        let (first, full) = if req.chunk.of == 1 {
+            (lat, lat)
+        } else {
+            let e = self.partial.entry(req.id).or_insert((0, u64::MAX, 0));
+            e.0 += 1;
+            e.1 = e.1.min(lat);
+            e.2 = e.2.max(lat);
+            if e.0 < req.chunk.of {
+                return;
+            }
+            let (_, first, full) = self.partial.remove(&req.id).expect("entry just updated");
+            (first, full)
+        };
+        self.first_samples.push(first);
+        self.full_samples.push(full);
+    }
+
+    /// Lands one request shed from `lane` after queueing `queue_ns`.
+    pub(crate) fn shed(&mut self, lane: usize, queue_ns: u64) {
+        self.admitted(lane, queue_ns).shed += 1;
+    }
+
+    /// Lands one request failed on `lane` after `queue_ns`.
+    pub(crate) fn failed(&mut self, lane: usize, queue_ns: u64) {
+        self.admitted(lane, queue_ns).failed += 1;
+    }
+
+    /// Counts one admitted request's terminal outcome on `lane`: served,
+    /// shed and failed alike were submitted and waited `queue_ns`.
+    fn admitted(&mut self, lane: usize, queue_ns: u64) -> &mut LaneStats {
+        let l = &mut self.lanes[lane];
+        l.submitted += 1;
+        l.queue_hist.record(queue_ns);
+        l
+    }
+
+    /// The serving report over what has landed so far: `responses` are
+    /// the payloads served, `wall_ns` the run's length on the caller's
+    /// clock, `workers` the pool size. The supervisor/breaker counters
+    /// are zero — only the live server knows them, and fills them in.
+    pub(crate) fn report(&self, responses: &[Response], wall_ns: u64, workers: usize) -> ServeMetrics {
+        let sum = |f: fn(&LaneStats) -> usize| self.lanes.iter().map(f).sum();
+        // Both occupancy means divide integer totals; the coalescable one
+        // only counts keys that received more than one member in total (a
+        // key requested once can never coalesce).
+        let (mut batches, mut members, mut co_batches, mut co_members) = (0, 0, 0, 0);
+        for &(b, m) in self.keys.values() {
+            batches += b;
+            members += m;
+            if m > 1 {
+                co_batches += b;
+                co_members += m;
+            }
+        }
+        let mean = |m: usize, b: usize| if b == 0 { 0.0 } else { m as f64 / b as f64 };
+        ServeMetrics {
+            requests: self.full_samples.len(),
+            chunks_served: sum(|l| l.served),
+            rejected: sum(|l| l.rejected),
+            shed: sum(|l| l.shed),
+            expired: sum(|l| l.expired),
+            failed: sum(|l| l.failed),
+            degraded: sum(|l| l.degraded),
+            retried: 0,
+            worker_restarts: 0,
+            breaker_opened: 0,
+            breaker_half_open_probes: 0,
+            lanes: self.lanes.clone(),
+            batches,
+            mean_occupancy: mean(members, batches),
+            coalescable_occupancy: mean(co_members, co_batches),
+            flushed_size: self.flushes[FlushReason::Size as usize],
+            flushed_timeout: self.flushes[FlushReason::Timeout as usize],
+            flushed_drain: self.flushes[FlushReason::Drain as usize],
+            queue_ns: NsStats::from_samples(&self.queue_samples),
+            service_ns: NsStats::from_samples(&self.service_samples),
+            first_chunk_ns: NsStats::from_samples(&self.first_samples),
+            render_ns: NsStats::from_samples(&self.full_samples),
+            latency_hist: LatencyHistogram::from_samples(&self.full_samples),
+            first_chunk_hist: LatencyHistogram::from_samples(&self.first_samples),
+            wall_ns,
+            workers,
+            threads: fnr_par::current_num_threads(),
+            digest: crate::request::response_set_digest(responses),
+        }
+    }
+}
+
 /// One replica's view of a cluster run: its full single-server metrics
 /// plus the cluster-layer counters (routing, failover, faults, cache).
 #[derive(Debug, Clone)]
@@ -620,8 +572,8 @@ pub struct ReplicaStats {
 }
 
 /// The counters only the cluster front door (router + hedging + admission
-/// control) knows — bundled so [`ClusterMetrics::aggregate`] stays
-/// readable as the layer grows.
+/// control) knows — the cluster state counts them in one field and hands
+/// it whole to [`ClusterMetrics::aggregate`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FrontDoorTotals {
     /// Requests dropped at the front door for any reason (no routable
@@ -880,43 +832,48 @@ impl ClusterMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::SceneKind;
+    use crate::request::{ChunkSpan, RenderPrecision, SceneKind, Workload};
+    use crate::sched::Priority;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::SeedableRng;
 
-    fn bm(key: BatchKey, size: usize, flush: FlushReason) -> BatchMetric {
-        BatchMetric { key, size, service_ns: 1000, flush }
+    /// A ledger over lanes with the given names, each of weight 1.
+    fn ledger_named<S: Into<String>>(names: impl IntoIterator<Item = S>) -> Ledger {
+        let lane = |name: S| LaneConfig { name: name.into(), weight: 1, capacity: None };
+        Ledger::new(&SchedConfig { lanes: names.into_iter().map(lane).collect(), lane_by_class: [0; 3] })
     }
 
-    fn acct(n: usize) -> Vec<LaneAccounting> {
-        (0..n)
-            .map(|i| LaneAccounting { name: format!("lane{i}"), weight: 1, rejected: 0 })
-            .collect()
+    /// A ledger over `n` lanes named `lane0..`.
+    fn ledger(n: usize) -> Ledger {
+        ledger_named((0..n).map(|i| format!("lane{i}")))
     }
 
-    /// `aggregate` over the given records with no degrades, responses or
-    /// robustness totals, zero wall time, one worker and one thread.
-    fn agg(
-        reqs: &[RequestMetric],
-        batches: &[BatchMetric],
-        sheds: &[ShedMetric],
-        fails: &[FailMetric],
-        lanes: &[LaneAccounting],
-    ) -> ServeMetrics {
-        let robust = RobustTotals::default();
-        ServeMetrics::aggregate(reqs, batches, sheds, fails, &[], &[], lanes, robust, 0, 1, 1)
+    /// The report with no responses, zero wall time and one worker.
+    fn report(l: &Ledger) -> ServeMetrics {
+        l.report(&[], 0, 1)
     }
 
-    fn rm(id: u64, lane: usize, queue_ns: u64, deadline_missed: bool) -> RequestMetric {
-        RequestMetric {
+    /// Chunk `index` of `of` of request `id`, arriving at 0; a request
+    /// `late` has a deadline every served chunk misses.
+    fn chunk(id: u64, index: u32, of: u32, late: bool) -> Request {
+        Request {
             id,
-            lane,
-            queue_ns,
-            service_ns: 50_000,
-            batch_size: 1,
-            chunk: 0,
-            chunk_of: 1,
-            deadline_missed,
+            priority: Priority::Standard,
+            arrival_ns: 0,
+            deadline_ns: late.then_some(0),
+            chunk: ChunkSpan { index, of },
+            job: Workload::Table("t".into()),
         }
     }
+
+    /// Lands whole request `id` as served from `lane` after `queue_ns`
+    /// queued and 50 µs of service.
+    fn rm(l: &mut Ledger, id: u64, lane: usize, queue_ns: u64, deadline_missed: bool) {
+        l.served(lane, &chunk(id, 0, 1, deadline_missed), queue_ns, 50_000);
+    }
+
 
     #[test]
     fn ns_stats_percentiles() {
@@ -946,7 +903,7 @@ mod tests {
     /// case) must not panic and must report zeros.
     #[test]
     fn aggregate_of_zero_served_run_is_all_zero() {
-        let m = agg(&[], &[], &[], &[], &acct(2));
+        let m = report(&ledger(2));
         assert_eq!(m.requests, 0);
         assert_eq!(m.queue_ns.max, 0);
         assert_eq!(m.service_ns.p95, 0);
@@ -955,15 +912,15 @@ mod tests {
 
     #[test]
     fn coalescable_occupancy_excludes_singleton_keys() {
-        let k1 = BatchKey::Render(SceneKind::Mic, crate::request::RenderPrecision::Fp32);
+        let k1 = BatchKey::Render(SceneKind::Mic, RenderPrecision::Fp32);
         let k2 = BatchKey::Table("lonely".into());
         // k1 got 4 requests over 2 batches (coalescable); k2 got exactly 1.
-        let batches = vec![
-            bm(k1.clone(), 3, FlushReason::Size),
-            bm(k1.clone(), 1, FlushReason::Drain),
-            bm(k2, 1, FlushReason::Timeout),
-        ];
-        let m = agg(&[], &batches, &[], &[], &acct(1));
+        let mut l = ledger(1);
+        l.batch(&k1, 3, 1000, FlushReason::Size);
+        l.batch(&k1, 1, 1000, FlushReason::Drain);
+        l.batch(&k2, 1, 1000, FlushReason::Timeout);
+        let m = report(&l);
+        assert_eq!(m.batches, 3);
         assert!((m.mean_occupancy - 5.0 / 3.0).abs() < 1e-9);
         assert!((m.coalescable_occupancy - 2.0).abs() < 1e-9, "k2 excluded: (3+1)/2");
         assert_eq!(m.flushed_size, 1);
@@ -973,31 +930,21 @@ mod tests {
 
     #[test]
     fn json_contains_schema_lanes_and_digest() {
-        let mut lanes = acct(2);
-        lanes[0].rejected = 2;
-        let sheds = vec![ShedMetric { id: 9, lane: 1, queue_ns: 5_000 }];
-        let fails = vec![FailMetric { id: 10, lane: 0, queue_ns: 7_000 }];
-        let degrades = vec![DegradeMetric { id: 0, lane: 0 }];
-        let robust = RobustTotals {
-            worker_restarts: 1,
-            retried: 2,
-            breaker_opened: 1,
-            breaker_half_open_probes: 1,
-        };
-        let m = ServeMetrics::aggregate(
-            &[rm(0, 0, 100, true)],
-            &[],
-            &sheds,
-            &fails,
-            &degrades,
-            &[],
-            &lanes,
-            robust,
-            42,
-            3,
-            4,
-        );
+        let mut l = ledger(2);
+        l.rejected(0, 2);
+        l.shed(1, 5_000);
+        l.failed(0, 7_000);
+        l.degraded(0);
+        rm(&mut l, 0, 0, 100, true);
+        let mut m = l.report(&[], 42, 3);
+        // The supervisor/breaker totals are the live server's to fill in.
+        m.worker_restarts = 1;
+        m.retried = 2;
+        m.breaker_opened = 1;
+        m.breaker_half_open_probes = 1;
         let j = m.to_json();
+        assert!(j.contains("\n  \"workers\": 3,\n"));
+        assert!(j.contains("\n  \"wall_ns\": 42,\n"));
         // The schema bump: /4 carries the streaming fields alongside
         // everything /3 had (robustness counters, lanes array, totals).
         assert!(j.contains("\"schema\": \"flexnerfer-serve-bench/4\""));
@@ -1027,8 +974,7 @@ mod tests {
 
     #[test]
     fn lane_names_are_json_escaped() {
-        let lanes = vec![LaneAccounting { name: "ti\"er\\1\n".into(), weight: 1, rejected: 0 }];
-        let j = agg(&[], &[], &[], &[], &lanes).to_json();
+        let j = report(&ledger_named(["ti\"er\\1\n"])).to_json();
         assert!(
             j.contains("\"name\": \"ti\\\"er\\\\1\\u000a\""),
             "hostile lane name must not break the record: {j}"
@@ -1037,13 +983,14 @@ mod tests {
 
     #[test]
     fn lane_stats_partition_admitted_requests() {
-        let reqs = vec![rm(0, 0, 100, false), rm(1, 0, 200, true), rm(2, 1, 300, false)];
-        let sheds = vec![
-            ShedMetric { id: 3, lane: 0, queue_ns: 400 },
-            ShedMetric { id: 4, lane: 2, queue_ns: 500 },
-        ];
-        let fails = vec![FailMetric { id: 5, lane: 1, queue_ns: 600 }];
-        let m = agg(&reqs, &[], &sheds, &fails, &acct(3));
+        let mut l = ledger(3);
+        rm(&mut l, 0, 0, 100, false);
+        rm(&mut l, 1, 0, 200, true);
+        rm(&mut l, 2, 1, 300, false);
+        l.shed(0, 400);
+        l.shed(2, 500);
+        l.failed(1, 600);
+        let m = report(&l);
         assert_eq!(m.requests, 3);
         assert_eq!(m.shed, 2);
         assert_eq!(m.expired, 1);
@@ -1061,23 +1008,17 @@ mod tests {
         assert_eq!(m.lanes[2].shed, 1);
     }
 
-    fn rmc(id: u64, queue_ns: u64, chunk: u32, chunk_of: u32) -> RequestMetric {
-        RequestMetric { chunk, chunk_of, ..rm(id, 0, queue_ns, false) }
-    }
-
     #[test]
     fn first_chunk_and_full_render_latencies_group_per_parent() {
         // Parent 0: two chunks at latencies 50_100 / 50_300 (queue +
         // 50_000 service). Parent 1: one whole chunk at 50_200. Parent 2
         // is incomplete (1 of 2 chunks served) — chunk counted, request
         // not.
-        let reqs = vec![
-            rmc(0, 100, 0, 2),
-            rmc(0, 300, 1, 2),
-            rmc(1, 200, 0, 1),
-            rmc(2, 400, 0, 2),
-        ];
-        let m = agg(&reqs, &[], &[], &[], &acct(1));
+        let mut l = ledger(1);
+        for (id, queue_ns, index, of) in [(0, 100, 0, 2), (0, 300, 1, 2), (1, 200, 0, 1), (2, 400, 0, 2)] {
+            l.served(0, &chunk(id, index, of, false), queue_ns, 50_000);
+        }
+        let m = report(&l);
         assert_eq!(m.requests, 2, "only complete parents are answered requests");
         assert_eq!(m.chunks_served, 4);
         assert_eq!(m.first_chunk_ns.max, 50_200, "per-parent minima: 50_100 and 50_200");
@@ -1143,10 +1084,86 @@ mod tests {
 
     #[test]
     fn histogram_totals_match_request_count_in_aggregate() {
-        let reqs: Vec<RequestMetric> = (0..17).map(|i| rm(i, 0, i * 100_000, false)).collect();
-        let m = agg(&reqs, &[], &[], &[], &acct(1));
+        let mut l = ledger(1);
+        for i in 0..17 {
+            rm(&mut l, i, 0, i * 100_000, false);
+        }
+        let m = report(&l);
         assert_eq!(m.latency_hist.total(), 17);
         // Edges are compile-time constants, so bucket identity is stable.
         assert_eq!(m.latency_hist.counts().len(), LATENCY_BUCKETS);
+    }
+
+    /// The `(id, index, of)` a served word lands: one of 16 parents,
+    /// parent `id` split into `id % 4 + 1` chunks.
+    fn parent_chunk(word: u64) -> (u64, u32, u32) {
+        let id = (word >> 40) % 16;
+        let of = (id % 4) as u32 + 1;
+        (id, (word >> 44) as u32 % of, of)
+    }
+
+    /// Decodes `word` into one outcome over three lanes and lands it;
+    /// latencies span several histogram buckets.
+    fn land(l: &mut Ledger, word: u64) {
+        let lane = (word >> 3) as usize % 3;
+        let ns = (word >> 8) % 20_000_000;
+        match word % 6 {
+            0 => {
+                let (id, index, of) = parent_chunk(word);
+                let req = chunk(id, index, of, (word >> 5) & 1 == 1);
+                l.served(lane, &req, ns, (word >> 48) % 5_000_000);
+            }
+            1 => l.shed(lane, ns),
+            2 => l.failed(lane, ns),
+            3 => l.degraded(lane),
+            4 => l.rejected(lane, (word >> 40) as usize % 8 + 1),
+            _ => {
+                let key = BatchKey::Table(((word >> 40) % 3).to_string());
+                let flush = [FlushReason::Size, FlushReason::Timeout, FlushReason::Drain]
+                    [(word >> 44) as usize % 3];
+                l.batch(&key, (word >> 48) as usize % 4 + 1, ns, flush);
+            }
+        }
+    }
+
+    fn fold(words: &[u64]) -> ServeMetrics {
+        let mut l = ledger(3);
+        for &w in words {
+            land(&mut l, w);
+        }
+        report(&l)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Live workers land outcomes in a nondeterministic order, so
+        /// the report must be a function of the outcome multiset
+        /// alone: a shuffled order and its reverse give the same JSON
+        /// record, and every lane conserves its admitted requests. A
+        /// chunk is served at most once, so repeated served chunks are
+        /// dropped.
+        #[test]
+        fn prop_report_is_independent_of_landing_order(
+            words in proptest::collection::vec(0u64..u64::MAX, 1..96),
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut served = std::collections::HashSet::new();
+            let mut words = words;
+            words.retain(|&w| w % 6 != 0 || served.insert(parent_chunk(w)));
+            let a = fold(&words);
+            words.shuffle(&mut StdRng::seed_from_u64(seed));
+            prop_assert_eq!(a.to_json(), fold(&words).to_json());
+            words.reverse();
+            prop_assert_eq!(a.to_json(), fold(&words).to_json());
+            for lane in &a.lanes {
+                prop_assert_eq!(lane.submitted, lane.served + lane.shed + lane.failed);
+                prop_assert_eq!(lane.queue_hist.total() as usize, lane.submitted);
+            }
+            // Answered requests: parents every chunk of which landed.
+            let complete = |id: &u64| served.iter().filter(|c| c.0 == *id).count() == (id % 4) as usize + 1;
+            let answered = (0..16u64).filter(complete).count();
+            prop_assert_eq!((a.requests, a.latency_hist.total() as usize), (answered, answered));
+        }
     }
 }

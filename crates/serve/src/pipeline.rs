@@ -1,7 +1,8 @@
 //! The clock-free scheduling core both serving clocks drive: per-lane
 //! bounded admission queues → [`LaneScheduler`] (with the [`Brownout`]
 //! precision downgrade) → [`Batcher`] → a bounded ready queue of
-//! `2 × workers` batches — plus the ledger of every terminal outcome.
+//! `2 × workers` batches — plus the ledger every terminal outcome folds
+//! into.
 //!
 //! [`Pipeline`] is a pure state machine on one clock: time comes in as
 //! `u64` nanoseconds on the caller's clock (real elapsed time since the
@@ -17,38 +18,26 @@
 //! * once closed, the scheduler keeps draining the lanes and then flushes
 //!   every pending group as a [`FlushReason::Drain`] batch.
 //!
-//! So does the accounting: the core's ledger holds every terminal record,
-//! and [`Pipeline::metrics`] is the one place they become a
-//! [`ServeMetrics`] report. [`Pipeline::pump`] records downgrades itself
-//! but hands sheds back for the caller to post (live) or defer to the
-//! hedge arbiter (cluster) before it records them; workers report served
-//! batches and failed chunks. Records survive [`Pipeline::drain_all`]: a
-//! crash cannot un-serve history.
+//! So does the accounting: the core's [`Ledger`] folds every terminal
+//! outcome into counters, totals and percentile samples as it lands, and
+//! [`Ledger::report`] is the one place a [`crate::ServeMetrics`] is
+//! built. [`Pipeline::pump`] records downgrades itself but hands sheds
+//! back for the caller to post (live) or defer to the hedge arbiter
+//! (cluster) before it records them; workers report served batches and
+//! failed chunks. The ledger survives [`Pipeline::drain_all`]: a crash
+//! cannot un-serve history.
 
 use std::collections::VecDeque;
 
 use crate::batch::{Batch, Batcher, BatcherConfig};
 use crate::fault::{degrade_precision, Brownout, BrownoutConfig};
-use crate::metrics::{
-    BatchMetric, DegradeMetric, FailMetric, LaneAccounting, RequestMetric, RobustTotals,
-    ServeMetrics, ShedMetric,
-};
-use crate::request::{ChunkSpan, Request, Response, Workload};
+use crate::metrics::Ledger;
+use crate::request::{ChunkSpan, Request, Workload};
 use crate::sched::{LaneScheduler, Priority, SchedConfig, SchedStep};
 use crate::server::ServerConfig;
 
 #[cfg(doc)]
 use crate::batch::FlushReason;
-
-/// The terminal records of one server, in the order they happened.
-#[derive(Default)]
-struct Ledger {
-    served: Vec<RequestMetric>,
-    batches: Vec<BatchMetric>,
-    shed: Vec<ShedMetric>,
-    failed: Vec<FailMetric>,
-    degraded: Vec<DegradeMetric>,
-}
 
 /// The scheduling core of one server (see the module docs).
 pub(crate) struct Pipeline {
@@ -57,8 +46,6 @@ pub(crate) struct Pipeline {
     brownout_cfg: BrownoutConfig,
     caps: Vec<usize>,
     lanes: Vec<VecDeque<Request>>,
-    /// Chunks refused admission, per lane.
-    rejected: Vec<usize>,
     sched: LaneScheduler,
     brownout: Brownout,
     batcher: Batcher,
@@ -68,7 +55,9 @@ pub(crate) struct Pipeline {
     flushed: VecDeque<Batch>,
     ready_cap: usize,
     closed: bool,
-    ledger: Ledger,
+    /// Every terminal outcome, folded as it lands; survives
+    /// [`Pipeline::drain_all`].
+    pub(crate) ledger: Ledger,
 }
 
 impl Pipeline {
@@ -88,12 +77,11 @@ impl Pipeline {
             brownout: Brownout::new(cfg.brownout),
             brownout_cfg: cfg.brownout,
             lanes: caps.iter().map(|_| VecDeque::new()).collect(),
-            rejected: vec![0; caps.len()],
             caps,
             flushed: VecDeque::new(),
             ready_cap: cfg.workers.max(1) * 2,
             closed: false,
-            ledger: Ledger::default(),
+            ledger: Ledger::new(&cfg.sched),
         }
     }
 
@@ -126,7 +114,7 @@ impl Pipeline {
 
     /// Counts `chunks` chunk units refused admission on `lane`.
     pub(crate) fn reject(&mut self, lane: usize, chunks: usize) {
-        self.rejected[lane] += chunks;
+        self.ledger.rejected(lane, chunks);
     }
 
     /// Flushes every batcher group whose oldest member lingered past the
@@ -163,7 +151,7 @@ impl Pipeline {
                         if let Workload::Render(j) = &mut req.job {
                             if let Some(lower) = degrade_precision(j.precision) {
                                 j.precision = lower;
-                                self.ledger.degraded.push(DegradeMetric { id: req.id, lane });
+                                self.ledger.degraded(lane);
                             }
                         }
                     }
@@ -194,76 +182,24 @@ impl Pipeline {
         start_ns: u64,
         service_ns: u64,
     ) {
-        self.ledger.batches.push(BatchMetric {
-            key: batch.key.clone(),
-            size,
-            service_ns,
-            flush: batch.flush,
-        });
+        self.ledger.batch(&batch.key, size, service_ns, batch.flush);
         for req in &batch.requests {
             let lane = self.lane_of(req.priority);
-            self.ledger.served.push(RequestMetric {
-                id: req.id,
-                lane,
-                queue_ns: start_ns.saturating_sub(req.arrival_ns),
-                service_ns,
-                batch_size: size,
-                chunk: req.chunk.index,
-                chunk_of: req.chunk.of,
-                deadline_missed: req.deadline_ns.is_some_and(|d| start_ns + service_ns >= d),
-            });
+            self.ledger.served(lane, req, start_ns, service_ns);
         }
     }
 
     /// Records `req` as failed at `now_ns`.
     pub(crate) fn record_failed(&mut self, req: &Request, now_ns: u64) {
         let lane = self.lane_of(req.priority);
-        let queue_ns = now_ns.saturating_sub(req.arrival_ns);
-        self.ledger.failed.push(FailMetric { id: req.id, lane, queue_ns });
+        self.ledger.failed(lane, now_ns.saturating_sub(req.arrival_ns));
     }
 
     /// Records `req` as shed at `now_ns` (handed back by
     /// [`Pipeline::pump`]).
     pub(crate) fn record_shed(&mut self, req: &Request, now_ns: u64) {
         let lane = self.lane_of(req.priority);
-        let queue_ns = now_ns.saturating_sub(req.arrival_ns);
-        self.ledger.shed.push(ShedMetric { id: req.id, lane, queue_ns });
-    }
-
-    /// The serving report over this core's records and per-lane
-    /// accounting: `responses` are the payloads it served, `robust` the
-    /// supervisor/breaker totals, `wall_ns` the run's length on this
-    /// core's clock, and `workers` the pool size.
-    pub(crate) fn metrics(
-        &self,
-        responses: &[Response],
-        robust: RobustTotals,
-        wall_ns: u64,
-        workers: usize,
-    ) -> ServeMetrics {
-        let lanes: Vec<LaneAccounting> = self
-            .sched_cfg
-            .lanes
-            .iter()
-            .zip(&self.rejected)
-            .map(|(l, &rejected)| {
-                LaneAccounting { name: l.name.clone(), weight: l.weight, rejected }
-            })
-            .collect();
-        let l = &self.ledger;
-        ServeMetrics::aggregate(
-            &l.served,
-            &l.batches,
-            &l.shed,
-            &l.failed,
-            &l.degraded,
-            responses,
-            &lanes,
-            robust,
-            wall_ns,
-            workers,
-            fnr_par::current_num_threads(),
-        )
+        self.ledger.shed(lane, now_ns.saturating_sub(req.arrival_ns));
     }
 
     /// Takes the oldest ready batch for a worker.
@@ -309,8 +245,7 @@ impl Pipeline {
 
     /// Empties the core for a crash: returns every queued request (lanes,
     /// batcher, flushed — unsorted) and restarts scheduler, batcher
-    /// and brownout fresh. The per-lane rejection counts and the ledger
-    /// survive.
+    /// and brownout fresh. The ledger survives.
     pub(crate) fn drain_all(&mut self) -> Vec<Request> {
         let mut out: Vec<Request> = Vec::new();
         for lane in &mut self.lanes {
@@ -350,6 +285,7 @@ mod tests {
 
     use super::*;
     use crate::batch::FlushReason;
+    use crate::metrics::LatencyHistogram;
     use crate::request::{RenderJob, RenderPrecision, SceneKind};
 
     fn cfg(queue_capacity: usize, max_batch: usize) -> ServerConfig {
@@ -401,7 +337,7 @@ mod tests {
         p.reject(1, 1);
         assert!(p.admit(req(2, Priority::Interactive, None)), "other lanes keep their room");
         assert!(p.admit(req(3, Priority::Batch, None)));
-        let m = p.metrics(&[], RobustTotals::default(), 0, 1);
+        let m = p.ledger.report(&[], 0, 1);
         let rejected: Vec<usize> = m.lanes.iter().map(|l| l.rejected).collect();
         assert_eq!(rejected, vec![0, 1, 0]);
     }
@@ -445,10 +381,18 @@ mod tests {
         let mut shed = Vec::new();
         assert_eq!(p.pump(100, &mut shed), 3);
         assert!(matches!(shed.as_slice(), [Request { id: 0, .. }]), "{shed:?}");
-        assert!(p.ledger.shed.is_empty(), "a shed is the caller's to record");
-        assert!(matches!(p.ledger.degraded.as_slice(), [DegradeMetric { id: 2, lane: 1 }]));
+        let m = p.ledger.report(&[], 0, 1);
+        assert_eq!(m.shed, 0, "a shed is the caller's to record");
+        // Request 2 is the standard lane's only request: the one downgrade
+        // is its.
+        let degraded: Vec<usize> = m.lanes.iter().map(|l| l.degraded).collect();
+        assert_eq!((m.degraded, degraded), (1, vec![0, 1, 0]));
         p.record_shed(&shed[0], 100);
-        assert!(matches!(p.ledger.shed.as_slice(), [ShedMetric { id: 0, lane: 0, queue_ns: 100 }]));
+        let m = p.ledger.report(&[], 0, 1);
+        let shed_per_lane: Vec<usize> = m.lanes.iter().map(|l| l.shed).collect();
+        assert_eq!((m.shed, shed_per_lane), (1, vec![1, 0, 0]), "request 0 shed from lane 0");
+        assert_eq!(m.lanes[0].queue_hist, LatencyHistogram::from_samples(&[100]));
+        assert_eq!(m.queue_ns.max, 0, "queue_ns stats cover served chunks only");
         assert_eq!(p.next_deadline(), Some(1_100), "linger anchored at the serve instant");
     }
 
@@ -484,6 +428,7 @@ mod tests {
         assert_eq!(batches.len(), 3, "fp32, degraded int16 and table groups");
         for b in &batches {
             if matches!(b.key, crate::request::BatchKey::Table(_)) {
+                assert_eq!(ids(b), vec![5], "the table batch holds request 5 alone");
                 for r in &b.requests {
                     p.record_failed(r, 1_300);
                 }
@@ -494,7 +439,7 @@ mod tests {
         // Per lane [submitted, served, shed, failed, degraded]; then the
         // totals [requests, shed, failed, degraded, batches].
         let tally = |p: &Pipeline| {
-            let m = p.metrics(&[], RobustTotals::default(), 2_000, 4);
+            let m = p.ledger.report(&[], 2_000, 4);
             for l in &m.lanes {
                 assert_eq!(l.submitted, l.served + l.shed + l.failed, "lane {} conserves", l.name);
             }
@@ -508,10 +453,14 @@ mod tests {
         let before = tally(&p);
         assert_eq!(before.0, vec![[2, 1, 1, 0, 0], [2, 1, 0, 1, 1], [2, 1, 1, 0, 1]]);
         assert_eq!(before.1, [3, 2, 1, 2, 2]);
-        let failed = &p.ledger.failed;
-        assert!(matches!(failed.as_slice(), [FailMetric { id: 5, lane: 1, queue_ns: 1_300 }]));
-        assert!(
-            p.ledger.served.iter().all(|r| r.queue_ns == 1_200 && !r.deadline_missed),
+        let m = p.ledger.report(&[], 2_000, 4);
+        // Lane 1 queued served request 2 for 1_200 and failed request 5
+        // for 1_300; every served chunk queued exactly 1_200 (mean ==
+        // max) and none missed its deadline.
+        assert_eq!(m.lanes[1].queue_hist, LatencyHistogram::from_samples(&[1_200, 1_300]));
+        assert_eq!(
+            (m.queue_ns.mean, m.queue_ns.max, m.expired),
+            (1_200, 1_200, 0),
             "served latency is start minus arrival on the core's clock"
         );
 

@@ -24,9 +24,11 @@
 //! condvar while their lane is full and wake when a pump frees a slot
 //! (served or shed) or the server drains.
 //!
-//! The core is also the server's one ledger: workers and the supervisor
-//! report served batches and failed chunks to it on its clock
-//! (nanoseconds since the server epoch), exactly as virtual mode does. No
+//! The core also holds the server's one ledger: workers and the
+//! supervisor land served batches and failed chunks in it on its clock
+//! (nanoseconds since the server epoch), exactly as virtual mode does,
+//! and it folds each outcome into the report as it lands; [`Server::drain`]
+//! adds only the supervisor/breaker counters it keeps outside. No
 //! role takes a lock while it holds another: sheds are posted to waiters,
 //! and reassembly slots opened, with the core lock released.
 //!
@@ -57,7 +59,7 @@ use fnr_tensor::Precision;
 
 use crate::batch::Batch;
 use crate::fault::{BrownoutConfig, CircuitBreaker, FaultInjector, InjectedFault, RetryPolicy};
-use crate::metrics::{RobustTotals, ServeMetrics};
+use crate::metrics::ServeMetrics;
 use crate::pipeline::Pipeline;
 use crate::request::{
     chunk_image_bytes, effective_chunks, row_band, BatchKey, ChunkOutcome, ChunkResponse,
@@ -726,17 +728,14 @@ impl Server {
         self.shutdown();
         let sh = &self.shared;
         let responses = sh.board.drain_sorted();
-        let robust = {
-            let breaker = sh.breaker.lock().unwrap();
-            RobustTotals {
-                worker_restarts: sh.worker_restarts.load(Ordering::Relaxed),
-                retried: sh.retried.load(Ordering::Relaxed),
-                breaker_opened: breaker.opened(),
-                breaker_half_open_probes: breaker.half_open_probes(),
-            }
-        };
         let wall_ns = sh.now_ns();
-        let metrics = sh.core.lock().unwrap().pipe.metrics(&responses, robust, wall_ns, sh.workers);
+        let mut metrics = sh.core.lock().unwrap().pipe.ledger.report(&responses, wall_ns, sh.workers);
+        // The supervisor/breaker counters live outside the core's ledger.
+        metrics.worker_restarts = sh.worker_restarts.load(Ordering::Relaxed);
+        metrics.retried = sh.retried.load(Ordering::Relaxed);
+        let breaker = sh.breaker.lock().unwrap();
+        metrics.breaker_opened = breaker.opened();
+        metrics.breaker_half_open_probes = breaker.half_open_probes();
         ServeReport { responses, metrics }
     }
 

@@ -2,28 +2,30 @@
 //! virtual harness ([`crate::run_virtual`]) and the cluster simulator
 //! ([`crate::cluster::run_cluster`]): the scheduling core
 //! ([`Pipeline`] — lanes, [`crate::LaneScheduler`], brownout,
-//! [`crate::Batcher`], the `2 × workers` ready queue, and the ledger of
-//! terminal records) driven on one injected virtual clock, with virtual
-//! workers taking its ready batches and reporting their outcomes back to
-//! it in virtual nanoseconds.
+//! [`crate::Batcher`], the `2 × workers` ready queue, and the ledger
+//! every terminal outcome folds into) driven on one injected virtual
+//! clock, with virtual workers taking its ready batches and reporting
+//! their outcomes back to it in virtual nanoseconds.
 //!
 //! What lives here is only what is virtual: the workers and their service
 //! model (flat, per-item, slow factor, modeled cold cache), the seeded
 //! chaos injector, and the hedging hooks. Every scheduling decision is a
 //! deterministic function of the admitted schedule and the clock; batches
 //! are only *decided* here and rendered for real afterwards, so thread
-//! width can never move an outcome. The cluster layer adds a per-replica
-//! inflight gauge (router admission control), the per-`(scene,
+//! width can never move an outcome. Every pipeline models a per-`(scene,
 //! precision)` model cache whose cold misses stretch the batch's virtual
-//! service time, and [`VirtualPipeline::kill`] — the fault-injection hook
-//! that orphans everything in flight so the front door can fail it over.
+//! service time (by zero in the one-server harness, which models no cold
+//! start). The cluster layer adds a per-replica inflight gauge (router
+//! admission control), reads the cache's hit/miss counts, and uses
+//! [`VirtualPipeline::kill`] — the fault-injection hook that orphans
+//! everything in flight so the front door can fail it over.
 
 use std::collections::HashSet;
 
 use crate::batch::Batch;
 use crate::cluster::ClusterService;
 use crate::fault::{FaultInjector, InjectedFault};
-use crate::metrics::{RobustTotals, ServeMetrics};
+use crate::metrics::ServeMetrics;
 use crate::pipeline::Pipeline;
 use crate::request::{BatchKey, ChunkSpan, Request, Response};
 use crate::server::ServerConfig;
@@ -86,7 +88,7 @@ pub(crate) struct VirtualPipeline {
     /// Gray-failure injection: every batch's virtual service time is
     /// multiplied by this (the `slow@T:R:F` fault). 1 = nominal speed.
     slow_factor: u64,
-    cache: Option<ModelCache>,
+    cache: ModelCache,
     /// Seeded chaos: a poisoned request fails the moment a worker would
     /// take its batch (mirroring the live quarantine outcome, minus the
     /// real-time retry loop); a delayed one stretches its batch's virtual
@@ -119,16 +121,15 @@ pub(crate) struct VirtualPipeline {
 }
 
 impl VirtualPipeline {
-    /// A pipeline for `cfg` under the `service` model. `with_cache`
-    /// enables the modeled model cache (cold render keys pay
-    /// `service.cold_start_ns` extra on their first batch after a cold
-    /// start), `injector` optionally adds seeded chaos (the same injector
-    /// type — and seeds — the live server takes), and `track_events`
-    /// turns on [`PipeEvent`] emission (cluster resilience mode).
+    /// A pipeline for `cfg` under the `service` model (cold render keys
+    /// pay `service.cold_start_ns` extra on their first batch after a
+    /// cold start). `injector` optionally adds seeded chaos (the same
+    /// injector type — and seeds — the live server takes), and
+    /// `track_events` turns on [`PipeEvent`] emission (cluster
+    /// resilience mode).
     pub(crate) fn new(
         cfg: &ServerConfig,
         service: ClusterService,
-        with_cache: bool,
         injector: Option<FaultInjector>,
         track_events: bool,
     ) -> Self {
@@ -137,11 +138,7 @@ impl VirtualPipeline {
             shed: Vec::new(),
             service: ClusterService { service_ns: service.service_ns.max(1), ..service },
             slow_factor: 1,
-            cache: with_cache.then(|| ModelCache {
-                warm: HashSet::new(),
-                hits: 0,
-                misses: 0,
-            }),
+            cache: ModelCache { warm: HashSet::new(), hits: 0, misses: 0 },
             injector: injector.filter(|i| !i.is_empty()),
             workers: (0..cfg.workers.max(1)).map(|_| None).collect(),
             inflight: 0,
@@ -163,7 +160,7 @@ impl VirtualPipeline {
     /// This pipeline's serving metrics over `responses`, the payloads it
     /// served: the core's ledger over the virtual wall clock.
     pub(crate) fn metrics(&self, responses: &[Response]) -> ServeMetrics {
-        self.core.metrics(responses, RobustTotals::default(), self.wall_ns, self.workers.len())
+        self.core.ledger.report(responses, self.wall_ns, self.workers.len())
     }
 
     /// Sets the gray-failure service-time multiplier (`slow@T:R:F`);
@@ -214,10 +211,9 @@ impl VirtualPipeline {
         }
     }
 
-    /// Cumulative `(hits, misses)` of the modeled model cache (zeros when
-    /// the cache is disabled).
+    /// Cumulative `(hits, misses)` of the modeled model cache.
     pub(crate) fn cache_stats(&self) -> (u64, u64) {
-        self.cache.as_ref().map_or((0, 0), |c| (c.hits, c.misses))
+        (self.cache.hits, self.cache.misses)
     }
 
     /// Chunk `chunk` of the scheduled job `tj` as request `id` arriving at
@@ -340,14 +336,12 @@ impl VirtualPipeline {
             .service
             .service_ns
             .saturating_add(self.service.per_item_ns.saturating_mul(batch.requests.len() as u64));
-        if let Some(cache) = &mut self.cache {
-            if matches!(batch.key, BatchKey::Render(..)) {
-                if cache.warm.insert(batch.key.clone()) {
-                    cache.misses += 1;
-                    svc = svc.saturating_add(self.service.cold_start_ns);
-                } else {
-                    cache.hits += 1;
-                }
+        if matches!(batch.key, BatchKey::Render(..)) {
+            if self.cache.warm.insert(batch.key.clone()) {
+                self.cache.misses += 1;
+                svc = svc.saturating_add(self.service.cold_start_ns);
+            } else {
+                self.cache.hits += 1;
             }
         }
         svc.saturating_mul(self.slow_factor)
@@ -483,8 +477,8 @@ impl VirtualPipeline {
     /// worker, or in service — is orphaned and returned (in admission-id
     /// order) for the front door to fail over or shed. Scheduler and
     /// batcher state restart fresh and the model cache goes cold; the
-    /// core's ledger and rejection counts and the cache hit/miss totals
-    /// survive, because a crash cannot un-serve history.
+    /// core's ledger and the cache hit/miss totals survive, because a
+    /// crash cannot un-serve history.
     pub(crate) fn kill(&mut self, t: u64) -> Vec<Request> {
         // Work that finished strictly by `t` completed before the crash.
         self.complete_finished(t);
@@ -500,9 +494,7 @@ impl VirtualPipeline {
         }
         self.hedged.clear();
         orphans.sort_unstable_by_key(|r| (r.id, r.chunk.index));
-        if let Some(cache) = &mut self.cache {
-            cache.warm.clear();
-        }
+        self.cache.warm.clear();
         self.inflight = 0;
         self.wall_ns = self.wall_ns.max(t);
         orphans
