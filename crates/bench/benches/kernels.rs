@@ -1,18 +1,21 @@
 //! Micro-benchmarks of the performance-critical kernels: the functional
 //! datapath (fused multiply, array pass, reduction), the mapping, the
-//! format codecs, the NoC routers and the NeRF encoding primitives.
+//! format codecs, the NoC routers, the NeRF encoding primitives and the
+//! quantized-inference activation quantizer. Each `fnr_tensor::simd`-backed
+//! bench has a `*_scalar` twin, so a kernel's speedup is the ratio of the
+//! two lines.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use flexnerfer::FlexibleFormatCodec;
 use fnr_hw::TechParams;
 use fnr_mac::{FusedMacUnit, MacArray, ReductionTreeKind};
-use fnr_nerf::hashgrid::{HashGrid, HashGridConfig};
+use fnr_nerf::hashgrid::{EncodePlan, HashGrid, HashGridConfig};
 use fnr_nerf::render::{composite, ShadedSample};
 use fnr_nerf::vec3::Vec3;
 use fnr_noc::Benes;
 use fnr_sim::{gustavson_map, partition_passes};
 use fnr_tensor::sparse::EncodedMatrix;
-use fnr_tensor::{gen, Precision, SparsityFormat, SrCalculator};
+use fnr_tensor::{gen, simd, Precision, SparsityFormat, SrCalculator};
 
 fn bench_kernels(c: &mut Criterion) {
     let mut g = c.benchmark_group("kernels");
@@ -64,6 +67,30 @@ fn bench_kernels(c: &mut Criterion) {
     g.bench_function("hashgrid_encode_point", |b| {
         b.iter(|| grid.encode(black_box(Vec3::new(0.3, 0.6, 0.9))))
     });
+
+    // Corner plan of one point across all 8 levels: the levels-wide plan
+    // kernel, then the per-level scalar loop under the scalar pin.
+    let point = Vec3::new(0.3, 0.6, 0.9);
+    let mut plan = EncodePlan::default();
+    g.bench_function("hashgrid_plan_point", |b| b.iter(|| grid.plan_into(black_box(point), &mut plan)));
+    simd::force_scalar(true);
+    g.bench_function("hashgrid_plan_point_scalar", |b| {
+        b.iter(|| grid.plan_into(black_box(point), &mut plan))
+    });
+    simd::force_scalar(false);
+
+    // Static INT8 activation quantizer over one serving (16) and one
+    // Fig. 20(a) (32) hidden layer, against its scalar twin.
+    for n in [16usize, 32] {
+        let acts: Vec<f32> = (0..n).map(|i| i as f32 * 0.37 - 5.0).collect();
+        let mut out = vec![0.0f32; n];
+        g.bench_function(&format!("quantize_static_{n}"), |b| {
+            b.iter(|| simd::quantize_static(&mut out, black_box(&acts), 0.0117, -128.0, 127.0))
+        });
+        g.bench_function(&format!("quantize_static_{n}_scalar"), |b| {
+            b.iter(|| simd::quantize_static_scalar(&mut out, black_box(&acts), 0.0117, -128.0, 127.0))
+        });
+    }
 
     // Volume rendering compositing over 32 samples.
     let samples: Vec<ShadedSample> = (0..32)

@@ -58,17 +58,6 @@ impl HashGridConfig {
     }
 }
 
-/// Cached per-level lookup parameters — resolution and dense/hashed mode
-/// are functions of the (immutable) config, but recomputing them through
-/// `powi` on every corner lookup dominated the scalar encode cost.
-#[derive(Debug, Clone, Copy)]
-struct LevelParams {
-    /// Grid resolution `N_l`.
-    res: usize,
-    /// Whether the level indexes densely (no hash).
-    dense: bool,
-}
-
 /// The trainable multi-resolution hash grid.
 #[derive(Debug, Clone)]
 pub struct HashGrid {
@@ -81,8 +70,82 @@ pub struct HashGrid {
     tables: Vec<f32>,
     /// `entries × F` — the span of one level inside [`HashGrid::tables`].
     level_stride: usize,
-    /// Cached per-level resolution / dense flag.
-    params: Vec<LevelParams>,
+    /// Cached per-level lookup constants.
+    lanes: LevelLanes,
+}
+
+/// Per-level lookup constants. Resolution and dense/hashed mode are
+/// functions of the (immutable) config, but recomputing them through
+/// `powi` on every corner lookup dominated the scalar encode cost.
+///
+/// Stored structure-of-arrays in one allocation: one row per field, one
+/// `i32` lane per level, so the levels-wide plan kernel loads a field of 8
+/// consecutive levels as one vector. Each row is padded with 7 zero lanes
+/// so a load starting at any level stays in bounds; padding lanes are
+/// computed but never stored.
+///
+/// A corner's table entry is `t₀ ⊕ t₁ ⊕ t₂` with per-axis terms `tᵈ = cᵈ ·
+/// mulᵈ` (wrapping `i32`), where `⊕` is `+` on dense levels (`mul = ((N+1)²,
+/// N+1, 1)`, so the sum is `(c₀(N+1) + c₁)(N+1) + c₂`) and XOR on hashed
+/// levels (`mul` = the primes' low 32 bits, then `& (T−1)`). Both equal
+/// the scalar `usize` index modulo 2³², which is all the `i32` plan keeps.
+#[derive(Debug, Clone)]
+struct LevelLanes {
+    data: Vec<i32>,
+    /// Row length: `levels + 7`.
+    row: usize,
+}
+
+impl LevelLanes {
+    /// Grid resolution `N_l`.
+    const RES: usize = 0;
+    /// `N_l − 1` (saturating): the largest base corner.
+    const MAX_BASE: usize = 1;
+    /// The three per-axis corner multipliers.
+    const MUL: [usize; 3] = [2, 3, 4];
+    /// All ones on dense levels, zero on hashed ones.
+    const DENSE: usize = 5;
+    /// Entry mask: all ones on dense levels, `T − 1` on hashed ones.
+    const MASK: usize = 6;
+    /// First element of the level in [`HashGrid::tables`]: `l ·
+    /// level_stride`.
+    const BASE: usize = 7;
+    const ROWS: usize = 8;
+
+    fn new(config: &HashGridConfig, level_stride: usize) -> Self {
+        let row = config.levels + 7;
+        let mut lanes = LevelLanes { data: vec![0; Self::ROWS * row], row };
+        let table_mask = ((1usize << config.log2_table_size) - 1) as i32;
+        for l in 0..config.levels {
+            let res = config.resolution(l);
+            let dense = config.is_dense_level(l);
+            let n1 = (res + 1) as u32;
+            let mul = if dense { [n1.wrapping_mul(n1), n1, 1] } else { PRIMES.map(|p| p as u32) };
+            let mut set = |field: usize, v: i32| lanes.data[field * row + l] = v;
+            set(Self::RES, res as i32);
+            set(Self::MAX_BASE, res.saturating_sub(1) as i32);
+            for (field, m) in Self::MUL.into_iter().zip(mul) {
+                set(field, m as i32);
+            }
+            set(Self::DENSE, if dense { -1 } else { 0 });
+            set(Self::MASK, if dense { -1 } else { table_mask });
+            set(Self::BASE, (l * level_stride) as i32);
+        }
+        lanes
+    }
+
+    /// Field `field` of every level (plus the padding).
+    fn row(&self, field: usize) -> &[i32] {
+        &self.data[field * self.row..(field + 1) * self.row]
+    }
+
+    fn res(&self, l: usize) -> usize {
+        self.row(Self::RES)[l] as usize
+    }
+
+    fn dense(&self, l: usize) -> bool {
+        self.row(Self::DENSE)[l] != 0
+    }
 }
 
 /// The 8 corner contributions of one level lookup: `(table index, weight)`.
@@ -95,8 +158,10 @@ pub type CornerLookups = [(usize, f32); 8];
 /// loop runs on the same point. Buffers are reused across samples via
 /// [`HashGrid::plan_into`].
 ///
-/// Layout is corner-major (`slot = ci * levels + l`) so the gather
-/// kernels read one corner's per-level indices as a contiguous vector.
+/// Layout is corner-major (`slot = ci * levels + l`): one corner's
+/// per-level entries are contiguous, so the levels-wide plan kernel writes
+/// 8 levels of a corner with one vector store and the gather kernels read
+/// them back as one vector.
 #[derive(Debug, Clone, Default)]
 pub struct EncodePlan {
     /// Absolute f32 element index into [`HashGrid::tables`] of corner
@@ -121,10 +186,8 @@ impl HashGrid {
         let tables = (0..config.levels * level_stride)
             .map(|_| rng.gen_range(-init_amplitude..=init_amplitude))
             .collect();
-        let params = (0..config.levels)
-            .map(|l| LevelParams { res: config.resolution(l), dense: config.is_dense_level(l) })
-            .collect();
-        HashGrid { config, tables, level_stride, params }
+        let lanes = LevelLanes::new(&config, level_stride);
+        HashGrid { config, tables, level_stride, lanes }
     }
 
     /// Grid configuration.
@@ -162,8 +225,8 @@ impl HashGrid {
     /// coarse levels, XOR-of-primes hash for fine levels.
     pub fn corner_index(&self, l: usize, c: [usize; 3]) -> usize {
         let t = 1usize << self.config.log2_table_size;
-        if self.params[l].dense {
-            let n = self.params[l].res + 1;
+        if self.lanes.dense(l) {
+            let n = self.lanes.res(l) + 1;
             (c[0] * n + c[1]) * n + c[2]
         } else {
             let mut h = 0u64;
@@ -177,7 +240,7 @@ impl HashGrid {
     /// Computes the 8 corner `(index, trilinear weight)` pairs for point
     /// `p` at level `l` (positions clamped to the unit cube).
     pub fn corner_lookups(&self, l: usize, p: Vec3) -> CornerLookups {
-        let n = self.params[l].res;
+        let n = self.lanes.res(l);
         let clamp01 = |v: f32| v.clamp(0.0, 1.0);
         let scaled = [clamp01(p.x) * n as f32, clamp01(p.y) * n as f32, clamp01(p.z) * n as f32];
         let base = scaled.map(|v| (v.floor() as usize).min(n.saturating_sub(1)));
@@ -204,11 +267,15 @@ impl HashGrid {
 
     /// Encodes a point into a caller-provided buffer of length
     /// [`HashGridConfig::output_dims`] — the allocation-free form the
-    /// training arena uses. Bit-identical to [`HashGrid::encode`], and —
-    /// per the `fnr_tensor::simd` contract — bit-identical between the
-    /// AVX2 gather path and the scalar one: each output element receives
-    /// the same 8 `w · feature` products, multiplied then added in the
-    /// same (corner-ascending) order, whichever path runs.
+    /// training arena and the render loop use. Bit-identical to
+    /// [`HashGrid::encode`], and — per the `fnr_tensor::simd` contract —
+    /// bit-identical between the vector path and the scalar one. With
+    /// `F == 2` on an AVX2 host, each 8-level (AVX-512) or 4-level (AVX2)
+    /// chunk is planned levels-wide by the same kernel as
+    /// [`HashGrid::plan_into`], then gathered; leftover levels run the
+    /// scalar lookup. Each output element receives the same 8 `w ·
+    /// feature` products, multiplied then added in the same
+    /// (corner-ascending) order, whichever path runs.
     ///
     /// # Panics
     ///
@@ -226,19 +293,25 @@ impl HashGrid {
             if lv == fnr_tensor::simd::SimdLevel::Avx512 {
                 // 8 levels × 2 features = one 512-bit accumulator.
                 while l0 + 8 <= self.config.levels {
-                    self.chunk_lookups(l0, 8, p, &mut idx, &mut wts);
-                    // SAFETY: AVX-512F runtime-detected; all indices are
-                    // in bounds (corner_index masks within level_stride).
-                    unsafe { self.encode8_avx512(l0, idx.as_ptr(), wts.as_ptr(), 8, out) };
+                    // SAFETY: AVX-512F (hence AVX2) runtime-detected; the
+                    // plan writes slots `ci * 8 + k < 64`, and its indices
+                    // stay in bounds (masked within level_stride).
+                    unsafe {
+                        self.plan_levels_avx2(l0, 8, p, idx.as_mut_ptr(), wts.as_mut_ptr(), 8);
+                        self.encode8_avx512(l0, idx.as_ptr(), wts.as_ptr(), 8, out);
+                    }
                     l0 += 8;
                 }
             }
             if lv >= fnr_tensor::simd::SimdLevel::Avx2 {
                 // 4 levels × 2 features = one 256-bit accumulator.
                 while l0 + 4 <= self.config.levels {
-                    self.chunk_lookups(l0, 4, p, &mut idx, &mut wts);
-                    // SAFETY: AVX2 runtime-detected; indices in bounds.
-                    unsafe { self.encode4_avx2(l0, idx.as_ptr(), wts.as_ptr(), 4, out) };
+                    // SAFETY: AVX2 runtime-detected; the plan writes slots
+                    // `ci * 4 + k < 32`; indices in bounds.
+                    unsafe {
+                        self.plan_levels_avx2(l0, 4, p, idx.as_mut_ptr(), wts.as_mut_ptr(), 4);
+                        self.encode4_avx2(l0, idx.as_ptr(), wts.as_ptr(), 4, out);
+                    }
                     l0 += 4;
                 }
             }
@@ -253,37 +326,6 @@ impl HashGrid {
         }
     }
 
-    /// Fills the corner-major `(absolute element index, weight)` staging
-    /// arrays for a `k_levels`-level chunk starting at `l0` — the shared
-    /// front half of the gather kernels (slot `ci * k_levels + k`).
-    #[cfg(target_arch = "x86_64")]
-    fn chunk_lookups(&self, l0: usize, k_levels: usize, p: Vec3, idx: &mut [i32; 64], wts: &mut [f32; 64]) {
-        if fnr_tensor::simd::level() >= fnr_tensor::simd::SimdLevel::Avx2 {
-            for k in 0..k_levels {
-                // SAFETY: AVX2 runtime-detected; slot `7 * k_levels + k`
-                // stays within the 64-entry staging arrays.
-                unsafe {
-                    self.corner_plan_avx2(
-                        l0 + k,
-                        p,
-                        idx.as_mut_ptr().add(k),
-                        wts.as_mut_ptr().add(k),
-                        k_levels,
-                    )
-                };
-            }
-            return;
-        }
-        let f = self.config.features;
-        for k in 0..k_levels {
-            let elem_base = (l0 + k) * self.level_stride;
-            for (ci, (index, w)) in self.corner_lookups(l0 + k, p).into_iter().enumerate() {
-                idx[ci * k_levels + k] = (elem_base + index * f) as i32;
-                wts[ci * k_levels + k] = w;
-            }
-        }
-    }
-
     /// AVX2 encode of the 4-level chunk starting at `l0` (requires
     /// `F == 2`): per corner, one 64-bit gather fetches the feature pair
     /// of all 4 levels, and a duplicated-weight vector multiplies them in.
@@ -294,7 +336,7 @@ impl HashGrid {
     /// `idx`/`wts` hold one entry per `(corner, level)` at slot
     /// `ci * stride + k` — absolute f32 element indices into
     /// [`HashGrid::tables`] (even, since `F == 2`) and trilinear weights,
-    /// from [`HashGrid::chunk_lookups`] or an [`EncodePlan`].
+    /// from [`HashGrid::plan_levels_avx2`] or an [`EncodePlan`].
     ///
     /// # Safety
     ///
@@ -357,7 +399,10 @@ impl HashGrid {
     /// reusing its buffers (no steady-state allocation). The plan holds
     /// exactly the lookups [`HashGrid::encode_into`] and
     /// [`HashGrid::accumulate_grad`] would each recompute — building it
-    /// once halves the hash/trilinear arithmetic of a training sample.
+    /// once halves the hash/trilinear arithmetic of a training sample. On
+    /// AVX2 hosts it is built 8 levels at a time (lane = level), with a
+    /// masked store for a final chunk of fewer than 8 levels;
+    /// bit-identical to the scalar per-level loop.
     pub fn plan_into(&self, p: Vec3, plan: &mut EncodePlan) {
         let levels = self.config.levels;
         let f = self.config.features;
@@ -366,14 +411,17 @@ impl HashGrid {
         plan.w.resize(levels * 8, 0.0);
         #[cfg(target_arch = "x86_64")]
         if fnr_tensor::simd::level() >= fnr_tensor::simd::SimdLevel::Avx2 {
-            for l in 0..levels {
-                // SAFETY: AVX2 runtime-detected; plan buffers sized above.
+            for l0 in (0..levels).step_by(8) {
+                // SAFETY: AVX2 runtime-detected; with `k = min(8, levels −
+                // l0)` lanes the kernel writes slots `ci * levels + l0 + j`
+                // for `j < k`, all inside the buffers sized above.
                 unsafe {
-                    self.corner_plan_avx2(
-                        l,
+                    self.plan_levels_avx2(
+                        l0,
+                        (levels - l0).min(8),
                         p,
-                        plan.idx.as_mut_ptr().add(l),
-                        plan.w.as_mut_ptr().add(l),
+                        plan.idx.as_mut_ptr().add(l0),
+                        plan.w.as_mut_ptr().add(l0),
                         levels,
                     )
                 };
@@ -389,89 +437,81 @@ impl HashGrid {
         }
     }
 
-    /// All 8 corner `(absolute element index, trilinear weight)` pairs of
-    /// one level computed across AVX2 lanes (lane = corner), written to
-    /// `idx_out`/`w_out` at slots `ci * stride`. Bit-identical to
-    /// [`HashGrid::corner_lookups`]:
+    /// The corner lookups of point `p` at levels `l0 .. l0 + k` (`1 ≤ k ≤
+    /// 8`), computed across AVX2 lanes (lane = level): corner `ci`'s
+    /// absolute element indices and trilinear weights for the `k` levels
+    /// land with one (masked, when `k < 8`) vector store each at
+    /// `idx_out`/`w_out` slots `ci * stride .. ci * stride + k`.
+    /// Bit-identical to [`HashGrid::corner_lookups`]:
     ///
-    /// - weights: the scalar loop computes `((1·sx)·sy)·sz`; `1·x == x`
-    ///   bitwise for finite `x`, so `mul(mul(wx, wy), wz)` performs the
-    ///   same two roundings per lane;
-    /// - hashed indices: the table mask keeps only the low
-    ///   `log2_table_size` (< 32) bits, and the low 32 bits of the u64
-    ///   `corner · prime` product equal the u32 `mullo` of the low 32
-    ///   bits (both primes fit u32), so the masked index is exact;
-    /// - dense indices: `(c0·n + c1)·n + c2` stays far below 2³¹.
+    /// - per axis, the same clamp (scalar, shared by every lane), `· N_l`,
+    ///   floor, `min(N_l − 1)` and `scaled − base` as the scalar code; a
+    ///   NaN coordinate converts to `i32::MIN`, and the extra `max(0)`
+    ///   maps it to 0 as the saturating `as usize` cast does;
+    /// - weights: the scalar loop computes `((1·wx)·wy)·wz`; `1·x == x`
+    ///   bitwise, so `(wx·wy)·wz` performs the same two roundings;
+    /// - indices: see [`LevelLanes`] — both the dense and the hashed form
+    ///   equal the scalar `usize` index modulo 2³², and so does
+    ///   `l·level_stride + entry·F`.
     ///
     /// # Safety
     ///
-    /// The CPU must support AVX2; `idx_out`/`w_out` must be writable at
-    /// the 8 strided slots.
+    /// The CPU must support AVX2; `1 ≤ k ≤ 8`, `l0 < levels`, and
+    /// `idx_out`/`w_out` must be writable at the `8 · k` slots above.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    unsafe fn corner_plan_avx2(
+    unsafe fn plan_levels_avx2(
         &self,
-        l: usize,
+        l0: usize,
+        k: usize,
         p: Vec3,
         idx_out: *mut i32,
         w_out: *mut f32,
         stride: usize,
     ) {
         use std::arch::x86_64::*;
-        let n = self.params[l].res;
-        let clamp01 = |v: f32| v.clamp(0.0, 1.0);
-        let scaled = [clamp01(p.x) * n as f32, clamp01(p.y) * n as f32, clamp01(p.z) * n as f32];
-        let base = scaled.map(|v| (v.floor() as usize).min(n.saturating_sub(1)));
-        let frac =
-            [scaled[0] - base[0] as f32, scaled[1] - base[1] as f32, scaled[2] - base[2] as f32];
-        let (fx, fy, fz) = (frac[0], frac[1], frac[2]);
-        let (gx, gy, gz) = (1.0 - fx, 1.0 - fy, 1.0 - fz);
-        // Lane ci uses frac[d] when bit d of ci is set, 1 − frac[d]
-        // otherwise — the same selection as the scalar offs loop.
-        let wx = _mm256_set_ps(fx, gx, fx, gx, fx, gx, fx, gx);
-        let wy = _mm256_set_ps(fy, fy, gy, gy, fy, fy, gy, gy);
-        let wz = _mm256_set_ps(fz, fz, fz, fz, gz, gz, gz, gz);
-        let w = _mm256_mul_ps(_mm256_mul_ps(wx, wy), wz);
-        let c0 = _mm256_add_epi32(
-            _mm256_set1_epi32(base[0] as i32),
-            _mm256_setr_epi32(0, 1, 0, 1, 0, 1, 0, 1),
-        );
-        let c1 = _mm256_add_epi32(
-            _mm256_set1_epi32(base[1] as i32),
-            _mm256_setr_epi32(0, 0, 1, 1, 0, 0, 1, 1),
-        );
-        let c2 = _mm256_add_epi32(
-            _mm256_set1_epi32(base[2] as i32),
-            _mm256_setr_epi32(0, 0, 0, 0, 1, 1, 1, 1),
-        );
-        let idx = if self.params[l].dense {
-            let n1 = _mm256_set1_epi32((n + 1) as i32);
-            _mm256_add_epi32(
-                _mm256_mullo_epi32(_mm256_add_epi32(_mm256_mullo_epi32(c0, n1), c1), n1),
-                c2,
-            )
-        } else {
-            let h = _mm256_xor_si256(
-                c0,
-                _mm256_xor_si256(
-                    _mm256_mullo_epi32(c1, _mm256_set1_epi32(PRIMES[1] as u32 as i32)),
-                    _mm256_mullo_epi32(c2, _mm256_set1_epi32(PRIMES[2] as u32 as i32)),
-                ),
-            );
-            _mm256_and_si256(h, _mm256_set1_epi32(((1usize << self.config.log2_table_size) - 1) as i32))
+        let load = |field: usize| {
+            _mm256_loadu_si256(self.lanes.row(field).as_ptr().add(l0) as *const __m256i)
         };
-        // Absolute element index: level base + entry · F.
-        let elem = _mm256_add_epi32(
-            _mm256_set1_epi32((l * self.level_stride) as i32),
-            _mm256_mullo_epi32(idx, _mm256_set1_epi32(self.config.features as i32)),
-        );
-        let mut elems = [0i32; 8];
-        let mut weights = [0f32; 8];
-        _mm256_storeu_si256(elems.as_mut_ptr() as *mut __m256i, elem);
-        _mm256_storeu_ps(weights.as_mut_ptr(), w);
+        // `N_l as f32` from the i32 lane: both round the same integer.
+        let res = _mm256_cvtepi32_ps(load(LevelLanes::RES));
+        let max_base = load(LevelLanes::MAX_BASE);
+        let zero = _mm256_setzero_si256();
+        let one = _mm256_set1_epi32(1);
+        // Per axis d and offset o ∈ {0, 1}: the entry term `(base + o) ·
+        // mul` and the weight (`1 − frac` for o = 0, `frac` for o = 1).
+        let mut term = [[zero; 2]; 3];
+        let mut weight = [[_mm256_setzero_ps(); 2]; 3];
+        for (d, v) in [p.x, p.y, p.z].into_iter().enumerate() {
+            let scaled = _mm256_mul_ps(_mm256_set1_ps(v.clamp(0.0, 1.0)), res);
+            let floor = _mm256_round_ps::<{ _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC }>(scaled);
+            let base = _mm256_min_epi32(_mm256_max_epi32(_mm256_cvttps_epi32(floor), zero), max_base);
+            let frac = _mm256_sub_ps(scaled, _mm256_cvtepi32_ps(base));
+            let mul = load(LevelLanes::MUL[d]);
+            term[d] = [_mm256_mullo_epi32(base, mul), _mm256_mullo_epi32(_mm256_add_epi32(base, one), mul)];
+            weight[d] = [_mm256_sub_ps(_mm256_set1_ps(1.0), frac), frac];
+        }
+        let dense = load(LevelLanes::DENSE);
+        let mask = load(LevelLanes::MASK);
+        let level_base = load(LevelLanes::BASE);
+        let features = _mm256_set1_epi32(self.config.features as i32);
+        let live = _mm256_cmpgt_epi32(_mm256_set1_epi32(k as i32), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
         for ci in 0..8 {
-            *idx_out.add(ci * stride) = elems[ci];
-            *w_out.add(ci * stride) = weights[ci];
+            let (ox, oy, oz) = (ci & 1, (ci >> 1) & 1, ci >> 2);
+            let w = _mm256_mul_ps(_mm256_mul_ps(weight[0][ox], weight[1][oy]), weight[2][oz]);
+            let (tx, ty, tz) = (term[0][ox], term[1][oy], term[2][oz]);
+            let sum = _mm256_add_epi32(_mm256_add_epi32(tx, ty), tz);
+            let hash = _mm256_xor_si256(_mm256_xor_si256(tx, ty), tz);
+            let entry = _mm256_and_si256(_mm256_blendv_epi8(hash, sum, dense), mask);
+            let elem = _mm256_add_epi32(level_base, _mm256_mullo_epi32(entry, features));
+            let (idx_at, w_at) = (idx_out.add(ci * stride), w_out.add(ci * stride));
+            if k == 8 {
+                _mm256_storeu_si256(idx_at as *mut __m256i, elem);
+                _mm256_storeu_ps(w_at, w);
+            } else {
+                _mm256_maskstore_epi32(idx_at, live, elem);
+                _mm256_maskstore_ps(w_at, live, w);
+            }
         }
     }
 
@@ -712,6 +752,102 @@ mod tests {
         let bumped = g.encode(p)[0];
         let numeric = (bumped - base) / eps;
         assert!((analytic - numeric).abs() < 1e-3, "{analytic} vs {numeric}");
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+        use rand::{Rng, SeedableRng};
+
+        /// Level counts around the 4- and 8-level chunk widths.
+        const LEVELS: [usize; 7] = [1, 3, 4, 5, 8, 12, 16];
+
+        fn bits_eq(a: &[f32], b: &[f32]) -> bool {
+            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+        }
+
+        /// Points inside and outside `[0, 1]³`, including exact faces and
+        /// a NaN coordinate.
+        fn points(seed: u64) -> Vec<Vec3> {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut coord = move || match rng.gen_range(0..8u32) {
+                0 => 0.0,
+                1 => 1.0,
+                2 => -0.0,
+                _ => rng.gen_range(-0.5f32..1.5),
+            };
+            let mut pts: Vec<Vec3> = (0..24).map(|_| Vec3::new(coord(), coord(), coord())).collect();
+            pts.push(Vec3::new(f32::NAN, 0.3, 0.7));
+            pts
+        }
+
+        /// Plan, unplanned encode and planned encode of every point.
+        fn run(g: &HashGrid, pts: &[Vec3]) -> Vec<(EncodePlan, Vec<f32>, Vec<f32>)> {
+            let dims = g.config().output_dims();
+            pts.iter()
+                .map(|&p| {
+                    let mut plan = EncodePlan::default();
+                    g.plan_into(p, &mut plan);
+                    let mut direct = vec![0.0f32; dims];
+                    g.encode_into(p, &mut direct);
+                    let mut planned = vec![0.0f32; dims];
+                    g.encode_planned(&plan, &mut planned);
+                    (plan, direct, planned)
+                })
+                .collect()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// The levels-wide AVX2 plan and the gather encodes it feeds
+            /// equal the scalar path bit for bit, on grids mixing dense
+            /// and hashed levels, with level counts that leave partial
+            /// 8- and 4-level chunks; and the planned gradient scatter
+            /// still equals the unplanned one. `force_scalar` is
+            /// process-global, but every path is bit-identical, so a
+            /// concurrent test only ever sees correct results.
+            #[test]
+            fn prop_plan_and_encodes_match_the_scalar_path_bitwise(
+                li in 0usize..7,
+                log2 in 9usize..15,
+                features in 1usize..4,
+                base in 2usize..20,
+                seed in 0u64..1000,
+            ) {
+                let growth = 1.2 + (seed % 7) as f32 * 0.1;
+                let config = HashGridConfig {
+                    levels: LEVELS[li],
+                    log2_table_size: log2,
+                    features,
+                    base_resolution: base,
+                    growth,
+                };
+                let g = HashGrid::new(config, 0.1, seed);
+                let pts = points(seed);
+                let fast = run(&g, &pts);
+                fnr_tensor::simd::force_scalar(true);
+                let slow = run(&g, &pts);
+                fnr_tensor::simd::force_scalar(false);
+                for (i, (f, s)) in fast.iter().zip(&slow).enumerate() {
+                    prop_assert!(f.0.idx == s.0.idx, "point {i} {:?}: plan indices drifted", pts[i]);
+                    prop_assert!(bits_eq(&f.0.w, &s.0.w), "point {i} {:?}: plan weights drifted", pts[i]);
+                    prop_assert!(bits_eq(&f.1, &s.1), "point {i} {:?}: encode_into drifted", pts[i]);
+                    prop_assert!(bits_eq(&f.2, &s.2), "point {i} {:?}: encode_planned drifted", pts[i]);
+                }
+                let d_out: Vec<f32> =
+                    (0..config.output_dims()).map(|j| (j as f32 + 1.0) * 0.17 - 1.3).collect();
+                let mut plan = EncodePlan::default();
+                for &p in &pts {
+                    g.plan_into(p, &mut plan);
+                    let mut grad_direct = g.zero_grad();
+                    let mut grad_planned = g.zero_grad();
+                    g.accumulate_grad(p, &d_out, &mut grad_direct);
+                    g.accumulate_grad_planned(&plan, &d_out, &mut grad_planned);
+                    prop_assert!(bits_eq(&grad_direct, &grad_planned), "{p:?}: gradient scatter drifted");
+                }
+            }
+        }
     }
 
     #[test]

@@ -564,15 +564,14 @@ impl Mlp {
 /// the exact failure mode the outlier-aware variant fixes.
 #[derive(Debug, Clone)]
 pub struct QuantizedMlp {
-    /// Per-layer `(dequantized weights, bias)`. The quantize→dequantize
-    /// round trip is baked once at construction — numerically identical to
-    /// dequantizing inside every forward call, but it takes the per-sample
-    /// weight materialization off the inference hot path entirely.
-    layers: Vec<(Matrix<f32>, Vec<f32>)>,
-    /// Transposed (`in × out`) copies of the dequantized weights, likewise
-    /// baked at construction, so the forward MAC loop runs as SIMD axpy
-    /// stripes (see [`PackedMlp`] for the bit-identity argument).
+    /// Transposed (`in × out`) dequantized weights per layer. The
+    /// quantize→dequantize round trip and the transpose are baked once at
+    /// construction, so the forward MAC loop runs as SIMD axpy stripes
+    /// with no per-sample weight materialization (see [`PackedMlp`] for
+    /// the bit-identity argument).
     packed: Vec<Matrix<f32>>,
+    /// Per-layer biases; their lengths are the layer output widths.
+    bias: Vec<Vec<f32>>,
     precision: Precision,
     /// Per-layer static activation scales (absolute max seen during
     /// calibration), `None` before calibration (falls back to dynamic).
@@ -609,25 +608,37 @@ pub(crate) fn with_quant_tls<R>(f: impl FnOnce(&mut QuantScratch) -> R) -> R {
     QUANT_TLS.with(|s| f(&mut s.borrow_mut()))
 }
 
-/// Quantizes an activation vector with a fixed absolute-max `amax` scale
-/// into `out` (cleared first).
-fn quantize_activations_static_into(
-    a: &[f32],
-    precision: Precision,
-    amax: f32,
-    out: &mut Vec<f32>,
-) {
-    out.clear();
-    let (lo, hi) = precision.range();
-    if amax == 0.0 {
-        out.extend_from_slice(a);
-        return;
+/// The forward loop both quantized MLPs share: per layer, `quantize(i,
+/// a, aq)` writes the quantized image of the running activation `a` into
+/// `aq` (same length), then the packed MAC and the hidden ReLU run on it.
+fn quantized_forward<'s>(
+    packed: &[Matrix<f32>],
+    bias: &[Vec<f32>],
+    x: &[f32],
+    scratch: &'s mut QuantScratch,
+    mut quantize: impl FnMut(usize, &[f32], &mut [f32]),
+) -> &'s [f32] {
+    let QuantScratch { a, aq, z } = scratch;
+    a.clear();
+    a.extend_from_slice(x);
+    let last = packed.len() - 1;
+    for (i, (wt, bias)) in packed.iter().zip(bias).enumerate() {
+        aq.resize(a.len(), 0.0);
+        quantize(i, a, aq);
+        // Packed MAC through the whole-layer kernel, which overwrites
+        // every output: zeroed accumulators + ascending-input stripes +
+        // bias last — the exact per-output addition sequence of the
+        // row-wise dot-product loop it replaces.
+        z.resize(bias.len(), 0.0);
+        fnr_tensor::simd::layer_forward(z, wt.as_slice(), aq, bias);
+        if i != last {
+            for v in z.iter_mut() {
+                *v = v.max(0.0);
+            }
+        }
+        std::mem::swap(a, z);
     }
-    let scale = amax / hi as f32;
-    out.extend(a.iter().map(|&v| {
-        let q = (v / scale).round().clamp(lo as f32, hi as f32);
-        q * scale
-    }));
+    a
 }
 
 impl QuantizedMlp {
@@ -636,13 +647,10 @@ impl QuantizedMlp {
     /// [`QuantizedMlp::calibrate`] before inference.
     pub fn quantize(mlp: &Mlp, precision: Precision) -> Self {
         let q = Quantizer::per_tensor(precision);
-        let layers: Vec<(Matrix<f32>, Vec<f32>)> = mlp
-            .layers()
-            .iter()
-            .map(|l| (q.quantize(&l.weights).dequantize(), l.bias.clone()))
-            .collect();
-        let packed = layers.iter().map(|(w, _)| w.transpose()).collect();
-        QuantizedMlp { layers, packed, precision, act_amax: None }
+        let packed =
+            mlp.layers().iter().map(|l| q.quantize(&l.weights).dequantize().transpose()).collect();
+        let bias = mlp.layers().iter().map(|l| l.bias.clone()).collect();
+        QuantizedMlp { packed, bias, precision, act_amax: None }
     }
 
     /// Calibrates per-layer static activation ranges by running the FP32
@@ -667,33 +675,22 @@ impl QuantizedMlp {
     }
 
     /// Allocation-free forward pass through `scratch`'s staging buffers;
-    /// bit-identical to [`QuantizedMlp::forward`].
+    /// bit-identical to [`QuantizedMlp::forward`]. Each layer's
+    /// activations quantize at the static `amax / hi` step through the
+    /// [`fnr_tensor::simd::quantize_static`] kernel.
     pub fn forward_into<'s>(&self, x: &[f32], scratch: &'s mut QuantScratch) -> &'s [f32] {
-        let QuantScratch { a, aq, z } = scratch;
-        a.clear();
-        a.extend_from_slice(x);
-        let last = self.layers.len() - 1;
-        for (i, (w, bias)) in self.layers.iter().enumerate() {
+        let (lo, hi) = self.precision.range();
+        quantized_forward(&self.packed, &self.bias, x, scratch, |i, a, aq| {
             let amax = match &self.act_amax {
                 Some(v) => v[i],
                 None => a.iter().fold(0.0f32, |m, &v| m.max(v.abs())),
             };
-            quantize_activations_static_into(a, self.precision, amax, aq);
-            // Packed MAC through the whole-layer kernel: zeroed
-            // accumulators + ascending-input stripes + bias last — the
-            // exact per-output addition sequence of the row-wise
-            // dot-product loop it replaces.
-            z.clear();
-            z.resize(w.rows(), 0.0);
-            fnr_tensor::simd::layer_forward(z, self.packed[i].as_slice(), aq, bias);
-            if i != last {
-                for v in z.iter_mut() {
-                    *v = v.max(0.0);
-                }
+            if amax == 0.0 {
+                aq.copy_from_slice(a);
+            } else {
+                fnr_tensor::simd::quantize_static(aq, a, amax / hi as f32, lo as f32, hi as f32);
             }
-            std::mem::swap(a, z);
-        }
-        a
+        })
     }
 }
 
@@ -702,12 +699,12 @@ impl QuantizedMlp {
 /// of §6.3.2).
 #[derive(Debug, Clone)]
 pub struct OutlierQuantizedMlp {
-    /// Per-layer `(dequantized weights, bias)` — body + INT16 outliers
-    /// baked once at construction, exactly as [`QuantizedMlp`] does.
-    layers: Vec<(Matrix<f32>, Vec<f32>)>,
-    /// Transposed (`in × out`) dequantized weights for the SIMD axpy
-    /// forward loop, baked at construction like [`QuantizedMlp`]'s.
+    /// Transposed (`in × out`) dequantized weights — body + INT16
+    /// outliers — baked once at construction, exactly as
+    /// [`QuantizedMlp`] does.
     packed: Vec<Matrix<f32>>,
+    /// Per-layer biases; their lengths are the layer output widths.
+    bias: Vec<Vec<f32>>,
     precision: Precision,
     outlier_fraction: f64,
     /// Per-layer `(body threshold, full amax)` activation calibration.
@@ -718,15 +715,13 @@ impl OutlierQuantizedMlp {
     /// Quantizes with `outlier_fraction` of weights kept at INT16.
     pub fn quantize(mlp: &Mlp, precision: Precision, outlier_fraction: f64) -> Self {
         let q = Quantizer::per_row(precision);
-        let layers: Vec<(Matrix<f32>, Vec<f32>)> = mlp
+        let packed = mlp
             .layers()
             .iter()
-            .map(|l| {
-                (q.quantize_outlier_aware(&l.weights, outlier_fraction).dequantize(), l.bias.clone())
-            })
+            .map(|l| q.quantize_outlier_aware(&l.weights, outlier_fraction).dequantize().transpose())
             .collect();
-        let packed = layers.iter().map(|(w, _)| w.transpose()).collect();
-        OutlierQuantizedMlp { layers, packed, precision, outlier_fraction, act_ranges: None }
+        let bias = mlp.layers().iter().map(|l| l.bias.clone()).collect();
+        OutlierQuantizedMlp { packed, bias, precision, outlier_fraction, act_ranges: None }
     }
 
     /// Calibrates per-layer activation ranges: the body threshold is the
@@ -764,14 +759,14 @@ impl OutlierQuantizedMlp {
     }
 
     /// Allocation-free forward pass through `scratch`'s staging buffers;
-    /// bit-identical to [`OutlierQuantizedMlp::forward`].
+    /// bit-identical to [`OutlierQuantizedMlp::forward`]. The whole layer
+    /// first quantizes at the body step through the
+    /// [`fnr_tensor::simd::quantize_static`] kernel; the outlier lanes
+    /// (every `v` that fails `|v| <= thr`) are then overwritten from the
+    /// scalar INT16 side path.
     pub fn forward_into<'s>(&self, x: &[f32], scratch: &'s mut QuantScratch) -> &'s [f32] {
-        let QuantScratch { a, aq, z } = scratch;
-        a.clear();
-        a.extend_from_slice(x);
-        let last = self.layers.len() - 1;
-        let (_, hi) = self.precision.range();
-        for (i, (w, bias)) in self.layers.iter().enumerate() {
+        let (lo, hi) = self.precision.range();
+        quantized_forward(&self.packed, &self.bias, x, scratch, |i, a, aq| {
             let (thr, amax) = match &self.act_ranges {
                 Some(v) => v[i],
                 None => {
@@ -779,30 +774,20 @@ impl OutlierQuantizedMlp {
                     (m, m)
                 }
             };
-            aq.clear();
-            aq.extend(a.iter().map(|&v| {
-                if v.abs() <= thr || thr == 0.0 {
-                    let scale = if thr == 0.0 { 1.0 } else { thr / hi as f32 };
-                    (v / scale).round().clamp(self.precision.range().0 as f32, hi as f32)
-                        * scale
-                } else {
-                    // INT16 side path over the full range.
-                    let scale = amax.max(v.abs()) / 32767.0;
-                    (v / scale).round().clamp(-32768.0, 32767.0) * scale
-                }
-            }));
-            // Packed MAC; same bit-identity argument as [`QuantizedMlp`].
-            z.clear();
-            z.resize(w.rows(), 0.0);
-            fnr_tensor::simd::layer_forward(z, self.packed[i].as_slice(), aq, bias);
-            if i != last {
-                for v in z.iter_mut() {
-                    *v = v.max(0.0);
-                }
+            let scale = if thr == 0.0 { 1.0 } else { thr / hi as f32 };
+            fnr_tensor::simd::quantize_static(aq, a, scale, lo as f32, hi as f32);
+            if thr == 0.0 {
+                return;
             }
-            std::mem::swap(a, z);
-        }
-        a
+            for (q, &v) in aq.iter_mut().zip(a) {
+                if v.abs() <= thr {
+                    continue;
+                }
+                // INT16 side path over the full range.
+                let scale = amax.max(v.abs()) / 32767.0;
+                *q = (v / scale).round().clamp(-32768.0, 32767.0) * scale;
+            }
+        })
     }
 }
 

@@ -367,6 +367,7 @@ impl NgpModel {
         let mut img = Image::new(w, rows);
         fnr_par::par_for_chunks(img.pixels_mut(), w.max(1), |yy, row| {
             let y = row0 + yy;
+            let mut enc = vec![0.0f32; self.grid.config().output_dims()];
             for (x, px) in row.iter_mut().enumerate() {
                 let ray = camera.ray(x, y, w, h);
                 let samples = sample_ray(&ray, spp, occupancy);
@@ -374,7 +375,7 @@ impl NgpModel {
                     .iter()
                     .filter(|s| s.active)
                     .map(|s| {
-                        let enc = self.grid.encode(s.position);
+                        self.grid.encode_into(s.position, &mut enc);
                         let raw = head(&enc);
                         ShadedSample {
                             sigma: softplus(raw[0]),
@@ -455,9 +456,7 @@ pub fn quantize_grid(grid: &HashGrid, precision: Precision, outliers: Option<f64
             let amax = grid.tables().iter().fold(0.0f32, |m, &v| m.max(v.abs()));
             let (lo, hi) = precision.range();
             let scale = if amax == 0.0 { 1.0 } else { amax / hi as f32 };
-            for (o, &v) in out.tables_mut().iter_mut().zip(grid.tables()) {
-                *o = (v / scale).round().clamp(lo as f32, hi as f32) * scale;
-            }
+            fnr_tensor::simd::quantize_static(out.tables_mut(), grid.tables(), scale, lo as f32, hi as f32);
         }
         Some(frac) => {
             let q = Quantizer::per_tensor(precision);

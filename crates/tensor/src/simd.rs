@@ -23,9 +23,19 @@
 //!   twice, so the vector kernels use separate `mul_ps` / `add_ps` even
 //!   on FMA hardware (the feature is detected only so [`active`] can
 //!   report it).
-//! - Division and square root *are* used vectorized (in [`adam_step`]):
-//!   `vdivps` / `vsqrtps` are IEEE correctly rounded, so they match the
-//!   scalar `/` and `f32::sqrt` exactly.
+//! - Division and square root *are* used vectorized (in [`adam_step`] and
+//!   [`quantize_static`]): `vdivps` / `vsqrtps` are IEEE correctly
+//!   rounded, so they match the scalar `/` and `f32::sqrt` exactly.
+//! - Round-to-integer is emulated exactly, never approximated: round half
+//!   away from zero is `t = trunc(x)`, plus `copysign(1, x)` where
+//!   `|x − t| ≥ 0.5`. `x − t` is exact and every `|x| ≥ 2²³` is already
+//!   integral, so this is [`f32::round`] bit for bit, ±0, ±∞ and NaN
+//!   included. The increment is blended in, never added as a masked
+//!   `±0.0`, which would turn a `-0.0` result into `+0.0`.
+//! - Clamps are `min(hi, max(lo, r))`, bounds first: `vminps` / `vmaxps`
+//!   return their second operand when either is NaN or both are zeros,
+//!   so a NaN or signed-zero `r` passes through exactly as [`f32::clamp`]
+//!   returns it. The other operand order would clamp NaN to a bound.
 //!
 //! The whole-layer kernels ([`layer_forward`], [`layer_backward`]) exist
 //! because per-stripe [`axpy`] calls on 16–32-element rows spend more
@@ -347,6 +357,54 @@ pub fn adam_step_scalar(
         let mhat = m[i] / bc1;
         let vhat = v[i] / bc2;
         params[i] -= lr * mhat / (vhat.sqrt() + eps);
+    }
+}
+
+/// `out[j] = round(a[j] / scale).clamp(lo, hi) * scale` — the static
+/// activation quantizer of the integer inference paths: divide by the
+/// step, round half away from zero, clamp to the integer range, and
+/// dequantize. Bit-identical to [`quantize_static_scalar`] at every level,
+/// and so to the `(v / scale).round().clamp(lo, hi) * scale` expression it
+/// replaces, for every input including ±0, ±∞, NaN and subnormals.
+///
+/// `lo <= hi` must hold and neither may be NaN, as for [`f32::clamp`]
+/// (whose panic the scalar twin keeps).
+///
+/// # Panics
+///
+/// Panics if the slices differ in length.
+#[inline]
+pub fn quantize_static(out: &mut [f32], a: &[f32], scale: f32, lo: f32, hi: f32) {
+    assert_eq!(out.len(), a.len(), "quantize length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    {
+        let lv = level();
+        // SAFETY: the matching CPU feature was runtime-detected, and the
+        // lengths are equal (asserted above).
+        if lv == SimdLevel::Avx512 {
+            unsafe { quantize_static_avx512(out, a, scale, lo, hi) };
+            return;
+        }
+        if lv == SimdLevel::Avx2 {
+            unsafe { quantize_static_avx2(out, a, scale, lo, hi) };
+            return;
+        }
+    }
+    quantize_static_scalar(out, a, scale, lo, hi);
+}
+
+/// The portable twin of [`quantize_static`] — also the proptest oracle.
+/// It spells out the exact per-lane operation sequence of the vector
+/// kernels: a correctly rounded divide, round half away from zero as
+/// `t = trunc(x)` plus `copysign(1, x)` where `|x − t| ≥ 0.5` (`x − t` is
+/// exact, and any `|x| ≥ 2²³` is already integral, so this equals
+/// [`f32::round`]), a NaN-preserving clamp, then the multiply.
+pub fn quantize_static_scalar(out: &mut [f32], a: &[f32], scale: f32, lo: f32, hi: f32) {
+    for (o, &v) in out.iter_mut().zip(a) {
+        let x = v / scale;
+        let t = x.trunc();
+        let r = if (x - t).abs() >= 0.5 { t + 1.0f32.copysign(x) } else { t };
+        *o = r.clamp(lo, hi) * scale;
     }
 }
 
@@ -880,6 +938,82 @@ unsafe fn adam_step_avx512(
     }
 }
 
+/// AVX2 [`quantize_static`]: 8 lanes per step, the tail through masked
+/// loads and stores; the round and clamp follow the module docs'
+/// bit-identity contract.
+///
+/// # Safety
+///
+/// The CPU must support AVX2 and the slices must have equal length.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn quantize_static_avx2(out: &mut [f32], a: &[f32], scale: f32, lo: f32, hi: f32) {
+    use std::arch::x86_64::*;
+    let n = out.len();
+    let vscale = _mm256_set1_ps(scale);
+    let (vlo, vhi) = (_mm256_set1_ps(lo), _mm256_set1_ps(hi));
+    let sign = _mm256_set1_ps(-0.0);
+    let (half, one) = (_mm256_set1_ps(0.5), _mm256_set1_ps(1.0));
+    let quantize = |v: __m256| {
+        let x = _mm256_div_ps(v, vscale);
+        let t = _mm256_round_ps::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(x);
+        let up = _mm256_cmp_ps::<_CMP_GE_OQ>(_mm256_andnot_ps(sign, _mm256_sub_ps(x, t)), half);
+        // Blend rather than add a masked step: `-0.0 + 0.0` would lose
+        // the sign of a truncated negative fraction.
+        let step = _mm256_or_ps(_mm256_and_ps(x, sign), one);
+        let r = _mm256_blendv_ps(t, _mm256_add_ps(t, step), up);
+        _mm256_mul_ps(_mm256_min_ps(vhi, _mm256_max_ps(vlo, r)), vscale)
+    };
+    let mut j = 0;
+    while j + 8 <= n {
+        let q = quantize(_mm256_loadu_ps(a.as_ptr().add(j)));
+        _mm256_storeu_ps(out.as_mut_ptr().add(j), q);
+        j += 8;
+    }
+    if j < n {
+        let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        let live = _mm256_cmpgt_epi32(_mm256_set1_epi32((n - j) as i32), lane);
+        let q = quantize(_mm256_maskload_ps(a.as_ptr().add(j), live));
+        _mm256_maskstore_ps(out.as_mut_ptr().add(j), live, q);
+    }
+}
+
+/// AVX-512 [`quantize_static`]: 16 lanes per step, one masked step for
+/// the tail; same operation sequence as [`quantize_static_avx2`].
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F and the slices must have equal length.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn quantize_static_avx512(out: &mut [f32], a: &[f32], scale: f32, lo: f32, hi: f32) {
+    use std::arch::x86_64::*;
+    let n = out.len();
+    let vscale = _mm512_set1_ps(scale);
+    let (vlo, vhi) = (_mm512_set1_ps(lo), _mm512_set1_ps(hi));
+    let sign = _mm512_set1_epi32(i32::MIN);
+    let (half, one) = (_mm512_set1_ps(0.5), _mm512_set1_epi32(1.0f32.to_bits() as i32));
+    let quantize = |v: __m512| {
+        let x = _mm512_div_ps(v, vscale);
+        let t = _mm512_roundscale_ps::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(x);
+        let up = _mm512_cmp_ps_mask::<_CMP_GE_OQ>(_mm512_abs_ps(_mm512_sub_ps(x, t)), half);
+        let step = _mm512_castsi512_ps(_mm512_or_si512(_mm512_and_si512(_mm512_castps_si512(x), sign), one));
+        let r = _mm512_mask_add_ps(t, up, t, step);
+        _mm512_mul_ps(_mm512_min_ps(vhi, _mm512_max_ps(vlo, r)), vscale)
+    };
+    let mut j = 0;
+    while j + 16 <= n {
+        let q = quantize(_mm512_loadu_ps(a.as_ptr().add(j)));
+        _mm512_storeu_ps(out.as_mut_ptr().add(j), q);
+        j += 16;
+    }
+    if j < n {
+        let live: __mmask16 = (1u16 << (n - j)) - 1;
+        let q = quantize(_mm512_maskz_loadu_ps(live, a.as_ptr().add(j)));
+        _mm512_mask_storeu_ps(out.as_mut_ptr().add(j), live, q);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -930,9 +1064,68 @@ mod tests {
         assert_eq!(level(), detected, "re-detection must restore the CPU decision");
     }
 
+    /// Quantizer steps: exact powers of two (so `(k + 0.5) · scale`
+    /// divides back to an exact half), arbitrary steps, and tiny, subnormal
+    /// and huge ones that push the quotient to 0 or ±∞.
+    const QUANT_SCALES: [f32; 12] =
+        [0.0078125, 0.125, 0.5, 1.0, 4.0, 1048576.0, 0.0117, 0.3, 7.3e12, 1e-38, 1e-45, 3e38];
+
+    /// The INT4 / INT8 / INT16 clamp ranges.
+    const QUANT_RANGES: [(f32, f32); 3] = [(-8.0, 7.0), (-128.0, 127.0), (-32768.0, 32767.0)];
+
+    /// The expression the quantizer kernels replace.
+    fn quantize_reference(v: f32, scale: f32, lo: f32, hi: f32) -> f32 {
+        (v / scale).round().clamp(lo, hi) * scale
+    }
+
+    #[test]
+    fn quantize_static_matches_f32_round_over_a_bit_pattern_sweep() {
+        // Every 65 521st bit pattern: both zeros, subnormals, every
+        // exponent, both infinities and NaNs of many payloads.
+        let a: Vec<f32> = (0..=u32::MAX).step_by(65_521).map(f32::from_bits).collect();
+        let mut fast = vec![0.0f32; a.len()];
+        let mut slow = vec![0.0f32; a.len()];
+        for scale in QUANT_SCALES {
+            for (lo, hi) in QUANT_RANGES {
+                quantize_static(&mut fast, &a, scale, lo, hi);
+                quantize_static_scalar(&mut slow, &a, scale, lo, hi);
+                for ((&v, f), s) in a.iter().zip(&fast).zip(&slow) {
+                    let want = quantize_reference(v, scale, lo, hi).to_bits();
+                    assert_eq!(s.to_bits(), want, "scalar twin: v={v:e} scale={scale:e}");
+                    assert_eq!(f.to_bits(), want, "dispatched: v={v:e} scale={scale:e}");
+                }
+            }
+        }
+    }
+
     mod props {
         use super::*;
         use proptest::prelude::*;
+
+        /// Activations that stress the quantizer once divided by `scale`:
+        /// ±0, exact halves inside and beyond `[lo, hi]`, the 2²³
+        /// boundary and its neighbours, ±∞, NaN, subnormals, arbitrary
+        /// bit patterns and plain values.
+        fn quant_inputs(n: usize, scale: f32, seed: u64) -> Vec<f32> {
+            const EDGES: [f32; 14] = [
+                0.0, -0.0, 8388608.0, -8388608.0, 8388607.5, -8388607.5, 8388609.0, -8388609.0,
+                16777216.0, 4194303.5, 0.49999997, -0.49999997, 1.5, -2.5,
+            ];
+            const RAW: [f32; 10] = [
+                f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -f32::NAN, 1e-45, -1e-45,
+                f32::MIN_POSITIVE, -1e-40, f32::MAX, f32::MIN,
+            ];
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            (0..n)
+                .map(|_| match rng.gen_range(0..5u32) {
+                    0 => (rng.gen_range(-40_000i32..40_000) as f32 + 0.5) * scale,
+                    1 => EDGES[rng.gen_range(0..EDGES.len())] * scale,
+                    2 => RAW[rng.gen_range(0..RAW.len())],
+                    3 => f32::from_bits(rng.gen_range(0..=u32::MAX)),
+                    _ => rng.gen_range(-40_000.0f32..40_000.0) * scale,
+                })
+                .collect()
+        }
 
         /// Random packed-layer shapes: (ins, outs) with widths crossing
         /// the 8- and 16-lane boundaries.
@@ -1066,6 +1259,50 @@ mod tests {
                 prop_assert!(bits_eq(&pf, &ps), "params drifted at n={n}");
                 prop_assert!(bits_eq(&mf, &ms), "m drifted at n={n}");
                 prop_assert!(bits_eq(&vf, &vs), "v drifted at n={n}");
+            }
+
+            /// The dispatched quantizer and each ISA kernel match the scalar
+            /// twin bit for bit, and the twin matches the `(v / scale)
+            /// .round().clamp(lo, hi) * scale` expression it replaced —
+            /// over every tail length 0–17 (prefixes of each case) and
+            /// whole multi-vector lengths.
+            #[test]
+            fn prop_quantize_static_bitwise_matches_scalar_twin(
+                n in 0usize..50,
+                si in 0usize..12,
+                ri in 0usize..3,
+                seed in 0u64..1000,
+            ) {
+                let scale = QUANT_SCALES[si];
+                let (lo, hi) = QUANT_RANGES[ri];
+                let input = quant_inputs(n, scale, seed);
+                for len in (0..=n.min(17)).chain([n]) {
+                    let a = &input[..len];
+                    let mut slow = vec![0.0f32; len];
+                    quantize_static_scalar(&mut slow, a, scale, lo, hi);
+                    for (&v, s) in a.iter().zip(&slow) {
+                        let want = quantize_reference(v, scale, lo, hi);
+                        prop_assert!(s.to_bits() == want.to_bits(), "twin: v={v:e} {s:e} vs {want:e}");
+                    }
+                    let mut fast = vec![0.0f32; len];
+                    quantize_static(&mut fast, a, scale, lo, hi);
+                    prop_assert!(bits_eq(&fast, &slow), "dispatched, len {len}: {fast:?} vs {slow:?}");
+                    #[cfg(target_arch = "x86_64")]
+                    {
+                        if std::arch::is_x86_feature_detected!("avx2") {
+                            let mut fast = vec![0.0f32; len];
+                            // SAFETY: AVX2 detected above; equal lengths.
+                            unsafe { quantize_static_avx2(&mut fast, a, scale, lo, hi) };
+                            prop_assert!(bits_eq(&fast, &slow), "avx2, len {len}: {fast:?} vs {slow:?}");
+                        }
+                        if std::arch::is_x86_feature_detected!("avx512f") {
+                            let mut fast = vec![0.0f32; len];
+                            // SAFETY: AVX-512F detected above; equal lengths.
+                            unsafe { quantize_static_avx512(&mut fast, a, scale, lo, hi) };
+                            prop_assert!(bits_eq(&fast, &slow), "avx512, len {len}: {fast:?} vs {slow:?}");
+                        }
+                    }
+                }
             }
 
             /// Direct ISA coverage: on CPUs with both families, the AVX2
