@@ -482,9 +482,8 @@ impl Mlp {
 
     /// Batched forward pass: stacks `xs` into a row-per-sample activation
     /// matrix and drives each layer as one `X · Wᵀ + b` product through
-    /// [`Matrix::matmul`] — so batched post-ReLU activations at ≥75 %
-    /// sparsity automatically take the `CsrMatrix<f32>` Gustavson route,
-    /// the software mirror of the accelerator exploiting ReLU sparsity.
+    /// [`Matrix::matmul`], whose blocked kernel skips the zero activations
+    /// ReLU leaves behind.
     ///
     /// Returns every activation matrix, input first (length `layers + 1`;
     /// entry `i` is the input to layer `i`, the last entry the network
@@ -655,7 +654,7 @@ impl QuantizedMlp {
 
     /// Calibrates per-layer static activation ranges by running the FP32
     /// reference over a calibration batch — one batched forward pass
-    /// through the auto-routed matmul kernels ([`Mlp::forward_batch`])
+    /// through the matmul kernel ([`Mlp::forward_batch`])
     /// rather than a per-sample loop. `amax` reduces through `abs()`, so
     /// the result is identical to per-sample calibration.
     pub fn calibrate(&mut self, reference: &Mlp, samples: &[Vec<f32>]) {

@@ -19,9 +19,18 @@
 //! counters, cache ratios and latency histograms are byte-identical at
 //! any `FNR_THREADS`; the decided batches then render for real over
 //! `fnr_par` (or produce tiny synthetic hash payloads for
-//! million-request runs). This extends the single-server `run_virtual`
-//! equivalence methodology to a cluster; `--replicas 1` with no faults
-//! reproduces `run_virtual` exactly (pinned in `tests/serve_equivalence.rs`).
+//! million-request runs). This is the only virtual-clock event loop:
+//! `run_virtual` is this simulator over one replica with no faults, a free
+//! model cache and an unbounded front door, so the 1-replica equivalence
+//! holds by construction.
+//!
+//! Hedging is the front door's duplicate-request policy: a slow chunk
+//! gets a second copy on another replica, and whichever copy completes
+//! first wins. The front door alone keeps the books on which copies are
+//! live (`Tracked`); with event tracking on, a pipeline reports every
+//! shed and injected failure as a loss event instead of recording it, and
+//! the front door records the loss unless another copy still owns the
+//! chunk.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -384,9 +393,44 @@ enum Life {
     Down,
 }
 
+/// One replica as the front door sees it: its pipeline, its lifecycle,
+/// and the cluster-layer counters its [`ReplicaStats`] reports.
+struct Replica {
+    pipe: VirtualPipeline,
+    life: Life,
+    /// Whether the replica currently owns ring points (a leave removes
+    /// them, a restart-after-leave or join adds them back).
+    in_ring: bool,
+    routed: usize,
+    failed_over_out: usize,
+    failed_over_in: usize,
+    kills: usize,
+    restarts: usize,
+    suspects: usize,
+}
+
+impl Replica {
+    /// A fresh replica for `cfg`: up, in the ring, cold cache, nominal
+    /// speed.
+    fn new(cfg: &ClusterConfig, track: bool) -> Self {
+        let injector = cfg.injector.or(cfg.server.injector);
+        Replica {
+            pipe: VirtualPipeline::new(&cfg.server, cfg.service, injector, track),
+            life: Life::Up,
+            in_ring: true,
+            routed: 0,
+            failed_over_out: 0,
+            failed_over_in: 0,
+            kills: 0,
+            restarts: 0,
+            suspects: 0,
+        }
+    }
+}
+
 /// One request chunk the hedging arbiter is tracking: where its live
-/// copies are and what its hedge status is. Exactly one terminal record
-/// is committed per tracked chunk, no matter how many copies raced.
+/// copies are and whether it was hedged. Exactly one terminal record is
+/// committed per tracked chunk, no matter how many copies raced.
 struct Tracked {
     /// A clone of the admitted chunk request, for hedge placement.
     req: Request,
@@ -395,10 +439,9 @@ struct Tracked {
     /// Whether any copy has started service — a started chunk is not
     /// worth hedging, the work is already running.
     started: bool,
-    /// Whether a hedge clone was placed (each chunk hedges at most
-    /// once; `hedged == hedge_won + hedge_wasted` is an invariant).
-    hedged: bool,
-    /// The hedge clone's replica, if placed.
+    /// The hedge clone's replica, if one was placed (each chunk hedges
+    /// at most once; `hedged == hedge_won + hedge_wasted` is an
+    /// invariant).
     clone_replica: Option<usize>,
 }
 
@@ -406,17 +449,7 @@ struct Tracked {
 struct ClusterState<'c> {
     cfg: &'c ClusterConfig,
     ring: HashRing,
-    pipes: Vec<VirtualPipeline>,
-    life: Vec<Life>,
-    /// Whether each replica currently owns ring points (a leave removes
-    /// them, a restart-after-leave or join adds them back).
-    in_ring: Vec<bool>,
-    routed: Vec<usize>,
-    failed_over_out: Vec<usize>,
-    failed_over_in: Vec<usize>,
-    kills: Vec<usize>,
-    restarts: Vec<usize>,
-    suspects: Vec<usize>,
+    replicas: Vec<Replica>,
     /// The counters only the front door knows.
     front_door: FrontDoorTotals,
     /// Replicas currently in `Life::Draining` (gates the drain check).
@@ -425,11 +458,9 @@ struct ClusterState<'c> {
     codel: CoDelAdmission,
     /// Whether pipelines emit [`PipeEvent`]s (any resilience feature on).
     track: bool,
-    /// Whether hedging is on (implies `track`).
-    hedging: bool,
-    /// Hedge-arbitrated chunks by `(id, chunk index)` (`BTreeMap` so
-    /// suspect-triggered hedges fire in deterministic id-then-chunk
-    /// order).
+    /// Hedge-arbitrated chunks by `(id, chunk index)`, empty unless
+    /// hedging is on (`BTreeMap` so suspect-triggered hedges fire in
+    /// deterministic id-then-chunk order).
     tracked: BTreeMap<(u64, u32), Tracked>,
     /// Pending hedge timers `(due_ns, (id, chunk))` — arrivals are
     /// monotone, so this stays sorted by construction.
@@ -440,15 +471,11 @@ struct ClusterState<'c> {
     last_event_ns: u64,
 }
 
-/// Builds one replica pipeline for `cfg` (cold cache, nominal speed).
-fn new_pipe(cfg: &ClusterConfig, track: bool) -> VirtualPipeline {
-    VirtualPipeline::new(&cfg.server, cfg.service, cfg.injector.or(cfg.server.injector), track)
-}
-
 impl<'c> ClusterState<'c> {
     /// Whether the front door may send work to replica `r` at all.
     fn routable(&self, r: usize) -> bool {
-        self.life[r] == Life::Up && self.pipes[r].inflight() < self.cfg.max_inflight
+        let rep = &self.replicas[r];
+        rep.life == Life::Up && rep.pipe.inflight() < self.cfg.max_inflight
     }
 
     /// Picks the replica for `key_hash`, walking the ring clockwise and
@@ -475,7 +502,7 @@ impl<'c> ClusterState<'c> {
     /// door drop or lane-full reject on failover): close its book.
     fn settle_terminal(&mut self, key: (u64, u32)) {
         if let Some(tr) = self.tracked.remove(&key) {
-            if tr.hedged {
+            if tr.clone_replica.is_some() {
                 self.front_door.hedge_wasted += 1;
             }
         }
@@ -488,57 +515,49 @@ impl<'c> ClusterState<'c> {
     /// this cannot re-admit) a chunk whose completion already committed.
     fn reroute(&mut self, req: Request, t: u64, from: usize) {
         let key = (req.id, req.chunk.index);
-        let chunk = req.chunk;
         let key_hash = HashRing::key_hash(&req.job.key());
         match self.pick(key_hash, t, None) {
             Some(r) => {
-                if self.pipes[r].admit_request(req, t) {
-                    self.failed_over_in[r] += 1;
-                    self.failed_over_out[from] += 1;
-                    if self.hedging {
-                        self.pipes[r].mark_hedged(key.0, chunk.index);
-                        if let Some(tr) = self.tracked.get_mut(&key) {
-                            tr.copies.retain(|&c| c != from);
-                            tr.copies.push(r);
-                        }
+                if self.replicas[r].pipe.admit_request(req, t) {
+                    self.replicas[r].failed_over_in += 1;
+                    self.replicas[from].failed_over_out += 1;
+                    if let Some(tr) = self.tracked.get_mut(&key) {
+                        tr.copies.retain(|&c| c != from);
+                        tr.copies.push(r);
                     }
-                } else if self.hedging {
+                } else {
                     // A lane-full reject is counted by the target
                     // pipeline's admission accounting — that is the
                     // chunk's terminal.
                     self.settle_terminal(key);
                 }
-                // (Without hedging the reject is likewise already
-                // counted by the target pipeline.)
             }
             None => {
                 self.front_door.front_door_shed += 1;
-                if self.hedging {
-                    self.settle_terminal(key);
-                }
+                self.settle_terminal(key);
             }
         }
     }
 
-    /// The last live copy of a tracked chunk shed or failed on replica
-    /// `r` at `at_ns`: commit the terminal record there. While another
-    /// copy is live, a copy's loss records nothing — the survivor owns
-    /// the chunk.
-    fn settle_loss(&mut self, r: usize, key: (u64, u32), at_ns: u64, failed: bool) {
-        let Some(tr) = self.tracked.get_mut(&key) else { return };
-        tr.copies.retain(|&c| c != r);
-        if !tr.copies.is_empty() {
-            return;
+    /// `req` was shed (or `failed`) on replica `r` at `at_ns`: record the
+    /// loss there, unless it is a tracked chunk with another live copy —
+    /// the survivor then owns the chunk, and only the last copy's loss
+    /// records.
+    fn settle_loss(&mut self, r: usize, req: Request, at_ns: u64, failed: bool) {
+        let key = (req.id, req.chunk.index);
+        if let Some(tr) = self.tracked.get_mut(&key) {
+            tr.copies.retain(|&c| c != r);
+            if !tr.copies.is_empty() {
+                return;
+            }
+            self.settle_terminal(key);
         }
-        // Every copy shares the tracked request's class and arrival, so
-        // the record is the one the losing copy would have made.
-        let core = &mut self.pipes[r].core;
+        let core = &mut self.replicas[r].pipe.core;
         if failed {
-            core.record_failed(&tr.req, at_ns);
+            core.record_failed(&req, at_ns);
         } else {
-            core.record_shed(&tr.req, at_ns);
+            core.record_shed(&req, at_ns);
         }
-        self.settle_terminal(key);
     }
 
     /// Drains replica `r`'s pipeline events at time `t`: feeds the CoDel
@@ -551,7 +570,7 @@ impl<'c> ClusterState<'c> {
         if !self.track {
             return;
         }
-        let events = self.pipes[r].take_events();
+        let events = self.replicas[r].pipe.take_events();
         let mut progressed = false;
         for ev in events {
             match ev {
@@ -567,23 +586,19 @@ impl<'c> ClusterState<'c> {
                         for &other in tr.copies.iter().filter(|&&c| c != r) {
                             // The losing copy is pulled from its queue,
                             // or suppressed if already in service.
-                            self.pipes[other].cancel(id, tr.req.chunk);
+                            self.replicas[other].pipe.cancel(id, tr.req.chunk);
                         }
-                        if tr.hedged {
-                            if Some(r) == tr.clone_replica {
-                                self.front_door.hedge_won += 1;
-                            } else {
-                                self.front_door.hedge_wasted += 1;
-                            }
+                        match tr.clone_replica {
+                            Some(c) if c == r => self.front_door.hedge_won += 1,
+                            Some(_) => self.front_door.hedge_wasted += 1,
+                            None => {}
                         }
                     }
                 }
-                PipeEvent::Lost { id, chunk, at_ns, failed } => {
-                    self.settle_loss(r, (id, chunk), at_ns, failed)
-                }
+                PipeEvent::Lost { req, at_ns, failed } => self.settle_loss(r, req, at_ns, failed),
             }
         }
-        self.health.observe(r, self.pipes[r].is_busy(), progressed, t);
+        self.health.observe(r, self.replicas[r].pipe.is_busy(), progressed, t);
     }
 
     /// Places a hedge clone for the tracked chunk `key` if it is still
@@ -598,18 +613,16 @@ impl<'c> ClusterState<'c> {
         let key_hash = HashRing::key_hash(&tr.req.job.key());
         let Some(r2) = self.pick(key_hash, t, Some(primary)) else { return false };
         let req = tr.req.clone();
-        if !self.pipes[r2].admit_hedge(req, t) {
+        if !self.replicas[r2].pipe.admit_hedge(req, t) {
             // No lane room on the alternate: the clone never existed.
             return false;
         }
-        self.pipes[r2].mark_hedged(key.0, key.1);
         let tr = self.tracked.get_mut(&key).expect("still tracked");
-        tr.hedged = true;
         tr.clone_replica = Some(r2);
         tr.copies.push(r2);
         self.front_door.hedged += 1;
         self.last_event_ns = self.last_event_ns.max(t);
-        self.pipes[r2].pump(t);
+        self.replicas[r2].pipe.pump(t);
         self.drain_events(r2, t);
         true
     }
@@ -640,13 +653,11 @@ impl<'c> ClusterState<'c> {
         if !self.health.enabled() {
             return;
         }
-        for r in 0..self.pipes.len() {
+        for r in 0..self.replicas.len() {
             if let Some((old, new)) = self.health.refresh(r, t) {
                 if old == HealthState::Healthy && new >= HealthState::Suspect {
-                    self.suspects[r] += 1;
-                    if self.hedging {
-                        self.hedge_suspect_replica(r, t);
-                    }
+                    self.replicas[r].suspects += 1;
+                    self.hedge_suspect_replica(r, t);
                 }
             }
         }
@@ -658,9 +669,9 @@ impl<'c> ClusterState<'c> {
         if self.draining == 0 {
             return;
         }
-        for r in 0..self.pipes.len() {
-            if self.life[r] == Life::Draining && !self.pipes[r].has_pending() {
-                self.life[r] = Life::Departed;
+        for rep in &mut self.replicas {
+            if rep.life == Life::Draining && !rep.pipe.has_pending() {
+                rep.life = Life::Departed;
                 self.draining -= 1;
             }
         }
@@ -670,19 +681,11 @@ impl<'c> ClusterState<'c> {
     fn apply_fault(&mut self, ev: FaultEvent) {
         if matches!(ev.kind, FaultKind::Join) {
             // Scale-out: a brand-new replica at the next index, cold.
-            if self.pipes.len() >= crate::router::MAX_REPLICAS {
+            if self.replicas.len() >= crate::router::MAX_REPLICAS {
                 return;
             }
-            let r = self.pipes.len();
-            self.pipes.push(new_pipe(self.cfg, self.track));
-            self.life.push(Life::Up);
-            self.in_ring.push(true);
-            self.routed.push(0);
-            self.failed_over_out.push(0);
-            self.failed_over_in.push(0);
-            self.kills.push(0);
-            self.restarts.push(0);
-            self.suspects.push(0);
+            let r = self.replicas.len();
+            self.replicas.push(Replica::new(self.cfg, self.track));
             self.ring.join(r).expect("index capacity checked above");
             self.health.push_replica(ev.at_ns);
             self.codel.push_replica();
@@ -691,54 +694,52 @@ impl<'c> ClusterState<'c> {
             return;
         }
         let r = ev.replica;
-        if r >= self.pipes.len() {
+        if r >= self.replicas.len() {
             return; // plan may name more replicas than the cluster has
         }
         match ev.kind {
-            FaultKind::Kill if self.life[r] != Life::Down => {
-                if self.life[r] == Life::Draining {
+            FaultKind::Kill if self.replicas[r].life != Life::Down => {
+                if self.replicas[r].life == Life::Draining {
                     self.draining -= 1;
                 }
-                self.life[r] = Life::Down;
-                self.kills[r] += 1;
+                self.replicas[r].life = Life::Down;
+                self.replicas[r].kills += 1;
                 self.last_event_ns = self.last_event_ns.max(ev.at_ns);
-                for req in self.pipes[r].kill(ev.at_ns) {
-                    if self.hedging {
-                        if let Some(tr) = self.tracked.get_mut(&(req.id, req.chunk.index)) {
-                            if tr.copies.len() > 1 {
-                                // The other copy is live: this orphan
-                                // silently dies, no failover needed.
-                                tr.copies.retain(|&c| c != r);
-                                continue;
-                            }
+                for req in self.replicas[r].pipe.kill(ev.at_ns) {
+                    if let Some(tr) = self.tracked.get_mut(&(req.id, req.chunk.index)) {
+                        if tr.copies.len() > 1 {
+                            // The other copy is live: this orphan
+                            // silently dies, no failover needed.
+                            tr.copies.retain(|&c| c != r);
+                            continue;
                         }
                     }
                     self.reroute(req, ev.at_ns, r);
                 }
             }
-            FaultKind::Restart if matches!(self.life[r], Life::Down | Life::Departed) => {
+            FaultKind::Restart if matches!(self.replicas[r].life, Life::Down | Life::Departed) => {
                 // The pipeline was reset at kill time (or drained dry by
                 // a leave); it comes back empty with a cold cache, and
                 // rejoins the ring if it had left it.
-                self.life[r] = Life::Up;
-                self.restarts[r] += 1;
-                if !self.in_ring[r] {
+                self.replicas[r].life = Life::Up;
+                self.replicas[r].restarts += 1;
+                if !self.replicas[r].in_ring {
                     self.ring.join(r).expect("index was a member before");
-                    self.in_ring[r] = true;
+                    self.replicas[r].in_ring = true;
                 }
             }
             FaultKind::Slow { factor } => {
-                self.pipes[r].set_slow_factor(factor);
+                self.replicas[r].pipe.set_slow_factor(factor);
                 self.last_event_ns = self.last_event_ns.max(ev.at_ns);
             }
-            FaultKind::Leave if self.life[r] == Life::Up => {
-                self.life[r] = Life::Draining;
+            FaultKind::Leave if self.replicas[r].life == Life::Up => {
+                self.replicas[r].life = Life::Draining;
                 self.draining += 1;
                 self.front_door.leaves += 1;
                 self.last_event_ns = self.last_event_ns.max(ev.at_ns);
-                if self.in_ring[r] {
+                if self.replicas[r].in_ring {
                     self.ring.leave(r).expect("was a member");
-                    self.in_ring[r] = false;
+                    self.replicas[r].in_ring = false;
                 }
             }
             _ => {} // kill of a dead replica / restart of a live one: no-op
@@ -753,9 +754,9 @@ impl<'c> ClusterState<'c> {
         let mut now = now;
         loop {
             let pipe_next = self
-                .pipes
+                .replicas
                 .iter()
-                .filter_map(|p| p.next_event(now))
+                .filter_map(|rep| rep.pipe.next_event(now))
                 .min()
                 .filter(|&t| t <= target);
             let fault_next = self
@@ -785,9 +786,9 @@ impl<'c> ClusterState<'c> {
                 }
                 // Failover re-admissions (and survivors) pump at the
                 // fault instant, in replica-index order.
-                for i in 0..self.pipes.len() {
-                    if self.life[i] != Life::Down {
-                        self.pipes[i].pump(t);
+                for i in 0..self.replicas.len() {
+                    if self.replicas[i].life != Life::Down {
+                        self.replicas[i].pipe.pump(t);
                         self.drain_events(i, t);
                     }
                 }
@@ -796,9 +797,9 @@ impl<'c> ClusterState<'c> {
                 // order, draining events after each so a completion on a
                 // lower-index replica cancels its hedge twin before that
                 // twin's own tick runs — the tie-break is deterministic.
-                for i in 0..self.pipes.len() {
-                    if self.pipes[i].next_event(now) == Some(t) {
-                        self.pipes[i].fire(t);
+                for i in 0..self.replicas.len() {
+                    if self.replicas[i].pipe.next_event(now) == Some(t) {
+                        self.replicas[i].pipe.fire(t);
                         self.drain_events(i, t);
                     }
                 }
@@ -843,21 +844,12 @@ pub fn run_cluster(cfg: &ClusterConfig, jobs: &[TimedJob]) -> ClusterReport {
     let track = hedging || cfg.health.enabled || cfg.admission.enabled;
     let mut state = ClusterState {
         ring: HashRing::new(replicas, &cfg.router),
-        pipes: (0..replicas).map(|_| new_pipe(cfg, track)).collect(),
-        life: vec![Life::Up; replicas],
-        in_ring: vec![true; replicas],
-        routed: vec![0; replicas],
-        failed_over_out: vec![0; replicas],
-        failed_over_in: vec![0; replicas],
-        kills: vec![0; replicas],
-        restarts: vec![0; replicas],
-        suspects: vec![0; replicas],
+        replicas: (0..replicas).map(|_| Replica::new(cfg, track)).collect(),
         front_door: FrontDoorTotals::default(),
         draining: 0,
         health: HealthDetector::new(cfg.health, replicas, cfg.service.service_ns),
         codel: CoDelAdmission::new(cfg.admission, replicas),
         track,
-        hedging,
         tracked: BTreeMap::new(),
         hedge_timers: VecDeque::new(),
         next_fault: 0,
@@ -891,33 +883,23 @@ pub fn run_cluster(cfg: &ClusterConfig, jobs: &[TimedJob]) -> ClusterReport {
                     state.front_door.overload_shed += of as usize;
                     continue;
                 }
-                state.routed[r] += 1;
+                state.replicas[r].routed += 1;
+                let rid = id as u64;
                 for index in 0..of {
-                    let chunk = ChunkSpan { index, of };
-                    if hedging {
-                        let rid = id as u64;
-                        let req = state.pipes[r].request(rid, at, tj, chunk);
-                        if state.pipes[r].admit_request(req.clone(), at) {
-                            state.pipes[r].mark_hedged(rid, index);
-                            state.tracked.insert(
-                                (rid, index),
-                                Tracked {
-                                    req,
-                                    copies: vec![r],
-                                    started: false,
-                                    hedged: false,
-                                    clone_replica: None,
-                                },
-                            );
-                            state
-                                .hedge_timers
-                                .push_back((at.saturating_add(cfg.hedge.delay_ns), (rid, index)));
-                        }
-                    } else {
-                        state.pipes[r].admit(id as u64, at, tj, chunk);
+                    let req = state.replicas[r].pipe.request(rid, at, tj, ChunkSpan { index, of });
+                    if !hedging {
+                        state.replicas[r].pipe.admit_request(req, at);
+                    } else if state.replicas[r].pipe.admit_request(req.clone(), at) {
+                        state.tracked.insert(
+                            (rid, index),
+                            Tracked { req, copies: vec![r], started: false, clone_replica: None },
+                        );
+                        state
+                            .hedge_timers
+                            .push_back((at.saturating_add(cfg.hedge.delay_ns), (rid, index)));
                     }
                 }
-                state.pipes[r].pump(at);
+                state.replicas[r].pipe.pump(at);
                 state.drain_events(r, at);
             }
             None => state.front_door.front_door_shed += of as usize,
@@ -926,8 +908,8 @@ pub fn run_cluster(cfg: &ClusterConfig, jobs: &[TimedJob]) -> ClusterReport {
     // Drain: remaining timers, faults and hedge deadlines, to quiescence.
     let end = state.process_until(u64::MAX, now);
     let wall_ns = state.last_event_ns.max(end);
-    for pipe in &mut state.pipes {
-        pipe.finalize(wall_ns);
+    for rep in &mut state.replicas {
+        rep.pipe.finalize(wall_ns);
     }
     debug_assert!(state.tracked.is_empty(), "every tracked request must settle by drain");
 
@@ -940,7 +922,8 @@ pub fn run_cluster(cfg: &ClusterConfig, jobs: &[TimedJob]) -> ClusterReport {
     let workers = cfg.server.workers.max(1);
     let mut all_chunks: Vec<ChunkResponse> = Vec::new();
     let mut replica_stats: Vec<ReplicaStats> = Vec::new();
-    for (i, pipe) in state.pipes.iter().enumerate() {
+    for (i, rep) in state.replicas.iter().enumerate() {
+        let pipe = &rep.pipe;
         let nested: Vec<Vec<ChunkResponse>> = match cfg.payload {
             PayloadMode::Render => {
                 fnr_par::par_map(&pipe.decided, |batch| execute_batch(batch, &cfg.server.tables))
@@ -967,18 +950,18 @@ pub fn run_cluster(cfg: &ClusterConfig, jobs: &[TimedJob]) -> ClusterReport {
         let (cache_hits, cache_misses) = pipe.cache_stats();
         replica_stats.push(ReplicaStats {
             replica: i,
-            alive: state.life[i] != Life::Down,
-            kills: state.kills[i],
-            restarts: state.restarts[i],
-            routed: state.routed[i],
-            failed_over_out: state.failed_over_out[i],
-            failed_over_in: state.failed_over_in[i],
+            alive: rep.life != Life::Down,
+            kills: rep.kills,
+            restarts: rep.restarts,
+            routed: rep.routed,
+            failed_over_out: rep.failed_over_out,
+            failed_over_in: rep.failed_over_in,
             cache_hits,
             cache_misses,
             busy_ns: pipe.busy_ns,
-            suspects: state.suspects[i],
+            suspects: rep.suspects,
             slow_factor: pipe.slow_factor(),
-            departed: matches!(state.life[i], Life::Draining | Life::Departed),
+            departed: matches!(rep.life, Life::Draining | Life::Departed),
             metrics,
         });
         all_chunks.extend(chunks);

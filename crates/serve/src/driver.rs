@@ -1,17 +1,19 @@
 //! Load generators: open-loop (arrival-timed) and closed-loop (response-
 //! gated) drivers over a generated workload schedule, plus the
 //! deterministic **virtual-clock harness** ([`run_virtual`]) that replays
-//! a schedule against the scheduling layer without real time.
+//! a schedule against the scheduling layer without real time. The harness
+//! has no event loop of its own: it is the cluster simulator
+//! ([`crate::run_cluster`]) over one replica with an unbounded front door
+//! and a free model cache, so the two agree by construction.
 
 use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::cluster::ClusterService;
-use crate::request::{assemble_chunks, effective_chunks, ChunkResponse, ChunkSpan, Response};
-use crate::server::{execute_batch, run, ServeReport, ServerConfig, WaitOutcome};
-use crate::vclock::VirtualPipeline;
+use crate::cluster::{run_cluster, ClusterConfig, ClusterReport, ClusterService};
+use crate::metrics::ServeMetrics;
+use crate::server::{run, ServeReport, ServerConfig, WaitOutcome};
 use crate::workload::TimedJob;
 
 /// How long a closed-loop client "thinks" between receiving a response and
@@ -178,36 +180,29 @@ impl Default for VirtualService {
 /// park), and `cfg.retry`, `cfg.breaker` and `cfg.supervise` are unused —
 /// retries, the circuit breaker and worker supervision exist only on the
 /// live server, so a poisoned request fails on its first take.
+///
+/// The run is [`run_cluster`] over one replica (no faults, no cold-start
+/// cost, no inflight bound); the report is that replica's metrics with
+/// the digest taken over whole responses (a replica's folds its chunk
+/// payloads), reassembled in row order from chunks that may have ridden
+/// different batches.
 pub fn run_virtual(cfg: &ServerConfig, jobs: &[TimedJob], service: VirtualService) -> ServeReport {
-    cfg.sched.validate();
-    let service = ClusterService {
-        service_ns: service.service_ns,
-        per_item_ns: service.per_item_ns,
-        cold_start_ns: 0,
-    };
-    let mut pipe = VirtualPipeline::new(cfg, service, cfg.injector, false);
-    let mut now = 0u64;
-    for (id, tj) in jobs.iter().enumerate() {
-        let at = now + tj.delay_before.as_nanos() as u64;
-        pipe.advance_to(&mut now, at);
-        let of = effective_chunks(cfg.chunks, &tj.job);
-        for index in 0..of {
-            pipe.admit(id as u64, at, tj, ChunkSpan { index, of });
-        }
-        pipe.pump(at);
-    }
-    pipe.drain(&mut now);
-
-    // Decisions are locked in; now render them for real. The fan-out is
-    // pure per-batch work, so `FNR_THREADS` moves wall time only. Chunks
-    // of the same parent may have ridden different batches; reassembly
-    // stitches them back in row order, dropping parents that lost any
-    // chunk to a shed or an injected failure.
-    let nested: Vec<Vec<ChunkResponse>> =
-        fnr_par::par_map(&pipe.decided, |batch| execute_batch(batch, &cfg.tables));
-    let responses: Vec<Response> = assemble_chunks(nested.into_iter().flatten().collect());
-
-    ServeReport { metrics: pipe.metrics(&responses), responses }
+    let ClusterReport { responses, metrics: cluster } = run_cluster(
+        &ClusterConfig {
+            replicas: 1,
+            server: cfg.clone(),
+            max_inflight: usize::MAX,
+            service: ClusterService {
+                service_ns: service.service_ns,
+                per_item_ns: service.per_item_ns,
+                cold_start_ns: 0,
+            },
+            ..ClusterConfig::default()
+        },
+        jobs,
+    );
+    let replica = cluster.replicas.into_iter().next().expect("one replica");
+    ServeReport { metrics: ServeMetrics { digest: cluster.digest, ..replica.metrics }, responses }
 }
 
 #[cfg(test)]

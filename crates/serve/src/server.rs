@@ -181,19 +181,53 @@ pub enum WaitOutcome {
 
 /// Per-request reassembly slot: one cell per chunk (`None` while
 /// pending), opened at admission. Chunks land in any order; the request
-/// resolves once every cell is terminal. Cells stay readable afterwards
-/// so streaming clients can still collect chunks they have not consumed
-/// yet.
+/// resolves once every cell is terminal. The cells are the only copy of
+/// the request's payload: the whole-request outcome is derived from them
+/// on every read, and they stay readable until [`Server::drain`] so
+/// streaming clients can still collect chunks they have not consumed yet.
 struct StreamSlot {
     cells: Vec<Option<ChunkOutcome>>,
     pending: usize,
 }
 
-/// Completion board: outcomes parked until their submitter collects them.
-/// Chunked requests reassemble here — workers post individual chunks, and
-/// the whole-request [`WaitOutcome`] materializes (failure-first, then
-/// shed, then the row-order concatenation of the chunk payloads) when the
-/// last chunk lands.
+impl StreamSlot {
+    /// The whole-request outcome of request `id`, once every cell is
+    /// terminal (`None` while any is pending): the first failed cell in
+    /// row order fails the request, else any shed cell sheds it, else the
+    /// payload is the row-order concatenation of the cells — byte-identical
+    /// to the unchunked render.
+    fn outcome(&self, id: u64) -> Option<WaitOutcome> {
+        if self.pending > 0 {
+            return None;
+        }
+        let mut shed = false;
+        let mut len = 0usize;
+        for c in &self.cells {
+            match c {
+                Some(ChunkOutcome::Failed(reason)) => return Some(WaitOutcome::Failed(reason.clone())),
+                Some(ChunkOutcome::Shed) => shed = true,
+                Some(ChunkOutcome::Served(b)) => len += b.len(),
+                Some(ChunkOutcome::Closed) | None => unreachable!("every cell landed terminal"),
+            }
+        }
+        if shed {
+            return Some(WaitOutcome::Shed);
+        }
+        let mut bytes = Vec::with_capacity(len);
+        for c in &self.cells {
+            if let Some(ChunkOutcome::Served(b)) = c {
+                bytes.extend_from_slice(b);
+            }
+        }
+        Some(WaitOutcome::Answered(Response { id, bytes }))
+    }
+}
+
+/// Completion board: one reassembly slot per admitted request, parked
+/// until its submitter collects it. Workers post individual chunks into
+/// the slot's cells; a whole-request wait derives its [`WaitOutcome`]
+/// from the cells once the last one lands, so each served payload is held
+/// once.
 pub(crate) struct Board {
     state: Mutex<BoardState>,
     ready: Condvar,
@@ -201,18 +235,13 @@ pub(crate) struct Board {
 
 struct BoardState {
     streams: HashMap<u64, StreamSlot>,
-    done: HashMap<u64, WaitOutcome>,
     closed: bool,
 }
 
 impl Board {
     fn new() -> Self {
         Board {
-            state: Mutex::new(BoardState {
-                streams: HashMap::new(),
-                done: HashMap::new(),
-                closed: false,
-            }),
+            state: Mutex::new(BoardState { streams: HashMap::new(), closed: false }),
             ready: Condvar::new(),
         }
     }
@@ -260,8 +289,8 @@ impl Board {
     fn wait(&self, id: u64) -> WaitOutcome {
         let mut st = self.state.lock().unwrap();
         loop {
-            if let Some(outcome) = st.done.get(&id) {
-                return outcome.clone();
+            if let Some(outcome) = st.streams.get(&id).and_then(|slot| slot.outcome(id)) {
+                return outcome;
             }
             if st.closed {
                 return WaitOutcome::Closed;
@@ -290,13 +319,16 @@ impl Board {
         }
     }
 
+    /// Empties the board, returning the answered requests sorted by id.
+    /// Each slot leaves the map as its response is assembled, so at most
+    /// one payload is held twice at any moment.
     fn drain_sorted(&self) -> Vec<Response> {
         let mut st = self.state.lock().unwrap();
         let mut out: Vec<Response> = st
-            .done
+            .streams
             .drain()
-            .filter_map(|(_, c)| match c {
-                WaitOutcome::Answered(r) => Some(r),
+            .filter_map(|(id, slot)| match slot.outcome(id) {
+                Some(WaitOutcome::Answered(r)) => Some(r),
                 _ => None,
             })
             .collect();
@@ -306,47 +338,15 @@ impl Board {
 }
 
 impl BoardState {
-    /// Lands one terminal chunk cell; resolves the whole request when its
-    /// last chunk lands. Resolution order: any failed chunk fails the
-    /// request (first failure in row order wins), else any shed chunk
-    /// sheds it, else the payload is the row-order concatenation of the
-    /// chunk bytes — byte-identical to the unchunked render.
+    /// Lands one terminal chunk cell and counts the slot down; the first
+    /// outcome of a cell wins (a teardown race may post twice).
     fn land(&mut self, id: u64, index: u32, cell: ChunkOutcome) {
         let Some(slot) = self.streams.get_mut(&id) else { return };
         let Some(target) = slot.cells.get_mut(index as usize) else { return };
-        if target.is_some() {
-            return; // already terminal (teardown race) — first outcome wins
+        if target.is_none() {
+            *target = Some(cell);
+            slot.pending -= 1;
         }
-        *target = Some(cell);
-        slot.pending -= 1;
-        if slot.pending > 0 {
-            return;
-        }
-        let mut failed: Option<&str> = None;
-        let mut shed = false;
-        let mut len = 0usize;
-        for c in &slot.cells {
-            match c {
-                Some(ChunkOutcome::Failed(reason)) => failed = failed.or(Some(reason)),
-                Some(ChunkOutcome::Shed) => shed = true,
-                Some(ChunkOutcome::Served(b)) => len += b.len(),
-                Some(ChunkOutcome::Closed) | None => unreachable!("every cell landed terminal"),
-            }
-        }
-        let completion = if let Some(reason) = failed {
-            WaitOutcome::Failed(reason.to_string())
-        } else if shed {
-            WaitOutcome::Shed
-        } else {
-            let mut bytes = Vec::with_capacity(len);
-            for c in &slot.cells {
-                if let Some(ChunkOutcome::Served(b)) = c {
-                    bytes.extend_from_slice(b);
-                }
-            }
-            WaitOutcome::Answered(Response { id, bytes })
-        };
-        self.done.insert(id, completion);
     }
 }
 
@@ -721,9 +721,12 @@ impl Server {
     /// Graceful drain: closes admission, lets the pipeline flush what is
     /// queued (serving the unexpired, shedding the expired), waits for
     /// every in-flight batch — including quarantine re-executions — to
-    /// terminate, and returns the final report. Late submits on surviving
-    /// [`Client`] handles fail with [`SubmitError::Closed`]; late waits
-    /// observe [`WaitOutcome::Closed`].
+    /// terminate, and returns the final report. The report takes every
+    /// reassembly slot off the board: late submits on surviving
+    /// [`Client`] handles fail with [`SubmitError::Closed`], late waits
+    /// observe [`WaitOutcome::Closed`], and late [`Client::wait_chunk`]
+    /// reads resolve [`ChunkOutcome::Closed`] even for chunks that were
+    /// served.
     pub fn drain(mut self) -> ServeReport {
         self.shutdown();
         let sh = &self.shared;
@@ -1269,6 +1272,72 @@ mod tests {
         assert_eq!(concat, resp.bytes, "streamed chunks concatenate to the whole payload");
         assert_eq!(&c0[0..4], &4u32.to_le_bytes(), "chunk 0 carries the width header");
         assert_eq!(id, 0);
+    }
+
+    #[test]
+    fn board_resolves_each_request_from_its_cells_alone() {
+        const ORDERS: [[u32; 3]; 6] = [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]];
+        let board = Board::new();
+        let land = |id: u64, index: u32, cell: &ChunkOutcome| {
+            let chunk = ChunkSpan { index, of: 3 };
+            match cell {
+                ChunkOutcome::Served(bytes) => {
+                    board.post_served(vec![ChunkResponse { id, chunk, bytes: bytes.clone() }])
+                }
+                other => {
+                    let req = Request {
+                        id,
+                        priority: Priority::Standard,
+                        arrival_ns: 0,
+                        deadline_ns: None,
+                        chunk,
+                        job: tiny_render(id),
+                    };
+                    board.post_outcome(&[req], other);
+                }
+            }
+        };
+        let served = |b: &[u8]| ChunkOutcome::Served(b.to_vec());
+        let failed = |why: &str| ChunkOutcome::Failed(why.to_string());
+        // Row-order cells and the verdict they resolve to whatever order
+        // they land in (`None`: answered with the row-order bytes).
+        let mixes = [
+            ([served(b"ab"), served(b"c"), served(b"def")], None),
+            ([served(b"ab"), ChunkOutcome::Shed, served(b"def")], Some(WaitOutcome::Shed)),
+            ([served(b"ab"), ChunkOutcome::Shed, failed("late")], Some(WaitOutcome::Failed("late".into()))),
+            ([failed("first"), ChunkOutcome::Shed, failed("second")], Some(WaitOutcome::Failed("first".into()))),
+        ];
+        let mut answered = Vec::new();
+        for (m, (cells, verdict)) in mixes.iter().enumerate() {
+            for (o, order) in ORDERS.iter().enumerate() {
+                let id = (m * 10 + o) as u64;
+                board.open(id, 3);
+                for &index in order {
+                    land(id, index, &cells[index as usize]);
+                }
+                let want = verdict.clone().unwrap_or_else(|| {
+                    answered.push(id);
+                    WaitOutcome::Answered(Response { id, bytes: b"abcdef".to_vec() })
+                });
+                assert_eq!(board.wait(id), want, "mix {m} landed in order {order:?}");
+                assert_eq!(board.wait(id), want, "a repeated wait returns identical bytes");
+                for (index, cell) in cells.iter().enumerate() {
+                    assert_eq!(board.wait_chunk(id, index as u32), *cell, "cells stay readable");
+                }
+            }
+        }
+        // A slot still pending at drain is not an answer.
+        board.open(99, 2);
+        land(99, 0, &served(b"half"));
+
+        board.close();
+        let drained = board.drain_sorted();
+        assert_eq!(drained.iter().map(|r| r.id).collect::<Vec<_>>(), answered, "answered, by id");
+        assert!(drained.iter().all(|r| r.bytes == b"abcdef"));
+        for id in [0, 35, 99] {
+            assert_eq!(board.wait(id), WaitOutcome::Closed, "late wait on {id}");
+            assert_eq!(board.wait_chunk(id, 0), ChunkOutcome::Closed, "late wait_chunk on {id}");
+        }
     }
 
     #[test]

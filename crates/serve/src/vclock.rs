@@ -1,24 +1,26 @@
-//! The single-threaded discrete-event server, shared by the one-server
-//! virtual harness ([`crate::run_virtual`]) and the cluster simulator
-//! ([`crate::cluster::run_cluster`]): the scheduling core
-//! ([`Pipeline`] — lanes, [`crate::LaneScheduler`], brownout,
-//! [`crate::Batcher`], the `2 × workers` ready queue, and the ledger
-//! every terminal outcome folds into) driven on one injected virtual
-//! clock, with virtual workers taking its ready batches and reporting
-//! their outcomes back to it in virtual nanoseconds.
+//! The single-threaded discrete-event server behind every virtual-clock
+//! run: the scheduling core ([`Pipeline`] — lanes,
+//! [`crate::LaneScheduler`], brownout, [`crate::Batcher`], the
+//! `2 × workers` ready queue, and the ledger every terminal outcome folds
+//! into) driven on one injected virtual clock, with virtual workers taking
+//! its ready batches and reporting their outcomes back to it in virtual
+//! nanoseconds. The cluster simulator ([`crate::cluster::run_cluster`])
+//! owns the only event loop that advances these pipelines; the one-server
+//! harness ([`crate::run_virtual`]) is that loop over one replica.
 //!
 //! What lives here is only what is virtual: the workers and their service
-//! model (flat, per-item, slow factor, modeled cold cache), the seeded
-//! chaos injector, and the hedging hooks. Every scheduling decision is a
-//! deterministic function of the admitted schedule and the clock; batches
-//! are only *decided* here and rendered for real afterwards, so thread
-//! width can never move an outcome. Every pipeline models a per-`(scene,
-//! precision)` model cache whose cold misses stretch the batch's virtual
-//! service time (by zero in the one-server harness, which models no cold
-//! start). The cluster layer adds a per-replica inflight gauge (router
-//! admission control), reads the cache's hit/miss counts, and uses
-//! [`VirtualPipeline::kill`] — the fault-injection hook that orphans
-//! everything in flight so the front door can fail it over.
+//! model (flat, per-item, slow factor, modeled cold cache) and the seeded
+//! chaos injector. Every scheduling decision is a deterministic function
+//! of the admitted schedule and the clock; batches are only *decided*
+//! here and rendered for real afterwards, so thread width can never move
+//! an outcome. Every pipeline models a per-`(scene, precision)` model
+//! cache whose cold misses stretch the batch's virtual service time (by
+//! zero in the one-server harness, which models no cold start). The
+//! cluster layer adds a per-replica inflight gauge (router admission
+//! control), reads the cache's hit/miss counts, arbitrates hedge copies
+//! from the pipeline's [`PipeEvent`]s, and uses [`VirtualPipeline::kill`]
+//! — the fault-injection hook that orphans everything in flight so the
+//! front door can fail it over.
 
 use std::collections::HashSet;
 
@@ -46,22 +48,22 @@ impl Running {
 }
 
 /// One externally visible pipeline event, emitted (only when event
-/// tracking is on — cluster mode) at the instant it happens, in event
-/// order. The cluster layer drains these after every fire/pump to feed
-/// the failure detector (completions are the heartbeat), the CoDel
-/// admission controller (queue delays at service start) and the hedging
-/// arbiter (who started/completed/lost first).
-#[derive(Debug, Clone, Copy)]
+/// tracking is on) at the instant it happens, in event order. The
+/// cluster layer drains these after every fire/pump to feed the failure
+/// detector (completions are the heartbeat), the CoDel admission
+/// controller (queue delays at service start) and the hedging arbiter
+/// (who started/completed/lost first).
+#[derive(Debug)]
 pub(crate) enum PipeEvent {
     /// A virtual worker took the chunk's batch after `queue_ns` waiting.
     Started { id: u64, chunk: u32, queue_ns: u64 },
     /// The chunk's batch completed service (it will be served).
     Completed { id: u64, chunk: u32 },
-    /// A hedge-tracked chunk was shed by the scheduler, or `failed` by the
-    /// chaos injector, at virtual time `at_ns`; the terminal record is
-    /// deferred to the cluster arbiter (only emitted for chunks marked via
-    /// [`VirtualPipeline::mark_hedged`]).
-    Lost { id: u64, chunk: u32, at_ns: u64, failed: bool },
+    /// `req` was shed by the scheduler, or `failed` by the chaos
+    /// injector, at virtual time `at_ns`. The pipeline leaves it
+    /// unrecorded: the cluster records it on this replica unless another
+    /// hedge copy of the chunk is still live.
+    Lost { req: Request, at_ns: u64, failed: bool },
 }
 
 /// The modeled per-replica model cache: which `(scene, precision)` render
@@ -100,17 +102,12 @@ pub(crate) struct VirtualPipeline {
     /// Requests admitted and not yet terminal (served, shed, or orphaned
     /// by a kill) — the router's per-replica admission-control gauge.
     inflight: usize,
-    /// Whether to emit [`PipeEvent`]s (cluster mode with health, hedging
-    /// or admission control on). Off by default: the single-server
-    /// harness and the plain cluster pay nothing.
+    /// Whether to emit [`PipeEvent`]s (health, hedging or admission
+    /// control on). Off by default: the single-server harness and the
+    /// plain cluster pay nothing, and losses are recorded on the spot.
     track_events: bool,
     /// Events since the last [`VirtualPipeline::take_events`].
     events: Vec<PipeEvent>,
-    /// `(id, chunk)` keys whose terminal outcomes are arbitrated by the
-    /// cluster hedging layer: sheds/failures are emitted as events instead
-    /// of recorded, completions are recorded *and* emitted (first
-    /// completion wins).
-    hedged: HashSet<(u64, u32)>,
     /// Losing hedge copies currently in service: their completion is
     /// dropped — no request metric, no response, the work was wasted.
     suppressed: HashSet<(u64, u32)>,
@@ -144,7 +141,6 @@ impl VirtualPipeline {
             inflight: 0,
             track_events,
             events: Vec::new(),
-            hedged: HashSet::new(),
             suppressed: HashSet::new(),
             decided: Vec::new(),
             busy_ns: 0,
@@ -180,13 +176,6 @@ impl VirtualPipeline {
         std::mem::take(&mut self.events)
     }
 
-    /// Marks the `(id, chunk)` copy as hedge-arbitrated: its shed/failure
-    /// is deferred to the cluster (emitted as an event), its completion is
-    /// emitted too.
-    pub(crate) fn mark_hedged(&mut self, id: u64, chunk: u32) {
-        self.hedged.insert((id, chunk));
-    }
-
     /// Whether any virtual worker is in service right now (the failure
     /// detector only expects progress from a busy replica).
     pub(crate) fn is_busy(&self) -> bool {
@@ -198,7 +187,6 @@ impl VirtualPipeline {
     /// already in service. The hedging layer calls this on the losing copy
     /// the instant the winning copy completes.
     pub(crate) fn cancel(&mut self, id: u64, chunk: ChunkSpan) {
-        self.hedged.remove(&(id, chunk.index));
         if self.core.cancel(id, chunk) {
             self.inflight -= 1;
         } else if self
@@ -229,18 +217,11 @@ impl VirtualPipeline {
         }
     }
 
-    /// Admits one chunk of a scheduled job at virtual time `at`. A full
-    /// (or zero-capacity) lane rejects — a virtual open-loop submitter
-    /// cannot park. Returns whether the chunk entered its lane.
-    pub(crate) fn admit(&mut self, id: u64, at: u64, tj: &TimedJob, chunk: ChunkSpan) -> bool {
-        let req = self.request(id, at, tj, chunk);
-        self.admit_request(req, at)
-    }
-
-    /// Admits an already-built request at virtual time `at` — the
-    /// failover path: a request orphaned by a kill keeps its original
-    /// `arrival_ns` and deadline, so its queue latency honestly includes
-    /// the time it wasted on the dead replica.
+    /// Admits `req` at virtual time `at`. A full (or zero-capacity) lane
+    /// rejects — a virtual open-loop submitter cannot park. Returns
+    /// whether the chunk entered its lane. A request failed over from a
+    /// kill keeps its original `arrival_ns` and deadline, so its queue
+    /// latency honestly includes the time it wasted on the dead replica.
     pub(crate) fn admit_request(&mut self, req: Request, at: u64) -> bool {
         let lane = self.core.lane_of(req.priority);
         self.wall_ns = self.wall_ns.max(at);
@@ -271,18 +252,6 @@ impl VirtualPipeline {
         completion.into_iter().chain(linger).min()
     }
 
-    /// Fires every timer up to `to` (in time order), pumping after each.
-    pub(crate) fn advance_to(&mut self, now: &mut u64, to: u64) {
-        while let Some(t) = self.next_event(*now) {
-            if t > to {
-                break;
-            }
-            *now = t;
-            self.fire(t);
-        }
-        *now = to.max(*now);
-    }
-
     /// One timer firing at `t`: finished batches complete, linger-expired
     /// groups flush, then the pipeline pumps to its fixpoint. Lingers are
     /// expired only here: the event loop visits every linger deadline in
@@ -310,9 +279,8 @@ impl VirtualPipeline {
                     batch.requests.retain(|req| !suppressed.remove(&(req.id, req.chunk.index)));
                 }
                 self.core.record_served(&batch, full_size, run.start_ns, run.service_ns);
-                for req in &batch.requests {
-                    if self.track_events {
-                        self.hedged.remove(&(req.id, req.chunk.index));
+                if self.track_events {
+                    for req in &batch.requests {
                         self.events
                             .push(PipeEvent::Completed { id: req.id, chunk: req.chunk.index });
                     }
@@ -360,20 +328,11 @@ impl VirtualPipeline {
         for req in batch.requests.drain(..) {
             match inj.decide(&req.job) {
                 Some(InjectedFault::Panic) => {
-                    let key = (req.id, req.chunk.index);
-                    if self.track_events && self.hedged.remove(&key) {
-                        // A hedge-arbitrated copy: the cluster decides
-                        // which copy's terminal outcome counts.
-                        self.events.push(PipeEvent::Lost {
-                            id: req.id,
-                            chunk: req.chunk.index,
-                            at_ns: now,
-                            failed: true,
-                        });
-                    } else if !self.suppressed.remove(&key) {
-                        self.core.record_failed(&req, now);
+                    if self.suppressed.remove(&(req.id, req.chunk.index)) {
+                        self.inflight -= 1; // a cancelled loser leaves no record
+                    } else {
+                        self.lose(req, now, true);
                     }
-                    self.inflight -= 1;
                 }
                 Some(InjectedFault::Delay(d)) => {
                     delay_ns = delay_ns.max(d);
@@ -389,26 +348,28 @@ impl VirtualPipeline {
         Some((batch, delay_ns))
     }
 
-    /// Pumps the core at `now` and settles its sheds: each is recorded
-    /// or, for a hedge-arbitrated copy, deferred to the cluster as an
-    /// event.
+    /// A chunk shed (or `failed` by the injector) here at `now` leaves the
+    /// pipeline: with event tracking on it travels to the cluster as
+    /// [`PipeEvent::Lost`] unrecorded, otherwise it is recorded at once.
+    fn lose(&mut self, req: Request, now: u64, failed: bool) {
+        self.inflight -= 1;
+        if self.track_events {
+            self.events.push(PipeEvent::Lost { req, at_ns: now, failed });
+        } else if failed {
+            self.core.record_failed(&req, now);
+        } else {
+            self.core.record_shed(&req, now);
+        }
+    }
+
+    /// Pumps the core at `now` and settles its sheds.
     fn pump_core(&mut self, now: u64) {
         self.core.pump(now, &mut self.shed);
-        for req in self.shed.drain(..) {
-            if self.track_events && self.hedged.remove(&(req.id, req.chunk.index)) {
-                // Hedge-arbitrated: the cluster commits the shed only if
-                // no other copy survives.
-                self.events.push(PipeEvent::Lost {
-                    id: req.id,
-                    chunk: req.chunk.index,
-                    at_ns: now,
-                    failed: false,
-                });
-            } else {
-                self.core.record_shed(&req, now);
-            }
-            self.inflight -= 1;
+        let mut shed = std::mem::take(&mut self.shed);
+        for req in shed.drain(..) {
+            self.lose(req, now, false);
         }
+        self.shed = shed;
     }
 
     /// One fixpoint pass of the virtual pipeline at time `now`: the core
@@ -451,21 +412,6 @@ impl VirtualPipeline {
         !self.core.is_empty() || self.is_busy()
     }
 
-    /// Keeps firing timers until the pipeline is empty. Every queued
-    /// request either rides a linger/size flush or sheds; termination
-    /// needs no shutdown drain because virtual time always reaches the
-    /// linger.
-    pub(crate) fn drain(&mut self, now: &mut u64) {
-        while self.has_pending() {
-            let t = self
-                .next_event(*now)
-                .expect("pending virtual work always has a next timer");
-            *now = t;
-            self.fire(t);
-        }
-        self.finalize(*now);
-    }
-
     /// Locks in the final wall clock once no more events will reach this
     /// pipeline.
     pub(crate) fn finalize(&mut self, now: u64) {
@@ -492,7 +438,6 @@ impl VirtualPipeline {
             let suppressed = &mut self.suppressed;
             orphans.retain(|r| !suppressed.remove(&(r.id, r.chunk.index)));
         }
-        self.hedged.clear();
         orphans.sort_unstable_by_key(|r| (r.id, r.chunk.index));
         self.cache.warm.clear();
         self.inflight = 0;

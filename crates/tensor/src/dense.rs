@@ -276,13 +276,6 @@ fn matmul_naive<T: MacScalar>(lhs: &Matrix<T>, rhs: &Matrix<T>) -> Matrix<T> {
     out
 }
 
-/// Don't bother with sparsity dispatch below this element count: the
-/// density scan would cost as much as the multiply.
-const SPARSE_DISPATCH_MIN_ELEMS: usize = 64 * 64;
-/// Density at or below which the CSR route wins (nnz/len ≤ 1/4, i.e. the
-/// ≥75 % sparsity regime the pruning sweeps operate in).
-const SPARSE_DISPATCH_MAX_DENSITY: f64 = 0.25;
-
 impl<T: MacScalar> Matrix<T> {
     /// Number of non-zero elements.
     pub fn nnz(&self) -> usize {
@@ -298,46 +291,14 @@ impl<T: MacScalar> Matrix<T> {
         1.0 - self.nnz() as f64 / self.data.len() as f64
     }
 
-    /// Whether the non-zero density is at most `max_density`, with an
-    /// early exit: a dense matrix stops the scan as soon as the budget is
-    /// exceeded, so the dispatch check never costs a full `nnz()` pass on
-    /// the matrices it rejects.
-    fn is_sparser_than(&self, max_density: f64) -> bool {
-        let budget = (max_density * self.data.len() as f64) as usize;
-        let mut nnz = 0usize;
-        for &v in &self.data {
-            if !v.is_zero() {
-                nnz += 1;
-                if nnz > budget {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
-    /// The shared auto-routing product: large operands at ≥75 % sparsity go
-    /// through the CSR Gustavson kernel (the software mirror of the
-    /// accelerator's sparsity-aware datapath), everything else through the
-    /// cache-blocked dense kernel. Both walk the inner dimension in
-    /// ascending order per output and skip zero `A` operands, so the result
-    /// is bit-identical whichever path runs. `tag` is the storage-metadata
-    /// precision recorded on the CSR encoding.
-    fn matmul_auto(&self, rhs: &Matrix<T>, tag: Precision) -> Result<Matrix<T>> {
+    /// The shared shape-checked product through the cache-blocked dense
+    /// kernel, which skips zero `A` operands.
+    fn matmul_checked(&self, rhs: &Matrix<T>) -> Result<Matrix<T>> {
         if self.cols != rhs.rows {
             return Err(TensorError::ShapeMismatch {
                 expected: format!("rhs with {} rows", self.cols),
                 actual: format!("rhs with {} rows", rhs.rows),
             });
-        }
-        // u16 minor indices bound the CSR route to 65536 columns.
-        if self.len() >= SPARSE_DISPATCH_MIN_ELEMS
-            && self.cols <= u16::MAX as usize + 1
-            && self.is_sparser_than(SPARSE_DISPATCH_MAX_DENSITY)
-        {
-            let csr =
-                crate::sparse::CsrMatrix::from_dense(self, crate::sparse::CsrLayout::RowMajor, tag);
-            return csr.matmul_dense(rhs);
         }
         Ok(matmul_blocked(self, rhs))
     }
@@ -360,22 +321,14 @@ impl Matrix<i32> {
 
     /// Integer matrix product `self × rhs` with 64-bit accumulation,
     /// saturated back to `i32` (reference model for the MAC array, whose
-    /// accumulators are wide enough in every supported mode).
-    ///
-    /// Large sparse operands (≤ 25 % density) route through the
-    /// [`CsrMatrix`](crate::sparse::CsrMatrix) Gustavson kernel — the
-    /// software mirror of the accelerator's sparsity-aware datapath —
-    /// everything else through the cache-blocked dense kernel. Both walk
-    /// the inner dimension in ascending order per output, so the result is
-    /// bit-identical whichever path runs.
+    /// accumulators are wide enough in every supported mode), through the
+    /// cache-blocked dense kernel at any sparsity.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::ShapeMismatch`] if `self.cols != rhs.rows`.
     pub fn matmul(&self, rhs: &Matrix<i32>) -> Result<Matrix<i32>> {
-        // The precision tag is storage metadata only; the kernel operates
-        // on the full i32 values.
-        self.matmul_auto(rhs, Precision::Int16)
+        self.matmul_checked(rhs)
     }
 
     /// Iterator over `(row, col, value)` of the non-zero elements, row-major.
@@ -390,19 +343,16 @@ impl Matrix<i32> {
 }
 
 impl Matrix<f32> {
-    /// Floating-point matrix product (reference model for GPU math). Large
-    /// operands at ≥75 % sparsity — batched post-ReLU activations, above
-    /// all — route through the `CsrMatrix<f32>` Gustavson kernel, mirroring
-    /// the integer path's dispatch; everything else takes the cache-blocked
-    /// dense kernel. Per output element the additions happen in the same
-    /// (ascending-k, zero-`A`-skipping) order on every path, so results are
-    /// bit-identical to the naive triple loop whichever kernel runs.
+    /// Floating-point matrix product (reference model for GPU math),
+    /// through the cache-blocked dense kernel at any sparsity. Per output
+    /// element the additions happen in ascending-k order, skipping zero
+    /// `A` operands, so results are bit-identical to the naive triple loop.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::ShapeMismatch`] if `self.cols != rhs.rows`.
     pub fn matmul(&self, rhs: &Matrix<f32>) -> Result<Matrix<f32>> {
-        self.matmul_auto(rhs, Precision::Fp32)
+        self.matmul_checked(rhs)
     }
 }
 
@@ -524,18 +474,16 @@ mod tests {
 
     #[test]
     fn sparse_dispatch_matches_dense_path() {
-        // 96x96 at 95 % sparsity crosses the CSR dispatch threshold.
+        // A large 95 %-sparse operand against the naive oracle.
         let a = crate::gen::random_sparse_i32(96, 96, 0.95, Precision::Int8, 21);
         let b = crate::gen::random_sparse_i32(96, 64, 0.3, Precision::Int8, 22);
-        assert!(a.len() >= SPARSE_DISPATCH_MIN_ELEMS);
-        assert!((a.nnz() as f64) <= SPARSE_DISPATCH_MAX_DENSITY * a.len() as f64);
         assert_eq!(a.matmul(&b).unwrap(), matmul_naive(&a, &b));
     }
 
     #[test]
     fn f32_sparse_dispatch_matches_dense_path() {
-        // Post-ReLU-style operand: large and ≥75 % exact zeros, so the f32
-        // matmul must take the CsrMatrix<f32> route — and stay bit-identical.
+        // Post-ReLU-style operand: large and ≥75 % exact zeros; the f32
+        // matmul must stay bit-identical to the naive oracle.
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(33);
         let mut a = Matrix::<f32>::zeros(96, 96);
@@ -543,8 +491,6 @@ mod tests {
             *v = if rng.gen_bool(0.92) { 0.0 } else { rng.gen_range(-2.0f32..=2.0) };
         }
         let b = random_f32(96, 64, 34);
-        assert!(a.len() >= SPARSE_DISPATCH_MIN_ELEMS);
-        assert!(a.is_sparser_than(SPARSE_DISPATCH_MAX_DENSITY));
         assert_eq!(a.matmul(&b).unwrap(), matmul_naive(&a, &b));
     }
 

@@ -15,8 +15,9 @@ use std::time::Duration;
 use fnr_par::width_test_guard as width_guard;
 use fnr_serve::workload::{generate, ArrivalPattern, WorkloadSpec};
 use fnr_serve::{
-    run_cluster, run_open_loop, run_virtual, ClusterConfig, ClusterService, FaultPlan,
-    PayloadMode, SchedConfig, ServeMetrics, ServeReport, ServerConfig, VirtualService,
+    run_cluster, run_open_loop, run_virtual, ClusterConfig, ClusterService, FaultInjector,
+    FaultPlan, HealthConfig, PayloadMode, SchedConfig, ServeMetrics, ServeReport, ServerConfig,
+    VirtualService,
 };
 
 fn bursty_spec(requests: usize) -> WorkloadSpec {
@@ -262,4 +263,59 @@ fn single_replica_cluster_reproduces_run_virtual() {
         assert_eq!(a.id, b.id);
         assert_eq!(a.bytes, b.bytes, "cluster payload of request {} differs from run_virtual", a.id);
     }
+}
+
+#[test]
+fn tracked_losses_settle_like_run_virtual() {
+    // With the failure detector on, a one-replica cluster tracks events
+    // (hedging stays off): every shed and injected failure leaves the
+    // pipeline unrecorded as a loss event and is recorded by the cluster.
+    // The ledger must come out exactly as `run_virtual`'s, which records
+    // each loss on the spot.
+    let _g = width_guard();
+    fnr_par::set_num_threads(2);
+    let spec = WorkloadSpec {
+        requests: 200,
+        seed: 4242,
+        pattern: ArrivalPattern::Bursty,
+        table_names: fnr_bench::serving::table_names(),
+        mean_gap: Duration::from_micros(40),
+        priority_mix: [0.3, 0.4, 0.3],
+        deadline: Some(Duration::from_millis(5)),
+        ..WorkloadSpec::default()
+    };
+    let jobs = generate(&spec);
+    let injector = FaultInjector { seed: 11, panic_per_mille: 80, delay_per_mille: 0, delay_ns: 0 };
+    let cfg = ServerConfig {
+        workers: 2,
+        tables: fnr_bench::serving::table_registry(),
+        injector: Some(injector),
+        ..ServerConfig::default()
+    };
+    let service_ns = 1_200_000;
+
+    let direct = run_virtual(&cfg, &jobs, VirtualService { service_ns, per_item_ns: 0 });
+    let tracked = run_cluster(
+        &ClusterConfig {
+            replicas: 1,
+            server: cfg,
+            max_inflight: usize::MAX,
+            service: ClusterService { service_ns, per_item_ns: 0, cold_start_ns: 0 },
+            health: HealthConfig { enabled: true, ..HealthConfig::default() },
+            ..ClusterConfig::default()
+        },
+        &jobs,
+    );
+    fnr_par::set_num_threads(1);
+
+    assert!(direct.metrics.shed > 0, "the trace must exercise shedding");
+    assert!(direct.metrics.failed > 0, "the trace must exercise injected failures");
+    let replica = &tracked.metrics.replicas[0];
+    assert_eq!(
+        sched_fingerprint(&direct.metrics),
+        sched_fingerprint(&replica.metrics),
+        "losses settled through the cluster diverged from run_virtual"
+    );
+    assert_eq!(replica.metrics.failed, direct.metrics.failed);
+    assert_eq!(tracked.metrics.digest, direct.metrics.digest);
 }
