@@ -2,16 +2,28 @@
 //! pipelines behind a seeded consistent-hash front door, with fault
 //! injection, on one shared virtual clock.
 //!
-//! Each replica is a full [`VirtualPipeline`] — its own lanes,
-//! weighted-deficit scheduler, batcher, virtual workers and modeled
-//! per-`(scene, precision)` model cache. The front door routes every
-//! arrival by its coalescing key over a [`HashRing`] (scene affinity:
-//! same key, same replica, warm cache, fat batches), skipping replicas
-//! that are dead or at their inflight bound. A [`FaultPlan`] kills and
-//! restarts replicas on the virtual clock: a kill orphans everything in
-//! flight on that replica and the front door immediately re-routes the
-//! orphans over the surviving ring (failover) or drops them; the
-//! replica restarts with a cold cache.
+//! Each replica is one record: the scheduling core (`Pipeline` — lanes,
+//! weighted-deficit scheduler, brownout, batcher, the `2 × workers` ready
+//! queue, and the ledger every terminal outcome folds into), the virtual
+//! workers that take its ready batches and report back in virtual
+//! nanoseconds, their service model (flat and per-member cost, stretched
+//! by a gray-failure slow factor, plus a cold-start cost whenever the
+//! modeled per-`(scene, precision)` model cache misses), the seeded chaos
+//! injector (same seeds, same poisoned set as live mode), and the front
+//! door's lifecycle and counters for it. Every externally visible step —
+//! a chunk starting service, completing, or lost to a shed or an injected
+//! failure — is queued as a `PipeEvent` and drained by the front door
+//! after every fire or pump. The drain feeds the failure detector, CoDel
+//! admission and the hedge arbiter, and is the only place a loss is
+//! recorded.
+//!
+//! The front door routes every arrival by its coalescing key over a
+//! [`HashRing`] (scene affinity: same key, same replica, warm cache, fat
+//! batches), skipping replicas that are dead or at their inflight bound.
+//! A [`FaultPlan`] kills and restarts replicas on the virtual clock: a
+//! kill orphans everything in flight on that replica and the front door
+//! immediately re-routes the orphans over the surviving ring (failover)
+//! or drops them; the replica restarts with a cold cache.
 //!
 //! Everything that *decides* — routing, admission, scheduling, batching,
 //! cache hits, fault handling — runs single-threaded in event order, so
@@ -27,26 +39,25 @@
 //! Hedging is the front door's duplicate-request policy: a slow chunk
 //! gets a second copy on another replica, and whichever copy completes
 //! first wins. The front door alone keeps the books on which copies are
-//! live (`Tracked`); with event tracking on, a pipeline reports every
-//! shed and injected failure as a loss event instead of recording it, and
-//! the front door records the loss unless another copy still owns the
-//! chunk.
+//! live (`Tracked`), and records a lost chunk unless another copy still
+//! owns it.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, HashSet, VecDeque};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::fault::FaultInjector;
+use crate::batch::Batch;
+use crate::fault::{FaultInjector, InjectedFault};
 use crate::health::{AdmissionConfig, CoDelAdmission, HealthConfig, HealthDetector, HealthState, HedgeConfig};
 use crate::metrics::{ClusterMetrics, FrontDoorTotals, ReplicaStats};
+use crate::pipeline::Pipeline;
 use crate::request::{
-    assemble_chunks, effective_chunks, response_set_digest, synthetic_chunk_payload, ChunkResponse,
-    ChunkSpan, Request, Response,
+    assemble_chunks, effective_chunks, fnv1a, response_set_digest, set_digest,
+    synthetic_chunk_payload, BatchKey, ChunkResponse, ChunkSpan, Request, Response,
 };
 use crate::router::{HashRing, RouterConfig};
 use crate::server::{execute_batch, ServerConfig};
-use crate::vclock::{PipeEvent, VirtualPipeline};
 use crate::workload::TimedJob;
 
 /// Virtual service model for the cluster simulator.
@@ -393,10 +404,73 @@ enum Life {
     Down,
 }
 
-/// One replica as the front door sees it: its pipeline, its lifecycle,
-/// and the cluster-layer counters its [`ReplicaStats`] reports.
+/// A batch in service on a virtual worker.
+struct Running {
+    batch: Batch,
+    start_ns: u64,
+    service_ns: u64,
+}
+
+impl Running {
+    /// Virtual time the batch completes and its worker frees up.
+    fn done_at(&self) -> u64 {
+        self.start_ns + self.service_ns
+    }
+}
+
+/// One replica event, queued at the instant it happens, in event order,
+/// and drained by the front door after every fire/pump of the replica.
+#[derive(Debug)]
+enum PipeEvent {
+    /// A virtual worker took the chunk's batch after `queue_ns` waiting.
+    Started { id: u64, chunk: u32, queue_ns: u64 },
+    /// The chunk's batch completed service (it will be served).
+    Completed { id: u64, chunk: u32 },
+    /// `req` was shed by the scheduler, or `failed` by the chaos
+    /// injector, at virtual time `at_ns`, and is not yet recorded:
+    /// [`ClusterState::settle_loss`] records it.
+    Lost { req: Request, at_ns: u64, failed: bool },
+}
+
+/// One replica: its scheduling core, virtual workers, service model,
+/// modeled model cache and chaos injector, plus its lifecycle and the
+/// cluster-layer counters its [`ReplicaStats`] reports.
 struct Replica {
-    pipe: VirtualPipeline,
+    /// The scheduling core and its ledger.
+    core: Pipeline,
+    /// Scratch for the core's sheds, drained after every pump.
+    shed: Vec<Request>,
+    /// The service model (`service_ns` is at least 1).
+    service: ClusterService,
+    /// Gray-failure injection: every batch's virtual service time is
+    /// multiplied by this (the `slow@T:R:F` fault). 1 = nominal speed;
+    /// batches already in service keep their committed completion time.
+    slow_factor: u64,
+    /// The warm `(scene, precision)` render keys of the modeled model
+    /// cache. A kill empties it; the hit/miss totals survive, because
+    /// restarts are exactly what makes hit ratios interesting.
+    warm: HashSet<BatchKey>,
+    cache_hits: u64,
+    cache_misses: u64,
+    /// Seeded chaos: a poisoned request fails the moment a worker would
+    /// take its batch (the live quarantine outcome, minus the real-time
+    /// retry loop); a delayed one stretches its batch's service time.
+    injector: Option<FaultInjector>,
+    /// The batch each virtual worker is serving, if any (so a kill can
+    /// orphan in-service work instead of silently completing it).
+    workers: Vec<Option<Running>>,
+    /// Requests admitted and not yet terminal (served, lost, or orphaned
+    /// by a kill) — the router's per-replica admission-control gauge.
+    inflight: usize,
+    /// Events not yet drained by [`ClusterState::drain_events`].
+    events: Vec<PipeEvent>,
+    /// Losing hedge copies currently in service: their completion is
+    /// dropped — no request metric, no response, the work was wasted.
+    suppressed: HashSet<(u64, u32)>,
+    /// Every batch that completed service, in completion order.
+    decided: Vec<Batch>,
+    /// Total virtual time the workers spent serving completed batches.
+    busy_ns: u64,
     life: Life,
     /// Whether the replica currently owns ring points (a leave removes
     /// them, a restart-after-leave or join adds them back).
@@ -411,11 +485,24 @@ struct Replica {
 
 impl Replica {
     /// A fresh replica for `cfg`: up, in the ring, cold cache, nominal
-    /// speed.
-    fn new(cfg: &ClusterConfig, track: bool) -> Self {
-        let injector = cfg.injector.or(cfg.server.injector);
+    /// speed, idle workers.
+    fn new(cfg: &ClusterConfig) -> Self {
+        let service = cfg.service;
         Replica {
-            pipe: VirtualPipeline::new(&cfg.server, cfg.service, injector, track),
+            core: Pipeline::new(&cfg.server),
+            shed: Vec::new(),
+            service: ClusterService { service_ns: service.service_ns.max(1), ..service },
+            slow_factor: 1,
+            warm: HashSet::new(),
+            cache_hits: 0,
+            cache_misses: 0,
+            injector: cfg.injector.or(cfg.server.injector).filter(|i| !i.is_empty()),
+            workers: (0..cfg.server.workers.max(1)).map(|_| None).collect(),
+            inflight: 0,
+            events: Vec::new(),
+            suppressed: HashSet::new(),
+            decided: Vec::new(),
+            busy_ns: 0,
             life: Life::Up,
             in_ring: true,
             routed: 0,
@@ -425,6 +512,229 @@ impl Replica {
             restarts: 0,
             suspects: 0,
         }
+    }
+
+    /// Whether any virtual worker is in service right now (the failure
+    /// detector only expects progress from a busy replica).
+    fn is_busy(&self) -> bool {
+        self.workers.iter().any(Option::is_some)
+    }
+
+    /// Cancels the live copy of `(id, chunk)`, wherever it sits: removed
+    /// outright if still queued, suppressed (completes without a trace) if
+    /// already in service. The hedging layer calls this on the losing copy
+    /// the instant the winning copy completes.
+    fn cancel(&mut self, id: u64, chunk: ChunkSpan) {
+        if self.core.cancel(id, chunk) {
+            self.inflight -= 1;
+        } else if self
+            .workers
+            .iter()
+            .flatten()
+            .any(|run| run.batch.requests.iter().any(|r| r.id == id && r.chunk == chunk))
+        {
+            self.suppressed.insert((id, chunk.index));
+        }
+    }
+
+    /// Admits `req`. A full (or zero-capacity) lane rejects — a virtual
+    /// open-loop submitter cannot park. Returns whether the chunk entered
+    /// its lane. A request failed over from a kill keeps its original
+    /// `arrival_ns` and deadline, so its queue latency honestly includes
+    /// the time it wasted on the dead replica.
+    fn admit_request(&mut self, req: Request) -> bool {
+        let lane = self.core.lane_of(req.priority);
+        let admitted = self.admit_hedge(req);
+        if !admitted {
+            self.core.reject(lane, 1);
+        }
+        admitted
+    }
+
+    /// Admits a hedge clone **without** counting a rejection on failure:
+    /// a clone that finds no lane room simply never existed (the primary
+    /// copy still owns the request), so it must not perturb the
+    /// conservation law.
+    fn admit_hedge(&mut self, req: Request) -> bool {
+        if !self.core.admit(req) {
+            return false;
+        }
+        self.inflight += 1;
+        true
+    }
+
+    /// Earliest pending timer: a busy worker finishing or a linger expiry.
+    fn next_event(&self, now: u64) -> Option<u64> {
+        let completion = self.workers.iter().flatten().map(Running::done_at).filter(|&t| t > now).min();
+        let linger = self.core.next_deadline().map(|d| d.max(now));
+        completion.into_iter().chain(linger).min()
+    }
+
+    /// One timer firing at `t`: finished batches complete, linger-expired
+    /// groups flush, then the replica pumps to its fixpoint. Lingers are
+    /// expired only here: the event loop visits every linger deadline in
+    /// time order, so a pump between timers never finds one overdue.
+    fn fire(&mut self, t: u64) {
+        self.complete_finished(t);
+        self.core.expire(t);
+        self.pump(t);
+    }
+
+    /// Retires every in-service batch whose completion time has passed:
+    /// records it served on the core's ledger (against its stored start
+    /// time) and locks it into the decided trace. Runs before any new work
+    /// is assigned, so a kill at `t` can only orphan batches still
+    /// genuinely in service.
+    fn complete_finished(&mut self, now: u64) {
+        for w in &mut self.workers {
+            if let Some(run) = w.take_if(|run| run.done_at() <= now) {
+                let full_size = run.batch.requests.len();
+                let mut batch = run.batch;
+                if !self.suppressed.is_empty() {
+                    // Losing hedge copies finish without a trace: the
+                    // winner already carries the request's record.
+                    let suppressed = &mut self.suppressed;
+                    batch.requests.retain(|req| !suppressed.remove(&(req.id, req.chunk.index)));
+                }
+                self.core.record_served(&batch, full_size, run.start_ns, run.service_ns);
+                for req in &batch.requests {
+                    self.events.push(PipeEvent::Completed { id: req.id, chunk: req.chunk.index });
+                }
+                self.busy_ns += run.service_ns;
+                self.inflight -= full_size;
+                if !batch.requests.is_empty() {
+                    self.decided.push(batch);
+                }
+            }
+        }
+    }
+
+    /// The virtual service time of `batch`: the flat per-batch cost, plus
+    /// the size-aware per-member cost, plus the cold-start cost when the
+    /// modeled cache misses on a render key (table batches carry no model
+    /// and never pay it) — all stretched by the gray-failure slow factor.
+    /// Chaos-injected delays are added by the caller, unscaled.
+    fn service_for(&mut self, batch: &Batch) -> u64 {
+        let mut svc = self
+            .service
+            .service_ns
+            .saturating_add(self.service.per_item_ns.saturating_mul(batch.requests.len() as u64));
+        if matches!(batch.key, BatchKey::Render(..)) {
+            if self.warm.insert(batch.key.clone()) {
+                self.cache_misses += 1;
+                svc = svc.saturating_add(self.service.cold_start_ns);
+            } else {
+                self.cache_hits += 1;
+            }
+        }
+        svc.saturating_mul(self.slow_factor)
+    }
+
+    /// Applies the chaos injector to a batch a worker is about to take:
+    /// poisoned members fail on the spot (the virtual analogue of the live
+    /// supervisor's quarantine verdict), delayed members stretch the
+    /// batch's service time by the largest member delay. Returns `None`
+    /// when no member survives, else the surviving batch and the extra
+    /// service nanoseconds.
+    fn apply_faults(&mut self, mut batch: Batch, now: u64) -> Option<(Batch, u64)> {
+        let Some(inj) = self.injector else { return Some((batch, 0)) };
+        let mut delay_ns = 0u64;
+        let mut survivors = Vec::with_capacity(batch.requests.len());
+        for req in batch.requests.drain(..) {
+            match inj.decide(&req.job) {
+                Some(InjectedFault::Panic) => {
+                    if self.suppressed.remove(&(req.id, req.chunk.index)) {
+                        self.inflight -= 1; // a cancelled loser leaves no record
+                    } else {
+                        self.lose(req, now, true);
+                    }
+                }
+                Some(InjectedFault::Delay(d)) => {
+                    delay_ns = delay_ns.max(d);
+                    survivors.push(req);
+                }
+                None => survivors.push(req),
+            }
+        }
+        if survivors.is_empty() {
+            return None;
+        }
+        batch.requests = survivors;
+        Some((batch, delay_ns))
+    }
+
+    /// A chunk shed (or `failed` by the injector) here at `now` leaves the
+    /// replica unrecorded, as a [`PipeEvent::Lost`].
+    fn lose(&mut self, req: Request, now: u64, failed: bool) {
+        self.inflight -= 1;
+        self.events.push(PipeEvent::Lost { req, at_ns: now, failed });
+    }
+
+    /// One fixpoint pass of the replica at time `now`: the core pumps (its
+    /// sheds are lost), idle workers take its ready batches (in queue
+    /// order), and every take frees a ready slot the next pump can refill.
+    fn pump(&mut self, now: u64) {
+        self.complete_finished(now);
+        loop {
+            self.core.pump(now, &mut self.shed);
+            let mut shed = std::mem::take(&mut self.shed);
+            for req in shed.drain(..) {
+                self.lose(req, now, false);
+            }
+            self.shed = shed;
+            let mut took = false;
+            while let Some(wi) = self.workers.iter().position(Option::is_none) {
+                let Some(batch) = self.core.take() else { break };
+                took = true;
+                let Some((batch, delay_ns)) = self.apply_faults(batch, now) else {
+                    continue; // every member was poisoned: nothing to run
+                };
+                let service_ns = self.service_for(&batch) + delay_ns;
+                for req in &batch.requests {
+                    self.events.push(PipeEvent::Started {
+                        id: req.id,
+                        chunk: req.chunk.index,
+                        queue_ns: now - req.arrival_ns,
+                    });
+                }
+                self.workers[wi] = Some(Running { batch, start_ns: now, service_ns });
+            }
+            if !took {
+                break;
+            }
+        }
+    }
+
+    /// Whether any admitted request is still queued, pending, or in
+    /// service.
+    fn has_pending(&self) -> bool {
+        !self.core.is_empty() || self.is_busy()
+    }
+
+    /// Kills the replica at virtual time `t`: everything in flight —
+    /// queued in a lane, pending in the batcher, stalled, queued for a
+    /// worker, or in service — is orphaned and returned (in admission-id
+    /// order) for the front door to fail over or shed. Scheduler and
+    /// batcher state restart fresh and the model cache goes cold; the
+    /// core's ledger and the cache hit/miss totals survive, because a
+    /// crash cannot un-serve history.
+    fn kill(&mut self, t: u64) -> Vec<Request> {
+        // Work that finished strictly by `t` completed before the crash.
+        self.complete_finished(t);
+        let mut orphans = self.core.drain_all();
+        for run in self.workers.iter_mut().filter_map(Option::take) {
+            orphans.extend(run.batch.requests);
+        }
+        if !self.suppressed.is_empty() {
+            // A losing hedge copy orphaned by the crash stays a loser:
+            // the winner already carries the request, so it just vanishes.
+            let suppressed = &mut self.suppressed;
+            orphans.retain(|r| !suppressed.remove(&(r.id, r.chunk.index)));
+        }
+        orphans.sort_unstable_by_key(|r| (r.id, r.chunk.index));
+        self.warm.clear();
+        self.inflight = 0;
+        orphans
     }
 }
 
@@ -456,8 +766,6 @@ struct ClusterState<'c> {
     draining: usize,
     health: HealthDetector,
     codel: CoDelAdmission,
-    /// Whether pipelines emit [`PipeEvent`]s (any resilience feature on).
-    track: bool,
     /// Hedge-arbitrated chunks by `(id, chunk index)`, empty unless
     /// hedging is on (`BTreeMap` so suspect-triggered hedges fire in
     /// deterministic id-then-chunk order).
@@ -467,7 +775,7 @@ struct ClusterState<'c> {
     hedge_timers: VecDeque<(u64, (u64, u32))>,
     /// Index of the next unapplied fault in the sorted plan.
     next_fault: usize,
-    /// Virtual time of the last event that touched a pipeline.
+    /// Virtual time of the last event that touched a replica.
     last_event_ns: u64,
 }
 
@@ -475,7 +783,7 @@ impl<'c> ClusterState<'c> {
     /// Whether the front door may send work to replica `r` at all.
     fn routable(&self, r: usize) -> bool {
         let rep = &self.replicas[r];
-        rep.life == Life::Up && rep.pipe.inflight() < self.cfg.max_inflight
+        rep.life == Life::Up && rep.inflight < self.cfg.max_inflight
     }
 
     /// Picks the replica for `key_hash`, walking the ring clockwise and
@@ -498,7 +806,7 @@ impl<'c> ClusterState<'c> {
             .or_else(|| self.ring.route(key_hash, ok))
     }
 
-    /// A tracked chunk's terminal happened outside any pipeline (front
+    /// A tracked chunk's terminal happened outside any replica (front
     /// door drop or lane-full reject on failover): close its book.
     fn settle_terminal(&mut self, key: (u64, u32)) {
         if let Some(tr) = self.tracked.remove(&key) {
@@ -518,7 +826,7 @@ impl<'c> ClusterState<'c> {
         let key_hash = HashRing::key_hash(&req.job.key());
         match self.pick(key_hash, t, None) {
             Some(r) => {
-                if self.replicas[r].pipe.admit_request(req, t) {
+                if self.replicas[r].admit_request(req) {
                     self.replicas[r].failed_over_in += 1;
                     self.replicas[from].failed_over_out += 1;
                     if let Some(tr) = self.tracked.get_mut(&key) {
@@ -527,7 +835,7 @@ impl<'c> ClusterState<'c> {
                     }
                 } else {
                     // A lane-full reject is counted by the target
-                    // pipeline's admission accounting — that is the
+                    // replica's admission accounting — that is the
                     // chunk's terminal.
                     self.settle_terminal(key);
                 }
@@ -542,7 +850,8 @@ impl<'c> ClusterState<'c> {
     /// `req` was shed (or `failed`) on replica `r` at `at_ns`: record the
     /// loss there, unless it is a tracked chunk with another live copy —
     /// the survivor then owns the chunk, and only the last copy's loss
-    /// records.
+    /// records. This is the only place a virtual loss is recorded; an
+    /// untracked chunk records at once.
     fn settle_loss(&mut self, r: usize, req: Request, at_ns: u64, failed: bool) {
         let key = (req.id, req.chunk.index);
         if let Some(tr) = self.tracked.get_mut(&key) {
@@ -552,7 +861,7 @@ impl<'c> ClusterState<'c> {
             }
             self.settle_terminal(key);
         }
-        let core = &mut self.replicas[r].pipe.core;
+        let core = &mut self.replicas[r].core;
         if failed {
             core.record_failed(&req, at_ns);
         } else {
@@ -560,19 +869,17 @@ impl<'c> ClusterState<'c> {
         }
     }
 
-    /// Drains replica `r`'s pipeline events at time `t`: feeds the CoDel
-    /// controller (queue delays at service start), arbitrates hedge
-    /// copies (first completion wins, losers are cancelled or
+    /// Drains replica `r`'s events at time `t`: settles its losses, feeds
+    /// the CoDel controller (queue delays at service start), arbitrates
+    /// hedge copies (first completion wins, losers are cancelled or
     /// suppressed), and gives the failure detector its heartbeat
     /// observation. Called after every fire/pump of `r`, so same-tick
     /// races resolve in replica-index order — deterministically.
     fn drain_events(&mut self, r: usize, t: u64) {
-        if !self.track {
-            return;
-        }
-        let events = self.replicas[r].pipe.take_events();
+        // Keep the queue's buffer: nothing below queues an event on `r`.
+        let mut events = std::mem::take(&mut self.replicas[r].events);
         let mut progressed = false;
-        for ev in events {
+        for ev in events.drain(..) {
             match ev {
                 PipeEvent::Started { id, chunk, queue_ns } => {
                     self.codel.observe(r, queue_ns, t);
@@ -586,7 +893,7 @@ impl<'c> ClusterState<'c> {
                         for &other in tr.copies.iter().filter(|&&c| c != r) {
                             // The losing copy is pulled from its queue,
                             // or suppressed if already in service.
-                            self.replicas[other].pipe.cancel(id, tr.req.chunk);
+                            self.replicas[other].cancel(id, tr.req.chunk);
                         }
                         match tr.clone_replica {
                             Some(c) if c == r => self.front_door.hedge_won += 1,
@@ -598,7 +905,8 @@ impl<'c> ClusterState<'c> {
                 PipeEvent::Lost { req, at_ns, failed } => self.settle_loss(r, req, at_ns, failed),
             }
         }
-        self.health.observe(r, self.replicas[r].pipe.is_busy(), progressed, t);
+        self.replicas[r].events = events;
+        self.health.observe(r, self.replicas[r].is_busy(), progressed, t);
     }
 
     /// Places a hedge clone for the tracked chunk `key` if it is still
@@ -613,7 +921,7 @@ impl<'c> ClusterState<'c> {
         let key_hash = HashRing::key_hash(&tr.req.job.key());
         let Some(r2) = self.pick(key_hash, t, Some(primary)) else { return false };
         let req = tr.req.clone();
-        if !self.replicas[r2].pipe.admit_hedge(req, t) {
+        if !self.replicas[r2].admit_hedge(req) {
             // No lane room on the alternate: the clone never existed.
             return false;
         }
@@ -622,7 +930,7 @@ impl<'c> ClusterState<'c> {
         tr.copies.push(r2);
         self.front_door.hedged += 1;
         self.last_event_ns = self.last_event_ns.max(t);
-        self.replicas[r2].pipe.pump(t);
+        self.replicas[r2].pump(t);
         self.drain_events(r2, t);
         true
     }
@@ -670,7 +978,7 @@ impl<'c> ClusterState<'c> {
             return;
         }
         for rep in &mut self.replicas {
-            if rep.life == Life::Draining && !rep.pipe.has_pending() {
+            if rep.life == Life::Draining && !rep.has_pending() {
                 rep.life = Life::Departed;
                 self.draining -= 1;
             }
@@ -685,7 +993,7 @@ impl<'c> ClusterState<'c> {
                 return;
             }
             let r = self.replicas.len();
-            self.replicas.push(Replica::new(self.cfg, self.track));
+            self.replicas.push(Replica::new(self.cfg));
             self.ring.join(r).expect("index capacity checked above");
             self.health.push_replica(ev.at_ns);
             self.codel.push_replica();
@@ -705,7 +1013,7 @@ impl<'c> ClusterState<'c> {
                 self.replicas[r].life = Life::Down;
                 self.replicas[r].kills += 1;
                 self.last_event_ns = self.last_event_ns.max(ev.at_ns);
-                for req in self.replicas[r].pipe.kill(ev.at_ns) {
+                for req in self.replicas[r].kill(ev.at_ns) {
                     if let Some(tr) = self.tracked.get_mut(&(req.id, req.chunk.index)) {
                         if tr.copies.len() > 1 {
                             // The other copy is live: this orphan
@@ -718,7 +1026,7 @@ impl<'c> ClusterState<'c> {
                 }
             }
             FaultKind::Restart if matches!(self.replicas[r].life, Life::Down | Life::Departed) => {
-                // The pipeline was reset at kill time (or drained dry by
+                // The replica was reset at kill time (or drained dry by
                 // a leave); it comes back empty with a cold cache, and
                 // rejoins the ring if it had left it.
                 self.replicas[r].life = Life::Up;
@@ -729,7 +1037,7 @@ impl<'c> ClusterState<'c> {
                 }
             }
             FaultKind::Slow { factor } => {
-                self.replicas[r].pipe.set_slow_factor(factor);
+                self.replicas[r].slow_factor = u64::from(factor).max(1);
                 self.last_event_ns = self.last_event_ns.max(ev.at_ns);
             }
             FaultKind::Leave if self.replicas[r].life == Life::Up => {
@@ -747,7 +1055,7 @@ impl<'c> ClusterState<'c> {
     }
 
     /// Advances the cluster through every timer, fault and hedge deadline
-    /// up to `target` (faults win ties, then pipeline timers, then hedge
+    /// up to `target` (faults win ties, then replica timers, then hedge
     /// timers). Returns the clock position (`target`, unless `target` is
     /// the drain sentinel `u64::MAX`, in which case the last event time).
     fn process_until(&mut self, target: u64, now: u64) -> u64 {
@@ -756,7 +1064,7 @@ impl<'c> ClusterState<'c> {
             let pipe_next = self
                 .replicas
                 .iter()
-                .filter_map(|rep| rep.pipe.next_event(now))
+                .filter_map(|rep| rep.next_event(now))
                 .min()
                 .filter(|&t| t <= target);
             let fault_next = self
@@ -788,18 +1096,18 @@ impl<'c> ClusterState<'c> {
                 // fault instant, in replica-index order.
                 for i in 0..self.replicas.len() {
                     if self.replicas[i].life != Life::Down {
-                        self.replicas[i].pipe.pump(t);
+                        self.replicas[i].pump(t);
                         self.drain_events(i, t);
                     }
                 }
             } else if pipe_next == Some(t) {
-                // Fire this tick on every pipe that owns it, in index
+                // Fire this tick on every replica that owns it, in index
                 // order, draining events after each so a completion on a
                 // lower-index replica cancels its hedge twin before that
                 // twin's own tick runs — the tie-break is deterministic.
                 for i in 0..self.replicas.len() {
-                    if self.replicas[i].pipe.next_event(now) == Some(t) {
-                        self.replicas[i].pipe.fire(t);
+                    if self.replicas[i].next_event(now) == Some(t) {
+                        self.replicas[i].fire(t);
                         self.drain_events(i, t);
                     }
                 }
@@ -841,15 +1149,13 @@ pub fn run_cluster(cfg: &ClusterConfig, jobs: &[TimedJob]) -> ClusterReport {
     cfg.server.sched.validate();
     let replicas = cfg.replicas.max(1);
     let hedging = cfg.hedge.enabled();
-    let track = hedging || cfg.health.enabled || cfg.admission.enabled;
     let mut state = ClusterState {
         ring: HashRing::new(replicas, &cfg.router),
-        replicas: (0..replicas).map(|_| Replica::new(cfg, track)).collect(),
+        replicas: (0..replicas).map(|_| Replica::new(cfg)).collect(),
         front_door: FrontDoorTotals::default(),
         draining: 0,
         health: HealthDetector::new(cfg.health, replicas, cfg.service.service_ns),
         codel: CoDelAdmission::new(cfg.admission, replicas),
-        track,
         tracked: BTreeMap::new(),
         hedge_timers: VecDeque::new(),
         next_fault: 0,
@@ -886,10 +1192,17 @@ pub fn run_cluster(cfg: &ClusterConfig, jobs: &[TimedJob]) -> ClusterReport {
                 state.replicas[r].routed += 1;
                 let rid = id as u64;
                 for index in 0..of {
-                    let req = state.replicas[r].pipe.request(rid, at, tj, ChunkSpan { index, of });
+                    let req = Request {
+                        id: rid,
+                        priority: tj.priority,
+                        arrival_ns: at,
+                        deadline_ns: tj.deadline.map(|d| at + d.as_nanos() as u64),
+                        chunk: ChunkSpan { index, of },
+                        job: tj.job.clone(),
+                    };
                     if !hedging {
-                        state.replicas[r].pipe.admit_request(req, at);
-                    } else if state.replicas[r].pipe.admit_request(req.clone(), at) {
+                        state.replicas[r].admit_request(req);
+                    } else if state.replicas[r].admit_request(req.clone()) {
                         state.tracked.insert(
                             (rid, index),
                             Tracked { req, copies: vec![r], started: false, clone_replica: None },
@@ -899,7 +1212,7 @@ pub fn run_cluster(cfg: &ClusterConfig, jobs: &[TimedJob]) -> ClusterReport {
                             .push_back((at.saturating_add(cfg.hedge.delay_ns), (rid, index)));
                     }
                 }
-                state.replicas[r].pipe.pump(at);
+                state.replicas[r].pump(at);
                 state.drain_events(r, at);
             }
             None => state.front_door.front_door_shed += of as usize,
@@ -907,10 +1220,9 @@ pub fn run_cluster(cfg: &ClusterConfig, jobs: &[TimedJob]) -> ClusterReport {
     }
     // Drain: remaining timers, faults and hedge deadlines, to quiescence.
     let end = state.process_until(u64::MAX, now);
+    // Each replica reports this wall clock: every admission, timer and
+    // kill on a replica happens at an instant that raised `last_event_ns`.
     let wall_ns = state.last_event_ns.max(end);
-    for rep in &mut state.replicas {
-        rep.pipe.finalize(wall_ns);
-    }
     debug_assert!(state.tracked.is_empty(), "every tracked request must settle by drain");
 
     // Decisions locked in — produce payloads. Per replica, fan the
@@ -923,12 +1235,11 @@ pub fn run_cluster(cfg: &ClusterConfig, jobs: &[TimedJob]) -> ClusterReport {
     let mut all_chunks: Vec<ChunkResponse> = Vec::new();
     let mut replica_stats: Vec<ReplicaStats> = Vec::new();
     for (i, rep) in state.replicas.iter().enumerate() {
-        let pipe = &rep.pipe;
         let nested: Vec<Vec<ChunkResponse>> = match cfg.payload {
             PayloadMode::Render => {
-                fnr_par::par_map(&pipe.decided, |batch| execute_batch(batch, &cfg.server.tables))
+                fnr_par::par_map(&rep.decided, |batch| execute_batch(batch, &cfg.server.tables))
             }
-            PayloadMode::Synthetic => fnr_par::par_map(&pipe.decided, |batch| {
+            PayloadMode::Synthetic => fnr_par::par_map(&rep.decided, |batch| {
                 batch
                     .requests
                     .iter()
@@ -940,14 +1251,11 @@ pub fn run_cluster(cfg: &ClusterConfig, jobs: &[TimedJob]) -> ClusterReport {
                     .collect()
             }),
         };
-        let mut chunks: Vec<ChunkResponse> = nested.into_iter().flatten().collect();
-        chunks.sort_unstable_by_key(|c| (c.id, c.chunk.index));
+        let first = all_chunks.len();
+        all_chunks.extend(nested.into_iter().flatten());
         // The per-replica digest is over the chunk payloads this replica
         // served (identical to the response set at chunk count 1).
-        let responses: Vec<Response> =
-            chunks.iter().map(|c| Response { id: c.id, bytes: c.bytes.clone() }).collect();
-        let metrics = pipe.metrics(&responses);
-        let (cache_hits, cache_misses) = pipe.cache_stats();
+        let digest = set_digest(all_chunks[first..].iter().map(|c| fnv1a(&c.bytes)).collect());
         replica_stats.push(ReplicaStats {
             replica: i,
             alive: rep.life != Life::Down,
@@ -956,15 +1264,14 @@ pub fn run_cluster(cfg: &ClusterConfig, jobs: &[TimedJob]) -> ClusterReport {
             routed: rep.routed,
             failed_over_out: rep.failed_over_out,
             failed_over_in: rep.failed_over_in,
-            cache_hits,
-            cache_misses,
-            busy_ns: pipe.busy_ns,
+            cache_hits: rep.cache_hits,
+            cache_misses: rep.cache_misses,
+            busy_ns: rep.busy_ns,
             suspects: rep.suspects,
-            slow_factor: pipe.slow_factor(),
+            slow_factor: rep.slow_factor,
             departed: matches!(rep.life, Life::Draining | Life::Departed),
-            metrics,
+            metrics: rep.core.ledger.report(digest, wall_ns, workers),
         });
-        all_chunks.extend(chunks);
     }
     // Cross-fleet reassembly: only parents whose every chunk was served
     // somewhere become responses; the digest is over those whole

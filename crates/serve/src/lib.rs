@@ -82,7 +82,6 @@ pub mod router;
 pub mod sched;
 mod server;
 pub mod supervise;
-mod vclock;
 pub mod workload;
 
 pub use batch::{Batch, Batcher, BatcherConfig, FlushReason};
@@ -114,7 +113,7 @@ pub use request::{
 pub use router::{HashRing, RouterConfig, MAX_REPLICAS};
 pub use sched::{LaneConfig, LaneScheduler, Priority, SchedConfig, SchedStep};
 pub use server::{
-    quantized_cache_stats, run, Client, QuantCacheStats, ServeReport, Server, ServerConfig,
-    SubmitError, TableFn, TableRegistry, WaitOutcome,
+    run, Client, ServeReport, Server, ServerConfig, SubmitError, TableFn, TableRegistry,
+    WaitOutcome,
 };
 pub use supervise::{SuperviseConfig, MAX_RESPAWN_BACKOFF};

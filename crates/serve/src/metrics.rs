@@ -7,7 +7,7 @@
 use std::collections::HashMap;
 
 use crate::batch::FlushReason;
-use crate::request::{BatchKey, Request, Response};
+use crate::request::{BatchKey, Request};
 use crate::sched::{LaneConfig, SchedConfig};
 
 /// Aggregated per-lane serving outcome: every admitted request of the lane
@@ -480,11 +480,12 @@ impl Ledger {
         l
     }
 
-    /// The serving report over what has landed so far: `responses` are
-    /// the payloads served, `wall_ns` the run's length on the caller's
-    /// clock, `workers` the pool size. The supervisor/breaker counters
-    /// are zero — only the live server knows them, and fills them in.
-    pub(crate) fn report(&self, responses: &[Response], wall_ns: u64, workers: usize) -> ServeMetrics {
+    /// The serving report over what has landed so far: `digest` is the
+    /// set digest of the payloads served, `wall_ns` the run's length on
+    /// the caller's clock, `workers` the pool size. The supervisor/breaker
+    /// counters are zero — only the live server knows them, and fills
+    /// them in.
+    pub(crate) fn report(&self, digest: u64, wall_ns: u64, workers: usize) -> ServeMetrics {
         let sum = |f: fn(&LaneStats) -> usize| self.lanes.iter().map(f).sum();
         // Both occupancy means divide integer totals; the coalescable one
         // only counts keys that received more than one member in total (a
@@ -527,7 +528,7 @@ impl Ledger {
             wall_ns,
             workers,
             threads: fnr_par::current_num_threads(),
-            digest: crate::request::response_set_digest(responses),
+            digest,
         }
     }
 }
@@ -852,7 +853,7 @@ mod tests {
 
     /// The report with no responses, zero wall time and one worker.
     fn report(l: &Ledger) -> ServeMetrics {
-        l.report(&[], 0, 1)
+        l.report(0, 0, 1)
     }
 
     /// Chunk `index` of `of` of request `id`, arriving at 0; a request
@@ -936,7 +937,7 @@ mod tests {
         l.failed(0, 7_000);
         l.degraded(0);
         rm(&mut l, 0, 0, 100, true);
-        let mut m = l.report(&[], 42, 3);
+        let mut m = l.report(0, 42, 3);
         // The supervisor/breaker totals are the live server's to fill in.
         m.worker_restarts = 1;
         m.retried = 2;

@@ -7,7 +7,7 @@
 //! [`Pipeline`] is a pure state machine on one clock: time comes in as
 //! `u64` nanoseconds on the caller's clock (real elapsed time since the
 //! server epoch in the live [`crate::Server`], virtual ticks in
-//! [`crate::vclock`]). The policy exists once:
+//! [`crate::cluster`]). The policy exists once:
 //!
 //! * a full or zero-capacity lane refuses admission and counts the
 //!   refusal per lane;
@@ -337,7 +337,7 @@ mod tests {
         p.reject(1, 1);
         assert!(p.admit(req(2, Priority::Interactive, None)), "other lanes keep their room");
         assert!(p.admit(req(3, Priority::Batch, None)));
-        let m = p.ledger.report(&[], 0, 1);
+        let m = p.ledger.report(0, 0, 1);
         let rejected: Vec<usize> = m.lanes.iter().map(|l| l.rejected).collect();
         assert_eq!(rejected, vec![0, 1, 0]);
     }
@@ -381,14 +381,14 @@ mod tests {
         let mut shed = Vec::new();
         assert_eq!(p.pump(100, &mut shed), 3);
         assert!(matches!(shed.as_slice(), [Request { id: 0, .. }]), "{shed:?}");
-        let m = p.ledger.report(&[], 0, 1);
+        let m = p.ledger.report(0, 0, 1);
         assert_eq!(m.shed, 0, "a shed is the caller's to record");
         // Request 2 is the standard lane's only request: the one downgrade
         // is its.
         let degraded: Vec<usize> = m.lanes.iter().map(|l| l.degraded).collect();
         assert_eq!((m.degraded, degraded), (1, vec![0, 1, 0]));
         p.record_shed(&shed[0], 100);
-        let m = p.ledger.report(&[], 0, 1);
+        let m = p.ledger.report(0, 0, 1);
         let shed_per_lane: Vec<usize> = m.lanes.iter().map(|l| l.shed).collect();
         assert_eq!((m.shed, shed_per_lane), (1, vec![1, 0, 0]), "request 0 shed from lane 0");
         assert_eq!(m.lanes[0].queue_hist, LatencyHistogram::from_samples(&[100]));
@@ -439,7 +439,7 @@ mod tests {
         // Per lane [submitted, served, shed, failed, degraded]; then the
         // totals [requests, shed, failed, degraded, batches].
         let tally = |p: &Pipeline| {
-            let m = p.ledger.report(&[], 2_000, 4);
+            let m = p.ledger.report(0, 2_000, 4);
             for l in &m.lanes {
                 assert_eq!(l.submitted, l.served + l.shed + l.failed, "lane {} conserves", l.name);
             }
@@ -453,7 +453,7 @@ mod tests {
         let before = tally(&p);
         assert_eq!(before.0, vec![[2, 1, 1, 0, 0], [2, 1, 0, 1, 1], [2, 1, 1, 0, 1]]);
         assert_eq!(before.1, [3, 2, 1, 2, 2]);
-        let m = p.ledger.report(&[], 2_000, 4);
+        let m = p.ledger.report(0, 2_000, 4);
         // Lane 1 queued served request 2 for 1_200 and failed request 5
         // for 1_300; every served chunk queued exactly 1_200 (mean ==
         // max) and none missed its deadline.

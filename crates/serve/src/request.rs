@@ -366,8 +366,9 @@ pub fn assemble_chunks(mut chunks: Vec<ChunkResponse>) -> Vec<Response> {
             j += 1;
         }
         if j - i == of {
-            let mut bytes = Vec::new();
-            for c in &chunks[i..j] {
+            // The first chunk's payload moves; later chunks append to it.
+            let mut bytes = std::mem::take(&mut chunks[i].bytes);
+            for c in &chunks[i + 1..j] {
                 bytes.extend_from_slice(&c.bytes);
             }
             out.push(Response { id, bytes });
@@ -420,7 +421,12 @@ pub fn fnv1a_with(state: u64, bytes: &[u8]) -> u64 {
 /// produce the same digest — and any `FNR_THREADS`/worker-count setting
 /// must too (the serve equivalence suite enforces it).
 pub fn response_set_digest(responses: &[Response]) -> u64 {
-    let mut hashes: Vec<u64> = responses.iter().map(|r| fnv1a(&r.bytes)).collect();
+    set_digest(responses.iter().map(|r| fnv1a(&r.bytes)).collect())
+}
+
+/// The order-canonical fold behind [`response_set_digest`], over the
+/// payloads' [`fnv1a`] hashes: sort them, then hash the sorted sequence.
+pub(crate) fn set_digest(mut hashes: Vec<u64>) -> u64 {
     hashes.sort_unstable();
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for x in hashes {
@@ -502,8 +508,10 @@ mod tests {
         let a = Response { id: 0, bytes: vec![1, 2, 3] };
         let b = Response { id: 1, bytes: vec![4, 5] };
         let d1 = response_set_digest(&[a.clone(), b.clone()]);
-        let d2 = response_set_digest(&[b, a]);
+        let d2 = response_set_digest(&[b.clone(), a.clone()]);
         assert_eq!(d1, d2);
+        // The cluster digests a replica's chunks through the same fold.
+        assert_eq!(set_digest(vec![fnv1a(&b.bytes), fnv1a(&a.bytes)]), d1);
     }
 
     #[test]

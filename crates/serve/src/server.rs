@@ -62,8 +62,8 @@ use crate::fault::{BrownoutConfig, CircuitBreaker, FaultInjector, InjectedFault,
 use crate::metrics::ServeMetrics;
 use crate::pipeline::Pipeline;
 use crate::request::{
-    chunk_image_bytes, effective_chunks, row_band, BatchKey, ChunkOutcome, ChunkResponse,
-    ChunkSpan, RenderPrecision, Request, Response, Workload,
+    chunk_image_bytes, effective_chunks, response_set_digest, row_band, BatchKey, ChunkOutcome,
+    ChunkResponse, ChunkSpan, RenderPrecision, Request, Response, Workload,
 };
 use crate::sched::{Priority, SchedConfig};
 use crate::supervise::{panic_reason, supervisor_loop, CrashReport, SuperviseConfig};
@@ -732,7 +732,8 @@ impl Server {
         let sh = &self.shared;
         let responses = sh.board.drain_sorted();
         let wall_ns = sh.now_ns();
-        let mut metrics = sh.core.lock().unwrap().pipe.ledger.report(&responses, wall_ns, sh.workers);
+        let digest = response_set_digest(&responses);
+        let mut metrics = sh.core.lock().unwrap().pipe.ledger.report(digest, wall_ns, sh.workers);
         // The supervisor/breaker counters live outside the core's ledger.
         metrics.worker_restarts = sh.worker_restarts.load(Ordering::Relaxed);
         metrics.retried = sh.retried.load(Ordering::Relaxed);
@@ -881,90 +882,28 @@ pub(crate) fn fail_batch(shared: &ServerShared, batch: &Batch, reason: &str) {
 /// it only takes hash-grid + MLP construction off the per-batch hot path.
 fn scene_model(scene: crate::request::SceneKind) -> &'static NgpModel {
     use crate::request::SceneKind;
-    static MODELS: std::sync::OnceLock<[NgpModel; 3]> = std::sync::OnceLock::new();
+    static MODELS: OnceLock<[NgpModel; 3]> = OnceLock::new();
     let models = MODELS.get_or_init(|| {
         [SceneKind::Mic, SceneKind::Lego, SceneKind::Palace]
             .map(|s| NgpModel::new(HashGridConfig::small(), 16, s.model_seed()))
     });
-    match scene {
-        SceneKind::Mic => &models[0],
-        SceneKind::Lego => &models[1],
-        SceneKind::Palace => &models[2],
-    }
-}
-
-/// One entry of the prepared-quantized-model cache: the lazily-built
-/// prepared model plus its usage counters.
-struct QuantEntry {
-    prepared: OnceLock<PreparedQuantized>,
-    /// Times the quantize+calibrate closure actually ran (1 after first
-    /// use, forever — the invariant [`quantized_cache_stats`] exposes).
-    builds: AtomicU64,
-    /// Batches served through this entry.
-    uses: AtomicU64,
-}
-
-/// Counters for one `(scene, precision)` entry of the prepared-model cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct QuantCacheStats {
-    /// Times the model was quantized+calibrated (stays at 1 after the
-    /// first batch — later batches perform zero quantize/calibrate work).
-    pub builds: u64,
-    /// Batches rendered through the cached model.
-    pub uses: u64,
-}
-
-/// Key and map types of the prepared-quantized-model cache.
-type QuantKey = (crate::request::SceneKind, Precision);
-type QuantMap = Mutex<HashMap<QuantKey, Arc<QuantEntry>>>;
-
-fn quant_cache() -> &'static QuantMap {
-    static CACHE: std::sync::OnceLock<QuantMap> = std::sync::OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
+    &models[scene as usize]
 }
 
 /// The process-wide memoized [`PreparedQuantized`] for `(scene,
-/// precision)`: quantize+calibrate runs exactly once per key (the first
-/// batch pays it; every later batch is pure rendering). The prepared model
-/// is a deterministic function of the scene's fixed-seed [`NgpModel`] and
-/// the precision, so caching cannot move response bytes.
+/// precision)`: quantize+calibrate runs exactly once per key, even when
+/// its first batches race (the first batch pays it; every later batch is
+/// pure rendering). The prepared model is a deterministic function of the
+/// scene's fixed-seed [`NgpModel`] and the precision, so caching cannot
+/// move response bytes.
 fn prepared_quantized(
     scene: crate::request::SceneKind,
     precision: Precision,
-) -> Arc<QuantEntry> {
-    let entry = {
-        let mut map = quant_cache().lock().unwrap();
-        Arc::clone(map.entry((scene, precision)).or_insert_with(|| {
-            Arc::new(QuantEntry {
-                prepared: OnceLock::new(),
-                builds: AtomicU64::new(0),
-                uses: AtomicU64::new(0),
-            })
-        }))
-    };
-    // Build outside the map lock: a slow calibration for one key must not
-    // serialize unrelated keys. OnceLock makes concurrent same-key callers
-    // race to run the closure at most once.
-    entry.prepared.get_or_init(|| {
-        entry.builds.fetch_add(1, Ordering::Relaxed);
-        scene_model(scene).prepare_quantized(precision)
-    });
-    entry
-}
-
-/// Usage counters of the prepared-quantized-model cache entry for
-/// `(scene, precision)` — all zeros if no quantized batch has touched that
-/// key yet. Test hook for the hot-path contract: after the first batch,
-/// `builds` stays at 1 while `uses` keeps growing.
-pub fn quantized_cache_stats(
-    scene: crate::request::SceneKind,
-    precision: Precision,
-) -> QuantCacheStats {
-    let map = quant_cache().lock().unwrap();
-    map.get(&(scene, precision)).map_or(QuantCacheStats::default(), |e| QuantCacheStats {
-        builds: e.builds.load(Ordering::Relaxed),
-        uses: e.uses.load(Ordering::Relaxed),
-    })
+) -> &'static PreparedQuantized {
+    static PREPARED: [[OnceLock<PreparedQuantized>; 4]; 3] =
+        [const { [const { OnceLock::new() }; 4] }; 3];
+    PREPARED[scene as usize][precision as usize]
+        .get_or_init(|| scene_model(scene).prepare_quantized(precision))
 }
 
 /// Executes one coalesced batch. Render batches share one model (and for
@@ -1001,9 +940,7 @@ pub(crate) fn execute_batch(batch: &Batch, tables: &TableRegistry) -> Vec<ChunkR
                     render_reference_rows(scene.scene(), &v.camera, v.width, v.height, v.spp, *row0, *rows)
                 }),
                 RenderPrecision::Quantized(p) => {
-                    let entry = prepared_quantized(*scene, *p);
-                    entry.uses.fetch_add(1, Ordering::Relaxed);
-                    let prepared = entry.prepared.get().expect("initialized by prepared_quantized");
+                    let prepared = prepared_quantized(*scene, *p);
                     fnr_par::par_map(&members, |(v, row0, rows)| prepared.render_rows(v, *row0, *rows))
                 }
             };
@@ -1135,9 +1072,9 @@ mod tests {
 
     #[test]
     fn quantize_and_calibrate_run_once_per_scene_precision() {
-        // `builds` is a per-key process-wide invariant: whichever test (or
-        // concurrent batch) touches the key first builds it, and it must
-        // never be built again.
+        // The prepared model is a per-key process-wide cell: whichever test
+        // (or concurrent batch) touches the key first builds it, and every
+        // later batch renders through that same model.
         let key_scene = SceneKind::Palace;
         let key_precision = Precision::Int16;
         let job = |seed| {
@@ -1160,9 +1097,13 @@ mod tests {
             (first, second)
         });
         assert_eq!(bytes.0, bytes.1, "cached prepared model must not move response bytes");
-        let stats = quantized_cache_stats(key_scene, key_precision);
-        assert_eq!(stats.builds, 1, "quantize+calibrate must run exactly once for the key");
-        assert!(stats.uses >= 2, "both batches served through the cache: {stats:?}");
+        assert!(
+            std::ptr::eq(
+                prepared_quantized(key_scene, key_precision),
+                prepared_quantized(key_scene, key_precision)
+            ),
+            "every lookup of the key returns the one prepared model"
+        );
     }
 
     #[test]

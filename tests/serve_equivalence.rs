@@ -267,11 +267,11 @@ fn single_replica_cluster_reproduces_run_virtual() {
 
 #[test]
 fn tracked_losses_settle_like_run_virtual() {
-    // With the failure detector on, a one-replica cluster tracks events
-    // (hedging stays off): every shed and injected failure leaves the
-    // pipeline unrecorded as a loss event and is recorded by the cluster.
-    // The ledger must come out exactly as `run_virtual`'s, which records
-    // each loss on the spot.
+    // Every shed and injected failure leaves its replica unrecorded as a
+    // loss event, and the cluster records it as it drains the events.
+    // With the failure detector on (hedging stays off) the ledger must
+    // come out exactly as `run_virtual`'s, and both are pinned to values
+    // recorded when `run_virtual` still recorded each loss on the spot.
     let _g = width_guard();
     fnr_par::set_num_threads(2);
     let spec = WorkloadSpec {
@@ -318,4 +318,8 @@ fn tracked_losses_settle_like_run_virtual() {
     );
     assert_eq!(replica.metrics.failed, direct.metrics.failed);
     assert_eq!(tracked.metrics.digest, direct.metrics.digest);
+    let m = &direct.metrics;
+    assert_eq!((m.shed, m.failed, m.requests), (48, 15, 137));
+    assert_eq!(m.digest, 0x8dc5_458f_8db1_609a);
+    assert_eq!(m.wall_ns, 17_920_000);
 }
