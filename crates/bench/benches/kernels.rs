@@ -1,7 +1,8 @@
 //! Micro-benchmarks of the performance-critical kernels: the functional
 //! datapath (fused multiply, array pass, reduction), the mapping, the
-//! format codecs, the NoC routers, the NeRF encoding primitives and the
-//! quantized-inference activation quantizer. Each `fnr_tensor::simd`-backed
+//! format codecs, the NoC routers, the NeRF encoding primitives, the
+//! quantized-inference activation quantizer and the training step's
+//! per-level merge and Adam update. Each `fnr_tensor::simd`-backed
 //! bench has a `*_scalar` twin, so a kernel's speedup is the ratio of the
 //! two lines.
 
@@ -91,6 +92,27 @@ fn bench_kernels(c: &mut Criterion) {
             b.iter(|| simd::quantize_static_scalar(&mut out, black_box(&acts), 0.0117, -128.0, 127.0))
         });
     }
+
+    // One hash-grid level (2^13 entries × 2 features) of the training
+    // step's level phase: the shard-partial merge and the in-place Adam
+    // update, against their scalar twins.
+    let n = 16384;
+    let part: Vec<f32> = (0..n).map(|i| (i % 97) as f32 * 1e-3 - 0.05).collect();
+    let mut acc = vec![0.0f32; n];
+    g.bench_function("add_assign_16384", |b| b.iter(|| simd::add_assign(&mut acc, black_box(&part))));
+    g.bench_function("add_assign_16384_scalar", |b| {
+        b.iter(|| simd::add_assign_scalar(&mut acc, black_box(&part)))
+    });
+    let (mut params, mut m, mut v) = (vec![0.01f32; n], vec![0.0f32; n], vec![0.0f32; n]);
+    let (bc1, bc2) = (1.0 - 0.9f32.powi(10), 1.0 - 0.99f32.powi(10));
+    g.bench_function("adam_step_16384", |b| {
+        b.iter(|| simd::adam_step(&mut params, black_box(&part), &mut m, &mut v, 1e-2, bc1, bc2, 0.9, 0.99, 1e-8))
+    });
+    g.bench_function("adam_step_16384_scalar", |b| {
+        b.iter(|| {
+            simd::adam_step_scalar(&mut params, black_box(&part), &mut m, &mut v, 1e-2, bc1, bc2, 0.9, 0.99, 1e-8)
+        })
+    });
 
     // Volume rendering compositing over 32 samples.
     let samples: Vec<ShadedSample> = (0..32)

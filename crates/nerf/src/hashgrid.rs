@@ -64,9 +64,8 @@ pub struct HashGrid {
     config: HashGridConfig,
     /// All feature tables in one flat allocation, one level after another:
     /// `tables[l * level_stride + entry * F + f]`. The flat layout lets the
-    /// optimizer and the shard-gradient merge treat the whole grid as a
-    /// single slice, and gives the AVX2 encode kernel one base pointer to
-    /// gather from.
+    /// optimizer split the grid into per-level slices, and gives the AVX2
+    /// encode kernel one base pointer to gather from.
     tables: Vec<f32>,
     /// `entries × F` — the span of one level inside [`HashGrid::tables`].
     level_stride: usize,
@@ -154,9 +153,10 @@ pub type CornerLookups = [(usize, f32); 8];
 /// Precomputed corner lookups of one point across every level — the hash
 /// and trilinear-weight arithmetic computed **once** per sample and shared
 /// by the forward encode ([`HashGrid::encode_planned`]) and the backward
-/// scatter ([`HashGrid::accumulate_grad_planned`]), which the training
-/// loop runs on the same point. Buffers are reused across samples via
-/// [`HashGrid::plan_into`].
+/// scatter ([`HashGrid::accumulate_grad_planned`], or level by level
+/// through [`EncodePlan::level_corners`] and [`accumulate_grad_level`]),
+/// which the training loop runs on the same point. Buffers are reused
+/// across samples via [`HashGrid::plan_into`].
 ///
 /// Layout is corner-major (`slot = ci * levels + l`): one corner's
 /// per-level entries are contiguous, so the levels-wide plan kernel writes
@@ -171,6 +171,70 @@ pub struct EncodePlan {
     w: Vec<f32>,
     /// Level count the plan was built for.
     levels: usize,
+    /// That grid's [`HashGrid::level_stride`].
+    level_stride: usize,
+}
+
+/// One corner of one level's lookup, relative to that level: the element
+/// index of the corner's feature 0 counted from the level's first element
+/// in [`HashGrid::tables`], and the corner's trilinear weight.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct LevelCorner {
+    /// Level-relative element index (`entry · F`).
+    pub idx: u32,
+    /// Trilinear weight.
+    pub w: f32,
+}
+
+impl EncodePlan {
+    /// Copies the plan's 8 corners at level `l` into `out`, in corner
+    /// order, with level-relative indices: the level-major view of the
+    /// plan that [`accumulate_grad_level`] scatters from.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `l` is not a level of the plan or `out` does not hold 8
+    /// corners.
+    pub fn level_corners(&self, l: usize, out: &mut [LevelCorner]) {
+        assert!(l < self.levels, "level {l} out of range");
+        assert_eq!(out.len(), 8, "a level lookup has 8 corners");
+        let base = l * self.level_stride;
+        let corners = self.idx[l..].iter().step_by(self.levels).zip(self.w[l..].iter().step_by(self.levels));
+        for (o, (&i, &w)) in out.iter_mut().zip(corners) {
+            *o = LevelCorner { idx: (i as usize - base) as u32, w };
+        }
+    }
+}
+
+/// One level's share of [`HashGrid::accumulate_grad_planned`]: adds `w ·
+/// d_level[f]` to feature `f` of each corner, corner by corner and feature
+/// by feature, into `grad_level`, the level's own span of the flat
+/// gradient (`level_stride` elements). `corners` and `d_level` are the
+/// level's slices of a plan ([`EncodePlan::level_corners`]) and of
+/// ∂L/∂encoding (`F` values). Every table entry belongs to exactly one
+/// level and receives the same products in the same order as in the
+/// whole-grid scatter, so scattering each level in turn — on any thread —
+/// reproduces it bit for bit.
+///
+/// # Panics
+///
+/// Panics if a corner's features fall outside `grad_level`.
+pub fn accumulate_grad_level(corners: &[LevelCorner], d_level: &[f32], grad_level: &mut [f32]) {
+    if let [d0, d1] = *d_level {
+        // F == 2, the configuration every experiment trains.
+        for c in corners {
+            let g = &mut grad_level[c.idx as usize..][..2];
+            g[0] += c.w * d0;
+            g[1] += c.w * d1;
+        }
+        return;
+    }
+    for c in corners {
+        let g = &mut grad_level[c.idx as usize..][..d_level.len()];
+        for (g, &d) in g.iter_mut().zip(d_level) {
+            *g += c.w * d;
+        }
+    }
 }
 
 impl HashGrid {
@@ -407,6 +471,7 @@ impl HashGrid {
         let levels = self.config.levels;
         let f = self.config.features;
         plan.levels = levels;
+        plan.level_stride = self.level_stride;
         plan.idx.resize(levels * 8, 0);
         plan.w.resize(levels * 8, 0.0);
         #[cfg(target_arch = "x86_64")]
@@ -847,7 +912,90 @@ mod tests {
                     prop_assert!(bits_eq(&grad_direct, &grad_planned), "{p:?}: gradient scatter drifted");
                 }
             }
+
+            /// The level scatter reproduces the whole-grid planned scatter
+            /// on its own level and leaves every other level alone, on
+            /// grids mixing dense and hashed levels, with F from 1 to 3,
+            /// small tables (so hashed corners collide) and every point
+            /// scattered twice.
+            #[test]
+            fn prop_level_scatter_matches_the_whole_grid_scatter(
+                li in 0usize..7,
+                log2 in 6usize..14,
+                features in 1usize..4,
+                base in 2usize..20,
+                seed in 0u64..1000,
+            ) {
+                let growth = 1.2 + (seed % 7) as f32 * 0.1;
+                let config = HashGridConfig {
+                    levels: LEVELS[li],
+                    log2_table_size: log2,
+                    features,
+                    base_resolution: base,
+                    growth,
+                };
+                let g = HashGrid::new(config, 0.1, seed);
+                let mut pts = points(seed);
+                pts.extend_from_within(..);
+                let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x5EED);
+                let d_outs: Vec<Vec<f32>> = pts
+                    .iter()
+                    .map(|_| (0..config.output_dims()).map(|_| rng.gen_range(-2.0f32..2.0)).collect())
+                    .collect();
+                let init: Vec<f32> = (0..g.param_count()).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+                check_level_scatter(&g, &pts, &d_outs, &init);
+            }
         }
+    }
+
+    /// Scatters `d_outs` at `pts` into a copy of `init`, whole-grid and
+    /// then level by level, and checks the level scatter bit for bit: its
+    /// own level's range must equal the whole-grid scatter's, and every
+    /// other range must still hold `init`. Returns how many level lookups
+    /// had two corners on one table entry.
+    fn check_level_scatter(g: &HashGrid, pts: &[Vec3], d_outs: &[Vec<f32>], init: &[f32]) -> usize {
+        let (levels, f, stride) = (g.config().levels, g.config().features, g.level_stride());
+        let mut plan = EncodePlan::default();
+        let mut whole = init.to_vec();
+        for (&p, d) in pts.iter().zip(d_outs) {
+            g.plan_into(p, &mut plan);
+            g.accumulate_grad_planned(&plan, d, &mut whole);
+        }
+        let mut collisions = 0;
+        let mut corners = [LevelCorner::default(); 8];
+        for l in 0..levels {
+            let mut by_level = init.to_vec();
+            for (&p, d) in pts.iter().zip(d_outs) {
+                g.plan_into(p, &mut plan);
+                plan.level_corners(l, &mut corners);
+                let mut idx: Vec<u32> = corners.iter().map(|c| c.idx).collect();
+                idx.sort_unstable();
+                idx.dedup();
+                collisions += usize::from(idx.len() < 8);
+                accumulate_grad_level(&corners, &d[l * f..(l + 1) * f], &mut by_level[l * stride..(l + 1) * stride]);
+            }
+            for (i, (a, b)) in whole.iter().zip(&by_level).enumerate() {
+                let expect = if i / stride == l { a } else { &init[i] };
+                assert_eq!(b.to_bits(), expect.to_bits(), "level {l}, element {i}: {b} vs {expect}");
+            }
+        }
+        collisions
+    }
+
+    /// Corners of one hashed lookup that land on the same table entry
+    /// must both be added, in corner order, as in the whole-grid scatter.
+    #[test]
+    fn level_scatter_adds_colliding_corners_in_order() {
+        // 16 entries per level: every level hashes, and 8 corners in 16
+        // entries collide for most points.
+        let config = HashGridConfig { levels: 3, log2_table_size: 4, features: 2, base_resolution: 5, growth: 1.5 };
+        let g = HashGrid::new(config, 0.1, 3);
+        assert!((0..3).all(|l| !config.is_dense_level(l)));
+        let pts: Vec<Vec3> = (0..12).map(|i| Vec3::new(0.07 * i as f32, 0.31, 0.9 - 0.05 * i as f32)).collect();
+        let d_outs: Vec<Vec<f32>> =
+            (0..pts.len()).map(|i| (0..6).map(|j| (i * 6 + j) as f32 * 0.13 - 2.0).collect()).collect();
+        let init: Vec<f32> = (0..g.param_count()).map(|i| i as f32 * 0.01).collect();
+        assert!(check_level_scatter(&g, &pts, &d_outs, &init) > 0, "no lookup collided");
     }
 
     #[test]

@@ -8,6 +8,7 @@ use crate::render::{composite, composite_backward, sigmoid, softplus, NgpModel, 
 use crate::sampling::sample_ray;
 use crate::scene::Scene;
 use rand::{Rng, SeedableRng};
+use std::sync::{Mutex, PoisonError};
 
 /// Training hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -65,32 +66,28 @@ pub struct TrainStats {
     pub final_loss: f32,
 }
 
-/// Simple Adam state over a flat parameter vector.
-#[derive(Debug, Clone)]
-struct Adam {
-    m: Vec<f32>,
-    v: Vec<f32>,
-    t: i32,
+const B1: f32 = 0.9;
+const B2: f32 = 0.99;
+const EPS: f32 = 1e-8;
+
+/// Adam's bias corrections `(1 − β₁ᵗ, 1 − β₂ᵗ)` for step `t` (1-based),
+/// computed once per iteration and shared by every parameter range.
+fn bias_corrections(t: usize) -> (f32, f32) {
+    (1.0 - B1.powi(t as i32), 1.0 - B2.powi(t as i32))
 }
 
-impl Adam {
-    fn new(n: usize) -> Self {
-        Adam { m: vec![0.0; n], v: vec![0.0; n], t: 0 }
-    }
+/// One in-place Adam update of `params` against its own moment ranges.
+/// The update is elementwise (vector div/sqrt are correctly rounded, so
+/// the SIMD kernel is bit-identical to the scalar expression), which is
+/// why the optimizer may run range by range, in any order, on any thread.
+fn adam_update(params: &mut [f32], grads: &[f32], m: &mut [f32], v: &mut [f32], lr: f32, bc: (f32, f32)) {
+    fnr_tensor::simd::adam_step(params, grads, m, v, lr, bc.0, bc.1, B1, B2, EPS);
+}
 
-    fn step(&mut self, params: &mut [f32], grads: &[f32], lr: f32) {
-        const B1: f32 = 0.9;
-        const B2: f32 = 0.99;
-        const EPS: f32 = 1e-8;
-        self.t += 1;
-        let bc1 = 1.0 - B1.powi(self.t);
-        let bc2 = 1.0 - B2.powi(self.t);
-        // Element-wise update through the SIMD kernel (vector div/sqrt
-        // are correctly rounded, so this is bit-identical to the scalar
-        // expression at every dispatch level).
-        fnr_tensor::simd::adam_step(
-            params, grads, &mut self.m, &mut self.v, lr, bc1, bc2, B1, B2, EPS,
-        );
+/// Scales a merged gradient by `1 / batch_rays` in place.
+fn scale_in_place(grads: &mut [f32], scale: f32) {
+    for g in grads {
+        *g *= scale;
     }
 }
 
@@ -99,6 +96,16 @@ impl Adam {
 /// therefore pure functions of the config — which is what makes training
 /// bit-identical under `FNR_THREADS=1` and `FNR_THREADS=N` (floating-point
 /// accumulation order never depends on scheduling).
+///
+/// The hash-grid gradient is merged level by level rather than shard by
+/// shard, with the same bits. Every table entry belongs to exactly one
+/// level. Within a level, each entry receives the same `w · d` products,
+/// in the same ray → sample → corner → feature order, as a whole-grid
+/// scatter would give it. Shard 0's sum starts from `+0.0`, and every
+/// other shard's sum is added in shard order, `((s₀ + s₁) + s₂) + …`,
+/// exactly as a dense per-shard merge adds them. Scaling and Adam are
+/// elementwise. So which thread runs a level cannot change what that level
+/// computes.
 const TRAIN_SHARDS: usize = 8;
 
 /// Per-ray RNG stream: every ray of every iteration draws from its own
@@ -111,22 +118,26 @@ fn ray_rng(seed: u64, iter: usize, ray: usize, batch_rays: usize) -> rand::rngs:
     )
 }
 
-/// One shard's pooled working set: partial gradients plus every scratch
-/// buffer its rays need. Slots are built once before the training loop and
-/// reused by every iteration (zeroed in place), so steady-state training
-/// performs no per-step gradient/activation allocation — the arena the
-/// ROADMAP called for after PR 2.
+/// One shard's pooled working set: its partial MLP gradient, the records
+/// its hash-grid gradient is scattered from, and every scratch buffer its
+/// rays need. Slots are built once before the training loop and reused by
+/// every iteration (cleared in place), so steady-state training performs
+/// no per-step gradient/activation allocation.
+///
+/// A shard holds no grid-sized buffer: the scatter into the hash grid's
+/// gradient is deferred to the level phase of [`train_ngp`], which reads
+/// `records`.
 struct ShardGrads {
     mlp: crate::mlp::MlpGrads,
-    /// Flat hash-grid gradient accumulator (layout of `HashGrid::tables`).
-    grid: Vec<f32>,
     loss: f32,
+    /// What the level phase scatters into the hash grid's gradient.
+    records: LevelRecords,
     /// One forward-cache + backward scratch per concurrently-live sample
     /// along a ray (grown to `samples_per_ray` on first use).
     sample_scratch: Vec<crate::mlp::MlpScratch>,
     /// One hash-grid encode plan per concurrently-live sample: the corner
-    /// hashes/weights computed once in the forward pass and reused by the
-    /// backward scatter (same point, same lookups).
+    /// hashes/weights computed once in the forward pass and recorded for
+    /// the level scatter (same point, same lookups).
     plans: Vec<crate::hashgrid::EncodePlan>,
     /// Shaded samples of the ray in flight.
     shaded: Vec<ShadedSample>,
@@ -135,25 +146,86 @@ struct ShardGrads {
 }
 
 impl ShardGrads {
-    /// A fresh slot sized for `model`.
-    fn new(model: &NgpModel) -> Self {
+    /// A fresh slot sized for `model`, with room for `samples` records.
+    fn new(model: &NgpModel, samples: usize) -> Self {
+        let grid = model.grid.config();
         ShardGrads {
             mlp: model.mlp.zero_grads(),
-            grid: model.grid.zero_grad(),
             loss: 0.0,
+            records: LevelRecords::new(grid.levels, grid.features, samples),
             sample_scratch: Vec::new(),
             plans: Vec::new(),
             shaded: Vec::new(),
-            enc: vec![0.0; model.grid.config().output_dims()],
+            enc: vec![0.0; grid.output_dims()],
         }
     }
 
-    /// Zeroes the gradient accumulators in place for the next iteration.
+    /// Clears the accumulators in place for the next iteration.
     fn reset(&mut self) {
         self.mlp.zero();
-        self.grid.fill(0.0);
         self.loss = 0.0;
+        self.records.len = 0;
     }
+}
+
+/// A shard's hash-grid gradient records: one per sample whose head
+/// gradient is not all zero, in ray-then-sample order, stored level-major
+/// so a level task reads only its own level, contiguously. Section `l` of
+/// `corners` holds each record's 8 level-`l` corners, and section `l` of
+/// `d` its `F` values of ∂L/∂encoding at level `l`. Sized once for the
+/// shard's largest sample count.
+struct LevelRecords {
+    corners: Vec<crate::hashgrid::LevelCorner>,
+    d: Vec<f32>,
+    /// Records per level section.
+    cap: usize,
+    features: usize,
+    /// Records held this iteration.
+    len: usize,
+}
+
+impl LevelRecords {
+    fn new(levels: usize, features: usize, cap: usize) -> Self {
+        LevelRecords {
+            corners: vec![Default::default(); levels * cap * 8],
+            d: vec![0.0; levels * cap * features],
+            cap,
+            features,
+            len: 0,
+        }
+    }
+
+    /// Records one sample: its encode plan and ∂L/∂encoding.
+    fn push(&mut self, plan: &crate::hashgrid::EncodePlan, d_enc: &[f32]) {
+        let (cap, f, r) = (self.cap, self.features, self.len);
+        assert!(r < cap, "more records than the shard's samples");
+        for (l, d_level) in d_enc.chunks_exact(f).enumerate() {
+            plan.level_corners(l, &mut self.corners[(l * cap + r) * 8..][..8]);
+            self.d[(l * cap + r) * f..][..f].copy_from_slice(d_level);
+        }
+        self.len += 1;
+    }
+
+    /// Scatters every record, in order, into level `l`'s gradient span.
+    fn scatter_level(&self, l: usize, grad_level: &mut [f32]) {
+        let (cap, f, n) = (self.cap, self.features, self.len);
+        let corners = self.corners[l * cap * 8..][..n * 8].chunks_exact(8);
+        for (c, d) in corners.zip(self.d[l * cap * f..][..n * f].chunks_exact(f)) {
+            crate::hashgrid::accumulate_grad_level(c, d, grad_level);
+        }
+    }
+}
+
+/// One hash-grid level's gradient buffers and Adam moments, allocated once
+/// before the training loop.
+struct LevelGrads {
+    /// The level's merged gradient.
+    acc: Vec<f32>,
+    /// One shard's partial, zero between uses.
+    part: Vec<f32>,
+    /// Adam's first and second moments of the level's parameters.
+    m: Vec<f32>,
+    v: Vec<f32>,
 }
 
 /// Splits `0..batch_rays` into [`TRAIN_SHARDS`] contiguous ranges (the
@@ -178,10 +250,20 @@ fn shard_ranges(batch_rays: usize) -> Vec<(usize, usize)> {
 /// through the compositing equation, the sigmoid/softplus heads, the MLP
 /// and the trilinear hash-grid interpolation.
 ///
-/// Each iteration fans the ray batch out across the thread pool in
-/// [`TRAIN_SHARDS`] fixed shards whose partial gradients merge in shard
-/// order — see [`TRAIN_SHARDS`] for why this keeps training bit-identical
-/// at any thread count.
+/// Each iteration runs two parallel phases:
+///
+/// 1. **Shards.** The ray batch fans out across the thread pool in
+///    [`TRAIN_SHARDS`] fixed shards. Each samples, encodes, runs the MLP
+///    forward and backward, and records each sample's corner lookups and
+///    ∂L/∂encoding, level-major, instead of scattering them into a grid.
+/// 2. **Levels.** One task per hash-grid level scatters every shard's
+///    records for that level into the level's accumulator, merging the
+///    shards in shard order, then scales it and runs Adam in place on the
+///    level's slice of the tables.
+///
+/// Only the MLP's shard merge and Adam step (O(MLP params)) run serially.
+/// See [`TRAIN_SHARDS`] for why both phases are bit-identical at any
+/// thread count.
 pub fn train_ngp(scene: &dyn Scene, model: &mut NgpModel, cfg: &TrainConfig) -> TrainStats {
     // Pre-render ground-truth views.
     let cameras: Vec<Camera> = (0..cfg.views)
@@ -192,19 +274,23 @@ pub fn train_ngp(scene: &dyn Scene, model: &mut NgpModel, cfg: &TrainConfig) -> 
         .map(|c| crate::render::render_reference(scene, c, cfg.image_size, cfg.image_size, 48))
         .collect();
 
-    let mut mlp_adam = Adam::new(model.mlp.param_count());
-    let mut grid_adam = Adam::new(model.grid.param_count());
     let ranges = shard_ranges(cfg.batch_rays);
-
-    // The pooled per-shard arenas: every gradient/activation buffer the
-    // shards need, allocated once and reused by every iteration.
-    let mut slots: Vec<ShardGrads> = (0..TRAIN_SHARDS).map(|_| ShardGrads::new(model)).collect();
-    // Flat parameter/gradient staging buffers for the optimizer, likewise
-    // reused across iterations.
-    let mut flat_p: Vec<f32> = Vec::with_capacity(model.mlp.param_count());
-    let mut flat_g: Vec<f32> = Vec::with_capacity(model.mlp.param_count());
-    let mut grid_p: Vec<f32> = Vec::with_capacity(model.grid.param_count());
-    let mut grid_g: Vec<f32> = Vec::with_capacity(model.grid.param_count());
+    // The pooled per-shard and per-level arenas: every gradient/activation
+    // buffer the two phases need, allocated once and reused by every
+    // iteration. Each level's state sits behind its own (uncontended)
+    // mutex: only the task that owns the level locks it.
+    let mut slots: Vec<ShardGrads> =
+        ranges.iter().map(|&(lo, hi)| ShardGrads::new(model, (hi - lo) * cfg.samples_per_ray)).collect();
+    let stride = model.grid.level_stride();
+    let level_grads: Vec<Mutex<LevelGrads>> = (0..model.grid.config().levels)
+        .map(|_| {
+            let zeros = || vec![0.0f32; stride];
+            Mutex::new(LevelGrads { acc: zeros(), part: zeros(), m: zeros(), v: zeros() })
+        })
+        .collect();
+    // MLP Adam moments, laid out layer by layer: weights, then bias.
+    let mut mlp_m = vec![0.0f32; model.mlp.param_count()];
+    let mut mlp_v = vec![0.0f32; model.mlp.param_count()];
 
     // Transposed-weight pack of the MLP, rebuilt (in place) after every
     // optimizer step so the shards' forward passes run the SIMD axpy path.
@@ -218,14 +304,13 @@ pub fn train_ngp(scene: &dyn Scene, model: &mut NgpModel, cfg: &TrainConfig) -> 
         let packed_ref = &packed;
         // One chunk = one shard slot: each slot is written only by the
         // pool task that claimed its index, and `ranges[si]` is a pure
-        // function of the config, so the partial gradients are identical
-        // at any thread count.
+        // function of the config, so the partial gradients and records
+        // are identical at any thread count.
         fnr_par::par_for_chunks(&mut slots, 1, |si, slot| {
             let shard = &mut slot[0];
             shard.reset();
             // Split the slot into its independently-borrowed working sets.
-            let ShardGrads { mlp: g_mlp, grid: g_grid, loss, sample_scratch, plans, shaded, enc } =
-                shard;
+            let ShardGrads { mlp: g_mlp, loss, records, sample_scratch, plans, shaded, enc } = shard;
             let (lo, hi) = ranges[si];
             for ray_idx in lo..hi {
                 let mut rng = ray_rng(cfg.seed, iter, ray_idx, cfg.batch_rays);
@@ -246,7 +331,7 @@ pub fn train_ngp(scene: &dyn Scene, model: &mut NgpModel, cfg: &TrainConfig) -> 
                 }
                 // Forward: encode → MLP → heads → composite. The encode
                 // plan (corner hashes + trilinear weights) is built once
-                // per sample and reused by the backward scatter below.
+                // per sample and recorded for the level scatter below.
                 shaded.clear();
                 for ((s, scratch), plan) in
                     samples.iter().zip(sample_scratch.iter_mut()).zip(plans.iter_mut())
@@ -285,33 +370,49 @@ pub fn train_ngp(scene: &dyn Scene, model: &mut NgpModel, cfg: &TrainConfig) -> 
                         continue;
                     }
                     let d_enc = frozen.mlp.backward_into(scratch, &d_raw, g_mlp);
-                    frozen.grid.accumulate_grad_planned(&plans[i], d_enc, g_grid);
+                    records.push(&plans[i], d_enc);
                 }
             }
         });
 
-        // Merge shard partials in fixed shard order (into slot 0, whose
-        // buffers double as the merged accumulator until the next reset).
+        let scale = 1.0 / cfg.batch_rays as f32;
+        let bc = bias_corrections(iter + 1);
+
+        // Level phase: one task per hash-grid level, each touching only
+        // its own slice of the tables and its own `LevelGrads`.
+        fnr_par::par_for_chunks(model.grid.tables_mut(), stride, |l, params| {
+            let mut level = level_grads[l].lock().unwrap_or_else(PoisonError::into_inner);
+            let LevelGrads { acc, part, m, v } = &mut *level;
+            acc.fill(0.0);
+            slots[0].records.scatter_level(l, acc);
+            for shard in &slots[1..] {
+                shard.records.scatter_level(l, part);
+                fnr_tensor::simd::add_assign(acc, part);
+                part.fill(0.0);
+            }
+            scale_in_place(acc, scale);
+            adam_update(params, acc, m, v, cfg.lr * 2.0, bc);
+        });
+
+        // Merge the MLP partials in fixed shard order (into slot 0, whose
+        // buffers double as the merged accumulator until the next reset),
+        // then run its Adam in place, layer by layer.
         let (merged, rest) = slots.split_first_mut().expect("TRAIN_SHARDS >= 1");
         for shard in rest.iter() {
             merged.mlp.add_assign(&shard.mlp);
-            fnr_tensor::simd::add_assign(&mut merged.grid, &shard.grid);
             merged.loss += shard.loss;
         }
         let batch_loss = merged.loss;
-
-        // Scale by batch size and update.
-        let scale = 1.0 / cfg.batch_rays as f32;
-        flatten_mlp(model, &merged.mlp, scale, &mut flat_p, &mut flat_g);
-        mlp_adam.step(&mut flat_p, &flat_g, cfg.lr);
-        unflatten_mlp(model, &flat_p);
-
-        grid_p.clear();
-        grid_p.extend_from_slice(model.grid.tables());
-        grid_g.clear();
-        grid_g.extend(merged.grid.iter().map(|&g| g * scale));
-        grid_adam.step(&mut grid_p, &grid_g, cfg.lr * 2.0);
-        model.grid.tables_mut().copy_from_slice(&grid_p);
+        let mut off = 0;
+        let grads = merged.mlp.weights.iter_mut().map(|w| w.as_mut_slice()).zip(merged.mlp.bias.iter_mut());
+        for (layer, (g_w, g_b)) in model.mlp.layers_mut().iter_mut().zip(grads) {
+            for (p, g) in [(layer.weights.as_mut_slice(), g_w), (&mut layer.bias[..], &mut g_b[..])] {
+                let n = p.len();
+                scale_in_place(g, scale);
+                adam_update(p, g, &mut mlp_m[off..off + n], &mut mlp_v[off..off + n], cfg.lr, bc);
+                off += n;
+            }
+        }
 
         running = batch_loss / cfg.batch_rays as f32;
         if iter % 10 == 0 {
@@ -319,37 +420,6 @@ pub fn train_ngp(scene: &dyn Scene, model: &mut NgpModel, cfg: &TrainConfig) -> 
         }
     }
     TrainStats { losses, final_loss: running }
-}
-
-/// Flattens MLP parameters and scaled gradients into the reusable staging
-/// buffers (cleared, then filled — no per-iteration allocation once warm).
-fn flatten_mlp(
-    model: &NgpModel,
-    grads: &crate::mlp::MlpGrads,
-    scale: f32,
-    p: &mut Vec<f32>,
-    g: &mut Vec<f32>,
-) {
-    p.clear();
-    g.clear();
-    for (li, layer) in model.mlp.layers().iter().enumerate() {
-        p.extend_from_slice(layer.weights.as_slice());
-        p.extend_from_slice(&layer.bias);
-        g.extend(grads.weights[li].as_slice().iter().map(|&v| v * scale));
-        g.extend(grads.bias[li].iter().map(|&v| v * scale));
-    }
-}
-
-fn unflatten_mlp(model: &mut NgpModel, flat: &[f32]) {
-    let mut off = 0;
-    for layer in model.mlp.layers_mut() {
-        let wn = layer.weights.len();
-        layer.weights.as_mut_slice().copy_from_slice(&flat[off..off + wn]);
-        off += wn;
-        let bn = layer.bias.len();
-        layer.bias.copy_from_slice(&flat[off..off + bn]);
-        off += bn;
-    }
 }
 
 #[cfg(test)]

@@ -201,3 +201,44 @@ fn training_and_render_are_bit_identical_with_simd_disabled() {
     }
     assert_eq!(scalar_img, simd_img, "rendered pixels must not depend on the SIMD level");
 }
+
+/// FNV-1a (64-bit) over the little-endian bytes of every value's bits.
+fn fnv1a64(values: impl IntoIterator<Item = f32>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for v in values {
+        for byte in v.to_bits().to_le_bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// The trained bytes are pinned to a literal, not just compared between
+/// two runs of the current code: a restructured training step that moved
+/// every run's bits the same way would pass the width and SIMD identity
+/// tests above, but not this one. The hash covers every MLP weight and
+/// bias (layer by layer), then the hash-grid tables. `batch_rays: 100`
+/// splits unevenly over the eight shards.
+#[test]
+fn trained_parameters_match_the_pinned_hash() {
+    const PINNED: u64 = 0x3157_e57f_8973_865f;
+    let _g = width_guard();
+    let cfg = TrainConfig { batch_rays: 100, iters: 40, ..TrainConfig::quick() };
+    let run = || {
+        let mut model = NgpModel::new(HashGridConfig::small(), 16, 5);
+        train_ngp(&MicScene, &mut model, &cfg);
+        let mlp = model.mlp.layers().iter().flat_map(|l| l.weights.as_slice().iter().chain(&l.bias));
+        fnv1a64(mlp.chain(model.grid.tables()).copied())
+    };
+    for width in [1, 3] {
+        fnr_par::set_num_threads(width);
+        let h = run();
+        assert_eq!(h, PINNED, "width {width}: trained parameters hash to {h:#018x}");
+    }
+    fnr_par::set_num_threads(1);
+    fnr_tensor::simd::force_scalar(true);
+    let h = run();
+    fnr_tensor::simd::force_scalar(false);
+    assert_eq!(h, PINNED, "scalar kernels: trained parameters hash to {h:#018x}");
+}
