@@ -1,10 +1,12 @@
 //! Micro-benchmarks of the performance-critical kernels: the functional
 //! datapath (fused multiply, array pass, reduction), the mapping, the
 //! format codecs, the NoC routers, the NeRF encoding primitives, the
-//! quantized-inference activation quantizer and the training step's
-//! per-level merge and Adam update. Each `fnr_tensor::simd`-backed
-//! bench has a `*_scalar` twin, so a kernel's speedup is the ratio of the
-//! two lines.
+//! quantized-inference activation quantizer, the training MLP's
+//! sample-tile layer kernels and the training step's per-level merge and
+//! Adam update. Each `fnr_tensor::simd`-backed bench has a `*_scalar`
+//! twin, so a kernel's speedup is the ratio of the two lines; the tile
+//! kernels also have a `*_per_row` line, the per-sample calls they
+//! replace.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use flexnerfer::FlexibleFormatCodec;
@@ -113,6 +115,54 @@ fn bench_kernels(c: &mut Criterion) {
             simd::adam_step_scalar(&mut params, black_box(&part), &mut m, &mut v, 1e-2, bc1, bc2, 0.9, 0.99, 1e-8)
         })
     });
+
+    // The training MLP's layers (Fig. 20(a): 16→32→32→4) on one 32-row
+    // ray group: the sample-tile kernels against 32 per-row calls and
+    // against their scalar twins.
+    let rows = 32;
+    for (ins, outs) in [(16usize, 32usize), (32, 32), (32, 4)] {
+        let wt: Vec<f32> = (0..ins * outs).map(|i| ((i * 37 % 101) as f32 - 50.0) * 0.01).collect();
+        let x: Vec<f32> = (0..rows * ins).map(|i| ((i * 13 % 29) as f32 - 9.0) * 0.05).collect();
+        let bias: Vec<f32> = (0..outs).map(|i| i as f32 * 0.01).collect();
+        let mut out = vec![0.0f32; rows * outs];
+        let shape = format!("{ins}x{outs}_32rows");
+        g.bench_function(&format!("layer_forward_rows_{shape}"), |b| {
+            b.iter(|| simd::layer_forward_rows(&mut out, black_box(&wt), black_box(&x), &bias))
+        });
+        g.bench_function(&format!("layer_forward_rows_{shape}_per_row"), |b| {
+            b.iter(|| {
+                for (o, xr) in out.chunks_exact_mut(outs).zip(black_box(&x).chunks_exact(ins)) {
+                    simd::layer_forward(o, black_box(&wt), xr, &bias);
+                }
+            })
+        });
+        g.bench_function(&format!("layer_forward_rows_{shape}_scalar"), |b| {
+            b.iter(|| simd::layer_forward_rows_scalar(&mut out, black_box(&wt), black_box(&x), &bias))
+        });
+
+        // Backward through the same layer: `w` is `outs × ins`, and about
+        // half of each delta row is ReLU-masked to zero.
+        let delta: Vec<f32> =
+            (0..rows * outs).map(|i| if i % 2 == 0 { 0.0 } else { (i % 7) as f32 * 0.1 - 0.3 }).collect();
+        let mut wg = vec![0.0f32; ins * outs];
+        let mut d_in = vec![0.0f32; rows * ins];
+        g.bench_function(&format!("layer_backward_rows_{shape}"), |b| {
+            b.iter(|| simd::layer_backward_rows(&mut d_in, black_box(&wt), &mut wg, black_box(&delta), &x, rows))
+        });
+        g.bench_function(&format!("layer_backward_rows_{shape}_per_row"), |b| {
+            b.iter(|| {
+                for (r, d) in d_in.chunks_exact_mut(ins).enumerate() {
+                    let xr = &x[r * ins..][..ins];
+                    simd::layer_backward(d, black_box(&wt), &mut wg, &delta[r * outs..][..outs], xr);
+                }
+            })
+        });
+        g.bench_function(&format!("layer_backward_rows_{shape}_scalar"), |b| {
+            b.iter(|| {
+                simd::layer_backward_rows_scalar(&mut d_in, black_box(&wt), &mut wg, black_box(&delta), &x, rows)
+            })
+        });
+    }
 
     // Volume rendering compositing over 32 samples.
     let samples: Vec<ShadedSample> = (0..32)

@@ -103,15 +103,16 @@ pub struct MlpCache {
     pub pre_activations: Vec<Vec<f32>>,
 }
 
-/// Reusable per-layer buffers for the allocation-free MLP paths: the
-/// forward cache (activations + pre-activations, the same layout as
-/// [`MlpCache`]) plus two ping-pong work buffers the plain-forward and
-/// backward passes propagate through.
+/// Reusable per-layer buffers for the allocation-free per-sample MLP
+/// paths: the forward cache (activations + pre-activations, the same
+/// layout as [`MlpCache`]) plus two ping-pong work buffers the
+/// plain-forward and backward passes propagate through.
 ///
-/// One scratch serves one in-flight forward/backward pair; hot loops hold
-/// one scratch per concurrently-live sample (see `fnr_nerf::train`) and
-/// reuse them across iterations, so steady-state training performs no
-/// per-step heap allocation in the MLP. All `*_into` methods are
+/// One scratch serves one in-flight forward/backward pair. Training runs
+/// on [`MlpRows`] instead; the per-sample pair
+/// [`Mlp::forward_cached_into_packed`] / [`Mlp::backward_into`] stays as
+/// the per-row oracle of the row paths and as the stage API the
+/// benchmark's training replay times. All `*_into` methods are
 /// bit-identical to their `Vec`-returning counterparts (the equivalence
 /// property suite enforces this).
 #[derive(Debug, Clone, Default)]
@@ -137,6 +138,94 @@ impl MlpScratch {
     /// Panics on a default-constructed scratch that was never sized.
     pub fn output(&self) -> &[f32] {
         self.cache.activations.last().expect("scratch holds sized buffers")
+    }
+}
+
+/// Row-major forward cache of a batch of samples for the tile paths
+/// [`Mlp::forward_rows`] / [`Mlp::backward_rows`]: each layer's input and
+/// pre-activation rows, one sample per row, plus the backward pass's
+/// propagation buffers. Sized once for a fixed number of rows
+/// ([`Mlp::rows`]); filling, compacting and running it never allocates.
+#[derive(Debug, Clone)]
+pub struct MlpRows {
+    /// Layer widths, input first (`layers + 1`).
+    widths: Vec<usize>,
+    /// Rows every buffer holds.
+    cap: usize,
+    /// Rows in use.
+    len: usize,
+    /// Input rows, then every layer's post-activation rows.
+    activations: Vec<Vec<f32>>,
+    /// Every layer's pre-activation rows.
+    pre_activations: Vec<Vec<f32>>,
+    /// Backward ping-pong buffers (`cap ×` the widest layer).
+    delta: Vec<f32>,
+    d_in: Vec<f32>,
+}
+
+impl MlpRows {
+    /// Rows the cache can hold.
+    pub fn capacity(&self) -> usize {
+        self.cap
+    }
+
+    /// Rows in use.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no row is in use.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Drops every row.
+    pub fn clear(&mut self) {
+        self.len = 0;
+    }
+
+    /// Appends a row and returns its input slot for the caller to fill.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cache is full.
+    pub fn push_row(&mut self) -> &mut [f32] {
+        assert!(self.len < self.cap, "MlpRows holds {} rows", self.cap);
+        let w = self.widths[0];
+        self.len += 1;
+        &mut self.activations[0][(self.len - 1) * w..][..w]
+    }
+
+    /// Row `r` of the network output from the last [`Mlp::forward_rows`].
+    pub fn output_row(&self, r: usize) -> &[f32] {
+        assert!(r < self.len, "row {r} out of {}", self.len);
+        let w = *self.widths.last().expect("layer widths");
+        &self.activations[self.widths.len() - 1][r * w..][..w]
+    }
+
+    /// Keeps only the rows `keep` lists (strictly ascending), moving them
+    /// to the front in that order — the compaction that lets the backward
+    /// pass skip samples without reordering the ones it runs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `keep` is not strictly ascending within the rows in use.
+    pub fn compact(&mut self, keep: &[usize]) {
+        let mut next = 0;
+        for &r in keep {
+            assert!(r >= next && r < self.len, "compact needs ascending rows in use");
+            next = r + 1;
+        }
+        let buffers = self.activations.iter_mut().zip(&self.widths);
+        let pre = self.pre_activations.iter_mut().zip(&self.widths[1..]);
+        for (buf, &w) in buffers.chain(pre) {
+            for (k, &r) in keep.iter().enumerate() {
+                if r != k {
+                    buf.copy_within(r * w..(r + 1) * w, k * w);
+                }
+            }
+        }
+        self.len = keep.len();
     }
 }
 
@@ -371,7 +460,9 @@ impl Mlp {
 
     /// The packed twin of [`Mlp::forward_cached_into`]: fills the same
     /// cache with bit-identical values, driving each layer through
-    /// [`Linear::forward_packed_into`].
+    /// [`Linear::forward_packed_into`]. Training runs the row form
+    /// [`Mlp::forward_rows`]; this per-sample form is its oracle and the
+    /// MLP-forward stage of perfbench's training replay.
     pub fn forward_cached_into_packed<'s>(
         &self,
         packed: &PackedMlp,
@@ -409,6 +500,9 @@ impl Mlp {
     /// Allocation-free backward pass over the forward cache held in
     /// `scratch` (from a prior [`Mlp::forward_cached_into`] on the same
     /// scratch); returns ∂L/∂input. Bit-identical to [`Mlp::backward`].
+    /// Like [`Mlp::forward_cached_into_packed`], it is the per-row oracle
+    /// of [`Mlp::backward_rows`] and a stage of perfbench's training
+    /// replay.
     pub fn backward_into<'s>(
         &self,
         scratch: &'s mut MlpScratch,
@@ -418,6 +512,99 @@ impl Mlp {
         let MlpScratch { cache, ping, pong } = scratch;
         self.backward_core(cache, d_out, grads, ping, pong);
         ping
+    }
+
+    /// A row-major cache for up to `cap` samples, every buffer allocated
+    /// up front.
+    pub fn rows(&self, cap: usize) -> MlpRows {
+        let widths: Vec<usize> =
+            std::iter::once(self.inputs()).chain(self.layers.iter().map(|l| l.outputs())).collect();
+        let widest = widths.iter().copied().max().unwrap_or(0);
+        MlpRows {
+            activations: widths.iter().map(|&w| vec![0.0; cap * w]).collect(),
+            pre_activations: widths[1..].iter().map(|&w| vec![0.0; cap * w]).collect(),
+            delta: vec![0.0; cap * widest],
+            d_in: vec![0.0; cap * widest],
+            widths,
+            cap,
+            len: 0,
+        }
+    }
+
+    /// The row form of [`Mlp::forward_cached_into_packed`]: runs every row
+    /// of `rows` through the network, each layer as one
+    /// [`fnr_tensor::simd::layer_forward_rows`] call, and caches the same
+    /// per-layer values row by row. Each row is bit-identical to the
+    /// per-sample pass on that row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` was built for a different architecture.
+    pub fn forward_rows(&self, packed: &PackedMlp, rows: &mut MlpRows) {
+        assert_eq!(rows.widths.len(), self.layers.len() + 1, "MlpRows layer count mismatch");
+        let n = rows.len;
+        let MlpRows { widths, activations, pre_activations, .. } = rows;
+        let last = self.layers.len() - 1;
+        for (i, layer) in self.layers.iter().enumerate() {
+            let (ins, outs) = (layer.inputs(), layer.outputs());
+            assert_eq!((widths[i], widths[i + 1]), (ins, outs), "MlpRows layer shape mismatch");
+            let (inputs, outputs) = activations.split_at_mut(i + 1);
+            let z = &mut pre_activations[i][..n * outs];
+            fnr_tensor::simd::layer_forward_rows(z, packed.wt[i].as_slice(), &inputs[i][..n * ins], &layer.bias);
+            let act = &mut outputs[0][..n * outs];
+            act.copy_from_slice(z);
+            if i != last {
+                for v in act.iter_mut() {
+                    *v = v.max(0.0);
+                }
+            }
+        }
+    }
+
+    /// The row form of [`Mlp::backward_into`] over the cache a prior
+    /// [`Mlp::forward_rows`] (and optionally [`MlpRows::compact`]) left in
+    /// `rows`: `d_out` holds ∂L/∂output row by row, and the returned
+    /// slice ∂L/∂input row by row. Each layer runs as one
+    /// [`fnr_tensor::simd::layer_backward_rows`] call, so every gradient
+    /// entry receives the rows in ascending order: bit-identical to
+    /// calling `backward_into` on each row in turn.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `d_out` is not one output row per cached row.
+    pub fn backward_rows<'s>(&self, rows: &'s mut MlpRows, d_out: &[f32], grads: &mut MlpGrads) -> &'s [f32] {
+        let n = rows.len;
+        assert_eq!(d_out.len(), n * self.outputs(), "one output gradient row per cached row");
+        let MlpRows { activations, pre_activations, delta, d_in, .. } = rows;
+        let last = self.layers.len() - 1;
+        delta[..d_out.len()].copy_from_slice(d_out);
+        for i in (0..self.layers.len()).rev() {
+            let layer = &self.layers[i];
+            let (cols, outs) = (layer.inputs(), layer.outputs());
+            let d = &mut delta[..n * outs];
+            if i != last {
+                // ReLU mask, as a select rather than a branch: half the
+                // pre-activations are negative, in no predictable order.
+                for (d, &z) in d.iter_mut().zip(&pre_activations[i][..n * outs]) {
+                    *d = if z <= 0.0 { 0.0 } else { *d };
+                }
+            }
+            for d_row in d.chunks_exact(outs) {
+                fnr_tensor::simd::add_assign(&mut grads.bias[i], d_row);
+            }
+            let d_prev = &mut d_in[..n * cols];
+            d_prev.fill(0.0);
+            fnr_tensor::simd::layer_backward_rows(
+                d_prev,
+                layer.weights.as_slice(),
+                grads.weights[i].as_mut_slice(),
+                d,
+                &activations[i][..n * cols],
+                n,
+            );
+            std::mem::swap(delta, d_in);
+        }
+        &delta[..n * self.inputs()]
     }
 
     /// The shared backward kernel: `delta`/`d_in` are the ping-pong
@@ -844,6 +1031,59 @@ mod tests {
             xm[i] -= eps;
             let numeric = (mlp.forward(&xp)[0] - mlp.forward(&xm)[0]) / (2.0 * eps);
             assert!((d_in[i] - numeric).abs() < 1e-2, "dx[{i}]: {} vs {numeric}", d_in[i]);
+        }
+    }
+
+    /// Bit patterns of a slice, for exact comparison.
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn row_paths_match_per_sample_paths_bitwise() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(21);
+        for (widths, n) in [(&[16usize, 32, 32, 4][..], 32usize), (&[16, 16, 16, 4], 19), (&[5, 9, 3], 7)] {
+            let mlp = Mlp::new(widths, 8);
+            let packed = mlp.pack();
+            let xs: Vec<Vec<f32>> =
+                (0..n).map(|_| (0..widths[0]).map(|_| rng.gen_range(-1.0f32..1.0)).collect()).collect();
+            // Every third sample has an all-zero head gradient and is
+            // compacted away, as the training loop skips it.
+            let d_outs: Vec<Vec<f32>> = (0..n)
+                .map(|k| (0..mlp.outputs()).map(|_| if k % 3 == 2 { 0.0 } else { rng.gen_range(-1.0f32..1.0) }).collect())
+                .collect();
+            let keep: Vec<usize> = (0..n).filter(|k| k % 3 != 2).collect();
+
+            let mut per_sample = mlp.zero_grads();
+            let mut scratch = mlp.scratch();
+            let mut want_out = Vec::new();
+            let mut want_din = Vec::new();
+            for (k, x) in xs.iter().enumerate() {
+                want_out.extend_from_slice(mlp.forward_cached_into_packed(&packed, x, &mut scratch));
+                if keep.contains(&k) {
+                    want_din.extend_from_slice(mlp.backward_into(&mut scratch, &d_outs[k], &mut per_sample));
+                }
+            }
+
+            let mut tiled = mlp.zero_grads();
+            let mut rows = mlp.rows(n);
+            for x in &xs {
+                rows.push_row().copy_from_slice(x);
+            }
+            mlp.forward_rows(&packed, &mut rows);
+            let got_out: Vec<f32> = (0..n).flat_map(|r| rows.output_row(r).to_vec()).collect();
+            assert_eq!(bits(&got_out), bits(&want_out), "{widths:?}: forward rows drifted");
+            rows.compact(&keep);
+            let d_out: Vec<f32> = keep.iter().flat_map(|&k| d_outs[k].clone()).collect();
+            let got_din = mlp.backward_rows(&mut rows, &d_out, &mut tiled);
+            assert_eq!(bits(got_din), bits(&want_din), "{widths:?}: input gradients drifted");
+            for (a, b) in tiled.weights.iter().zip(&per_sample.weights) {
+                assert_eq!(bits(a.as_slice()), bits(b.as_slice()), "{widths:?}: weight gradients drifted");
+            }
+            for (a, b) in tiled.bias.iter().zip(&per_sample.bias) {
+                assert_eq!(bits(a), bits(b), "{widths:?}: bias gradients drifted");
+            }
         }
     }
 

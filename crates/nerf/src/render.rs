@@ -5,7 +5,7 @@ use crate::camera::Camera;
 use crate::hashgrid::{HashGrid, HashGridConfig};
 use crate::mlp::{Mlp, MlpScratch, OutlierQuantizedMlp, QuantizedMlp};
 use crate::psnr::Image;
-use crate::sampling::{sample_ray, OccupancyGrid, RaySample};
+use crate::sampling::{sample_ray_into, OccupancyGrid};
 use crate::scene::Scene;
 use crate::vec3::Vec3;
 use fnr_tensor::{Matrix, Precision, Quantizer};
@@ -45,40 +45,55 @@ pub fn composite(samples: &[ShadedSample]) -> [f32; 3] {
 }
 
 /// Backward pass of [`composite`]: given `d_out = ∂L/∂Ĉ`, returns
-/// `(∂L/∂σᵢ, ∂L/∂cᵢ)` per sample.
-pub fn composite_backward(
+/// `(∂L/∂σᵢ, ∂L/∂cᵢ)` per sample. The allocating form of
+/// [`composite_backward_into`].
+pub fn composite_backward(samples: &[ShadedSample], d_out: [f32; 3]) -> (Vec<f32>, Vec<[f32; 3]>) {
+    let (mut d_sigma, mut d_color) = (Vec::new(), Vec::new());
+    composite_backward_into(samples, d_out, &mut d_sigma, &mut d_color);
+    (d_sigma, d_color)
+}
+
+/// [`composite_backward`] into caller buffers, which it resizes to one
+/// entry per sample. The forward sweep parks each sample's transmittance
+/// Tᵢ in `d_sigma[i]` and its opacity αᵢ in `d_color[i][0]`; the backward
+/// sweep then runs from the last sample to the first, carrying the suffix
+/// sum `Σ_{j>i} w_j c_j + T_n` (background included) in registers and
+/// overwriting each slot with its gradient. Every value is computed by
+/// the same expression as in a forward-then-backward pass over separate
+/// buffers, so a warm pair of buffers is reused without allocating.
+pub fn composite_backward_into(
     samples: &[ShadedSample],
     d_out: [f32; 3],
-) -> (Vec<f32>, Vec<[f32; 3]>) {
+    d_sigma: &mut Vec<f32>,
+    d_color: &mut Vec<[f32; 3]>,
+) {
     let n = samples.len();
-    // Forward quantities.
-    let mut t = vec![1.0f32; n + 1];
-    let mut alpha = vec![0.0f32; n];
-    for (i, s) in samples.iter().enumerate() {
-        alpha[i] = 1.0 - (-s.sigma * s.delta).exp();
-        t[i + 1] = t[i] * (1.0 - alpha[i]);
+    d_sigma.clear();
+    d_sigma.resize(n, 0.0);
+    d_color.clear();
+    d_color.resize(n, [0.0; 3]);
+    // Forward quantities: Tᵢ into d_sigma, αᵢ into d_color[i][0].
+    let mut t = 1.0f32;
+    for ((s, ts), a) in samples.iter().zip(d_sigma.iter_mut()).zip(d_color.iter_mut()) {
+        let alpha = 1.0 - (-s.sigma * s.delta).exp();
+        *ts = t;
+        a[0] = alpha;
+        t *= 1.0 - alpha;
     }
-    // Suffix sums of w_j c_j per channel, including the white background
-    // term T_n·1 (which also depends on every σᵢ).
-    let mut suffix = vec![[0.0f32; 3]; n + 1];
-    suffix[n] = [t[n], t[n], t[n]]; // background contribution
-    for i in (0..n).rev() {
-        let w = t[i] * alpha[i];
-        suffix[i] = std::array::from_fn(|ch| suffix[i + 1][ch] + w * samples[i].color[ch]);
-    }
-    let mut d_sigma = vec![0.0f32; n];
-    let mut d_color = vec![[0.0f32; 3]; n];
-    for i in 0..n {
-        let w = t[i] * alpha[i];
-        let trans = t[i] * (1.0 - alpha[i]); // T_i · e^{−σδ}
-        let mut ds = 0.0f32;
+    // The white background term T_n·1 also depends on every σᵢ.
+    let mut suffix = [t; 3];
+    for ((s, ds), dc) in samples.iter().zip(d_sigma.iter_mut()).zip(d_color.iter_mut()).rev() {
+        let (t, alpha) = (*ds, dc[0]);
+        let w = t * alpha;
+        let trans = t * (1.0 - alpha); // T_i · e^{−σδ}
+        let mut grad = 0.0f32;
         for ch in 0..3 {
-            d_color[i][ch] = d_out[ch] * w;
-            ds += d_out[ch] * samples[i].delta * (trans * samples[i].color[ch] - suffix[i + 1][ch]);
+            dc[ch] = d_out[ch] * w;
+            grad += d_out[ch] * s.delta * (trans * s.color[ch] - suffix[ch]);
         }
-        d_sigma[i] = ds;
+        *ds = grad;
+        suffix = std::array::from_fn(|ch| suffix[ch] + w * s.color[ch]);
     }
-    (d_sigma, d_color)
 }
 
 /// Renders the analytic scene directly (the ground-truth renderer standing
@@ -107,16 +122,16 @@ pub fn render_reference_rows(
     let mut img = Image::new(w, rows);
     fnr_par::par_for_chunks(img.pixels_mut(), w.max(1), |yy, row| {
         let y = row0 + yy;
+        let (mut samples, mut shaded) = (Vec::with_capacity(spp), Vec::with_capacity(spp));
         for (x, px) in row.iter_mut().enumerate() {
             let ray = camera.ray(x, y, w, h);
-            let shaded: Vec<ShadedSample> = sample_ray(&ray, spp, None)
-                .iter()
-                .map(|s| ShadedSample {
-                    sigma: scene.density(s.position),
-                    color: scene.color(s.position, s.dir),
-                    delta: s.delta,
-                })
-                .collect();
+            sample_ray_into(&ray, spp, None, &mut samples);
+            shaded.clear();
+            shaded.extend(samples.iter().map(|s| ShadedSample {
+                sigma: scene.density(s.position),
+                color: scene.color(s.position, s.dir),
+                delta: s.delta,
+            }));
             *px = composite(&shaded);
         }
     });
@@ -191,17 +206,6 @@ impl NgpModel {
         let grid = HashGrid::new(config, 1e-2, seed);
         let mlp = Mlp::new(&[config.output_dims(), hidden, hidden, 4], seed.wrapping_add(1));
         NgpModel { grid, mlp }
-    }
-
-    /// Density and color at a point.
-    pub fn query(&self, s: &RaySample) -> ShadedSample {
-        let enc = self.grid.encode(s.position);
-        let raw = self.mlp.forward(&enc);
-        ShadedSample {
-            sigma: softplus(raw[0]),
-            color: [sigmoid(raw[1]), sigmoid(raw[2]), sigmoid(raw[3])],
-            delta: s.delta,
-        }
     }
 
     /// Renders an image with the FP32 model (optionally skipping empty
@@ -367,23 +371,23 @@ impl NgpModel {
         let mut img = Image::new(w, rows);
         fnr_par::par_for_chunks(img.pixels_mut(), w.max(1), |yy, row| {
             let y = row0 + yy;
+            // One encoding, sample and shaded buffer per pixel row, reused
+            // by every pixel of it.
             let mut enc = vec![0.0f32; self.grid.config().output_dims()];
+            let (mut samples, mut shaded) = (Vec::with_capacity(spp), Vec::with_capacity(spp));
             for (x, px) in row.iter_mut().enumerate() {
                 let ray = camera.ray(x, y, w, h);
-                let samples = sample_ray(&ray, spp, occupancy);
-                let shaded: Vec<ShadedSample> = samples
-                    .iter()
-                    .filter(|s| s.active)
-                    .map(|s| {
-                        self.grid.encode_into(s.position, &mut enc);
-                        let raw = head(&enc);
-                        ShadedSample {
-                            sigma: softplus(raw[0]),
-                            color: [sigmoid(raw[1]), sigmoid(raw[2]), sigmoid(raw[3])],
-                            delta: s.delta,
-                        }
-                    })
-                    .collect();
+                sample_ray_into(&ray, spp, occupancy, &mut samples);
+                shaded.clear();
+                shaded.extend(samples.iter().filter(|s| s.active).map(|s| {
+                    self.grid.encode_into(s.position, &mut enc);
+                    let raw = head(&enc);
+                    ShadedSample {
+                        sigma: softplus(raw[0]),
+                        color: [sigmoid(raw[1]), sigmoid(raw[2]), sigmoid(raw[3])],
+                        delta: s.delta,
+                    }
+                }));
                 *px = composite(&shaded);
             }
         });

@@ -130,24 +130,32 @@ pub struct RaySample {
 
 /// Uniformly samples `n` points along the ray's intersection with the
 /// unit cube, marking occupancy. Returns an empty vector for rays that
-/// miss the cube.
+/// miss the cube. The allocating form of [`sample_ray_into`].
 pub fn sample_ray(ray: &Ray, n: usize, grid: Option<&OccupancyGrid>) -> Vec<RaySample> {
+    let mut out = Vec::new();
+    sample_ray_into(ray, n, grid, &mut out);
+    out
+}
+
+/// [`sample_ray`] into a caller buffer: replaces `out`'s contents with the
+/// ray's samples (none for a ray that misses the cube), so a warm buffer
+/// is reused without allocating.
+pub fn sample_ray_into(ray: &Ray, n: usize, grid: Option<&OccupancyGrid>, out: &mut Vec<RaySample>) {
+    out.clear();
     let Some((t0, t1)) = ray.unit_cube_span() else {
-        return Vec::new();
+        return;
     };
     let dt = (t1 - t0) / n as f32;
-    (0..n)
-        .map(|i| {
-            let t = t0 + (i as f32 + 0.5) * dt;
-            let p = ray.at(t);
-            RaySample {
-                position: p,
-                dir: ray.dir,
-                delta: dt,
-                active: grid.is_none_or(|g| g.occupied(p)),
-            }
-        })
-        .collect()
+    out.extend((0..n).map(|i| {
+        let t = t0 + (i as f32 + 0.5) * dt;
+        let p = ray.at(t);
+        RaySample {
+            position: p,
+            dir: ray.dir,
+            delta: dt,
+            active: grid.is_none_or(|g| g.occupied(p)),
+        }
+    }));
 }
 
 /// Fraction of inactive samples over a batch of rays — the measured

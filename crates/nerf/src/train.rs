@@ -4,8 +4,8 @@
 
 use crate::camera::Camera;
 use crate::psnr::Image;
-use crate::render::{composite, composite_backward, sigmoid, softplus, NgpModel, ShadedSample};
-use crate::sampling::sample_ray;
+use crate::render::{composite, composite_backward_into, sigmoid, softplus, NgpModel, ShadedSample};
+use crate::sampling::{sample_ray_into, RaySample};
 use crate::scene::Scene;
 use rand::{Rng, SeedableRng};
 use std::sync::{Mutex, PoisonError};
@@ -118,11 +118,37 @@ fn ray_rng(seed: u64, iter: usize, ray: usize, batch_rays: usize) -> rand::rngs:
     )
 }
 
-/// One shard's pooled working set: its partial MLP gradient, the records
-/// its hash-grid gradient is scattered from, and every scratch buffer its
-/// rays need. Slots are built once before the training loop and reused by
-/// every iteration (cleared in place), so steady-state training performs
-/// no per-step gradient/activation allocation.
+/// Rows of a ray group: the samples that go through the MLP together. A
+/// group holds whole rays, `max(GROUP_ROWS, samples_per_ray)` rows at
+/// most, so every ray fits in one. 32 rows are four 8-sample tiles,
+/// enough to keep the tile kernels busy, while a group's buffers (forward
+/// cache, encode plans, propagation rows) stay near 45 KB. Sizing them for
+/// a shard's whole sample count instead (256 rows at fig20a) would add
+/// about 300 KB per group, which is why the group is bounded and not a
+/// setting.
+const GROUP_ROWS: usize = 32;
+
+/// One shard's pooled working set: its partial MLP gradient and the
+/// records its hash-grid gradient is scattered from. Slots are built once
+/// before the training loop and reused by every iteration (cleared in
+/// place), so steady-state training allocates nothing per step.
+///
+/// A shard runs its rays group by group, in ray order, through a
+/// [`RayGroup`] it borrows for the shard's duration:
+///
+/// 1. sample, plan and encode every ray of the group into MLP input rows;
+/// 2. run the MLP forward over all rows at once, in sample tiles that
+///    cross ray boundaries ([`crate::mlp::Mlp::forward_rows`]);
+/// 3. per ray, in ray order: heads, composite, loss, composite backward
+///    and head gradients, keeping the rows whose head gradient is not all
+///    zero;
+/// 4. run the MLP backward over the kept rows at once
+///    ([`crate::mlp::Mlp::backward_rows`]) and push their records in ray →
+///    sample order.
+///
+/// The weights are frozen for the whole shard phase, so computing a
+/// group's forward before any of its backward changes no value, and every
+/// gradient entry still receives samples in ray → sample order.
 ///
 /// A shard holds no grid-sized buffer: the scatter into the hash grid's
 /// gradient is deferred to the level phase of [`train_ngp`], which reads
@@ -132,17 +158,6 @@ struct ShardGrads {
     loss: f32,
     /// What the level phase scatters into the hash grid's gradient.
     records: LevelRecords,
-    /// One forward-cache + backward scratch per concurrently-live sample
-    /// along a ray (grown to `samples_per_ray` on first use).
-    sample_scratch: Vec<crate::mlp::MlpScratch>,
-    /// One hash-grid encode plan per concurrently-live sample: the corner
-    /// hashes/weights computed once in the forward pass and recorded for
-    /// the level scatter (same point, same lookups).
-    plans: Vec<crate::hashgrid::EncodePlan>,
-    /// Shaded samples of the ray in flight.
-    shaded: Vec<ShadedSample>,
-    /// Hash-grid encoding buffer.
-    enc: Vec<f32>,
 }
 
 impl ShardGrads {
@@ -153,10 +168,6 @@ impl ShardGrads {
             mlp: model.mlp.zero_grads(),
             loss: 0.0,
             records: LevelRecords::new(grid.levels, grid.features, samples),
-            sample_scratch: Vec::new(),
-            plans: Vec::new(),
-            shaded: Vec::new(),
-            enc: vec![0.0; grid.output_dims()],
         }
     }
 
@@ -165,6 +176,121 @@ impl ShardGrads {
         self.mlp.zero();
         self.loss = 0.0;
         self.records.len = 0;
+    }
+}
+
+/// One ray of a [`RayGroup`]: its ground-truth pixel and its rows.
+struct GroupRay {
+    gt: [f32; 3],
+    rows: std::ops::Range<usize>,
+}
+
+/// A bounded group of whole rays and every buffer it needs, each
+/// allocated once (see [`ShardGrads`] for the phases). A group is empty
+/// whenever no shard holds it, so the training loop keeps one per pool
+/// thread rather than one per shard.
+struct RayGroup {
+    rays: Vec<GroupRay>,
+    /// The ray being added.
+    samples: Vec<RaySample>,
+    /// Per row: its encode plan (recorded for the level scatter) and its
+    /// segment length δ.
+    plans: Vec<crate::hashgrid::EncodePlan>,
+    deltas: Vec<f32>,
+    /// MLP inputs and forward cache, one row per sample.
+    mlp: crate::mlp::MlpRows,
+    /// One ray's shaded samples and composite gradients.
+    shaded: Vec<ShadedSample>,
+    d_sigma: Vec<f32>,
+    d_color: Vec<[f32; 3]>,
+    /// The kept rows and their head gradients, row by row.
+    kept: Vec<usize>,
+    d_raw: Vec<f32>,
+}
+
+impl RayGroup {
+    fn new(model: &NgpModel, rows: usize) -> Self {
+        RayGroup {
+            rays: Vec::with_capacity(rows),
+            samples: Vec::with_capacity(rows),
+            plans: vec![Default::default(); rows],
+            deltas: vec![0.0; rows],
+            mlp: model.mlp.rows(rows),
+            shaded: Vec::with_capacity(rows),
+            d_sigma: Vec::with_capacity(rows),
+            d_color: Vec::with_capacity(rows),
+            kept: Vec::with_capacity(rows),
+            d_raw: Vec::with_capacity(rows * model.mlp.outputs()),
+        }
+    }
+
+    /// Plans and encodes the samples in `self.samples` as new rows of one
+    /// ray whose pixel is `gt`.
+    fn add_ray(&mut self, grid: &crate::hashgrid::HashGrid, gt: [f32; 3]) {
+        let start = self.mlp.len();
+        for (i, s) in self.samples.iter().enumerate() {
+            let plan = &mut self.plans[start + i];
+            grid.plan_into(s.position, plan);
+            grid.encode_planned(plan, self.mlp.push_row());
+            self.deltas[start + i] = s.delta;
+        }
+        self.rays.push(GroupRay { gt, rows: start..self.mlp.len() });
+    }
+
+    /// Runs the group through the model, adds its loss and MLP gradient,
+    /// pushes its records, and empties it.
+    fn flush(
+        &mut self,
+        model: &NgpModel,
+        packed: &crate::mlp::PackedMlp,
+        loss: &mut f32,
+        g_mlp: &mut crate::mlp::MlpGrads,
+        records: &mut LevelRecords,
+    ) {
+        model.mlp.forward_rows(packed, &mut self.mlp);
+        self.kept.clear();
+        self.d_raw.clear();
+        for ray in &self.rays {
+            self.shaded.clear();
+            self.shaded.extend(ray.rows.clone().map(|r| {
+                let raw = self.mlp.output_row(r);
+                ShadedSample {
+                    sigma: softplus(raw[0]),
+                    color: [sigmoid(raw[1]), sigmoid(raw[2]), sigmoid(raw[3])],
+                    delta: self.deltas[r],
+                }
+            }));
+            let (c, gt) = (composite(&self.shaded), ray.gt);
+            let d_out = [
+                2.0 * (c[0] - gt[0]) / 3.0,
+                2.0 * (c[1] - gt[1]) / 3.0,
+                2.0 * (c[2] - gt[2]) / 3.0,
+            ];
+            *loss += ((c[0] - gt[0]).powi(2) + (c[1] - gt[1]).powi(2) + (c[2] - gt[2]).powi(2)) / 3.0;
+            composite_backward_into(&self.shaded, d_out, &mut self.d_sigma, &mut self.d_color);
+            for (i, r) in ray.rows.clone().enumerate() {
+                // Head gradients: σ = softplus(z0), c = sigmoid(z1..3).
+                let mut d_raw = [0.0f32; 4];
+                d_raw[0] = self.d_sigma[i] * sigmoid(self.mlp.output_row(r)[0]);
+                for ch in 0..3 {
+                    let cch = self.shaded[i].color[ch];
+                    d_raw[1 + ch] = self.d_color[i][ch] * cch * (1.0 - cch);
+                }
+                if d_raw.iter().all(|&v| v == 0.0) {
+                    continue;
+                }
+                self.kept.push(r);
+                self.d_raw.extend_from_slice(&d_raw);
+            }
+        }
+        self.mlp.compact(&self.kept);
+        let d_enc = model.mlp.backward_rows(&mut self.mlp, &self.d_raw, g_mlp);
+        let dims = model.mlp.inputs();
+        for (&r, d) in self.kept.iter().zip(d_enc.chunks_exact(dims)) {
+            records.push(&self.plans[r], d);
+        }
+        self.rays.clear();
+        self.mlp.clear();
     }
 }
 
@@ -253,9 +379,12 @@ fn shard_ranges(batch_rays: usize) -> Vec<(usize, usize)> {
 /// Each iteration runs two parallel phases:
 ///
 /// 1. **Shards.** The ray batch fans out across the thread pool in
-///    [`TRAIN_SHARDS`] fixed shards. Each samples, encodes, runs the MLP
-///    forward and backward, and records each sample's corner lookups and
-///    ∂L/∂encoding, level-major, instead of scattering them into a grid.
+///    [`TRAIN_SHARDS`] fixed shards. Each walks its rays in bounded groups
+///    of whole rays: it samples and encodes a group into MLP input rows,
+///    runs the MLP forward and backward over the group in 8-sample tiles
+///    (the GEMM form of the per-sample GEMV), and records each sample's
+///    corner lookups and ∂L/∂encoding, level-major, instead of scattering
+///    them into a grid. See [`ShardGrads`] for the group phases.
 /// 2. **Levels.** One task per hash-grid level scatters every shard's
 ///    records for that level into the level's accumulator, merging the
 ///    shards in shard order, then scales it and runs Adam in place on the
@@ -281,6 +410,11 @@ pub fn train_ngp(scene: &dyn Scene, model: &mut NgpModel, cfg: &TrainConfig) -> 
     // mutex: only the task that owns the level locks it.
     let mut slots: Vec<ShardGrads> =
         ranges.iter().map(|&(lo, hi)| ShardGrads::new(model, (hi - lo) * cfg.samples_per_ray)).collect();
+    // At most one shard per pool thread runs at a time, and each takes a
+    // free group; were the width raised mid-run, a shard would wait for one.
+    let groups: Vec<Mutex<RayGroup>> = (0..fnr_par::current_num_threads().min(TRAIN_SHARDS))
+        .map(|_| Mutex::new(RayGroup::new(model, GROUP_ROWS.max(cfg.samples_per_ray))))
+        .collect();
     let stride = model.grid.level_stride();
     let level_grads: Vec<Mutex<LevelGrads>> = (0..model.grid.config().levels)
         .map(|_| {
@@ -310,7 +444,10 @@ pub fn train_ngp(scene: &dyn Scene, model: &mut NgpModel, cfg: &TrainConfig) -> 
             let shard = &mut slot[0];
             shard.reset();
             // Split the slot into its independently-borrowed working sets.
-            let ShardGrads { mlp: g_mlp, loss, records, sample_scratch, plans, shaded, enc } = shard;
+            let ShardGrads { mlp: g_mlp, loss, records } = shard;
+            let mut group = groups.iter().find_map(|g| g.try_lock().ok()).unwrap_or_else(|| {
+                groups[si % groups.len()].lock().unwrap_or_else(PoisonError::into_inner)
+            });
             let (lo, hi) = ranges[si];
             for ray_idx in lo..hi {
                 let mut rng = ray_rng(cfg.seed, iter, ray_idx, cfg.batch_rays);
@@ -318,61 +455,16 @@ pub fn train_ngp(scene: &dyn Scene, model: &mut NgpModel, cfg: &TrainConfig) -> 
                 let px = rng.gen_range(0..cfg.image_size);
                 let py = rng.gen_range(0..cfg.image_size);
                 let ray = cameras[view].ray(px, py, cfg.image_size, cfg.image_size);
-                let gt = truths[view].get(px, py);
-                let samples = sample_ray(&ray, cfg.samples_per_ray, None);
-                if samples.is_empty() {
+                sample_ray_into(&ray, cfg.samples_per_ray, None, &mut group.samples);
+                if group.samples.is_empty() {
                     continue;
                 }
-                while sample_scratch.len() < samples.len() {
-                    sample_scratch.push(frozen.mlp.scratch());
+                if group.mlp.len() + group.samples.len() > group.mlp.capacity() {
+                    group.flush(frozen, packed_ref, loss, g_mlp, records);
                 }
-                while plans.len() < samples.len() {
-                    plans.push(crate::hashgrid::EncodePlan::default());
-                }
-                // Forward: encode → MLP → heads → composite. The encode
-                // plan (corner hashes + trilinear weights) is built once
-                // per sample and recorded for the level scatter below.
-                shaded.clear();
-                for ((s, scratch), plan) in
-                    samples.iter().zip(sample_scratch.iter_mut()).zip(plans.iter_mut())
-                {
-                    frozen.grid.plan_into(s.position, plan);
-                    frozen.grid.encode_planned(plan, enc);
-                    let raw = frozen.mlp.forward_cached_into_packed(packed_ref, enc, scratch);
-                    shaded.push(ShadedSample {
-                        sigma: softplus(raw[0]),
-                        color: [sigmoid(raw[1]), sigmoid(raw[2]), sigmoid(raw[3])],
-                        delta: s.delta,
-                    });
-                }
-                let c = composite(shaded);
-                let d_out = [
-                    2.0 * (c[0] - gt[0]) / 3.0,
-                    2.0 * (c[1] - gt[1]) / 3.0,
-                    2.0 * (c[2] - gt[2]) / 3.0,
-                ];
-                *loss += ((c[0] - gt[0]).powi(2) + (c[1] - gt[1]).powi(2)
-                    + (c[2] - gt[2]).powi(2))
-                    / 3.0;
-
-                // Backward.
-                let (d_sigma, d_color) = composite_backward(shaded, d_out);
-                for (i, _s) in samples.iter().enumerate() {
-                    let scratch = &mut sample_scratch[i];
-                    // Head gradients: σ = softplus(z0), c = sigmoid(z1..3).
-                    let mut d_raw = [0.0f32; 4];
-                    d_raw[0] = d_sigma[i] * sigmoid(scratch.output()[0]);
-                    for ch in 0..3 {
-                        let cch = shaded[i].color[ch];
-                        d_raw[1 + ch] = d_color[i][ch] * cch * (1.0 - cch);
-                    }
-                    if d_raw.iter().all(|&v| v == 0.0) {
-                        continue;
-                    }
-                    let d_enc = frozen.mlp.backward_into(scratch, &d_raw, g_mlp);
-                    records.push(&plans[i], d_enc);
-                }
+                group.add_ray(&frozen.grid, truths[view].get(px, py));
             }
+            group.flush(frozen, packed_ref, loss, g_mlp, records);
         });
 
         let scale = 1.0 / cfg.batch_rays as f32;

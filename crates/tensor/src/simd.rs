@@ -44,6 +44,37 @@
 //! in vector registers across the whole input loop while performing the
 //! exact per-element addition sequence of the stripe loop.
 //!
+//! # Sample tiles
+//!
+//! [`layer_forward_rows`] and [`layer_backward_rows`] run one layer over a
+//! row-major batch of samples, the GEMM form of the per-sample GEMV
+//! kernels. Under AVX-512 they work in tiles of [`TILE_ROWS`] = 8 rows:
+//! each weight vector is loaded once per tile, and the tile's 8
+//! independent rows keep the vector units busy where one row's dependency
+//! chain would leave them waiting. Rows are still independent
+//! computations, so a tile changes where values live, never what is added
+//! to what:
+//!
+//! - **Forward.** Each output element of each row starts at zero, adds
+//!   `x_i · w_i` for ascending `i` (a separate `mul` and `add`), then adds
+//!   the bias: the per-row kernels' sequence. Interleaving 8 rows
+//!   interleaves 8 independent sums and reorders none of them.
+//! - **Weight gradient.** Each entry `wg[o][j]` gets `δ[r][o] · x[r][j]`
+//!   for rows `r` in ascending order, exactly as `rows` per-row calls in
+//!   turn would add them; the tile only keeps the entry in a register
+//!   between its 8 adds.
+//! - **Input gradient.** The per-row kernel skips an output whose `δ` is
+//!   exactly zero. The tile keeps that skip as a masked add (a `vcmpps`
+//!   `NEQ_UQ` lane mask of the broadcast `δ`, then `mask_add`), never by
+//!   dropping the branch: adding the zero product is not exact in
+//!   general, because `0 · ±∞` and `0 · NaN` are NaN, so an unmasked add
+//!   would turn a finite gradient into NaN wherever a weight is infinite.
+//!
+//! Ragged tail rows (fewer than 8) and the AVX2 and scalar levels run the
+//! per-row kernels, so the tile kernels are bit-identical to per-row calls
+//! at every level by construction where they do not tile and by the
+//! arguments above where they do.
+//!
 //! The scalar twins are public so property suites can drive both paths
 //! over random shapes and assert bitwise equality.
 
@@ -219,11 +250,17 @@ pub fn add_assign_scalar(out: &mut [f32], b: &[f32]) {
 /// `wt.len()` must equal `x.len() * out.len()` (row stride `out.len()`).
 #[inline]
 pub fn layer_forward(out: &mut [f32], wt: &[f32], x: &[f32], bias: &[f32]) {
+    layer_forward_at(level(), out, wt, x, bias);
+}
+
+/// [`layer_forward`] at dispatch level `lv`, which must not exceed
+/// [`level`]'s CPU detection.
+#[inline]
+fn layer_forward_at(lv: SimdLevel, out: &mut [f32], wt: &[f32], x: &[f32], bias: &[f32]) {
     debug_assert_eq!(wt.len(), x.len() * out.len(), "packed weight shape mismatch");
     debug_assert_eq!(bias.len(), out.len(), "bias width mismatch");
     #[cfg(target_arch = "x86_64")]
     {
-        let lv = level();
         // SAFETY: the matching CPU feature was runtime-detected.
         if lv == SimdLevel::Avx512 {
             unsafe { layer_forward_avx512(out, wt, x, bias) };
@@ -234,6 +271,8 @@ pub fn layer_forward(out: &mut [f32], wt: &[f32], x: &[f32], bias: &[f32]) {
             return;
         }
     }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = lv;
     layer_forward_scalar(out, wt, x, bias);
 }
 
@@ -258,12 +297,18 @@ pub fn layer_forward_scalar(out: &mut [f32], wt: &[f32], x: &[f32], bias: &[f32]
 /// Bit-identical to [`layer_backward_scalar`] at every level.
 #[inline]
 pub fn layer_backward(d_in: &mut [f32], w: &[f32], wg: &mut [f32], delta: &[f32], input: &[f32]) {
+    layer_backward_at(level(), d_in, w, wg, delta, input);
+}
+
+/// [`layer_backward`] at dispatch level `lv`, which must not exceed
+/// [`level`]'s CPU detection.
+#[inline]
+fn layer_backward_at(lv: SimdLevel, d_in: &mut [f32], w: &[f32], wg: &mut [f32], delta: &[f32], input: &[f32]) {
     debug_assert_eq!(d_in.len(), input.len(), "input width mismatch");
     debug_assert_eq!(w.len(), delta.len() * input.len(), "weight shape mismatch");
     debug_assert_eq!(w.len(), wg.len(), "weight grad shape mismatch");
     #[cfg(target_arch = "x86_64")]
     {
-        let lv = level();
         // SAFETY: the matching CPU feature was runtime-detected.
         if lv == SimdLevel::Avx512 {
             unsafe { layer_backward_avx512(d_in, w, wg, delta, input) };
@@ -274,6 +319,8 @@ pub fn layer_backward(d_in: &mut [f32], w: &[f32], wg: &mut [f32], delta: &[f32]
             return;
         }
     }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = lv;
     layer_backward_scalar(d_in, w, wg, delta, input);
 }
 
@@ -295,6 +342,127 @@ pub fn layer_backward_scalar(
         if d != 0.0 {
             axpy_scalar(d_in, d, &w[o * cols..(o + 1) * cols]);
         }
+    }
+}
+
+/// Rows per sample tile of [`layer_forward_rows`] and
+/// [`layer_backward_rows`].
+pub const TILE_ROWS: usize = 8;
+
+/// [`layer_forward`] over a row-major batch: row `r` of `out` (`rows ×
+/// n`, `n = bias.len()`) is `layer_forward` of row `r` of `x` (`rows ×
+/// ins`, `ins = wt.len() / n`), bit for bit. Under AVX-512 the rows run in
+/// tiles of [`TILE_ROWS`] that load each weight vector once for the whole
+/// tile; ragged tail rows and the other levels take the per-row kernel.
+#[inline]
+pub fn layer_forward_rows(out: &mut [f32], wt: &[f32], x: &[f32], bias: &[f32]) {
+    layer_forward_rows_at(level(), out, wt, x, bias);
+}
+
+/// The portable twin of [`layer_forward_rows`]: one
+/// [`layer_forward_scalar`] per row.
+pub fn layer_forward_rows_scalar(out: &mut [f32], wt: &[f32], x: &[f32], bias: &[f32]) {
+    layer_forward_rows_at(SimdLevel::Scalar, out, wt, x, bias);
+}
+
+fn layer_forward_rows_at(lv: SimdLevel, out: &mut [f32], wt: &[f32], x: &[f32], bias: &[f32]) {
+    let n = bias.len();
+    if n == 0 {
+        return;
+    }
+    let (ins, rows) = (wt.len() / n, out.len() / n);
+    debug_assert_eq!(wt.len(), ins * n, "packed weight shape mismatch");
+    debug_assert_eq!(out.len(), rows * n, "output rows mismatch");
+    debug_assert_eq!(x.len(), rows * ins, "input rows mismatch");
+    let mut done = 0;
+    #[cfg(target_arch = "x86_64")]
+    if lv == SimdLevel::Avx512 {
+        done = rows - rows % TILE_ROWS;
+        // SAFETY: AVX-512F was runtime-detected; `ins` and `rows` are
+        // derived from `wt` and `out`, so the kernel's `wt`, `bias` and
+        // `out` indices are in bounds, and slicing `x` panics unless it
+        // holds `done` whole rows.
+        unsafe { layer_forward_rows_avx512(&mut out[..done * n], wt, &x[..done * ins], bias) };
+    }
+    for r in done..rows {
+        layer_forward_at(lv, &mut out[r * n..][..n], wt, &x[r * ins..][..ins], bias);
+    }
+}
+
+/// [`layer_backward`] over a row-major batch of `rows` samples, in
+/// ascending row order: `d_in` and `input` are `rows × cols`, `delta` is
+/// `rows × outs`, and `w`/`wg` are `outs × cols` as in `layer_backward`.
+/// Bit-identical to calling `layer_backward` on each row in turn: every
+/// weight-gradient entry receives the rows in ascending order, and each
+/// row's input gradient skips its `delta == 0.0` outputs. Under AVX-512
+/// the skip is a masked add rather than a branch (see the module docs);
+/// ragged tail rows and the other levels take the per-row kernel.
+#[inline]
+pub fn layer_backward_rows(
+    d_in: &mut [f32],
+    w: &[f32],
+    wg: &mut [f32],
+    delta: &[f32],
+    input: &[f32],
+    rows: usize,
+) {
+    layer_backward_rows_at(level(), d_in, w, wg, delta, input, rows);
+}
+
+/// The portable twin of [`layer_backward_rows`]: one
+/// [`layer_backward_scalar`] per row.
+pub fn layer_backward_rows_scalar(
+    d_in: &mut [f32],
+    w: &[f32],
+    wg: &mut [f32],
+    delta: &[f32],
+    input: &[f32],
+    rows: usize,
+) {
+    layer_backward_rows_at(SimdLevel::Scalar, d_in, w, wg, delta, input, rows);
+}
+
+fn layer_backward_rows_at(
+    lv: SimdLevel,
+    d_in: &mut [f32],
+    w: &[f32],
+    wg: &mut [f32],
+    delta: &[f32],
+    input: &[f32],
+    rows: usize,
+) {
+    if rows == 0 {
+        return;
+    }
+    let (cols, outs) = (d_in.len() / rows, delta.len() / rows);
+    debug_assert_eq!(d_in.len(), rows * cols, "input-gradient rows mismatch");
+    debug_assert_eq!(delta.len(), rows * outs, "delta rows mismatch");
+    debug_assert_eq!(input.len(), rows * cols, "input rows mismatch");
+    // The kernels index `w` and `wg` by `outs × cols`: checked always.
+    assert_eq!(w.len(), outs * cols, "weight shape mismatch");
+    assert_eq!(wg.len(), w.len(), "weight grad shape mismatch");
+    let mut done = 0;
+    #[cfg(target_arch = "x86_64")]
+    if lv == SimdLevel::Avx512 && outs > 0 && cols > 0 {
+        done = rows - rows % TILE_ROWS;
+        // SAFETY: AVX-512F was runtime-detected, `w` and `wg` hold
+        // `outs × cols` values (asserted above), and the sliced rows hold
+        // `done` whole rows (slicing panics otherwise).
+        unsafe {
+            layer_backward_rows_avx512(
+                &mut d_in[..done * cols],
+                w,
+                wg,
+                &delta[..done * outs],
+                &input[..done * cols],
+                outs,
+                cols,
+            )
+        };
+    }
+    for r in done..rows {
+        let rc = r * cols..(r + 1) * cols;
+        layer_backward_at(lv, &mut d_in[rc.clone()], w, wg, &delta[r * outs..][..outs], &input[rc]);
     }
 }
 
@@ -805,6 +973,217 @@ unsafe fn layer_backward_avx512(
     }
 }
 
+/// Lane mask of vector `v` of a column block whose last vector is `tail`.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn block_mask<const V: usize>(v: usize, tail: u16) -> u16 {
+    if v + 1 == V {
+        tail
+    } else {
+        u16::MAX
+    }
+}
+
+/// Splits `n` columns into blocks of `V` 16-lane vectors: calls `block(V,
+/// c, tail)` for each, where `tail` masks the block's last vector. Full
+/// 32-column blocks first, then one 1- or 2-vector remainder block.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn for_column_blocks(n: usize, mut block: impl FnMut(usize, usize, u16)) {
+    let mut c = 0;
+    while c + 32 <= n {
+        block(2, c, u16::MAX);
+        c += 32;
+    }
+    let rem = n - c;
+    let tail = |k: usize| if k == 16 { u16::MAX } else { (1u16 << k) - 1 };
+    if rem > 16 {
+        block(2, c, tail(rem - 16));
+    } else if rem > 0 {
+        block(1, c, tail(rem));
+    }
+}
+
+/// AVX-512 sample-tile forward: for each tile of [`TILE_ROWS`] rows and
+/// each block of up to 32 output columns, the tile's 8 × 2 accumulators
+/// stay in registers across the input loop while each weight vector is
+/// loaded once and multiplied by every row's broadcast input. Each output
+/// element sees zero, `+= x_i · w_i` for ascending `i`, then `+ bias`:
+/// the per-row kernels' sequence.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F; `out` and `x` hold whole tiles of rows
+/// (`out.len() = tiles · TILE_ROWS · n`) with shapes as in
+/// [`layer_forward_rows`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn layer_forward_rows_avx512(out: &mut [f32], wt: &[f32], x: &[f32], bias: &[f32]) {
+    let n = bias.len();
+    let ins = wt.len() / n;
+    for t in 0..out.len() / (n * TILE_ROWS) {
+        let op = out.as_mut_ptr().add(t * TILE_ROWS * n);
+        let xp = x.as_ptr().add(t * TILE_ROWS * ins);
+        for_column_blocks(n, |v, c, tail| match v {
+            2 => forward_tile_block::<2>(op, xp, wt.as_ptr(), bias.as_ptr(), n, ins, c, tail),
+            _ => forward_tile_block::<1>(op, xp, wt.as_ptr(), bias.as_ptr(), n, ins, c, tail),
+        });
+    }
+}
+
+/// One `V`-vector column block of [`layer_forward_rows_avx512`].
+#[cfg(target_arch = "x86_64")]
+#[allow(clippy::too_many_arguments)]
+#[inline]
+#[target_feature(enable = "avx512f")]
+unsafe fn forward_tile_block<const V: usize>(
+    op: *mut f32,
+    xp: *const f32,
+    wp: *const f32,
+    bp: *const f32,
+    n: usize,
+    ins: usize,
+    c: usize,
+    tail: u16,
+) {
+    use std::arch::x86_64::*;
+    let mut acc = [[_mm512_setzero_ps(); V]; TILE_ROWS];
+    for i in 0..ins {
+        let row = wp.add(i * n + c);
+        let wv: [__m512; V] =
+            std::array::from_fn(|v| _mm512_maskz_loadu_ps(block_mask::<V>(v, tail), row.add(16 * v)));
+        for (r, acc_r) in acc.iter_mut().enumerate() {
+            let xv = _mm512_set1_ps(*xp.add(r * ins + i));
+            for (a, &w) in acc_r.iter_mut().zip(&wv) {
+                *a = _mm512_add_ps(*a, _mm512_mul_ps(xv, w));
+            }
+        }
+    }
+    for v in 0..V {
+        let m = block_mask::<V>(v, tail);
+        let b = _mm512_maskz_loadu_ps(m, bp.add(c + 16 * v));
+        for (r, acc_r) in acc.iter().enumerate() {
+            _mm512_mask_storeu_ps(op.add(r * n + c + 16 * v), m, _mm512_add_ps(acc_r[v], b));
+        }
+    }
+}
+
+/// AVX-512 sample-tile backward, in two passes per tile of
+/// [`TILE_ROWS`] rows. The weight-gradient pass keeps the tile's input
+/// rows in registers and adds the 8 rows' `δ · x` products to each
+/// gradient vector in row order before storing it once. The
+/// input-gradient pass keeps the tile's `d_in` rows in registers across
+/// the output loop and adds `δ · w` under a `δ != 0` lane mask. The
+/// passes write disjoint buffers, so splitting them reorders nothing.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F; `outs ≥ 1` and `cols ≥ 1`; `w` and
+/// `wg` hold `outs × cols` values; `d_in` and `input` hold whole tiles of
+/// `cols`-wide rows and `delta` as many `outs`-wide rows.
+#[cfg(target_arch = "x86_64")]
+#[allow(clippy::too_many_arguments)]
+#[target_feature(enable = "avx512f")]
+unsafe fn layer_backward_rows_avx512(
+    d_in: &mut [f32],
+    w: &[f32],
+    wg: &mut [f32],
+    delta: &[f32],
+    input: &[f32],
+    outs: usize,
+    cols: usize,
+) {
+    let wgp = wg.as_mut_ptr();
+    for t in 0..d_in.len() / (cols * TILE_ROWS) {
+        let dinp = d_in.as_mut_ptr().add(t * TILE_ROWS * cols);
+        let ip = input.as_ptr().add(t * TILE_ROWS * cols);
+        let dp = delta.as_ptr().add(t * TILE_ROWS * outs);
+        for_column_blocks(cols, |v, c, tail| match v {
+            2 => {
+                weight_grad_tile_block::<2>(wgp, dp, ip, outs, cols, c, tail);
+                input_grad_tile_block::<2>(dinp, w.as_ptr(), dp, outs, cols, c, tail);
+            }
+            _ => {
+                weight_grad_tile_block::<1>(wgp, dp, ip, outs, cols, c, tail);
+                input_grad_tile_block::<1>(dinp, w.as_ptr(), dp, outs, cols, c, tail);
+            }
+        });
+    }
+}
+
+/// The weight-gradient pass of one `V`-vector column block:
+/// `wg[o][c..] += δ[r][o] · x[r][c..]` for rows `r` ascending.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx512f")]
+unsafe fn weight_grad_tile_block<const V: usize>(
+    gp: *mut f32,
+    dp: *const f32,
+    ip: *const f32,
+    outs: usize,
+    cols: usize,
+    c: usize,
+    tail: u16,
+) {
+    use std::arch::x86_64::*;
+    let x: [[__m512; V]; TILE_ROWS] = std::array::from_fn(|r| {
+        std::array::from_fn(|v| _mm512_maskz_loadu_ps(block_mask::<V>(v, tail), ip.add(r * cols + c + 16 * v)))
+    });
+    for o in 0..outs {
+        let grow = gp.add(o * cols + c);
+        let mut g: [__m512; V] =
+            std::array::from_fn(|v| _mm512_maskz_loadu_ps(block_mask::<V>(v, tail), grow.add(16 * v)));
+        for (r, x_r) in x.iter().enumerate() {
+            let vd = _mm512_set1_ps(*dp.add(r * outs + o));
+            for (gv, &xv) in g.iter_mut().zip(x_r) {
+                *gv = _mm512_add_ps(*gv, _mm512_mul_ps(vd, xv));
+            }
+        }
+        for (v, &gv) in g.iter().enumerate() {
+            _mm512_mask_storeu_ps(grow.add(16 * v), block_mask::<V>(v, tail), gv);
+        }
+    }
+}
+
+/// The input-gradient pass of one `V`-vector column block:
+/// `d_in[r][c..] += δ[r][o] · w[o][c..]` for `o` ascending, masked to the
+/// outputs with `δ[r][o] != 0` (`NEQ_UQ`, so a NaN δ adds, as `!=` does).
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx512f")]
+unsafe fn input_grad_tile_block<const V: usize>(
+    dinp: *mut f32,
+    wp: *const f32,
+    dp: *const f32,
+    outs: usize,
+    cols: usize,
+    c: usize,
+    tail: u16,
+) {
+    use std::arch::x86_64::*;
+    let zero = _mm512_setzero_ps();
+    let mut acc: [[__m512; V]; TILE_ROWS] = std::array::from_fn(|r| {
+        std::array::from_fn(|v| _mm512_maskz_loadu_ps(block_mask::<V>(v, tail), dinp.add(r * cols + c + 16 * v)))
+    });
+    for o in 0..outs {
+        let wrow = wp.add(o * cols + c);
+        let wv: [__m512; V] =
+            std::array::from_fn(|v| _mm512_maskz_loadu_ps(block_mask::<V>(v, tail), wrow.add(16 * v)));
+        for (r, acc_r) in acc.iter_mut().enumerate() {
+            let vd = _mm512_set1_ps(*dp.add(r * outs + o));
+            let live = _mm512_cmp_ps_mask::<_CMP_NEQ_UQ>(vd, zero);
+            for (a, &w) in acc_r.iter_mut().zip(&wv) {
+                *a = _mm512_mask_add_ps(*a, live, *a, _mm512_mul_ps(vd, w));
+            }
+        }
+    }
+    for (r, acc_r) in acc.iter().enumerate() {
+        for (v, &a) in acc_r.iter().enumerate() {
+            _mm512_mask_storeu_ps(dinp.add(r * cols + c + 16 * v), block_mask::<V>(v, tail), a);
+        }
+    }
+}
+
 /// AVX2 Adam step — element-wise, correctly-rounded `div`/`sqrt`, exact
 /// expression of [`adam_step_scalar`].
 ///
@@ -1042,6 +1421,152 @@ mod tests {
         a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
     }
 
+    /// Bitwise equality, except that any NaN equals any NaN: LLVM may
+    /// commute `fadd`/`fmul` operands, so which of two NaN operands'
+    /// payload survives is not part of the contract.
+    fn bits_eq_nan(a: &[f32], b: &[f32]) -> bool {
+        a.len() == b.len()
+            && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+    }
+
+    /// Every dispatch level this host can run, weakest first.
+    fn host_levels() -> Vec<SimdLevel> {
+        let mut levels = vec![SimdLevel::Scalar];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                levels.push(SimdLevel::Avx2);
+            }
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                levels.push(SimdLevel::Avx512);
+            }
+        }
+        levels
+    }
+
+    /// A `rows × width` batch from `random_vec`, with every third row
+    /// (from row 1) all `±0.0` — an input row ReLU masked entirely.
+    fn tile_rows(rows: usize, width: usize, seed: u64) -> Vec<f32> {
+        let mut x = random_vec(rows * width, seed);
+        for (r, row) in x.chunks_exact_mut(width.max(1)).enumerate() {
+            if r % 3 == 1 {
+                for (i, v) in row.iter_mut().enumerate() {
+                    *v = if i % 2 == 0 { 0.0 } else { -0.0 };
+                }
+            }
+        }
+        x
+    }
+
+    /// `random_vec` with ±∞ and NaN sprinkled in every 7th slot.
+    fn with_non_finite(mut w: Vec<f32>) -> Vec<f32> {
+        const ODD: [f32; 3] = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+        for (i, v) in w.iter_mut().enumerate().filter(|(i, _)| i % 7 == 3) {
+            *v = ODD[i % 3];
+        }
+        w
+    }
+
+    /// The tile forward at each host level against per-row
+    /// [`layer_forward`] calls at that level and at the scalar level.
+    fn check_forward_rows(rows: usize, ins: usize, outs: usize, seed: u64) -> Result<(), String> {
+        let wt = random_vec(ins * outs, seed ^ 0x71);
+        let x = tile_rows(rows, ins, seed ^ 0x72);
+        let bias = random_vec(outs, seed ^ 0x73);
+        let per_row = |lv| {
+            let mut out = vec![0.0f32; rows * outs];
+            for (o, xr) in out.chunks_exact_mut(outs).zip(x.chunks_exact(ins)) {
+                layer_forward_at(lv, o, &wt, xr, &bias);
+            }
+            out
+        };
+        let scalar = per_row(SimdLevel::Scalar);
+        for lv in host_levels() {
+            let mut tile = vec![f32::NAN; rows * outs];
+            layer_forward_rows_at(lv, &mut tile, &wt, &x, &bias);
+            if !bits_eq(&tile, &per_row(lv)) || !bits_eq(&tile, &scalar) {
+                return Err(format!("{lv:?} {rows} rows {ins}->{outs}: tile forward drifted"));
+            }
+        }
+        Ok(())
+    }
+
+    /// The tile backward at each host level against per-row
+    /// [`layer_backward`] calls at that level and at the scalar level,
+    /// with non-finite weights next to exact-zero deltas and non-zero
+    /// starting `wg` / `d_in`.
+    fn check_backward_rows(rows: usize, cols: usize, outs: usize, seed: u64) -> Result<(), String> {
+        let w = with_non_finite(random_vec(outs * cols, seed ^ 0x81));
+        let input = tile_rows(rows, cols, seed ^ 0x82);
+        let delta = random_vec(rows * outs, seed ^ 0x83);
+        let wg0 = random_vec(outs * cols, seed ^ 0x84);
+        let din0 = random_vec(rows * cols, seed ^ 0x85);
+        let per_row = |lv| {
+            let (mut wg, mut d_in) = (wg0.clone(), din0.clone());
+            for r in 0..rows {
+                let rc = r * cols..(r + 1) * cols;
+                layer_backward_at(lv, &mut d_in[rc.clone()], &w, &mut wg, &delta[r * outs..][..outs], &input[rc]);
+            }
+            (wg, d_in)
+        };
+        let (wg_s, din_s) = per_row(SimdLevel::Scalar);
+        for lv in host_levels() {
+            let (mut wg, mut d_in) = (wg0.clone(), din0.clone());
+            layer_backward_rows_at(lv, &mut d_in, &w, &mut wg, &delta, &input, rows);
+            let (wg_r, din_r) = per_row(lv);
+            let shape = format!("{lv:?} {rows} rows {outs}x{cols}");
+            if !bits_eq_nan(&wg, &wg_r) || !bits_eq_nan(&wg, &wg_s) {
+                return Err(format!("{shape}: tile weight grads drifted"));
+            }
+            if !bits_eq_nan(&d_in, &din_r) || !bits_eq_nan(&d_in, &din_s) {
+                return Err(format!("{shape}: tile input grads drifted"));
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn row_kernels_match_per_row_calls_over_every_tail_and_block_width() {
+        // Row counts 0–17 cover 0, 1 and 2 whole tiles with every ragged
+        // tail; the widths hit the 16-lane mask boundaries and the fig20a
+        // layer widths 4, 16 and 32.
+        for rows in 0..=17 {
+            for (k, &a) in [1usize, 4, 15, 16, 17, 32, 33, 40].iter().enumerate() {
+                for &b in &[1usize, 4, 16, 31, 32] {
+                    let seed = (rows * 64 + k * 8 + b) as u64;
+                    check_forward_rows(rows, a, b, seed).unwrap();
+                    check_forward_rows(rows, b, a, seed).unwrap();
+                    check_backward_rows(rows, a, b, seed).unwrap();
+                    check_backward_rows(rows, b, a, seed).unwrap();
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tile_backward_masks_the_zero_delta_skip_instead_of_dropping_it() {
+        // δ = 0 against an infinite weight: an unmasked add would put
+        // 0 · ∞ = NaN into the input gradient; the per-row kernels skip it.
+        let (rows, cols, outs) = (TILE_ROWS, 16, 2);
+        let mut w = vec![0.5f32; outs * cols];
+        w[3] = f32::INFINITY;
+        w[cols + 5] = f32::NAN;
+        let delta: Vec<f32> = (0..rows).flat_map(|r| [0.0, if r % 2 == 0 { -0.0 } else { 0.25 }]).collect();
+        let input = vec![1.0f32; rows * cols];
+        for lv in host_levels() {
+            let mut wg = vec![0.0f32; outs * cols];
+            let mut d_in = vec![-0.0f32; rows * cols];
+            layer_backward_rows_at(lv, &mut d_in, &w, &mut wg, &delta, &input, rows);
+            for (r, row) in d_in.chunks_exact(cols).enumerate() {
+                if r % 2 == 0 {
+                    assert!(row.iter().all(|v| v.to_bits() == (-0.0f32).to_bits()), "{lv:?} row {r}: {row:?}");
+                } else {
+                    assert!(row[5].is_nan() && row[3] == 0.125, "{lv:?} row {r}: {row:?}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn level_is_cached_and_reportable() {
         let first = level();
@@ -1231,6 +1756,33 @@ mod tests {
                 layer_backward_scalar(&mut din_s, &w, &mut wg_s, &delta, &input);
                 prop_assert!(bits_eq(&wg_f, &wg_s), "{rows}x{cols}: weight grads drifted");
                 prop_assert!(bits_eq(&din_f, &din_s), "{rows}x{cols}: input grads drifted");
+            }
+
+            /// The sample-tile forward matches per-row calls at every
+            /// host level over random row counts and widths.
+            #[test]
+            fn prop_layer_forward_rows_matches_per_row_calls(
+                rows in 0usize..18,
+                ins in 1usize..41,
+                outs in 1usize..41,
+                seed in 0u64..500,
+            ) {
+                let checked = check_forward_rows(rows, ins, outs, seed);
+                prop_assert!(checked.is_ok(), "{checked:?}");
+            }
+
+            /// The sample-tile backward matches per-row calls at every
+            /// host level, non-finite weights and exact-zero deltas
+            /// included.
+            #[test]
+            fn prop_layer_backward_rows_matches_per_row_calls(
+                rows in 0usize..18,
+                cols in 1usize..41,
+                outs in 1usize..41,
+                seed in 0u64..500,
+            ) {
+                let checked = check_backward_rows(rows, cols, outs, seed);
+                prop_assert!(checked.is_ok(), "{checked:?}");
             }
 
             /// The dispatched Adam step updates params/m/v bit-identically
