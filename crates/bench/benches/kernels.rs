@@ -2,17 +2,18 @@
 //! datapath (fused multiply, array pass, reduction), the mapping, the
 //! format codecs, the NoC routers, the NeRF encoding primitives, the
 //! quantized-inference activation quantizer, the training MLP's
-//! sample-tile layer kernels and the training step's per-level merge and
-//! Adam update. Each `fnr_tensor::simd`-backed bench has a `*_scalar`
-//! twin, so a kernel's speedup is the ratio of the two lines; the tile
-//! kernels also have a `*_per_row` line, the per-sample calls they
-//! replace.
+//! sample-tile layer kernels, the quantized render head and the training
+//! step's per-level merge and Adam update. Each `fnr_tensor::simd`-backed
+//! bench has a `*_scalar` twin, so a kernel's speedup is the ratio of the
+//! two lines; the tile kernels and the render head also have a
+//! `*_per_row` line, the per-sample calls they replace.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use flexnerfer::FlexibleFormatCodec;
 use fnr_hw::TechParams;
 use fnr_mac::{FusedMacUnit, MacArray, ReductionTreeKind};
 use fnr_nerf::hashgrid::{EncodePlan, HashGrid, HashGridConfig};
+use fnr_nerf::mlp::{Mlp, QuantScratch, QuantizedMlp, TileHead};
 use fnr_nerf::render::{composite, ShadedSample};
 use fnr_nerf::vec3::Vec3;
 use fnr_noc::Benes;
@@ -163,6 +164,24 @@ fn bench_kernels(c: &mut Criterion) {
             })
         });
     }
+
+    // The serving model's calibrated INT8 head (16→16→16→4) on one
+    // 32-row render tile, against 32 per-sample `forward_into` calls.
+    let mlp = Mlp::new(&[16, 16, 16, 4], 5);
+    let x: Vec<f32> = (0..32 * 16).map(|i| ((i * 13 % 29) as f32 - 9.0) * 0.05).collect();
+    let mut head = QuantizedMlp::quantize(&mlp, Precision::Int8);
+    head.calibrate(&mlp, &x.chunks_exact(16).map(<[f32]>::to_vec).collect::<Vec<_>>());
+    let mut scratch = QuantScratch::default();
+    g.bench_function("quant_head_int8_16x16x16x4_32rows", |b| {
+        b.iter(|| black_box(head.forward_tile(black_box(&x), &mut scratch).len()))
+    });
+    g.bench_function("quant_head_int8_16x16x16x4_32rows_per_row", |b| {
+        b.iter(|| {
+            for xr in black_box(&x).chunks_exact(16) {
+                black_box(head.forward_into(xr, &mut scratch).len());
+            }
+        })
+    });
 
     // Volume rendering compositing over 32 samples.
     let samples: Vec<ShadedSample> = (0..32)

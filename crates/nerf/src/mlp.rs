@@ -434,7 +434,8 @@ impl Mlp {
 
     /// The packed twin of [`Mlp::forward_into`]: same signature plus the
     /// transposed weights, bit-identical output (the per-layer kernel is
-    /// [`Linear::forward_packed_into`]).
+    /// [`Linear::forward_packed_into`]). Rendering runs the tile form, the
+    /// FP32 [`TileHead`]; this per-sample form stays as its oracle.
     pub fn forward_into_packed<'s>(
         &self,
         packed: &PackedMlp,
@@ -764,13 +765,16 @@ pub struct QuantizedMlp {
     act_amax: Option<Vec<f32>>,
 }
 
-/// Reusable activation staging for the quantized per-sample forward
-/// paths: the running activation, its quantized image, and the next
-/// layer's accumulator. One scratch serves one in-flight forward; the
-/// `Vec`-returning [`QuantizedMlp::forward`] / [`OutlierQuantizedMlp::forward`]
-/// wrappers borrow a thread-local one, so per-sample quantized inference
-/// (the rendering hot path) performs no heap allocation beyond its output.
-/// The `*_into` methods are bit-identical to the `Vec` wrappers.
+/// Staging for [`TileHead::forward_tile`], the row loop every render
+/// head shares: the running activation rows, their quantized image (left
+/// untouched by the FP32 head, which does not quantize), and the next
+/// layer's accumulator rows. One scratch serves one in-flight forward, and
+/// every buffer only grows, so a warm scratch runs any tile up to the
+/// largest it has seen without allocating. The renderer keeps one per
+/// thread; the `Vec`-returning [`QuantizedMlp::forward`] /
+/// [`OutlierQuantizedMlp::forward`] wrappers borrow another thread-local
+/// one, so they allocate only their output. Every forward through it is
+/// bit-identical to the same rows run one at a time.
 #[derive(Debug, Clone, Default)]
 pub struct QuantScratch {
     a: Vec<f32>,
@@ -779,44 +783,50 @@ pub struct QuantScratch {
 }
 
 thread_local! {
-    /// Per-thread scratch backing the `Vec`-returning quantized forwards —
-    /// pool workers rendering pixel rows each warm their own once and
-    /// then run allocation-free per sample.
+    /// Per-thread scratch backing the `Vec`-returning quantized forwards.
     static QUANT_TLS: std::cell::RefCell<QuantScratch> =
         std::cell::RefCell::new(QuantScratch::default());
 }
 
-/// Runs `f` on this thread's shared quantized-forward scratch — the same
-/// buffers the `Vec`-returning wrappers use, so in-crate hot paths (the
-/// render heads) reuse one warm scratch per thread instead of keeping a
-/// second set. Not re-entrant: `f` must not call back into the wrappers.
-pub(crate) fn with_quant_tls<R>(f: impl FnOnce(&mut QuantScratch) -> R) -> R {
-    QUANT_TLS.with(|s| f(&mut s.borrow_mut()))
+/// An MLP head that runs a row-major tile of samples at once: the render
+/// loop encodes a tile of whole rays, calls [`TileHead::forward_tile`]
+/// once, then shades and composites each ray from the output rows.
+/// Implemented by the FP32 network (`(&Mlp, &PackedMlp)`),
+/// [`QuantizedMlp`] and [`OutlierQuantizedMlp`]; all three run the same
+/// row loop (quantize, [`fnr_tensor::simd::layer_forward_rows`], hidden
+/// ReLU), so each output row is bit-identical to a forward of that row
+/// alone.
+pub trait TileHead: Sync {
+    /// Width of one output row.
+    fn outputs(&self) -> usize;
+
+    /// Runs every row of the row-major `x` through the network and returns
+    /// the output rows, [`TileHead::outputs`] wide each.
+    fn forward_tile<'s>(&self, x: &[f32], scratch: &'s mut QuantScratch) -> &'s [f32];
 }
 
-/// The forward loop both quantized MLPs share: per layer, `quantize(i,
-/// a, aq)` writes the quantized image of the running activation `a` into
-/// `aq` (same length), then the packed MAC and the hidden ReLU run on it.
-fn quantized_forward<'s>(
-    packed: &[Matrix<f32>],
-    bias: &[Vec<f32>],
+/// The row loop every [`TileHead`] shares. Per layer (`layers` yields
+/// each one's transposed weights and bias), `quantize(i, width, a, aq)`
+/// may set `aq` to the quantized image of the `width`-wide activation rows
+/// `a` and return `true`, or return `false` to feed `a` as it is; one
+/// [`fnr_tensor::simd::layer_forward_rows`] call and the hidden ReLU then
+/// run on every row. Each layer overwrites every output
+/// (zeroed accumulators, ascending-input products, bias last), so a row's
+/// values do not depend on the rows beside it.
+fn forward_rows_staged<'s, 'w>(
+    layers: impl ExactSizeIterator<Item = (&'w [f32], &'w [f32])>,
     x: &[f32],
     scratch: &'s mut QuantScratch,
-    mut quantize: impl FnMut(usize, &[f32], &mut [f32]),
+    mut quantize: impl FnMut(usize, usize, &[f32], &mut Vec<f32>) -> bool,
 ) -> &'s [f32] {
     let QuantScratch { a, aq, z } = scratch;
-    a.clear();
-    a.extend_from_slice(x);
-    let last = packed.len() - 1;
-    for (i, (wt, bias)) in packed.iter().zip(bias).enumerate() {
-        aq.resize(a.len(), 0.0);
-        quantize(i, a, aq);
-        // Packed MAC through the whole-layer kernel, which overwrites
-        // every output: zeroed accumulators + ascending-input stripes +
-        // bias last — the exact per-output addition sequence of the
-        // row-wise dot-product loop it replaces.
-        z.resize(bias.len(), 0.0);
-        fnr_tensor::simd::layer_forward(z, wt.as_slice(), aq, bias);
+    let last = layers.len() - 1;
+    for (i, (wt, bias)) in layers.enumerate() {
+        let src: &[f32] = if i == 0 { x } else { a };
+        let (ins, outs) = (wt.len() / bias.len(), bias.len());
+        let input = if quantize(i, ins, src, aq) { &aq[..] } else { src };
+        z.resize(src.len() / ins * outs, 0.0);
+        fnr_tensor::simd::layer_forward_rows(z, wt, input, bias);
         if i != last {
             for v in z.iter_mut() {
                 *v = v.max(0.0);
@@ -825,6 +835,45 @@ fn quantized_forward<'s>(
         std::mem::swap(a, z);
     }
     a
+}
+
+/// Sizes `aq` to `a`, then runs `q(range, a, aq)` once over the whole
+/// activation tile when the layer has a calibrated static `range`, or once
+/// per `width`-wide row with `dynamic` of that row's `|a|` max. The
+/// quantizers are elementwise, so one call over the tile equals one call
+/// per row.
+fn quantize_rows<R>(
+    calibrated: Option<R>,
+    dynamic: impl Fn(f32) -> R,
+    width: usize,
+    a: &[f32],
+    aq: &mut Vec<f32>,
+    mut q: impl FnMut(R, &[f32], &mut [f32]),
+) {
+    aq.resize(a.len(), 0.0);
+    match calibrated {
+        Some(range) => q(range, a, aq),
+        None => {
+            for (ar, qr) in a.chunks_exact(width).zip(aq.chunks_exact_mut(width)) {
+                q(dynamic(ar.iter().fold(0.0f32, |m, &v| m.max(v.abs()))), ar, qr);
+            }
+        }
+    }
+}
+
+/// The FP32 head: the network's biases with its transposed weights. It
+/// does not quantize, so each row takes the same per-layer kernel
+/// sequence as [`Mlp::forward_into_packed`].
+impl TileHead for (&Mlp, &PackedMlp) {
+    fn outputs(&self) -> usize {
+        self.0.outputs()
+    }
+
+    fn forward_tile<'s>(&self, x: &[f32], scratch: &'s mut QuantScratch) -> &'s [f32] {
+        let (mlp, packed) = *self;
+        let layers = packed.wt.iter().zip(&mlp.layers).map(|(wt, l)| (wt.as_slice(), l.bias.as_slice()));
+        forward_rows_staged(layers, x, scratch, |_, _, _, _| false)
+    }
 }
 
 impl QuantizedMlp {
@@ -860,22 +909,37 @@ impl QuantizedMlp {
         QUANT_TLS.with(|s| self.forward_into(x, &mut s.borrow_mut()).to_vec())
     }
 
-    /// Allocation-free forward pass through `scratch`'s staging buffers;
-    /// bit-identical to [`QuantizedMlp::forward`]. Each layer's
-    /// activations quantize at the static `amax / hi` step through the
-    /// [`fnr_tensor::simd::quantize_static`] kernel.
+    /// Allocation-free forward pass of one sample `x` through `scratch`:
+    /// [`TileHead::forward_tile`] on a one-row tile, bit-identical to
+    /// [`QuantizedMlp::forward`]. Kept as the per-sample API and as the
+    /// oracle the tile renderer is tested against.
     pub fn forward_into<'s>(&self, x: &[f32], scratch: &'s mut QuantScratch) -> &'s [f32] {
+        self.forward_tile(x, scratch)
+    }
+}
+
+/// Each layer's activations quantize at the static `amax / hi` step
+/// through [`fnr_tensor::simd::quantize_static`], once per tile; an
+/// uncalibrated model takes each row's own amax instead. An all-zero
+/// range feeds the activations through unquantized.
+impl TileHead for QuantizedMlp {
+    fn outputs(&self) -> usize {
+        self.bias.last().map_or(0, Vec::len)
+    }
+
+    fn forward_tile<'s>(&self, x: &[f32], scratch: &'s mut QuantScratch) -> &'s [f32] {
         let (lo, hi) = self.precision.range();
-        quantized_forward(&self.packed, &self.bias, x, scratch, |i, a, aq| {
-            let amax = match &self.act_amax {
-                Some(v) => v[i],
-                None => a.iter().fold(0.0f32, |m, &v| m.max(v.abs())),
-            };
-            if amax == 0.0 {
-                aq.copy_from_slice(a);
-            } else {
-                fnr_tensor::simd::quantize_static(aq, a, amax / hi as f32, lo as f32, hi as f32);
-            }
+        let layers = self.packed.iter().zip(&self.bias).map(|(wt, b)| (wt.as_slice(), b.as_slice()));
+        forward_rows_staged(layers, x, scratch, |i, width, a, aq| {
+            let calibrated = self.act_amax.as_ref().map(|v| v[i]);
+            quantize_rows(calibrated, |m| m, width, a, aq, |amax, a, aq| {
+                if amax == 0.0 {
+                    aq.copy_from_slice(a);
+                } else {
+                    fnr_tensor::simd::quantize_static(aq, a, amax / hi as f32, lo as f32, hi as f32);
+                }
+            });
+            true
         })
     }
 }
@@ -944,35 +1008,46 @@ impl OutlierQuantizedMlp {
         QUANT_TLS.with(|s| self.forward_into(x, &mut s.borrow_mut()).to_vec())
     }
 
-    /// Allocation-free forward pass through `scratch`'s staging buffers;
-    /// bit-identical to [`OutlierQuantizedMlp::forward`]. The whole layer
-    /// first quantizes at the body step through the
-    /// [`fnr_tensor::simd::quantize_static`] kernel; the outlier lanes
-    /// (every `v` that fails `|v| <= thr`) are then overwritten from the
-    /// scalar INT16 side path.
+    /// Allocation-free forward pass of one sample `x` through `scratch`:
+    /// [`TileHead::forward_tile`] on a one-row tile, bit-identical to
+    /// [`OutlierQuantizedMlp::forward`]. Kept as the per-sample API and as
+    /// the oracle the tile renderer is tested against.
     pub fn forward_into<'s>(&self, x: &[f32], scratch: &'s mut QuantScratch) -> &'s [f32] {
+        self.forward_tile(x, scratch)
+    }
+}
+
+/// Each layer first quantizes at the body step through the
+/// [`fnr_tensor::simd::quantize_static`] kernel, once per tile (per row
+/// when uncalibrated); the outlier lanes (every `v` that fails
+/// `|v| <= thr`) are then overwritten elementwise from the scalar INT16
+/// side path.
+impl TileHead for OutlierQuantizedMlp {
+    fn outputs(&self) -> usize {
+        self.bias.last().map_or(0, Vec::len)
+    }
+
+    fn forward_tile<'s>(&self, x: &[f32], scratch: &'s mut QuantScratch) -> &'s [f32] {
         let (lo, hi) = self.precision.range();
-        quantized_forward(&self.packed, &self.bias, x, scratch, |i, a, aq| {
-            let (thr, amax) = match &self.act_ranges {
-                Some(v) => v[i],
-                None => {
-                    let m = a.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-                    (m, m)
+        let layers = self.packed.iter().zip(&self.bias).map(|(wt, b)| (wt.as_slice(), b.as_slice()));
+        forward_rows_staged(layers, x, scratch, |i, width, a, aq| {
+            let calibrated = self.act_ranges.as_ref().map(|v| v[i]);
+            quantize_rows(calibrated, |m| (m, m), width, a, aq, |(thr, amax), a, aq| {
+                let scale = if thr == 0.0 { 1.0 } else { thr / hi as f32 };
+                fnr_tensor::simd::quantize_static(aq, a, scale, lo as f32, hi as f32);
+                if thr == 0.0 {
+                    return;
                 }
-            };
-            let scale = if thr == 0.0 { 1.0 } else { thr / hi as f32 };
-            fnr_tensor::simd::quantize_static(aq, a, scale, lo as f32, hi as f32);
-            if thr == 0.0 {
-                return;
-            }
-            for (q, &v) in aq.iter_mut().zip(a) {
-                if v.abs() <= thr {
-                    continue;
+                for (q, &v) in aq.iter_mut().zip(a) {
+                    if v.abs() <= thr {
+                        continue;
+                    }
+                    // INT16 side path over the full range.
+                    let scale = amax.max(v.abs()) / 32767.0;
+                    *q = (v / scale).round().clamp(-32768.0, 32767.0) * scale;
                 }
-                // INT16 side path over the full range.
-                let scale = amax.max(v.abs()) / 32767.0;
-                *q = (v / scale).round().clamp(-32768.0, 32767.0) * scale;
-            }
+            });
+            true
         })
     }
 }

@@ -3,9 +3,9 @@
 
 use crate::camera::Camera;
 use crate::hashgrid::{HashGrid, HashGridConfig};
-use crate::mlp::{Mlp, MlpScratch, OutlierQuantizedMlp, QuantizedMlp};
+use crate::mlp::{Mlp, OutlierQuantizedMlp, QuantScratch, QuantizedMlp, TileHead};
 use crate::psnr::Image;
-use crate::sampling::{sample_ray_into, OccupancyGrid};
+use crate::sampling::{sample_ray_into, OccupancyGrid, RaySample};
 use crate::scene::Scene;
 use crate::vec3::Vec3;
 use fnr_tensor::{Matrix, Precision, Quantizer};
@@ -219,13 +219,7 @@ impl NgpModel {
         spp: usize,
         occupancy: Option<&OccupancyGrid>,
     ) -> Image {
-        // Transpose-pack the weights once per render; every per-sample
-        // forward then runs the SIMD axpy path (bit-identical to the
-        // row-major forward it replaces).
-        let packed = self.mlp.pack();
-        self.render_with(camera, w, h, spp, occupancy, |enc| {
-            MLP_TLS.with(|s| head4(self.mlp.forward_into_packed(&packed, enc, &mut s.borrow_mut())))
-        })
+        self.render_rows(camera, w, h, spp, occupancy, 0, h)
     }
 
     /// Renders only rows `[row0, row0 + rows)` of the full `w×h` FP32
@@ -243,10 +237,9 @@ impl NgpModel {
         row0: usize,
         rows: usize,
     ) -> Image {
+        // Transpose-pack the weights once per render for the tile kernels.
         let packed = self.mlp.pack();
-        self.render_rows_with(camera, w, h, spp, occupancy, row0, rows, |enc| {
-            MLP_TLS.with(|s| head4(self.mlp.forward_into_packed(&packed, enc, &mut s.borrow_mut())))
-        })
+        render_rows_with(&self.grid, &(&self.mlp, &packed), camera, w, h, spp, occupancy, row0, rows)
     }
 
     /// Renders several views with this FP32 model in one call. The batch
@@ -278,11 +271,7 @@ impl NgpModel {
     pub fn prepare_quantized(&self, precision: Precision) -> PreparedQuantized {
         let mut qmlp = QuantizedMlp::quantize(&self.mlp, precision);
         qmlp.calibrate(&self.mlp, &self.calibration_batch());
-        let qmodel = NgpModel {
-            grid: quantize_grid(&self.grid, precision, None),
-            mlp: self.mlp.clone(),
-        };
-        PreparedQuantized { qmlp, qmodel }
+        PreparedQuantized { qmlp, grid: quantize_grid(&self.grid, precision, None) }
     }
 
     /// Encodings of a small calibration batch (corner-to-corner diagonal
@@ -328,120 +317,165 @@ impl NgpModel {
     ) -> Image {
         let mut qmlp = OutlierQuantizedMlp::quantize(&self.mlp, precision, outlier_fraction);
         qmlp.calibrate(&self.mlp, &self.calibration_batch());
-        let qmodel = NgpModel {
-            grid: quantize_grid(&self.grid, precision, Some(outlier_fraction)),
-            mlp: self.mlp.clone(),
-        };
-        qmodel.render_with(camera, w, h, spp, None, |enc| {
-            crate::mlp::with_quant_tls(|s| head4(qmlp.forward_into(enc, s)))
-        })
+        let grid = quantize_grid(&self.grid, precision, Some(outlier_fraction));
+        render_rows_with(&grid, &qmlp, camera, w, h, spp, None, 0, h)
+    }
+}
+
+/// Rows of one render tile: the samples that go through the MLP head
+/// together. A tile holds whole rays of one pixel row, `max(TILE_ROWS,
+/// spp)` rows at most, so every ray fits in one. 128 rows are sixteen
+/// 8-sample kernel tiles, and a serving band's pixel row (at most 96
+/// samples) is a single tile, while a thread's tile buffers stay near
+/// 56 KB at the Fig. 20(a) widths and 32 KB for the serving model.
+const TILE_ROWS: usize = 128;
+
+/// One thread's render tile, allocated once and reused by every pixel
+/// row the thread renders: its buffers only grow, so a warm thread renders
+/// any frame up to the largest tile it has seen without allocating.
+#[derive(Default)]
+struct RenderTile {
+    /// The ray being added.
+    samples: Vec<RaySample>,
+    /// Encoded active samples, one head input row each.
+    x: Vec<f32>,
+    /// Per row: its segment length δ.
+    deltas: Vec<f32>,
+    /// Per pending pixel: the end of its rows in the tile.
+    ends: Vec<usize>,
+    /// One ray's shaded samples.
+    shaded: Vec<ShadedSample>,
+    head: QuantScratch,
+}
+
+thread_local! {
+    /// The render tile of this thread.
+    static RENDER_TILE: std::cell::RefCell<RenderTile> = std::cell::RefCell::new(RenderTile::default());
+}
+
+impl RenderTile {
+    /// Drops every pending row and pixel.
+    fn clear(&mut self) {
+        self.x.clear();
+        self.deltas.clear();
+        self.ends.clear();
     }
 
-    /// Shared image loop: pixel rows run in parallel on the pool (`head`
-    /// must therefore be `Fn + Sync`, which every quantized/FP32 head is —
-    /// they only read model weights and per-thread scratch).
-    fn render_with(
-        &self,
-        camera: &Camera,
-        w: usize,
-        h: usize,
-        spp: usize,
-        occupancy: Option<&OccupancyGrid>,
-        head: impl Fn(&[f32]) -> [f32; 4] + Sync,
-    ) -> Image {
-        self.render_rows_with(camera, w, h, spp, occupancy, 0, h, head)
+    /// Runs the pending pixels' rows through `head`, shades and composites
+    /// each pixel into `pixels` (one per pending pixel, in order) and
+    /// empties the tile.
+    fn flush(&mut self, head: &impl TileHead, pixels: &mut [[f32; 3]]) {
+        let RenderTile { x, deltas, ends, shaded, head: scratch, .. } = self;
+        let outs = head.outputs();
+        let raw = head.forward_tile(x, scratch);
+        let mut start = 0;
+        for (px, &end) in pixels.iter_mut().zip(ends.iter()) {
+            shaded.clear();
+            shaded.extend((start..end).map(|r| {
+                let raw = &raw[r * outs..][..outs];
+                ShadedSample {
+                    sigma: softplus(raw[0]),
+                    color: [sigmoid(raw[1]), sigmoid(raw[2]), sigmoid(raw[3])],
+                    delta: deltas[r],
+                }
+            }));
+            *px = composite(shaded);
+            start = end;
+        }
+        self.clear();
     }
+}
 
-    /// Band form of [`NgpModel::render_with`]: renders rows
-    /// `[row0, row0 + rows)` of the full `w×h` frame into a `rows`-tall
-    /// image. Rays use absolute pixel coordinates, so each band pixel is
-    /// the same computation as in the full-frame loop.
-    #[allow(clippy::too_many_arguments)]
-    fn render_rows_with(
-        &self,
-        camera: &Camera,
-        w: usize,
-        h: usize,
-        spp: usize,
-        occupancy: Option<&OccupancyGrid>,
-        row0: usize,
-        rows: usize,
-        head: impl Fn(&[f32]) -> [f32; 4] + Sync,
-    ) -> Image {
-        let mut img = Image::new(w, rows);
-        fnr_par::par_for_chunks(img.pixels_mut(), w.max(1), |yy, row| {
-            let y = row0 + yy;
-            // One encoding, sample and shaded buffer per pixel row, reused
-            // by every pixel of it.
-            let mut enc = vec![0.0f32; self.grid.config().output_dims()];
-            let (mut samples, mut shaded) = (Vec::with_capacity(spp), Vec::with_capacity(spp));
-            for (x, px) in row.iter_mut().enumerate() {
+/// The image loop of every hash-grid model render: rows `[row0, row0 +
+/// rows)` of the full `w×h` frame into a `rows`-tall image, pixel rows in
+/// parallel on the pool. Rays use absolute pixel coordinates, so each band
+/// pixel is the same computation as in the full frame.
+///
+/// Each pixel row fills its thread's [`RenderTile`] ray by ray: it samples
+/// the pixel's ray and encodes its active samples as new rows (skipped
+/// samples contribute nothing, exactly as zero-padded batch slots do on
+/// the accelerator), first flushing the tile if the ray would overflow it.
+/// A flush runs `head` once over every row, then per pixel in order
+/// applies softplus/sigmoid and [`composite`]. Every row of the head is
+/// bit-identical to a forward of that sample alone, so the image equals a
+/// per-sample render byte for byte.
+#[allow(clippy::too_many_arguments)]
+fn render_rows_with(
+    grid: &HashGrid,
+    head: &impl TileHead,
+    camera: &Camera,
+    w: usize,
+    h: usize,
+    spp: usize,
+    occupancy: Option<&OccupancyGrid>,
+    row0: usize,
+    rows: usize,
+) -> Image {
+    let mut img = Image::new(w, rows);
+    let (dims, cap) = (grid.config().output_dims(), TILE_ROWS.max(spp));
+    fnr_par::par_for_chunks(img.pixels_mut(), w.max(1), |yy, row| {
+        let y = row0 + yy;
+        RENDER_TILE.with(|tile| {
+            let tile = &mut *tile.borrow_mut();
+            // A row that panicked mid-tile on this thread (the serving
+            // workers survive a render panic) must not leak its rows here.
+            tile.clear();
+            tile.x.reserve(cap * dims);
+            tile.deltas.reserve(cap);
+            tile.ends.reserve(w);
+            let mut first = 0; // the first pending pixel
+            for x in 0..row.len() {
                 let ray = camera.ray(x, y, w, h);
-                sample_ray_into(&ray, spp, occupancy, &mut samples);
-                shaded.clear();
-                shaded.extend(samples.iter().filter(|s| s.active).map(|s| {
-                    self.grid.encode_into(s.position, &mut enc);
-                    let raw = head(&enc);
-                    ShadedSample {
-                        sigma: softplus(raw[0]),
-                        color: [sigmoid(raw[1]), sigmoid(raw[2]), sigmoid(raw[3])],
-                        delta: s.delta,
-                    }
-                }));
-                *px = composite(&shaded);
+                sample_ray_into(&ray, spp, occupancy, &mut tile.samples);
+                let active = tile.samples.iter().filter(|s| s.active).count();
+                if tile.deltas.len() + active > cap {
+                    tile.flush(head, &mut row[first..x]);
+                    first = x;
+                }
+                for s in tile.samples.iter().filter(|s| s.active) {
+                    let at = tile.x.len();
+                    tile.x.resize(at + dims, 0.0);
+                    grid.encode_into(s.position, &mut tile.x[at..]);
+                    tile.deltas.push(s.delta);
+                }
+                tile.ends.push(tile.deltas.len());
             }
+            tile.flush(head, &mut row[first..]);
         });
-        img
-    }
+    });
+    img
 }
 
 /// A quantized-and-calibrated model ready for repeated batched rendering:
 /// the output of [`NgpModel::prepare_quantized`]. Holds the calibrated
-/// [`QuantizedMlp`] and the grid-quantized model, so rendering performs no
+/// [`QuantizedMlp`] head and the quantized grid, so rendering performs no
 /// quantize/calibrate work at all — the hot-path property the serving
 /// front-end's per-(scene, precision) cache relies on.
 #[derive(Debug, Clone)]
 pub struct PreparedQuantized {
     qmlp: QuantizedMlp,
-    qmodel: NgpModel,
+    grid: HashGrid,
 }
 
 impl PreparedQuantized {
     /// Renders several views through the prepared integer datapath,
     /// fanning out across the pool. Byte-identical to
-    /// [`NgpModel::render_batch_quantized`] on the source model. The
-    /// per-sample MLP forwards run allocation-free on per-thread
-    /// [`QuantScratch`](crate::mlp::QuantScratch) buffers.
+    /// [`NgpModel::render_batch_quantized`] on the source model.
     pub fn render_batch(&self, views: &[BatchView]) -> Vec<Image> {
-        fnr_par::par_map(views, |v| {
-            self.qmodel.render_with(&v.camera, v.width, v.height, v.spp, None, |enc| {
-                crate::mlp::with_quant_tls(|s| head4(self.qmlp.forward_into(enc, s)))
-            })
-        })
+        fnr_par::par_map(views, |v| self.render_rows(v, 0, v.height))
     }
 
     /// Renders only rows `[row0, row0 + rows)` of the full frame `view`
     /// describes, through the prepared integer datapath — bit-identical to
     /// the same rows of the corresponding [`PreparedQuantized::render_batch`]
-    /// image. The returned image is `rows` tall.
+    /// image. The returned image is `rows` tall. Each pixel row's samples
+    /// run through the [`QuantizedMlp`] as tiles, so every activation
+    /// quantize is one [`fnr_tensor::simd::quantize_static`] call per tile
+    /// and layer, on the thread's warm render tile.
     pub fn render_rows(&self, view: &BatchView, row0: usize, rows: usize) -> Image {
-        self.qmodel
-            .render_rows_with(&view.camera, view.width, view.height, view.spp, None, row0, rows, |enc| {
-                crate::mlp::with_quant_tls(|s| head4(self.qmlp.forward_into(enc, s)))
-            })
+        let BatchView { camera, width, height, spp } = view;
+        render_rows_with(&self.grid, &self.qmlp, camera, *width, *height, *spp, None, row0, rows)
     }
-}
-
-/// First four outputs of a NeRF head (`[σ_raw, r_raw, g_raw, b_raw]`).
-#[inline]
-fn head4(out: &[f32]) -> [f32; 4] {
-    [out[0], out[1], out[2], out[3]]
-}
-
-thread_local! {
-    /// Per-thread FP32 MLP scratch for the per-sample render heads.
-    static MLP_TLS: std::cell::RefCell<MlpScratch> =
-        std::cell::RefCell::new(MlpScratch::default());
 }
 
 /// Quantizes the grid's feature tables and bakes the dequantized values
@@ -633,6 +667,129 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The per-sample render `render_rows_with` replaces: each active
+    /// sample encoded and run through `head` alone, then shaded and
+    /// composited.
+    fn per_sample_render(
+        grid: &HashGrid,
+        mut head: impl FnMut(&[f32]) -> [f32; 4],
+        cam: &Camera,
+        (w, h, spp): (usize, usize, usize),
+        occupancy: Option<&OccupancyGrid>,
+    ) -> Image {
+        let mut img = Image::new(w, h);
+        let mut enc = vec![0.0f32; grid.config().output_dims()];
+        for (i, px) in img.pixels_mut().iter_mut().enumerate() {
+            let samples = crate::sampling::sample_ray(&cam.ray(i % w, i / w, w, h), spp, occupancy);
+            let shaded: Vec<ShadedSample> = samples
+                .iter()
+                .filter(|s| s.active)
+                .map(|s| {
+                    grid.encode_into(s.position, &mut enc);
+                    let raw = head(&enc);
+                    ShadedSample {
+                        sigma: softplus(raw[0]),
+                        color: [sigmoid(raw[1]), sigmoid(raw[2]), sigmoid(raw[3])],
+                        delta: s.delta,
+                    }
+                })
+                .collect();
+            *px = composite(&shaded);
+        }
+        img
+    }
+
+    fn raw4(out: &[f32]) -> [f32; 4] {
+        [out[0], out[1], out[2], out[3]]
+    }
+
+    #[test]
+    fn tile_renders_match_per_sample_renders_bitwise() {
+        let model = NgpModel::new(crate::hashgrid::HashGridConfig::small(), 16, 13);
+        let calib = model.calibration_batch();
+        let packed = model.mlp.pack();
+        let quantized = |p, calibrated: bool| {
+            let mut q = QuantizedMlp::quantize(&model.mlp, p);
+            if calibrated {
+                q.calibrate(&model.mlp, &calib);
+            }
+            (q, quantize_grid(&model.grid, p, None))
+        };
+        let outlier = |calibrated: bool| {
+            let mut q = OutlierQuantizedMlp::quantize(&model.mlp, Precision::Int4, 0.03);
+            if calibrated {
+                q.calibrate(&model.mlp, &calib);
+            }
+            (q, quantize_grid(&model.grid, Precision::Int4, Some(0.03)))
+        };
+        let plain = [
+            quantized(Precision::Int16, true),
+            quantized(Precision::Int8, true),
+            quantized(Precision::Int4, true),
+            quantized(Precision::Int8, false),
+        ];
+        let outliers = [outlier(true), outlier(false)];
+        let cam = Camera::orbit(0.9, 1.7, 0.85);
+        let occupancy = OccupancyGrid::build(&MicScene, 16, 0.5);
+        // Without occupancy every sample is active, so at spp 3 a pixel
+        // row of width 1–8 is one tile of 3–24 rows: every row count mod 8.
+        // Width 1 and spp 1; 2 and 3 rays of 50 and 40 samples per
+        // 128-row tile; and a 130-sample ray, over the tile bound.
+        let mut frames: Vec<((usize, usize, usize), bool)> = (1..=8).map(|w| ((w, 2, 3), false)).collect();
+        frames.extend([((1, 3, 1), false), ((5, 2, 1), false), ((7, 2, 50), false), ((6, 1, 40), false)]);
+        frames.extend([((2, 1, 130), false), ((8, 8, 6), true), ((9, 3, 17), true), ((1, 4, 1), true)]);
+
+        let skipped = (0..64)
+            .filter(|i| {
+                let samples = crate::sampling::sample_ray(&cam.ray(i % 8, i / 8, 8, 8), 6, Some(&occupancy));
+                samples.iter().all(|s| !s.active)
+            })
+            .count();
+        assert!(skipped > 0 && skipped < 64, "{skipped} of 64 rays must have every sample skipped");
+        let check = |label: &str, tile: Image, want: Image| {
+            let bits = |img: &Image| img.pixels().iter().flatten().map(|c| c.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&tile), bits(&want), "{label}: tile render drifted from the per-sample render");
+        };
+        let mut levels = vec![fnr_tensor::simd::SimdLevel::Scalar, fnr_tensor::simd::SimdLevel::Avx2];
+        levels.push(fnr_tensor::simd::level());
+        for lv in levels {
+            fnr_tensor::simd::cap_level(lv);
+            for &((w, h, spp), occ) in &frames {
+                let occ = occ.then_some(&occupancy);
+                let label = format!("{lv:?} {w}x{h}@{spp} occupancy={}", occ.is_some());
+                let frame = (w, h, spp);
+                let mut sc = model.mlp.scratch();
+                check(
+                    &format!("FP32 {label}"),
+                    render_rows_with(&model.grid, &(&model.mlp, &packed), &cam, w, h, spp, occ, 0, h),
+                    per_sample_render(
+                        &model.grid,
+                        |x| raw4(model.mlp.forward_into_packed(&packed, x, &mut sc)),
+                        &cam,
+                        frame,
+                        occ,
+                    ),
+                );
+                let mut qs = QuantScratch::default();
+                for (k, (q, grid)) in plain.iter().enumerate() {
+                    check(
+                        &format!("plain #{k} {label}"),
+                        render_rows_with(grid, q, &cam, w, h, spp, occ, 0, h),
+                        per_sample_render(grid, |x| raw4(q.forward_into(x, &mut qs)), &cam, frame, occ),
+                    );
+                }
+                for (k, (q, grid)) in outliers.iter().enumerate() {
+                    check(
+                        &format!("outlier #{k} {label}"),
+                        render_rows_with(grid, q, &cam, w, h, spp, occ, 0, h),
+                        per_sample_render(grid, |x| raw4(q.forward_into(x, &mut qs)), &cam, frame, occ),
+                    );
+                }
+            }
+        }
+        fnr_tensor::simd::force_scalar(false);
     }
 
     #[test]

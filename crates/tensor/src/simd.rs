@@ -42,7 +42,10 @@
 //! time in call overhead and accumulator load/store than in arithmetic:
 //! hoisting the dispatch to one call per layer lets the output tile live
 //! in vector registers across the whole input loop while performing the
-//! exact per-element addition sequence of the stripe loop.
+//! exact per-element addition sequence of the stripe loop. The last
+//! outputs that fill no whole vector (1–7 under AVX2, 1–15 under
+//! AVX-512) run as one masked block with the same per-lane sequence, so a
+//! 4-wide NeRF head layer is one vector, not four scalar loops.
 //!
 //! # Sample tiles
 //!
@@ -174,6 +177,19 @@ pub fn active() -> &'static str {
 /// *upward* past what the CPU supports is deliberately impossible.
 pub fn force_scalar(on: bool) {
     LEVEL.store(if on { SCALAR } else { detect() }, Ordering::Relaxed);
+}
+
+/// Test hook: caps the dispatch at `cap`, or at detection (environment +
+/// CPU) where that is lower, so tests outside this crate can run each
+/// level the host has in one process. Process-global like
+/// [`force_scalar`]; `force_scalar(false)` lifts the cap.
+pub fn cap_level(cap: SimdLevel) {
+    let cap = match cap {
+        SimdLevel::Scalar => SCALAR,
+        SimdLevel::Avx2 => AVX2,
+        SimdLevel::Avx512 => AVX512,
+    };
+    LEVEL.store(cap.min(detect()), Ordering::Relaxed);
 }
 
 /// `out[j] += a * b[j]` — the accumulate kernel under the dense GEMM
@@ -689,9 +705,10 @@ unsafe fn add_assign_avx512(out: &mut [f32], b: &[f32]) {
     }
 }
 
-/// AVX2 whole-layer forward: output tiles of 4/2/1 × 256-bit held in
-/// registers across the input loop, per-element addition order identical
-/// to [`layer_forward_scalar`].
+/// AVX2 whole-layer forward: output tiles of 4/2/1 × 256-bit, then one
+/// masked 256-bit block for the last 1–7 outputs, held in registers across
+/// the input loop, per-element addition order identical to
+/// [`layer_forward_scalar`].
 ///
 /// # Safety
 ///
@@ -745,18 +762,22 @@ unsafe fn layer_forward_avx2(out: &mut [f32], wt: &[f32], x: &[f32], bias: &[f32
         _mm256_storeu_ps(op.add(j), _mm256_add_ps(a0, _mm256_loadu_ps(bp.add(j))));
         j += 8;
     }
-    while j < n {
-        let mut acc = 0.0f32;
+    if j < n {
+        // The last 1–7 outputs as one masked block: masked-off lanes load
+        // nothing and are never stored.
+        let lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        let m = _mm256_cmpgt_epi32(_mm256_set1_epi32((n - j) as i32), lanes);
+        let mut a0 = _mm256_setzero_ps();
         for (i, &xi) in x.iter().enumerate() {
-            acc += xi * *wp.add(i * n + j);
+            a0 = _mm256_add_ps(a0, _mm256_mul_ps(_mm256_set1_ps(xi), _mm256_maskload_ps(wp.add(i * n + j), m)));
         }
-        *op.add(j) = acc + *bp.add(j);
-        j += 1;
+        _mm256_maskstore_ps(op.add(j), m, _mm256_add_ps(a0, _mm256_maskload_ps(bp.add(j), m)));
     }
 }
 
-/// AVX-512 whole-layer forward: 512-bit register tiles, same addition
-/// order as [`layer_forward_scalar`].
+/// AVX-512 whole-layer forward: 512-bit register tiles of 32 and 16
+/// outputs, then one masked 512-bit block for the last 1–15 outputs, same
+/// addition order as [`layer_forward_scalar`].
 ///
 /// # Safety
 ///
@@ -792,21 +813,15 @@ unsafe fn layer_forward_avx512(out: &mut [f32], wt: &[f32], x: &[f32], bias: &[f
         _mm512_storeu_ps(op.add(j), _mm512_add_ps(a0, _mm512_loadu_ps(bp.add(j))));
         j += 16;
     }
-    if j + 8 <= n {
-        let mut a0 = _mm256_setzero_ps();
+    if j < n {
+        // The last 1–15 outputs as one masked block: masked-off lanes load
+        // zero and are never stored.
+        let m = (1u16 << (n - j)) - 1;
+        let mut a0 = _mm512_setzero_ps();
         for (i, &xi) in x.iter().enumerate() {
-            a0 = _mm256_add_ps(a0, _mm256_mul_ps(_mm256_set1_ps(xi), _mm256_loadu_ps(wp.add(i * n + j))));
+            a0 = _mm512_add_ps(a0, _mm512_mul_ps(_mm512_set1_ps(xi), _mm512_maskz_loadu_ps(m, wp.add(i * n + j))));
         }
-        _mm256_storeu_ps(op.add(j), _mm256_add_ps(a0, _mm256_loadu_ps(bp.add(j))));
-        j += 8;
-    }
-    while j < n {
-        let mut acc = 0.0f32;
-        for (i, &xi) in x.iter().enumerate() {
-            acc += xi * *wp.add(i * n + j);
-        }
-        *op.add(j) = acc + *bp.add(j);
-        j += 1;
+        _mm512_mask_storeu_ps(op.add(j), m, _mm512_add_ps(a0, _mm512_maskz_loadu_ps(m, bp.add(j))));
     }
 }
 
@@ -1544,6 +1559,32 @@ mod tests {
     }
 
     #[test]
+    fn per_row_forward_masks_every_narrow_output_width_at_every_level() {
+        // Widths 1–15 end in the masked remainder block, alone or after a
+        // whole 8-lane AVX2 block; non-finite weights put ∞ and NaN next to
+        // masked-off lanes, and a guard region past `outs` checks that no
+        // masked-off lane is stored.
+        const GUARD: f32 = 12345.0;
+        for outs in 1..=15 {
+            for ins in [1usize, 3, 16, 32] {
+                let seed = (outs * 64 + ins) as u64;
+                let x = random_vec(ins, seed ^ 0x5);
+                let bias = random_vec(outs, seed ^ 0x6);
+                for wt in [random_vec(ins * outs, seed), with_non_finite(random_vec(ins * outs, seed))] {
+                    let mut want = vec![0.0f32; outs];
+                    layer_forward_scalar(&mut want, &wt, &x, &bias);
+                    for lv in host_levels() {
+                        let mut got = vec![GUARD; outs + 16];
+                        layer_forward_at(lv, &mut got[..outs], &wt, &x, &bias);
+                        assert!(bits_eq_nan(&got[..outs], &want), "{lv:?} {ins}->{outs}: {got:?} vs {want:?}");
+                        assert!(got[outs..].iter().all(|&v| v == GUARD), "{lv:?} {ins}->{outs}: store past the end");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn tile_backward_masks_the_zero_delta_skip_instead_of_dropping_it() {
         // δ = 0 against an infinite weight: an unmasked add would put
         // 0 · ∞ = NaN into the input gradient; the per-row kernels skip it.
@@ -1587,6 +1628,13 @@ mod tests {
         assert_eq!(level(), SimdLevel::Scalar);
         force_scalar(false);
         assert_eq!(level(), detected, "re-detection must restore the CPU decision");
+        // In the same test: the level is process-global.
+        for cap in [SimdLevel::Scalar, SimdLevel::Avx2, SimdLevel::Avx512] {
+            cap_level(cap);
+            assert_eq!(level(), cap.min(detected), "a cap never raises the dispatch");
+        }
+        force_scalar(false);
+        assert_eq!(level(), detected);
     }
 
     /// Quantizer steps: exact powers of two (so `(k + 0.5) · scale`
@@ -1732,6 +1780,24 @@ mod tests {
                 layer_forward(&mut fast, &wt, &x, &bias);
                 layer_forward_scalar(&mut slow, &wt, &x, &bias);
                 prop_assert!(bits_eq(&fast, &slow), "{ins}x{outs}: {fast:?} vs {slow:?}");
+            }
+
+            /// Output widths 1–15, whose last outputs run the masked
+            /// remainder block, match the scalar twin at every host level.
+            #[test]
+            fn prop_layer_forward_narrow_outputs_match_at_every_level(
+                ins in 1usize..40,
+                outs in 1usize..16,
+                seed in 0u64..500,
+            ) {
+                let (wt, x, bias) = layer_case(seed, ins, outs);
+                let mut slow = vec![0.0f32; outs];
+                layer_forward_scalar(&mut slow, &wt, &x, &bias);
+                for lv in host_levels() {
+                    let mut fast = vec![0.0f32; outs];
+                    layer_forward_at(lv, &mut fast, &wt, &x, &bias);
+                    prop_assert!(bits_eq(&fast, &slow), "{lv:?} {ins}x{outs}: {fast:?} vs {slow:?}");
+                }
             }
 
             /// The dispatched whole-layer backward accumulates weight
