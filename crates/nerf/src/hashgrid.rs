@@ -56,6 +56,20 @@ impl HashGridConfig {
         let n = self.resolution(l) + 1;
         n * n * n <= (1 << self.log2_table_size)
     }
+
+    /// Table entries a lookup at level `l` can reach. A dense level
+    /// indexes `(c₀n + c₁)n + c₂` with `n = N_l + 1` and every corner
+    /// coordinate `cᵈ ≤ max(N_l, 1)`, so entries at or beyond `(max(N_l,
+    /// 1) + 1)³` are never read or written; a hashed level reaches all
+    /// `T`.
+    pub fn live_entries(&self, l: usize) -> usize {
+        let t = 1 << self.log2_table_size;
+        if self.is_dense_level(l) {
+            (self.resolution(l).max(1) + 1).pow(3).min(t)
+        } else {
+            t
+        }
+    }
 }
 
 /// The trainable multi-resolution hash grid.
@@ -154,9 +168,9 @@ pub type CornerLookups = [(usize, f32); 8];
 /// and trilinear-weight arithmetic computed **once** per sample and shared
 /// by the forward encode ([`HashGrid::encode_planned`]) and the backward
 /// scatter ([`HashGrid::accumulate_grad_planned`], or level by level
-/// through [`EncodePlan::level_corners`] and [`accumulate_grad_level`]),
-/// which the training loop runs on the same point. Buffers are reused
-/// across samples via [`HashGrid::plan_into`].
+/// through [`EncodePlan::write_level_corners`] and
+/// [`accumulate_grad_level`]), which the training loop runs on the same
+/// point. Buffers are reused across samples via [`HashGrid::plan_into`].
 ///
 /// Layout is corner-major (`slot = ci * levels + l`): one corner's
 /// per-level entries are contiguous, so the levels-wide plan kernel writes
@@ -187,14 +201,46 @@ pub struct LevelCorner {
 }
 
 impl EncodePlan {
+    /// Writes the plan's corners at every level into `out`, level-major:
+    /// level `l`'s 8 corners, in corner order, with level-relative indices
+    /// (`l · level_stride` subtracted), land at `out[l · section ..][..8]`.
+    /// One call fills one record of a store whose level sections sit
+    /// `section` slots apart — the level-major view of the plan that
+    /// [`accumulate_grad_level`] scatters from. Bounds are checked once,
+    /// up front; the slots between a level's 8 and the next section stay
+    /// untouched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `section < 8` or `out` ends before the last level's 8
+    /// slots.
+    pub fn write_level_corners(&self, out: &mut [LevelCorner], section: usize) {
+        let levels = self.levels;
+        if levels == 0 {
+            return;
+        }
+        assert!(section >= 8, "a level section holds 8 corners, got {section}");
+        let out = &mut out[..(levels - 1) * section + 8];
+        // Corner `ci`'s entries of every level, contiguous in the plan.
+        let idx: [&[i32]; 8] = std::array::from_fn(|ci| &self.idx[ci * levels..][..levels]);
+        let w: [&[f32]; 8] = std::array::from_fn(|ci| &self.w[ci * levels..][..levels]);
+        for (l, level) in out.chunks_mut(section).enumerate() {
+            let base = (l * self.level_stride) as u32;
+            for (ci, o) in level[..8].iter_mut().enumerate() {
+                *o = LevelCorner { idx: idx[ci][l] as u32 - base, w: w[ci][l] };
+            }
+        }
+    }
+
     /// Copies the plan's 8 corners at level `l` into `out`, in corner
-    /// order, with level-relative indices: the level-major view of the
-    /// plan that [`accumulate_grad_level`] scatters from.
+    /// order, with level-relative indices: one level of
+    /// [`EncodePlan::write_level_corners`], kept as its test oracle.
     ///
     /// # Panics
     ///
     /// Panics if `l` is not a level of the plan or `out` does not hold 8
     /// corners.
+    #[cfg(test)]
     pub fn level_corners(&self, l: usize, out: &mut [LevelCorner]) {
         assert!(l < self.levels, "level {l} out of range");
         assert_eq!(out.len(), 8, "a level lookup has 8 corners");
@@ -210,7 +256,7 @@ impl EncodePlan {
 /// d_level[f]` to feature `f` of each corner, corner by corner and feature
 /// by feature, into `grad_level`, the level's own span of the flat
 /// gradient (`level_stride` elements). `corners` and `d_level` are the
-/// level's slices of a plan ([`EncodePlan::level_corners`]) and of
+/// level's slices of a plan ([`EncodePlan::write_level_corners`]) and of
 /// ∂L/∂encoding (`F` values). Every table entry belongs to exactly one
 /// level and receives the same products in the same order as in the
 /// whole-grid scatter, so scattering each level in turn — on any thread —
@@ -944,6 +990,52 @@ mod tests {
                     .collect();
                 let init: Vec<f32> = (0..g.param_count()).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
                 check_level_scatter(&g, &pts, &d_outs, &init);
+            }
+
+            /// The one-call record copy writes exactly `level_corners` of
+            /// every level at its section offset and nothing else: the
+            /// slots before the record, between a level's 8 corners and the
+            /// next section, and after the last level keep a guard
+            /// pattern. Every corner also stays inside its level's
+            /// `live_entries`, on grids mixing dense and hashed levels.
+            #[test]
+            fn prop_write_level_corners_matches_level_corners(
+                levels in 1usize..17,
+                log2 in 6usize..14,
+                features in 1usize..4,
+                section in 8usize..41,
+                lead in 0usize..9,
+                seed in 0u64..1000,
+            ) {
+                let config = HashGridConfig {
+                    levels,
+                    log2_table_size: log2,
+                    features,
+                    base_resolution: 2 + (seed % 18) as usize,
+                    growth: 1.2 + (seed % 7) as f32 * 0.1,
+                };
+                let g = HashGrid::new(config, 0.1, seed);
+                let guard = LevelCorner { idx: 0xDEAD_BEEF, w: f32::from_bits(0x7FC0_1234) };
+                let same = |a: &LevelCorner, b: &LevelCorner| a.idx == b.idx && a.w.to_bits() == b.w.to_bits();
+                let mut out = vec![guard; lead + (levels - 1) * section + 8 + 5];
+                let mut plan = EncodePlan::default();
+                let mut want = [LevelCorner::default(); 8];
+                for p in points(seed) {
+                    g.plan_into(p, &mut plan);
+                    out.fill(guard);
+                    plan.write_level_corners(&mut out[lead..], section);
+                    for l in 0..levels {
+                        plan.level_corners(l, &mut want);
+                        let live = (config.live_entries(l) * features) as u32;
+                        prop_assert!(want.iter().all(|c| c.idx < live), "{p:?} level {l}: corner past live_entries");
+                        let got = &out[lead + l * section..][..8];
+                        prop_assert!(got.iter().zip(&want).all(|(a, b)| same(a, b)), "{p:?} level {l}: {got:?} vs {want:?}");
+                    }
+                    for (i, o) in out.iter().enumerate() {
+                        let written = i >= lead && (i - lead) / section < levels && (i - lead) % section < 8;
+                        prop_assert!(written || same(o, &guard), "{p:?}: guard slot {i} overwritten");
+                    }
+                }
             }
         }
     }

@@ -81,11 +81,21 @@ impl Linear {
 ///
 /// Weights change every optimizer step, so training re-packs once per
 /// iteration ([`Mlp::pack_into`] reuses the buffers) and amortizes the
-/// copy over the whole sample batch; inference packs once per render.
+/// copy over the whole sample batch; an FP32 render repacks its thread's
+/// pack in place once per call ([`crate::render::NgpModel::render_rows`]).
 #[derive(Debug, Clone)]
 pub struct PackedMlp {
     /// One `inputs × outputs` transposed weight matrix per layer.
     wt: Vec<Matrix<f32>>,
+}
+
+impl PackedMlp {
+    /// Whether this pack has `mlp`'s layer shapes, so that
+    /// [`Mlp::pack_into`] can refresh it.
+    pub(crate) fn fits(&self, mlp: &Mlp) -> bool {
+        self.wt.len() == mlp.layers.len()
+            && self.wt.iter().zip(&mlp.layers).all(|(wt, l)| (wt.rows(), wt.cols()) == (l.inputs(), l.outputs()))
+    }
 }
 
 /// An MLP with ReLU hidden activations and a linear output layer.

@@ -3,7 +3,7 @@
 
 use crate::camera::Camera;
 use crate::hashgrid::{HashGrid, HashGridConfig};
-use crate::mlp::{Mlp, OutlierQuantizedMlp, QuantScratch, QuantizedMlp, TileHead};
+use crate::mlp::{Mlp, OutlierQuantizedMlp, PackedMlp, QuantScratch, QuantizedMlp, TileHead};
 use crate::psnr::Image;
 use crate::sampling::{sample_ray_into, OccupancyGrid, RaySample};
 use crate::scene::Scene;
@@ -122,18 +122,23 @@ pub fn render_reference_rows(
     let mut img = Image::new(w, rows);
     fnr_par::par_for_chunks(img.pixels_mut(), w.max(1), |yy, row| {
         let y = row0 + yy;
-        let (mut samples, mut shaded) = (Vec::with_capacity(spp), Vec::with_capacity(spp));
-        for (x, px) in row.iter_mut().enumerate() {
-            let ray = camera.ray(x, y, w, h);
-            sample_ray_into(&ray, spp, None, &mut samples);
-            shaded.clear();
-            shaded.extend(samples.iter().map(|s| ShadedSample {
-                sigma: scene.density(s.position),
-                color: scene.color(s.position, s.dir),
-                delta: s.delta,
-            }));
-            *px = composite(&shaded);
-        }
+        // The thread's render tile lends its ray and shaded-sample
+        // buffers, so a warm thread renders a band allocating only its
+        // image.
+        RENDER_TILE.with(|tile| {
+            let RenderTile { samples, shaded, .. } = &mut *tile.borrow_mut();
+            for (x, px) in row.iter_mut().enumerate() {
+                let ray = camera.ray(x, y, w, h);
+                sample_ray_into(&ray, spp, None, samples);
+                shaded.clear();
+                shaded.extend(samples.iter().map(|s| ShadedSample {
+                    sigma: scene.density(s.position),
+                    color: scene.color(s.position, s.dir),
+                    delta: s.delta,
+                }));
+                *px = composite(shaded);
+            }
+        });
     });
     img
 }
@@ -237,9 +242,20 @@ impl NgpModel {
         row0: usize,
         rows: usize,
     ) -> Image {
-        // Transpose-pack the weights once per render for the tile kernels.
-        let packed = self.mlp.pack();
-        render_rows_with(&self.grid, &(&self.mlp, &packed), camera, w, h, spp, occupancy, row0, rows)
+        // Transpose-pack the weights once per render for the tile kernels,
+        // into the calling thread's pack when its shape fits. The pack is
+        // taken out for the render, so a nested render on this thread
+        // would pack afresh rather than share it.
+        let packed = match PACKED_MLP.take() {
+            Some(mut p) if p.fits(&self.mlp) => {
+                self.mlp.pack_into(&mut p);
+                p
+            }
+            _ => self.mlp.pack(),
+        };
+        let img = render_rows_with(&self.grid, &(&self.mlp, &packed), camera, w, h, spp, occupancy, row0, rows);
+        PACKED_MLP.set(Some(packed));
+        img
     }
 
     /// Renders several views with this FP32 model in one call. The batch
@@ -332,7 +348,9 @@ const TILE_ROWS: usize = 128;
 
 /// One thread's render tile, allocated once and reused by every pixel
 /// row the thread renders: its buffers only grow, so a warm thread renders
-/// any frame up to the largest tile it has seen without allocating.
+/// any frame up to the largest tile it has seen without allocating. The
+/// analytic reference renderer ([`render_reference_rows`]) borrows its
+/// `samples` and `shaded` buffers the same way.
 #[derive(Default)]
 struct RenderTile {
     /// The ray being added.
@@ -351,6 +369,9 @@ struct RenderTile {
 thread_local! {
     /// The render tile of this thread.
     static RENDER_TILE: std::cell::RefCell<RenderTile> = std::cell::RefCell::new(RenderTile::default());
+    /// The MLP weight pack of this thread's last FP32 render
+    /// ([`NgpModel::render_rows`]), repacked in place by the next one.
+    static PACKED_MLP: std::cell::Cell<Option<PackedMlp>> = const { std::cell::Cell::new(None) };
 }
 
 impl RenderTile {

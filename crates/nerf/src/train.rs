@@ -8,7 +8,7 @@ use crate::render::{composite, composite_backward_into, sigmoid, softplus, NgpMo
 use crate::sampling::{sample_ray_into, RaySample};
 use crate::scene::Scene;
 use rand::{Rng, SeedableRng};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Training hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -106,6 +106,16 @@ fn scale_in_place(grads: &mut [f32], scale: f32) {
 /// exactly as a dense per-shard merge adds them. Scaling and Adam are
 /// elementwise. So which thread runs a level cannot change what that level
 /// computes.
+///
+/// What a shard or a level task keeps across iterations is only what must
+/// outlive it: a shard's records ([`LevelRecords`]) and MLP partial, a
+/// level's Adam moments ([`LevelGrads`]). Scratch that lives only while a
+/// task runs — a shard's [`RayGroup`], a level task's [`LevelScratch`] —
+/// comes from a pool of one entry per pool thread, because no more tasks
+/// than threads run at once. Held per shard or per level instead, that
+/// scratch would be the largest thing the step touches (the merge buffers
+/// alone were 1 MB at fig20a's 8 levels), crowding the records and moments
+/// the phases read out of cache and adding to RSS.
 const TRAIN_SHARDS: usize = 8;
 
 /// Per-ray RNG stream: every ray of every iteration draws from its own
@@ -300,6 +310,12 @@ impl RayGroup {
 /// `corners` holds each record's 8 level-`l` corners, and section `l` of
 /// `d` its `F` values of ∂L/∂encoding at level `l`. Sized once for the
 /// shard's largest sample count.
+///
+/// Records stay per shard, not per pool thread like [`RayGroup`] and
+/// [`LevelScratch`]: every level task reads every shard's records, so they
+/// must outlive the shard phase. They are also the most the step writes
+/// per sample (576 B at fig20a: 8 levels × 8 corners × 8 B, plus `d`),
+/// which is why [`LevelRecords::push`] is one copy per sample.
 struct LevelRecords {
     corners: Vec<crate::hashgrid::LevelCorner>,
     d: Vec<f32>,
@@ -321,13 +337,20 @@ impl LevelRecords {
         }
     }
 
-    /// Records one sample: its encode plan and ∂L/∂encoding.
+    /// Records one sample: its encode plan and ∂L/∂encoding. Every
+    /// level's corners go in with one
+    /// [`crate::hashgrid::EncodePlan::write_level_corners`] call, and `d`
+    /// element by element: at `F = 2` a per-level `copy_from_slice` is a
+    /// library call per two floats.
     fn push(&mut self, plan: &crate::hashgrid::EncodePlan, d_enc: &[f32]) {
         let (cap, f, r) = (self.cap, self.features, self.len);
         assert!(r < cap, "more records than the shard's samples");
+        plan.write_level_corners(&mut self.corners[r * 8..], cap * 8);
+        let d = &mut self.d[r * f..];
         for (l, d_level) in d_enc.chunks_exact(f).enumerate() {
-            plan.level_corners(l, &mut self.corners[(l * cap + r) * 8..][..8]);
-            self.d[(l * cap + r) * f..][..f].copy_from_slice(d_level);
+            for (fi, &v) in d_level.iter().enumerate() {
+                d[l * cap * f + fi] = v;
+            }
         }
         self.len += 1;
     }
@@ -342,16 +365,34 @@ impl LevelRecords {
     }
 }
 
-/// One hash-grid level's gradient buffers and Adam moments, allocated once
-/// before the training loop.
+/// One hash-grid level's Adam moments, allocated once before the training
+/// loop over the level's live elements
+/// ([`crate::hashgrid::HashGridConfig::live_entries`] × `F`).
 struct LevelGrads {
+    /// Adam's first and second moments of the level's parameters.
+    m: Vec<f32>,
+    v: Vec<f32>,
+}
+
+/// The merge buffers of one level task, each a whole level long. A task
+/// uses them only while it runs, so the training loop keeps one pair per
+/// pool thread (at most one per level), not one per level: at fig20a's 8
+/// levels that is 128 KB at width 1 instead of 1 MB, which keeps the pair
+/// a running task sweeps warm in cache and the rest out of RSS.
+struct LevelScratch {
     /// The level's merged gradient.
     acc: Vec<f32>,
     /// One shard's partial, zero between uses.
     part: Vec<f32>,
-    /// Adam's first and second moments of the level's parameters.
-    m: Vec<f32>,
-    v: Vec<f32>,
+}
+
+/// Locks a free entry of a per-thread pool (one entry per pool thread, so
+/// a free one exists unless the width rose mid-run), or waits for entry
+/// `hint % len`.
+fn lock_free<T>(pool: &[Mutex<T>], hint: usize) -> MutexGuard<'_, T> {
+    pool.iter()
+        .find_map(|e| e.try_lock().ok())
+        .unwrap_or_else(|| pool[hint % pool.len()].lock().unwrap_or_else(PoisonError::into_inner))
 }
 
 /// Splits `0..batch_rays` into [`TRAIN_SHARDS`] contiguous ranges (the
@@ -390,6 +431,18 @@ fn shard_ranges(batch_rays: usize) -> Vec<(usize, usize)> {
 ///    shards in shard order, then scales it and runs Adam in place on the
 ///    level's slice of the tables.
 ///
+/// The level phase works on a level's live elements only: the first
+/// [`crate::hashgrid::HashGridConfig::live_entries`] × `F`. A dense level
+/// indexes just its `(N_l + 1)³` grid corners (fig20a's level 0: 17³ = 4 913
+/// of 8 192 entries), so its tail never receives a gradient. That tail's
+/// gradient is `+0.0` on every step and its moments start at `+0.0`, and
+/// Adam on a zero gradient with zero moments leaves the parameter (even
+/// `−0.0`) and both moments bitwise unchanged
+/// (`fnr_tensor::simd`'s `adam_step_on_a_zero_state_changes_no_bit`). By
+/// induction the tail never moves, so skipping its merge and Adam, and
+/// keeping no moments for it, changes no bit. The bound is a function of
+/// the grid config, not a setting.
+///
 /// Only the MLP's shard merge and Adam step (O(MLP params)) run serially.
 /// See [`TRAIN_SHARDS`] for why both phases are bit-identical at any
 /// thread count.
@@ -416,11 +469,12 @@ pub fn train_ngp(scene: &dyn Scene, model: &mut NgpModel, cfg: &TrainConfig) -> 
         .map(|_| Mutex::new(RayGroup::new(model, GROUP_ROWS.max(cfg.samples_per_ray))))
         .collect();
     let stride = model.grid.level_stride();
-    let level_grads: Vec<Mutex<LevelGrads>> = (0..model.grid.config().levels)
-        .map(|_| {
-            let zeros = || vec![0.0f32; stride];
-            Mutex::new(LevelGrads { acc: zeros(), part: zeros(), m: zeros(), v: zeros() })
-        })
+    let grid_cfg = *model.grid.config();
+    let live: Vec<usize> = (0..grid_cfg.levels).map(|l| grid_cfg.live_entries(l) * grid_cfg.features).collect();
+    let level_grads: Vec<Mutex<LevelGrads>> =
+        live.iter().map(|&n| Mutex::new(LevelGrads { m: vec![0.0; n], v: vec![0.0; n] })).collect();
+    let level_scratch: Vec<Mutex<LevelScratch>> = (0..fnr_par::current_num_threads().min(grid_cfg.levels))
+        .map(|_| Mutex::new(LevelScratch { acc: vec![0.0; stride], part: vec![0.0; stride] }))
         .collect();
     // MLP Adam moments, laid out layer by layer: weights, then bias.
     let mut mlp_m = vec![0.0f32; model.mlp.param_count()];
@@ -445,9 +499,7 @@ pub fn train_ngp(scene: &dyn Scene, model: &mut NgpModel, cfg: &TrainConfig) -> 
             shard.reset();
             // Split the slot into its independently-borrowed working sets.
             let ShardGrads { mlp: g_mlp, loss, records } = shard;
-            let mut group = groups.iter().find_map(|g| g.try_lock().ok()).unwrap_or_else(|| {
-                groups[si % groups.len()].lock().unwrap_or_else(PoisonError::into_inner)
-            });
+            let mut group = lock_free(&groups, si);
             let (lo, hi) = ranges[si];
             for ray_idx in lo..hi {
                 let mut rng = ray_rng(cfg.seed, iter, ray_idx, cfg.batch_rays);
@@ -471,10 +523,14 @@ pub fn train_ngp(scene: &dyn Scene, model: &mut NgpModel, cfg: &TrainConfig) -> 
         let bc = bias_corrections(iter + 1);
 
         // Level phase: one task per hash-grid level, each touching only
-        // its own slice of the tables and its own `LevelGrads`.
+        // its own slice of the tables, its own `LevelGrads` and a free
+        // `LevelScratch`, over the level's live elements.
         fnr_par::par_for_chunks(model.grid.tables_mut(), stride, |l, params| {
+            let n = live[l];
             let mut level = level_grads[l].lock().unwrap_or_else(PoisonError::into_inner);
-            let LevelGrads { acc, part, m, v } = &mut *level;
+            let mut scratch = lock_free(&level_scratch, l);
+            let LevelScratch { acc, part } = &mut *scratch;
+            let (acc, part) = (&mut acc[..n], &mut part[..n]);
             acc.fill(0.0);
             slots[0].records.scatter_level(l, acc);
             for shard in &slots[1..] {
@@ -483,7 +539,8 @@ pub fn train_ngp(scene: &dyn Scene, model: &mut NgpModel, cfg: &TrainConfig) -> 
                 part.fill(0.0);
             }
             scale_in_place(acc, scale);
-            adam_update(params, acc, m, v, cfg.lr * 2.0, bc);
+            let LevelGrads { m, v } = &mut *level;
+            adam_update(&mut params[..n], acc, m, v, cfg.lr * 2.0, bc);
         });
 
         // Merge the MLP partials in fixed shard order (into slot 0, whose

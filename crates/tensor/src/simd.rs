@@ -501,12 +501,31 @@ pub fn adam_step(
     b2: f32,
     eps: f32,
 ) {
+    adam_step_at(level(), params, grads, m, v, lr, bc1, bc2, b1, b2, eps);
+}
+
+/// [`adam_step`] at dispatch level `lv`, which must not exceed
+/// [`level`]'s CPU detection.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+fn adam_step_at(
+    lv: SimdLevel,
+    params: &mut [f32],
+    grads: &[f32],
+    m: &mut [f32],
+    v: &mut [f32],
+    lr: f32,
+    bc1: f32,
+    bc2: f32,
+    b1: f32,
+    b2: f32,
+    eps: f32,
+) {
     debug_assert_eq!(params.len(), grads.len(), "grad length mismatch");
     debug_assert_eq!(params.len(), m.len(), "m length mismatch");
     debug_assert_eq!(params.len(), v.len(), "v length mismatch");
     #[cfg(target_arch = "x86_64")]
     {
-        let lv = level();
         // SAFETY: the matching CPU feature was runtime-detected.
         if lv == SimdLevel::Avx512 {
             unsafe { adam_step_avx512(params, grads, m, v, lr, bc1, bc2, b1, b2, eps) };
@@ -517,6 +536,8 @@ pub fn adam_step(
             return;
         }
     }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = lv;
     adam_step_scalar(params, grads, m, v, lr, bc1, bc2, b1, b2, eps);
 }
 
@@ -1604,6 +1625,29 @@ mod tests {
                 } else {
                     assert!(row[5].is_nan() && row[3] == 0.125, "{lv:?} row {r}: {row:?}");
                 }
+            }
+        }
+    }
+
+    /// Adam on a zero state (zero gradient, zero moments) changes no bit
+    /// at any level, for any parameter, `−0.0`, subnormals and ±∞
+    /// included: `m = β₁·(+0) + (1−β₁)·(+0) = +0`, likewise `v`, and the
+    /// step is `lr·(+0/bc₁) / (√(+0/bc₂) + ε) = +0`, so `p − (+0) = p`.
+    /// Training relies on it to skip Adam on the entries of a dense level
+    /// that no lookup reaches.
+    #[test]
+    fn adam_step_on_a_zero_state_changes_no_bit() {
+        let mut p0 = random_vec(45, 0xADA);
+        p0.extend([0.0, -0.0, 1e-45, -1e-45, f32::MIN_POSITIVE, f32::INFINITY, f32::NEG_INFINITY, f32::MAX]);
+        let zeros = vec![0.0f32; p0.len()];
+        for lv in host_levels() {
+            for t in [1, 2, 700] {
+                let (b1, b2, eps, lr) = (0.9f32, 0.99f32, 1e-8f32, 1e-2f32);
+                let (bc1, bc2) = (1.0 - b1.powi(t), 1.0 - b2.powi(t));
+                let (mut p, mut m, mut v) = (p0.clone(), zeros.clone(), zeros.clone());
+                adam_step_at(lv, &mut p, &zeros, &mut m, &mut v, lr, bc1, bc2, b1, b2, eps);
+                assert!(bits_eq(&p, &p0), "{lv:?} t={t}: params moved");
+                assert!(bits_eq(&m, &zeros) && bits_eq(&v, &zeros), "{lv:?} t={t}: moments moved");
             }
         }
     }
