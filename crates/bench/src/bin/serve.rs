@@ -11,6 +11,12 @@
 //! cargo run --release --bin serve -- --expect-coalescing    # exit 1 if occupancy <= 1
 //! ```
 //!
+//! Every flag is one entry of the [`FLAGS`] table: its name, the operand
+//! hint of the usage line, and the parser that writes it straight into
+//! the `fnr_serve` config it sets. The parse loop and the usage line both
+//! come from that table; a malformed flag or operand prints the reason
+//! and the usage line (`serve --no-such-flag` shows it) and exits 2.
+//!
 //! The workload is a pure function of `--seed`/`--pattern`/`--requests`
 //! (traffic classes come from a separate seeded stream keyed by
 //! `--priority-mix`), and every response payload is a pure function of its
@@ -20,13 +26,6 @@
 //! clock: the digest *and* every `lane` counter line are deterministic,
 //! which is what CI's mixed-priority deadline leg diffs.
 //!
-//! Knobs: `--requests N`, `--pattern bursty|uniform|heavy|diurnal|flash`,
-//! `--seed S`, `--mode open|closed|virtual|cluster`, `--clients K`
-//! (closed-loop), `--workers W`, `--queue-capacity C`, `--max-batch B`,
-//! `--linger-us U`, `--mean-gap-us U`, `--sched lanes|fifo`,
-//! `--priority-mix I,S,B`, `--deadline-us U`, `--service-us U` (virtual
-//! batch service time), `--json PATH`, `--expect-coalescing`.
-//!
 //! Streaming: `--chunks K` splits each render at admission into a fixed
 //! row-band partition of up to K independently scheduled chunks; the
 //! response-set digest is invariant in K (CI diffs `--chunks 8` against
@@ -34,398 +33,359 @@
 //! latency:` line. `--expect-streaming` exits 1 unless the run actually
 //! produced more chunks than whole responses.
 //!
-//! Robustness knobs: `--faults-live "panic=10,delay=30:150us,seed=7"`
-//! seeds a chaos injector (per-mille panic/delay rolls keyed by job
-//! hash — the same poisoned set live and virtual), `--retry N` allows N
-//! attempts per poisoned request before it resolves `failed`, and
-//! `--brownout DEPTH` downgrades Standard/Batch render precision when a
-//! lane backlog exceeds DEPTH. Every non-poisoned response stays
-//! byte-identical to the fault-free run; CI's chaos soak diffs exactly
-//! that, plus the `outcomes:` line, across `FNR_THREADS` widths.
+//! Robustness: `--faults-live` seeds a chaos injector (per-mille
+//! panic/delay rolls keyed by job hash — the same poisoned set live and
+//! virtual), `--retry N` allows N attempts per poisoned request before it
+//! resolves `failed`, and `--brownout DEPTH` downgrades Standard/Batch
+//! render precision when a lane backlog exceeds DEPTH. Every non-poisoned
+//! response stays byte-identical to the fault-free run; CI's chaos soak
+//! diffs exactly that, plus the `outcomes:` line, across `FNR_THREADS`
+//! widths.
 //!
 //! Cluster mode (`--mode cluster`) replays the schedule through the
-//! N-replica consistent-hash DES (`fnr_serve::cluster`): `--replicas N`,
+//! N-replica consistent-hash DES (`fnr_serve::cluster`). Its fault plan is
 //! `--faults SPEC` (`kill@500ms:1,restart@900ms:1,slow@1s:2:8,join@2s,`
-//! `leave@3s:0`; ns/us/ms/s suffixes) or `--fault-seed S --fault-kills K`
-//! for a seeded random plan, `--max-inflight N`, `--cold-start-us U`,
-//! `--vnodes V`, `--router-seed S`, `--payload render|synthetic`,
-//! `--service-per-item-us U` (size-aware virtual service). Resilience:
-//! `--health` turns on the gray-failure detector (suspect replicas lose
-//! routing preference), `--hedge-us U` hedges requests un-started after
-//! U µs (first completion wins, losers cancelled), `--codel-target-us` /
-//! `--codel-interval-us` arm CoDel-style overload admission that sheds
-//! Batch-class arrivals at the front door. The `cluster ` / `replica rN:`
-//! / `response digest:` lines and the `flexnerfer-cluster-bench/4` JSON
-//! are all byte-deterministic at any `FNR_THREADS` — CI's cluster legs
-//! diff them.
+//! `leave@3s:0`; ns/us/ms/s suffixes) or, with `--fault-kills K`, a plan
+//! seeded by `--fault-seed` over the schedule's nominal span. `--health`
+//! turns on the gray-failure detector, `--hedge-us U` hedges requests
+//! un-started after U µs, and either CoDel flag arms overload admission
+//! that sheds Batch-class arrivals at the front door. The `cluster ` /
+//! `replica rN:` / `response digest:` lines and the
+//! `flexnerfer-cluster-bench/4` JSON are all byte-deterministic at any
+//! `FNR_THREADS` — CI's cluster legs diff them.
 
+use std::fmt;
+use std::str::FromStr;
 use std::time::Duration;
 
-use fnr_serve::workload::{generate, total_chunks, ArrivalPattern, WorkloadSpec};
+use fnr_serve::workload::{generate, total_chunks, ArrivalPattern, TimedJob, WorkloadSpec};
 use fnr_serve::{
-    run_closed_loop_thinking, run_cluster, run_open_loop, run_virtual,
-    AdmissionConfig, BrownoutConfig, ClusterConfig, ClusterService, FaultInjector, FaultPlan,
-    HealthConfig, HedgeConfig, PayloadMode, RetryPolicy, RouterConfig, SchedConfig, ServeReport,
+    run_closed_loop_thinking, run_cluster, run_open_loop, run_virtual, BrownoutConfig,
+    ClusterConfig, FaultInjector, FaultPlan, HedgeConfig, NsStats, PayloadMode, SchedConfig,
     ServerConfig, ThinkTime, VirtualService, MAX_REPLICAS,
 };
 
-struct Args {
-    requests: usize,
-    pattern: ArrivalPattern,
-    seed: u64,
-    mode: Mode,
+/// Upper bound on `--clients` and `--workers`: the closed loop starts one
+/// OS thread per client and the live server one per worker.
+const MAX_THREADS: usize = 1024;
+
+/// Upper bound on `--vnodes`: the ring holds `replicas × vnodes` points.
+const MAX_VNODES: usize = 4096;
+
+/// Upper bound on `--fault-kills`: the seeded plan holds two events per kill.
+const MAX_FAULT_KILLS: usize = 1 << 20;
+
+/// A think-time model awaiting its `--think-us` mean.
+type Think = fn(Duration) -> ThinkTime;
+
+/// One `serve` invocation. Flags write straight into the library configs:
+/// `spec` is the workload, `cluster.server` the server every mode runs,
+/// `cluster.service` also the virtual mode's service times. The fault
+/// plan alone is resolved after the parse (see [`cluster_plan`]).
+struct Cli {
+    spec: WorkloadSpec,
+    cluster: ClusterConfig,
+    /// `open`, `closed`, `virtual` or `cluster`.
+    mode: &'static str,
     clients: usize,
-    workers: usize,
-    queue_capacity: usize,
-    max_batch: usize,
-    linger: Duration,
-    mean_gap: Duration,
-    think: ThinkKind,
-    think_us: u64,
-    sched: SchedKind,
-    priority_mix: [f64; 3],
-    deadline: Option<Duration>,
-    service: Duration,
-    json: Option<String>,
-    expect_coalescing: bool,
-    replicas: usize,
-    faults: Option<String>,
+    think: Think,
+    think_mean: Duration,
+    /// `--faults`, which wins over a seeded plan.
+    faults: Option<FaultPlan>,
     fault_seed: u64,
     fault_kills: usize,
-    max_inflight: usize,
-    cold_start: Duration,
-    vnodes: usize,
-    router_seed: u64,
-    payload: PayloadMode,
-    faults_live: Option<String>,
-    retry: u32,
-    brownout: Option<usize>,
-    service_per_item: Duration,
-    hedge_us: Option<u64>,
-    health: bool,
-    codel_target_us: Option<u64>,
-    codel_interval_us: Option<u64>,
-    chunks: usize,
+    json: Option<String>,
+    expect_coalescing: bool,
     expect_streaming: bool,
 }
 
-#[derive(Clone, Copy, PartialEq)]
-enum Mode {
-    Open,
-    Closed,
-    Virtual,
-    Cluster,
-}
-
-#[derive(Clone, Copy, PartialEq)]
-enum ThinkKind {
-    None,
-    Constant,
-    Exponential,
-}
-
-#[derive(Clone, Copy, PartialEq)]
-enum SchedKind {
-    /// Three priority lanes with 4/2/1 weighted-deficit drain.
-    Lanes,
-    /// Single-lane degenerate config (the pre-scheduler FIFO posture).
-    Fifo,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        requests: 1000,
-        pattern: ArrivalPattern::Bursty,
-        seed: 42,
-        mode: Mode::Open,
-        clients: 8,
-        workers: 2,
-        queue_capacity: 256,
-        max_batch: 8,
-        linger: Duration::from_millis(2),
-        mean_gap: Duration::from_micros(150),
-        think: ThinkKind::None,
-        think_us: 200,
-        sched: SchedKind::Lanes,
-        priority_mix: [0.25, 0.5, 0.25],
-        deadline: None,
-        service: Duration::from_micros(500),
-        json: None,
-        expect_coalescing: false,
-        replicas: 4,
-        faults: None,
-        fault_seed: 7,
-        fault_kills: 0,
-        max_inflight: 1024,
-        cold_start: Duration::from_millis(2),
-        vnodes: 64,
-        router_seed: 0,
-        payload: PayloadMode::Render,
-        faults_live: None,
-        retry: 1,
-        brownout: None,
-        service_per_item: Duration::ZERO,
-        hedge_us: None,
-        health: false,
-        codel_target_us: None,
-        codel_interval_us: None,
-        chunks: 1,
-        expect_streaming: false,
-    };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    let operand = |i: &mut usize, flag: &str| -> String {
-        *i += 1;
-        argv.get(*i).unwrap_or_else(|| usage(&format!("{flag} requires an operand"))).clone()
-    };
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--requests" => args.requests = parse_num(&operand(&mut i, "--requests")),
-            "--pattern" => {
-                let p = operand(&mut i, "--pattern");
-                args.pattern = ArrivalPattern::parse(&p)
-                    .unwrap_or_else(|| usage(&format!("unknown pattern `{p}`")));
-            }
-            "--seed" => args.seed = parse_num(&operand(&mut i, "--seed")) as u64,
-            "--mode" => match operand(&mut i, "--mode").as_str() {
-                "open" => args.mode = Mode::Open,
-                "closed" => args.mode = Mode::Closed,
-                "virtual" => args.mode = Mode::Virtual,
-                "cluster" => args.mode = Mode::Cluster,
-                m => usage(&format!("unknown mode `{m}` (open|closed|virtual|cluster)")),
-            },
-            "--clients" => args.clients = parse_num(&operand(&mut i, "--clients")).max(1),
-            "--workers" => args.workers = parse_num(&operand(&mut i, "--workers")).max(1),
-            "--queue-capacity" => args.queue_capacity = parse_num(&operand(&mut i, "--queue-capacity")),
-            "--max-batch" => args.max_batch = parse_num(&operand(&mut i, "--max-batch")).max(1),
-            "--linger-us" => {
-                args.linger = Duration::from_micros(parse_num(&operand(&mut i, "--linger-us")) as u64)
-            }
-            "--mean-gap-us" => {
-                args.mean_gap =
-                    Duration::from_micros(parse_num(&operand(&mut i, "--mean-gap-us")) as u64)
-            }
-            "--think" => match operand(&mut i, "--think").as_str() {
-                "none" => args.think = ThinkKind::None,
-                "constant" => args.think = ThinkKind::Constant,
-                "exp" | "exponential" => args.think = ThinkKind::Exponential,
-                t => usage(&format!("unknown think model `{t}` (none|constant|exp)")),
-            },
-            "--think-us" => args.think_us = parse_num(&operand(&mut i, "--think-us")) as u64,
-            "--sched" => match operand(&mut i, "--sched").as_str() {
-                "lanes" | "priority" => args.sched = SchedKind::Lanes,
-                "fifo" | "single" => args.sched = SchedKind::Fifo,
-                s => usage(&format!("unknown scheduler `{s}` (lanes|fifo)")),
-            },
-            "--priority-mix" => {
-                let spec = operand(&mut i, "--priority-mix");
-                let parts: Vec<f64> = spec
-                    .split(',')
-                    .map(|p| {
-                        p.trim()
-                            .parse()
-                            .unwrap_or_else(|_| usage(&format!("bad weight `{p}` in --priority-mix")))
-                    })
-                    .collect();
-                if parts.len() != 3 || parts.iter().any(|&w| w < 0.0) || parts.iter().sum::<f64>() <= 0.0 {
-                    usage("--priority-mix wants three non-negative weights, e.g. 0.3,0.5,0.2");
-                }
-                args.priority_mix = [parts[0], parts[1], parts[2]];
-            }
-            "--deadline-us" => {
-                args.deadline =
-                    Some(Duration::from_micros(parse_num(&operand(&mut i, "--deadline-us")) as u64))
-            }
-            "--service-us" => {
-                args.service =
-                    Duration::from_micros(parse_num(&operand(&mut i, "--service-us")).max(1) as u64)
-            }
-            "--json" => args.json = Some(operand(&mut i, "--json")),
-            "--expect-coalescing" => args.expect_coalescing = true,
-            "--replicas" => {
-                let n = parse_num(&operand(&mut i, "--replicas"));
-                if !(1..=MAX_REPLICAS).contains(&n) {
-                    usage(&format!(
-                        "--replicas {n} is out of range (the ring supports 1..={MAX_REPLICAS} replicas)"
-                    ));
-                }
-                args.replicas = n;
-            }
-            "--faults" => args.faults = Some(operand(&mut i, "--faults")),
-            "--fault-seed" => args.fault_seed = parse_num(&operand(&mut i, "--fault-seed")) as u64,
-            "--fault-kills" => args.fault_kills = parse_num(&operand(&mut i, "--fault-kills")),
-            "--max-inflight" => {
-                args.max_inflight = parse_num(&operand(&mut i, "--max-inflight")).max(1)
-            }
-            "--cold-start-us" => {
-                args.cold_start =
-                    Duration::from_micros(parse_num(&operand(&mut i, "--cold-start-us")) as u64)
-            }
-            "--vnodes" => args.vnodes = parse_num(&operand(&mut i, "--vnodes")).max(1),
-            "--router-seed" => args.router_seed = parse_num(&operand(&mut i, "--router-seed")) as u64,
-            "--payload" => {
-                let p = operand(&mut i, "--payload");
-                args.payload = PayloadMode::parse(&p)
-                    .unwrap_or_else(|| usage(&format!("unknown payload mode `{p}` (render|synthetic)")));
-            }
-            "--faults-live" => args.faults_live = Some(operand(&mut i, "--faults-live")),
-            "--retry" => args.retry = parse_num(&operand(&mut i, "--retry")).max(1) as u32,
-            "--brownout" => args.brownout = Some(parse_num(&operand(&mut i, "--brownout"))),
-            "--service-per-item-us" => {
-                args.service_per_item = Duration::from_micros(
-                    parse_num(&operand(&mut i, "--service-per-item-us")) as u64,
-                )
-            }
-            "--hedge-us" => {
-                args.hedge_us = Some(parse_num(&operand(&mut i, "--hedge-us")).max(1) as u64)
-            }
-            "--health" => args.health = true,
-            "--codel-target-us" => {
-                args.codel_target_us = Some(parse_num(&operand(&mut i, "--codel-target-us")) as u64)
-            }
-            "--codel-interval-us" => {
-                args.codel_interval_us =
-                    Some(parse_num(&operand(&mut i, "--codel-interval-us")) as u64)
-            }
-            "--chunks" => args.chunks = parse_num(&operand(&mut i, "--chunks")).max(1),
-            "--expect-streaming" => args.expect_streaming = true,
-            other => usage(&format!("unknown flag `{other}`")),
+impl Default for Cli {
+    fn default() -> Self {
+        let server = ServerConfig {
+            queue_capacity: 256,
+            tables: fnr_bench::serving::table_registry(),
+            ..ServerConfig::default()
+        };
+        Cli {
+            spec: WorkloadSpec { table_names: fnr_bench::serving::table_names(), ..Default::default() },
+            cluster: ClusterConfig { server, ..ClusterConfig::default() },
+            mode: "open",
+            clients: 8,
+            think: |_| ThinkTime::None,
+            think_mean: Duration::from_micros(200),
+            faults: None, fault_seed: 7, fault_kills: 0,
+            json: None, expect_coalescing: false, expect_streaming: false,
         }
-        i += 1;
     }
-    args
 }
 
-fn parse_num(s: &str) -> usize {
-    s.parse().unwrap_or_else(|_| usage(&format!("`{s}` is not a number")))
+/// Writes one flag's operand into the [`Cli`], or says why it cannot.
+type Setter = fn(&mut Cli, &str) -> Result<(), String>;
+
+/// Every flag: name, operand hint (empty for a switch, which takes no
+/// operand) and parser.
+static FLAGS: &[(&str, &str, Setter)] = &[
+    ("--requests", "N", |c, s| num(s).map(|v| c.spec.requests = v)),
+    ("--pattern", "bursty|uniform|heavy|diurnal|flash", |c, s| {
+        ArrivalPattern::parse(s).map(|p| c.spec.pattern = p).ok_or_else(|| format!("unknown pattern `{s}`"))
+    }),
+    ("--seed", "S", |c, s| num(s).map(|v| c.spec.seed = v)),
+    ("--mode", "open|closed|virtual|cluster", |c, s| {
+        let mode = ["open", "closed", "virtual", "cluster"].into_iter().find(|&m| m == s);
+        mode.map(|m| c.mode = m).ok_or_else(|| format!("unknown mode `{s}`"))
+    }),
+    ("--clients", "K", |c, s| upto(s, MAX_THREADS).map(|v| c.clients = v.max(1))),
+    ("--workers", "W", |c, s| upto(s, MAX_THREADS).map(|v| c.cluster.server.workers = v.max(1))),
+    ("--queue-capacity", "C", |c, s| num(s).map(|v| c.cluster.server.queue_capacity = v)),
+    ("--max-batch", "B", |c, s| num(s).map(|v: usize| c.cluster.server.max_batch = v.max(1))),
+    ("--linger-us", "U", |c, s| micros(s).map(|d| c.cluster.server.linger = d)),
+    ("--mean-gap-us", "U", |c, s| micros(s).map(|d| c.spec.mean_gap = d)),
+    ("--think", "none|constant|exp", |c, s| {
+        c.think = match s {
+            "none" => |_| ThinkTime::None,
+            "constant" => ThinkTime::Constant,
+            "exp" | "exponential" => |mean| ThinkTime::Exponential { mean },
+            _ => return Err(format!("unknown think model `{s}`")),
+        };
+        Ok(())
+    }),
+    ("--think-us", "U", |c, s| micros(s).map(|d| c.think_mean = d)),
+    ("--sched", "lanes|fifo", |c, s| {
+        c.cluster.server.sched = match s {
+            "lanes" | "priority" => SchedConfig::priority_lanes(),
+            "fifo" | "single" => SchedConfig::single_lane(),
+            _ => return Err(format!("unknown scheduler `{s}`")),
+        };
+        Ok(())
+    }),
+    ("--priority-mix", "I,S,B", |c, s| {
+        let w: Vec<f64> = s.split(',').map(|p| num(p.trim())).collect::<Result<_, _>>()?;
+        let sum: f64 = w.iter().sum();
+        if w.len() != 3 || w.iter().any(|&x| x < 0.0) || !(sum > 0.0 && sum.is_finite()) {
+            return Err("wants three finite non-negative weights, e.g. 0.3,0.5,0.2".into());
+        }
+        c.spec.priority_mix = [w[0], w[1], w[2]];
+        Ok(())
+    }),
+    ("--deadline-us", "U", |c, s| micros(s).map(|d| c.spec.deadline = Some(d))),
+    ("--service-us", "U", |c, s| {
+        num(s).map(|us: u64| c.cluster.service.service_ns = us.max(1).saturating_mul(1_000))
+    }),
+    ("--json", "PATH", |c, s| { c.json = Some(s.to_string()); Ok(()) }),
+    ("--expect-coalescing", "", |c, _| { c.expect_coalescing = true; Ok(()) }),
+    ("--replicas", "N", |c, s| match num(s)? {
+        n @ 1..=MAX_REPLICAS => {
+            c.cluster.replicas = n;
+            Ok(())
+        }
+        n => Err(format!("{n} is out of range (the ring supports 1..={MAX_REPLICAS} replicas)")),
+    }),
+    ("--faults", "SPEC", |c, s| FaultPlan::parse(s).map(|p| c.faults = Some(p))),
+    ("--fault-seed", "S", |c, s| num(s).map(|v| c.fault_seed = v)),
+    ("--fault-kills", "K", |c, s| upto(s, MAX_FAULT_KILLS).map(|v| c.fault_kills = v)),
+    ("--max-inflight", "N", |c, s| num(s).map(|v: usize| c.cluster.max_inflight = v.max(1))),
+    ("--cold-start-us", "U", |c, s| nanos(s).map(|ns| c.cluster.service.cold_start_ns = ns)),
+    ("--vnodes", "V", |c, s| upto(s, MAX_VNODES).map(|v| c.cluster.router.vnodes = v.max(1))),
+    ("--router-seed", "S", |c, s| num(s).map(|v| c.cluster.router.seed = v)),
+    ("--payload", "render|synthetic", |c, s| {
+        PayloadMode::parse(s).map(|p| c.cluster.payload = p).ok_or_else(|| format!("unknown payload `{s}`"))
+    }),
+    ("--service-per-item-us", "U", |c, s| nanos(s).map(|ns| c.cluster.service.per_item_ns = ns)),
+    ("--hedge-us", "U", |c, s| {
+        num(s).map(|us: u64| c.cluster.hedge = HedgeConfig { delay_ns: us.max(1).saturating_mul(1_000) })
+    }),
+    ("--health", "", |c, _| { c.cluster.health.enabled = true; Ok(()) }),
+    ("--codel-target-us", "U", |c, s| {
+        let a = &mut c.cluster.admission;
+        nanos(s).map(|ns| (a.target_ns, a.enabled) = (ns, true))
+    }),
+    ("--codel-interval-us", "U", |c, s| {
+        let a = &mut c.cluster.admission;
+        nanos(s).map(|ns| (a.interval_ns, a.enabled) = (ns, true))
+    }),
+    ("--faults-live", "panic=PM,delay=PM:DUR,seed=S", |c, s| {
+        FaultInjector::parse(s).map(|inj| c.cluster.server.injector = Some(inj))
+    }),
+    ("--retry", "N", |c, s| num(s).map(|n: u32| c.cluster.server.retry.max_attempts = n.max(1))),
+    ("--brownout", "DEPTH", |c, s| {
+        let on = |depth| BrownoutConfig { enabled: true, engage_depth: depth, release_depth: depth / 4 };
+        num(s).map(|depth| c.cluster.server.brownout = on(depth))
+    }),
+    ("--chunks", "K", |c, s| num(s).map(|v: usize| c.cluster.server.chunks = v.max(1))),
+    ("--expect-streaming", "", |c, _| { c.expect_streaming = true; Ok(()) }),
+];
+
+fn num<T: FromStr>(s: &str) -> Result<T, String> {
+    s.parse().map_err(|_| format!("`{s}` is not a number"))
 }
 
-fn usage(msg: &str) -> ! {
-    eprintln!("[serve] {msg}");
-    eprintln!(
-        "usage: serve [--requests N] [--pattern bursty|uniform|heavy|diurnal|flash] [--seed S] \
-         [--mode open|closed|virtual|cluster] [--clients K] [--workers W] [--queue-capacity C] \
-         [--max-batch B] [--linger-us U] [--mean-gap-us U] \
-         [--think none|constant|exp] [--think-us U] [--sched lanes|fifo] \
-         [--priority-mix I,S,B] [--deadline-us U] [--service-us U] \
-         [--json PATH] [--expect-coalescing] \
-         [--replicas N] [--faults SPEC] [--fault-seed S] [--fault-kills K] \
-         [--max-inflight N] [--cold-start-us U] [--vnodes V] [--router-seed S] \
-         [--payload render|synthetic] [--service-per-item-us U] [--hedge-us U] [--health] \
-         [--codel-target-us U] [--codel-interval-us U] \
-         [--faults-live panic=PM,delay=PM:DUR,seed=S] [--retry N] [--brownout DEPTH] \
-         [--chunks K] [--expect-streaming]"
-    );
-    std::process::exit(2);
+fn upto(s: &str, max: usize) -> Result<usize, String> {
+    match num(s)? {
+        n if n <= max => Ok(n),
+        n => Err(format!("{n} is out of range (at most {max})")),
+    }
+}
+
+fn micros(s: &str) -> Result<Duration, String> {
+    num(s).map(Duration::from_micros)
+}
+
+fn nanos(s: &str) -> Result<u64, String> {
+    num(s).map(|us: u64| us.saturating_mul(1_000))
+}
+
+/// Why an argv was refused.
+#[derive(Debug, PartialEq)]
+enum ParseError {
+    /// A flag the table does not have.
+    Unknown(String),
+    /// A flag that takes an operand came last.
+    Missing(&'static str),
+    /// The flag's parser refused its operand, for the given reason.
+    Bad(&'static str, String),
+}
+
+impl fmt::Display for ParseError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ParseError::Unknown(flag) => write!(f, "unknown flag `{flag}`"),
+            ParseError::Missing(flag) => write!(f, "{flag} requires an operand"),
+            ParseError::Bad(flag, why) => write!(f, "{flag}: {why}"),
+        }
+    }
+}
+
+fn parse(argv: &[String]) -> Result<Cli, ParseError> {
+    let mut cli = Cli::default();
+    let mut args = argv.iter();
+    while let Some(arg) = args.next() {
+        let &(flag, hint, set) =
+            FLAGS.iter().find(|f| f.0 == arg).ok_or_else(|| ParseError::Unknown(arg.clone()))?;
+        let operand = if hint.is_empty() { "" } else { args.next().ok_or(ParseError::Missing(flag))? };
+        set(&mut cli, operand).map_err(|why| ParseError::Bad(flag, why))?;
+    }
+    Ok(cli)
+}
+
+fn usage() -> String {
+    let flag = |&(f, hint, _): &(&str, &str, Setter)| match hint {
+        "" => format!(" [{f}]"),
+        _ => format!(" [{f} {hint}]"),
+    };
+    format!("usage: serve{}", FLAGS.iter().map(flag).collect::<String>())
+}
+
+/// The cluster's fault plan: `--faults` if given, else `--fault-kills`
+/// kills seeded by `--fault-seed` over the schedule's nominal span
+/// (requests × mean gap), checked against the replica count.
+fn cluster_plan(cli: &Cli) -> Result<FaultPlan, ParseError> {
+    let plan = match &cli.faults {
+        Some(plan) => plan.clone(),
+        None if cli.fault_kills > 0 => {
+            let gap_ns = u64::try_from(cli.spec.mean_gap.as_nanos()).unwrap_or(u64::MAX);
+            let horizon_ns = (cli.spec.requests as u64).saturating_mul(gap_ns);
+            FaultPlan::seeded(cli.fault_seed, cli.cluster.replicas, horizon_ns, cli.fault_kills)
+        }
+        None => FaultPlan::none(),
+    };
+    plan.validate_for(cli.cluster.replicas).map_err(|e| ParseError::Bad("--faults", e))?;
+    Ok(plan)
+}
+
+/// What a mode hands `main`'s shared tail: its JSON record and label,
+/// the self-checks it failed, and its served chunk and whole-response
+/// counts for `--expect-streaming`.
+struct Tail {
+    json: String,
+    label: &'static str,
+    failures: Vec<String>,
+    chunks: usize,
+    whole: usize,
 }
 
 fn main() {
-    let args = parse_args();
-    let spec = WorkloadSpec {
-        requests: args.requests,
-        seed: args.seed,
-        pattern: args.pattern,
-        table_names: fnr_bench::serving::table_names(),
-        mean_gap: args.mean_gap,
-        priority_mix: args.priority_mix,
-        deadline: args.deadline,
-        ..WorkloadSpec::default()
-    };
-    let jobs = generate(&spec);
-    // A seeded chaos injector shared by live workers and the virtual
-    // pipeline: the poisoned-request set is a pure function of the spec,
-    // so CI can diff the surviving responses across thread widths.
-    let injector = args
-        .faults_live
-        .as_deref()
-        .map(|spec| FaultInjector::parse(spec).unwrap_or_else(|e| usage(&e)));
-    let cfg = ServerConfig {
-        queue_capacity: args.queue_capacity,
-        workers: args.workers,
-        max_batch: args.max_batch,
-        linger: args.linger,
-        sched: match args.sched {
-            SchedKind::Lanes => SchedConfig::priority_lanes(),
-            SchedKind::Fifo => SchedConfig::single_lane(),
-        },
-        tables: fnr_bench::serving::table_registry(),
-        retry: RetryPolicy { max_attempts: args.retry, ..RetryPolicy::default() },
-        brownout: match args.brownout {
-            Some(depth) => BrownoutConfig {
-                enabled: true,
-                engage_depth: depth,
-                release_depth: depth / 4,
-            },
-            None => BrownoutConfig::default(),
-        },
-        injector,
-        chunks: args.chunks,
-        ..ServerConfig::default()
-    };
-
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let parsed = parse(&argv).and_then(|mut cli| {
+        if cli.mode == "cluster" {
+            cli.cluster.faults = cluster_plan(&cli)?;
+        }
+        Ok(cli)
+    });
+    let cli = parsed.unwrap_or_else(|e| {
+        eprintln!("[serve] {e}\n{}", usage());
+        std::process::exit(2);
+    });
+    let jobs = generate(&cli.spec);
+    let server = &cli.cluster.server;
     eprintln!(
         "[serve] {} requests, {} arrivals, {} loop, {} workers, max batch {}, {} scheduler",
-        args.requests,
-        args.pattern.name(),
-        match args.mode {
-            Mode::Open => "open",
-            Mode::Closed => "closed",
-            Mode::Virtual => "virtual",
-            Mode::Cluster => "cluster",
-        },
-        args.workers,
-        args.max_batch,
-        match args.sched {
-            SchedKind::Lanes => "priority-lane",
-            SchedKind::Fifo => "single-lane",
-        },
+        cli.spec.requests,
+        cli.spec.pattern.name(),
+        cli.mode,
+        server.workers,
+        server.max_batch,
+        if server.sched.lanes.len() == 1 { "single-lane" } else { "priority-lane" },
     );
-    if args.mode == Mode::Cluster {
-        run_cluster_mode(&args, &jobs, cfg);
-        return;
-    }
-    let think = match args.think {
-        ThinkKind::None => ThinkTime::None,
-        ThinkKind::Constant => ThinkTime::Constant(Duration::from_micros(args.think_us)),
-        ThinkKind::Exponential => {
-            ThinkTime::Exponential { mean: Duration::from_micros(args.think_us) }
+    let mut tail = if cli.mode == "cluster" { cluster_mode(&cli, &jobs) } else { serve_mode(&cli, &jobs) };
+
+    if let Some(path) = &cli.json {
+        if let Err(e) = std::fs::write(path, &tail.json) {
+            eprintln!("[serve] failed to write {path}: {e}");
+            std::process::exit(1);
         }
-    };
-    let report: ServeReport = match args.mode {
-        Mode::Open => run_open_loop(&cfg, &jobs),
+        eprintln!("[serve] wrote {} to {path}", tail.label);
+    }
+    if cli.expect_streaming && (server.chunks < 2 || tail.chunks <= tail.whole) {
+        tail.failures.push(format!(
+            "streaming expected but not observed: {} chunks served over {} whole responses \
+             (--chunks {})",
+            tail.chunks, tail.whole, server.chunks
+        ));
+    }
+    if let Some(failure) = tail.failures.first() {
+        eprintln!("[serve] {failure}");
+        std::process::exit(1);
+    }
+}
+
+/// `label: mean X ms, ...` over the named percentiles of `s`.
+fn latency_line(label: &str, s: &NsStats, keys: &[&str]) {
+    let all = [("mean", s.mean), ("p50", s.p50), ("p95", s.p95), ("p99", s.p99), ("max", s.max)];
+    let ms = |&(k, ns): &(&str, u64)| keys.contains(&k).then(|| format!("{k} {:.3} ms", ns as f64 / 1e6));
+    println!("{label}: {}", all.iter().filter_map(ms).collect::<Vec<_>>().join(", "));
+}
+
+/// Open, closed or virtual mode: one server, one report.
+fn serve_mode(cli: &Cli, jobs: &[TimedJob]) -> Tail {
+    let cfg = &cli.cluster.server;
+    let service = &cli.cluster.service;
+    let report = match cli.mode {
+        "open" => run_open_loop(cfg, jobs),
         // Think-time streams derive from the workload seed, so a closed-loop
         // run's sleep schedule is reproducible end to end.
-        Mode::Closed => run_closed_loop_thinking(&cfg, &jobs, args.clients, think, args.seed),
-        Mode::Virtual => run_virtual(
-            &cfg,
-            &jobs,
-            VirtualService {
-                service_ns: args.service.as_nanos() as u64,
-                per_item_ns: args.service_per_item.as_nanos() as u64,
-            },
-        ),
-        Mode::Cluster => unreachable!("cluster mode returned above"),
+        "closed" => {
+            let think = (cli.think)(cli.think_mean);
+            run_closed_loop_thinking(cfg, jobs, cli.clients, think, cli.spec.seed)
+        }
+        _ => {
+            let vs = VirtualService { service_ns: service.service_ns, per_item_ns: service.per_item_ns };
+            run_virtual(cfg, jobs, vs)
+        }
     };
 
     let m = &report.metrics;
     println!("# fnr_serve — batched render-request serving report\n");
-    println!("workload: {} requests ({} arrivals, seed {})", args.requests, args.pattern.name(), args.seed);
+    println!("workload: {} requests ({} arrivals, seed {})", cli.spec.requests, cli.spec.pattern.name(), cli.spec.seed);
     println!(
         "answered: {} responses in {} batches ({} rejected, {} shed, {} expired)",
         m.requests, m.batches, m.rejected, m.shed, m.expired
     );
-    println!(
-        "streaming: {} chunks requested, {} chunks served",
-        args.chunks, m.chunks_served
-    );
+    println!("streaming: {} chunks requested, {} chunks served", cfg.chunks, m.chunks_served);
     // Greppable robustness roll-up: CI's chaos legs diff the
     // width-invariant fields (served/failed/degraded; retried is
     // deterministic too, worker restarts are timing-dependent and live
     // on their own line).
-    println!(
-        "outcomes: served {} failed {} retried {} degraded {}",
-        m.requests, m.failed, m.retried, m.degraded
-    );
+    println!("outcomes: served {} failed {} retried {} degraded {}", m.requests, m.failed, m.retried, m.degraded);
     println!(
         "supervision: {} worker restarts, breaker opened {} (half-open probes {})",
         m.worker_restarts, m.breaker_opened, m.breaker_half_open_probes
@@ -441,251 +401,198 @@ fn main() {
     }
     println!("batch occupancy: {:.3} mean ({:.3} on the coalescable portion)", m.mean_occupancy, m.coalescable_occupancy);
     println!("flushes: {} size / {} timeout / {} drain", m.flushed_size, m.flushed_timeout, m.flushed_drain);
-    println!(
-        "queue latency: mean {:.3} ms, p50 {:.3} ms, p95 {:.3} ms, max {:.3} ms",
-        m.queue_ns.mean as f64 / 1e6,
-        m.queue_ns.p50 as f64 / 1e6,
-        m.queue_ns.p95 as f64 / 1e6,
-        m.queue_ns.max as f64 / 1e6
-    );
-    println!(
-        "batch service: mean {:.3} ms, p95 {:.3} ms, max {:.3} ms",
-        m.service_ns.mean as f64 / 1e6,
-        m.service_ns.p95 as f64 / 1e6,
-        m.service_ns.max as f64 / 1e6
-    );
+    latency_line("queue latency", &m.queue_ns, &["mean", "p50", "p95", "max"]);
+    latency_line("batch service", &m.service_ns, &["mean", "p95", "max"]);
     // Time to first byte vs time to whole render — the streaming win CI
     // greps (`first-chunk latency: .* p99 `).
-    println!(
-        "first-chunk latency: mean {:.3} ms, p50 {:.3} ms, p95 {:.3} ms, p99 {:.3} ms, max {:.3} ms",
-        m.first_chunk_ns.mean as f64 / 1e6,
-        m.first_chunk_ns.p50 as f64 / 1e6,
-        m.first_chunk_ns.p95 as f64 / 1e6,
-        m.first_chunk_ns.p99 as f64 / 1e6,
-        m.first_chunk_ns.max as f64 / 1e6
-    );
-    println!(
-        "full-render latency: mean {:.3} ms, p50 {:.3} ms, p95 {:.3} ms, p99 {:.3} ms, max {:.3} ms",
-        m.render_ns.mean as f64 / 1e6,
-        m.render_ns.p50 as f64 / 1e6,
-        m.render_ns.p95 as f64 / 1e6,
-        m.render_ns.p99 as f64 / 1e6,
-        m.render_ns.max as f64 / 1e6
-    );
+    let all = ["mean", "p50", "p95", "p99", "max"];
+    latency_line("first-chunk latency", &m.first_chunk_ns, &all);
+    latency_line("full-render latency", &m.render_ns, &all);
     println!("wall: {:.1} ms, workers {}, fnr_par threads {}", m.wall_ns as f64 / 1e6, m.workers, m.threads);
     println!("response digest: {:#018x} over {} responses", m.digest, report.responses.len());
-
-    if let Some(path) = args.json {
-        if let Err(e) = std::fs::write(&path, m.to_json()) {
-            eprintln!("[serve] failed to write {path}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("[serve] wrote metrics to {path}");
-    }
 
     // Conservation is chunk-granular: every admitted chunk unit must be
     // served, rejected, shed, or failed, and whole responses must match
     // the fully-served parent count.
-    let chunk_units = total_chunks(&jobs, args.chunks);
-    if report.responses.len() != m.requests
-        || m.chunks_served + m.rejected + m.shed + m.failed != chunk_units
-    {
-        eprintln!(
-            "[serve] chunk accounting broken: {} served + {} rejected + {} shed + {} failed != {} \
+    let mut failures = Vec::new();
+    let units = total_chunks(jobs, cfg.chunks);
+    if report.responses.len() != m.requests || m.chunks_served + m.rejected + m.shed + m.failed != units {
+        failures.push(format!(
+            "chunk accounting broken: {} served + {} rejected + {} shed + {} failed != {units} \
              ({} responses, {} whole requests)",
-            m.chunks_served,
-            m.rejected,
-            m.shed,
-            m.failed,
-            chunk_units,
-            report.responses.len(),
-            m.requests
-        );
-        std::process::exit(1);
+            m.chunks_served, m.rejected, m.shed, m.failed, report.responses.len(), m.requests
+        ));
     }
-    if args.expect_coalescing && m.coalescable_occupancy <= 1.0 {
-        eprintln!(
-            "[serve] coalescable occupancy {:.3} <= 1.0 — the batcher failed to coalesce",
+    if cli.expect_coalescing && m.coalescable_occupancy <= 1.0 {
+        failures.push(format!(
+            "coalescable occupancy {:.3} <= 1.0 — the batcher failed to coalesce",
             m.coalescable_occupancy
-        );
-        std::process::exit(1);
+        ));
     }
-    if args.expect_streaming && (args.chunks < 2 || m.chunks_served <= m.requests) {
-        eprintln!(
-            "[serve] streaming expected but not observed: {} chunks served over {} responses \
-             (--chunks {})",
-            m.chunks_served, m.requests, args.chunks
-        );
-        std::process::exit(1);
-    }
+    Tail { json: m.to_json(), label: "metrics", failures, chunks: m.chunks_served, whole: m.requests }
 }
 
-/// Cluster mode: replay the schedule through the N-replica DES, print the
-/// greppable `cluster:` / `replica rN:` / digest lines CI diffs, and emit
-/// the `flexnerfer-cluster-bench/4` record.
-fn run_cluster_mode(args: &Args, jobs: &[fnr_serve::workload::TimedJob], server: ServerConfig) {
-    let faults = if let Some(spec) = &args.faults {
-        FaultPlan::parse(spec).unwrap_or_else(|e| usage(&e))
-    } else if args.fault_kills > 0 {
-        // Seeded plan over the schedule's nominal span (requests x mean
-        // gap) — a pure function of the CLI arguments.
-        let horizon_ns = args.requests as u64 * args.mean_gap.as_nanos() as u64;
-        FaultPlan::seeded(args.fault_seed, args.replicas, horizon_ns, args.fault_kills)
-    } else {
-        FaultPlan::none()
-    };
-    faults.validate_for(args.replicas).unwrap_or_else(|e| usage(&e));
-    let fault_events = faults.events().len();
-    let admission_on = args.codel_target_us.is_some() || args.codel_interval_us.is_some();
-    let cfg = ClusterConfig {
-        replicas: args.replicas,
-        server,
-        router: RouterConfig { vnodes: args.vnodes, seed: args.router_seed },
-        max_inflight: args.max_inflight,
-        service: ClusterService {
-            service_ns: args.service.as_nanos() as u64,
-            per_item_ns: args.service_per_item.as_nanos() as u64,
-            cold_start_ns: args.cold_start.as_nanos() as u64,
-        },
-        faults,
-        payload: args.payload,
-        // The live/virtual chaos injector rides in via `server.injector`;
-        // a cluster-level override is only for programmatic callers.
-        injector: None,
-        health: HealthConfig { enabled: args.health, ..HealthConfig::default() },
-        hedge: match args.hedge_us {
-            Some(us) => HedgeConfig { delay_ns: us.saturating_mul(1_000) },
-            None => HedgeConfig::disabled(),
-        },
-        admission: AdmissionConfig {
-            enabled: admission_on,
-            target_ns: args
-                .codel_target_us
-                .map_or(AdmissionConfig::default().target_ns, |us| us.saturating_mul(1_000)),
-            interval_ns: args
-                .codel_interval_us
-                .map_or(AdmissionConfig::default().interval_ns, |us| us.saturating_mul(1_000)),
-        },
-    };
+/// Cluster mode: replay the schedule through the N-replica DES and print
+/// the greppable `cluster:` / `replica rN:` / digest lines CI diffs.
+fn cluster_mode(cli: &Cli, jobs: &[TimedJob]) -> Tail {
+    let cfg = &cli.cluster;
     eprintln!(
         "[serve] cluster: {} replicas, {} vnodes, inflight bound {}, {} fault events, {} payloads{}{}{}",
         cfg.replicas,
         cfg.router.vnodes,
         cfg.max_inflight,
-        fault_events,
-        match cfg.payload {
-            PayloadMode::Render => "render",
-            PayloadMode::Synthetic => "synthetic",
-        },
+        cfg.faults.events().len(),
+        if cfg.payload == PayloadMode::Render { "render" } else { "synthetic" },
         if cfg.health.enabled { ", health detector on" } else { "" },
         if cfg.hedge.enabled() { ", hedging on" } else { "" },
         if cfg.admission.enabled { ", codel admission on" } else { "" },
     );
 
-    let report = run_cluster(&cfg, jobs);
+    let report = run_cluster(cfg, jobs);
     let m = &report.metrics;
     println!("# fnr_serve — cluster simulation report\n");
-    println!(
-        "workload: {} requests ({} arrivals, seed {})",
-        args.requests,
-        args.pattern.name(),
-        args.seed
-    );
+    println!("workload: {} requests ({} arrivals, seed {})", cli.spec.requests, cli.spec.pattern.name(), cli.spec.seed);
     // Greppable, byte-deterministic lines: CI's cluster leg diffs every
     // `cluster ` / `replica ` / `response digest` line between its
     // FNR_THREADS=1 and default runs.
     println!(
         "cluster totals: submitted {} chunks {} completed {} served {} shed {} front-door {} \
          overload {} expired {} rejected {} failed {} failed-over {} kills {} restarts {}",
-        m.submitted,
-        m.submitted_chunks,
-        m.completed,
-        m.served,
-        m.shed,
-        m.front_door_shed,
-        m.overload_shed,
-        m.expired,
-        m.rejected,
-        m.failed,
-        m.failed_over,
-        m.kills,
-        m.restarts
+        m.submitted, m.submitted_chunks, m.completed, m.served, m.shed, m.front_door_shed,
+        m.overload_shed, m.expired, m.rejected, m.failed, m.failed_over, m.kills, m.restarts
     );
     println!(
         "cluster resilience: hedged {} hedge-won {} hedge-wasted {} suspects {} joins {} leaves {}",
         m.hedged, m.hedge_won, m.hedge_wasted, m.suspects, m.joins, m.leaves
     );
     for r in &m.replicas {
+        let state = if !r.alive { "dead" } else if r.departed { "departed" } else { "alive" };
+        let rm = &r.metrics;
         println!(
-            "replica r{}: {} routed {} served {} shed {} expired {} rejected {} failed {} fo-in {} \
+            "replica r{}: {state} routed {} served {} shed {} expired {} rejected {} failed {} fo-in {} \
              fo-out {} cache {}/{} kills {} restarts {} suspects {} slow x{} digest {:#018x}",
-            r.replica,
-            if !r.alive {
-                "dead"
-            } else if r.departed {
-                "departed"
-            } else {
-                "alive"
-            },
-            r.routed,
-            r.metrics.chunks_served,
-            r.metrics.shed,
-            r.metrics.expired,
-            r.metrics.rejected,
-            r.metrics.failed,
-            r.failed_over_in,
-            r.failed_over_out,
-            r.cache_hits,
-            r.cache_misses,
-            r.kills,
-            r.restarts,
-            r.suspects,
-            r.slow_factor,
-            r.metrics.digest
+            r.replica, r.routed, rm.chunks_served, rm.shed, rm.expired, rm.rejected, rm.failed,
+            r.failed_over_in, r.failed_over_out, r.cache_hits, r.cache_misses, r.kills, r.restarts,
+            r.suspects, r.slow_factor, rm.digest
         );
     }
-    println!(
-        "cluster latency hist: {:?} over {} samples",
-        m.latency_hist.counts(),
-        m.latency_hist.total()
-    );
-    println!(
-        "cluster first-chunk hist: {:?} over {} samples",
-        m.first_chunk_hist.counts(),
-        m.first_chunk_hist.total()
-    );
+    let (lat, first) = (&m.latency_hist, &m.first_chunk_hist);
+    println!("cluster latency hist: {:?} over {} samples", lat.counts(), lat.total());
+    println!("cluster first-chunk hist: {:?} over {} samples", first.counts(), first.total());
     println!("wall: {:.1} ms (virtual), fnr_par threads {}", m.wall_ns as f64 / 1e6, m.threads);
     println!("response digest: {:#018x} over {} responses", m.digest, report.responses.len());
 
-    if let Some(path) = &args.json {
-        if let Err(e) = std::fs::write(path, m.to_json()) {
-            eprintln!("[serve] failed to write {path}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("[serve] wrote cluster metrics to {path}");
+    let mut failures = Vec::new();
+    if !m.conserves_submitted() || report.responses.len() != m.completed {
+        failures.push(format!(
+            "cluster accounting broken: {} served + {} shed + {} rejected + {} failed + \
+             {} front-door != {} submitted chunks (responses {}, completed {})",
+            m.served, m.shed, m.rejected, m.failed, m.front_door_shed, m.submitted_chunks,
+            report.responses.len(), m.completed
+        ));
+    }
+    Tail { json: m.to_json(), label: "cluster metrics", failures, chunks: m.served, whole: m.completed }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn argv(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
     }
 
-    if !m.conserves_submitted() || report.responses.len() != m.completed {
-        eprintln!(
-            "[serve] cluster accounting broken: {} served + {} shed + {} rejected + {} failed + \
-             {} front-door != {} submitted chunks (responses {}, completed {})",
-            m.served,
-            m.shed,
-            m.rejected,
-            m.failed,
-            m.front_door_shed,
-            m.submitted_chunks,
-            report.responses.len(),
-            m.completed
-        );
-        std::process::exit(1);
+    fn cli(line: &str) -> Cli {
+        parse(&argv(line)).unwrap_or_else(|e| panic!("`{line}`: {e}"))
     }
-    if args.expect_streaming && (args.chunks < 2 || m.served <= m.completed) {
-        eprintln!(
-            "[serve] streaming expected but not observed: {} chunks served over {} completed \
-             (--chunks {})",
-            m.served, m.completed, args.chunks
+
+    fn refused(line: &str) -> ParseError {
+        parse(&argv(line)).err().unwrap_or_else(|| panic!("`{line}` was accepted"))
+    }
+
+    #[test]
+    fn empty_argv_gives_the_defaults_field_by_field() {
+        let c = cli("");
+        let (s, k, v) = (&c.spec, &c.cluster, &c.cluster.server);
+        assert_eq!((s.requests, s.seed, s.pattern, s.table_fraction), (1000, 42, ArrivalPattern::Bursty, 0.15));
+        assert_eq!((s.mean_gap, s.priority_mix, s.deadline), (Duration::from_micros(150), [0.25, 0.5, 0.25], None));
+        assert_eq!(s.table_names, fnr_bench::serving::table_names());
+        assert_eq!((v.queue_capacity, v.workers, v.max_batch, v.linger), (256, 2, 8, Duration::from_millis(2)));
+        assert_eq!((v.chunks, v.sched.lanes.len(), v.retry.max_attempts, v.brownout.enabled), (1, 3, 1, false));
+        assert!(v.injector.is_none() && !v.tables.names().is_empty());
+        assert_eq!((k.replicas, k.router.vnodes, k.router.seed, k.max_inflight), (4, 64, 0, 1024));
+        let svc = &k.service;
+        assert_eq!((svc.service_ns, svc.per_item_ns, svc.cold_start_ns), (500_000, 0, 2_000_000));
+        assert_eq!((k.payload, k.health.enabled, k.hedge.enabled(), k.faults.is_empty()), (PayloadMode::Render, false, false, true));
+        let a = &k.admission;
+        assert_eq!((a.enabled, a.target_ns, a.interval_ns), (false, 2_000_000, 10_000_000));
+        assert_eq!((c.mode, c.clients, (c.think)(c.think_mean), c.think_mean), ("open", 8, ThinkTime::None, Duration::from_micros(200)));
+        assert_eq!((c.faults.is_none(), c.fault_seed, c.fault_kills, c.json.as_deref()), (true, 7, 0, None));
+        assert!(!c.expect_coalescing && !c.expect_streaming);
+    }
+
+    /// The flags no CI leg passes each land in their config field.
+    #[test]
+    fn flags_without_a_ci_leg_land_in_their_fields() {
+        let c = cli(
+            "--clients 3 --max-batch 5 --linger-us 700 --think exp --think-us 300 --sched fifo \
+             --fault-seed 9 --fault-kills 2 --max-inflight 33 --cold-start-us 900 --vnodes 16 \
+             --router-seed 5 --service-per-item-us 40",
         );
-        std::process::exit(1);
+        let (k, v) = (&c.cluster, &c.cluster.server);
+        assert_eq!((c.clients, v.max_batch, v.linger), (3, 5, Duration::from_micros(700)));
+        let mean = Duration::from_micros(300);
+        assert_eq!(((c.think)(c.think_mean), v.sched.lanes.len()), (ThinkTime::Exponential { mean }, 1));
+        assert_eq!((c.fault_seed, c.fault_kills, k.max_inflight, k.service.cold_start_ns), (9, 2, 33, 900_000));
+        assert_eq!((k.router.vnodes, k.router.seed, k.service.per_item_ns), (16, 5, 40_000));
+        // `--think` and `--think-us` compose in either order.
+        let c = cli("--think-us 300 --think constant");
+        assert_eq!((c.think)(c.think_mean), ThinkTime::Constant(mean));
+    }
+
+    #[test]
+    fn out_of_range_and_malformed_input_is_a_typed_error() {
+        let over = ["--clients 1025", "--workers 4096", "--vnodes 4097", "--fault-kills 1048577", "--replicas 0"];
+        for line in over.into_iter().chain(["--retry 4294967296", "--seed -1"]) {
+            assert!(matches!(refused(line), ParseError::Bad(..)), "{line}");
+        }
+        assert_eq!((cli("--clients 1024").clients, cli("--workers 0").cluster.server.workers), (MAX_THREADS, 1));
+        for mix in ["nan,1,1", "1,inf,1", "1e308,1e308,0", "0,0,0", "-1,1,1", "1,1"] {
+            assert!(matches!(refused(&format!("--priority-mix {mix}")), ParseError::Bad("--priority-mix", _)), "{mix}");
+        }
+        assert_eq!(refused("--seed"), ParseError::Missing("--seed"));
+        assert_eq!(refused("--no-such-flag"), ParseError::Unknown("--no-such-flag".into()));
+        assert!(usage().contains(" [--health] [--codel-target-us U] "));
+        // The seeded plan's horizon saturates instead of wrapping.
+        let c = cli("--mode cluster --requests 18446744073709551615 --mean-gap-us 18446744073709551615 --fault-kills 2");
+        assert_eq!(cluster_plan(&c).map(|p| p.events().len()), Ok(4));
+        let joins = cli("--mode cluster --replicas 128 --faults join@1s");
+        assert!(matches!(cluster_plan(&joins), Err(ParseError::Bad("--faults", _))));
+    }
+
+    /// An argv token from `w`: a flag of the table, an edge-case operand,
+    /// or a stray character.
+    fn token(w: u64) -> String {
+        const OPERANDS: [&str; 12] =
+            ["0", "1", "-1", "18446744073709551616", "nan", "1,2,3", ",", "", "cluster", "kill@1s:0", "panic=9", "é"];
+        match w % 3 {
+            0 => FLAGS[(w >> 8) as usize % FLAGS.len()].0.to_string(),
+            1 => OPERANDS[(w >> 8) as usize % OPERANDS.len()].to_string(),
+            _ => char::from_u32((w >> 8) as u32 % 0x11_0000).unwrap_or('?').to_string(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Parsing never panics, and in cluster mode neither does the
+        /// fault plan resolved after it.
+        #[test]
+        fn prop_parse_never_panics(words in proptest::collection::vec(0u64..u64::MAX, 0..16)) {
+            if let Ok(c) = parse(&words.iter().map(|&w| token(w)).collect::<Vec<_>>()) {
+                let _ = cluster_plan(&c);
+            }
+        }
     }
 }

@@ -77,7 +77,8 @@ impl Linear {
 /// Transposed (`in × out`) weight copies of an [`Mlp`]'s layers — the
 /// layout that turns the per-output dot products of the forward pass into
 /// per-input axpy stripes the SIMD kernels can run without reordering any
-/// per-element addition sequence (see [`Linear::forward_packed_into`]).
+/// per-element addition sequence (see the private
+/// `Linear::forward_packed_into`).
 ///
 /// Weights change every optimizer step, so training re-packs once per
 /// iteration ([`Mlp::pack_into`] reuses the buffers) and amortizes the
@@ -444,7 +445,7 @@ impl Mlp {
 
     /// The packed twin of [`Mlp::forward_into`]: same signature plus the
     /// transposed weights, bit-identical output (the per-layer kernel is
-    /// [`Linear::forward_packed_into`]). Rendering runs the tile form, the
+    /// the private `Linear::forward_packed_into`). Rendering runs the tile form, the
     /// FP32 [`TileHead`]; this per-sample form stays as its oracle.
     pub fn forward_into_packed<'s>(
         &self,
@@ -471,7 +472,7 @@ impl Mlp {
 
     /// The packed twin of [`Mlp::forward_cached_into`]: fills the same
     /// cache with bit-identical values, driving each layer through
-    /// [`Linear::forward_packed_into`]. Training runs the row form
+    /// the private `Linear::forward_packed_into`. Training runs the row form
     /// [`Mlp::forward_rows`]; this per-sample form is its oracle and the
     /// MLP-forward stage of perfbench's training replay.
     pub fn forward_cached_into_packed<'s>(

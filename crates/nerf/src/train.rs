@@ -420,12 +420,12 @@ fn shard_ranges(batch_rays: usize) -> Vec<(usize, usize)> {
 /// Each iteration runs two parallel phases:
 ///
 /// 1. **Shards.** The ray batch fans out across the thread pool in
-///    [`TRAIN_SHARDS`] fixed shards. Each walks its rays in bounded groups
+///    `TRAIN_SHARDS` fixed shards. Each walks its rays in bounded groups
 ///    of whole rays: it samples and encodes a group into MLP input rows,
 ///    runs the MLP forward and backward over the group in 8-sample tiles
 ///    (the GEMM form of the per-sample GEMV), and records each sample's
 ///    corner lookups and ∂L/∂encoding, level-major, instead of scattering
-///    them into a grid. See [`ShardGrads`] for the group phases.
+///    them into a grid. The private `ShardGrads` docs give the group phases.
 /// 2. **Levels.** One task per hash-grid level scatters every shard's
 ///    records for that level into the level's accumulator, merging the
 ///    shards in shard order, then scales it and runs Adam in place on the
@@ -444,8 +444,8 @@ fn shard_ranges(batch_rays: usize) -> Vec<(usize, usize)> {
 /// the grid config, not a setting.
 ///
 /// Only the MLP's shard merge and Adam step (O(MLP params)) run serially.
-/// See [`TRAIN_SHARDS`] for why both phases are bit-identical at any
-/// thread count.
+/// The private `TRAIN_SHARDS` docs say why both phases are bit-identical
+/// at any thread count.
 pub fn train_ngp(scene: &dyn Scene, model: &mut NgpModel, cfg: &TrainConfig) -> TrainStats {
     // Pre-render ground-truth views.
     let cameras: Vec<Camera> = (0..cfg.views)

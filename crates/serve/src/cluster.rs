@@ -262,14 +262,17 @@ impl FaultPlan {
 
     /// A seeded random plan: `kills` kill events at uniform times in the
     /// middle of `[0, horizon_ns)`, each followed by a restart after a
-    /// seeded downtime — the chaos suite's generator.
+    /// seeded downtime — the chaos suite's generator. Total on every
+    /// horizon: the 80 % bound is taken in `u128`, and every restart
+    /// lands before `0.925 · horizon`, so no sum can wrap.
     pub fn seeded(seed: u64, replicas: usize, horizon_ns: u64, kills: usize) -> Self {
         let horizon = horizon_ns.max(1_000);
+        let late = (horizon as u128 * 8 / 10) as u64;
         let mut rng = StdRng::seed_from_u64(seed);
         let mut events = Vec::new();
         for _ in 0..kills {
             let replica = rng.gen_range(0usize..replicas.max(1));
-            let at_ns = rng.gen_range(horizon / 10..horizon * 8 / 10);
+            let at_ns = rng.gen_range(horizon / 10..late);
             let downtime = rng.gen_range(horizon / 50..horizon / 8);
             events.push(FaultEvent { at_ns, replica, kind: FaultKind::Kill });
             events.push(FaultEvent { at_ns: at_ns + downtime, replica, kind: FaultKind::Restart });
@@ -312,7 +315,7 @@ pub enum PayloadMode {
     /// table bytes) — the default, digest-compatible with the threaded
     /// server and `run_virtual`.
     Render,
-    /// 16-byte deterministic hash payloads ([`synthetic_payload`]):
+    /// 16-byte deterministic hash payloads ([`crate::synthetic_payload`]):
     /// the same purity and digest-equivalence contract at a cost that
     /// lets CI replay millions of requests.
     Synthetic,
@@ -1450,6 +1453,23 @@ mod tests {
         assert_eq!(kills, 3);
     }
 
+    /// `horizon * 8 / 10` used to wrap above `u64::MAX / 8` and hand
+    /// `gen_range` an empty range. Near `u64::MAX` every kill still
+    /// lands in the middle of the horizon and every restart after it.
+    #[test]
+    fn seeded_plans_near_u64_max_stay_inside_the_horizon() {
+        for horizon in [u64::MAX / 8 + 1, 4_611_686_018_427_388_000, u64::MAX - 1, u64::MAX] {
+            let plan = FaultPlan::seeded(3, 4, horizon, 16);
+            assert_eq!(plan.events().len(), 32);
+            let (lo, hi) = (horizon / 10, (horizon as u128 * 8 / 10) as u64);
+            for kill in plan.events().iter().filter(|e| e.kind == FaultKind::Kill) {
+                assert!((lo..hi).contains(&kill.at_ns), "kill at {} for horizon {horizon}", kill.at_ns);
+            }
+            let restarts = plan.events().iter().filter(|e| e.kind == FaultKind::Restart);
+            assert!(restarts.map(|e| e.at_ns).max().unwrap() < horizon);
+        }
+    }
+
     #[test]
     fn cluster_without_faults_serves_everything_or_accounts_for_it() {
         let jobs = generate(&spec(300, ArrivalPattern::Bursty));
@@ -1533,5 +1553,32 @@ mod tests {
         let hits: u64 = b.metrics.replicas.iter().map(|r| r.cache_hits).sum();
         assert!(misses > 0, "first batch of each render key misses");
         assert!(hits > 0, "affinity keeps later batches warm");
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Fragments of the fault grammar, numbers at the edges of `u64`,
+        /// and separators.
+        const PIECES: [&str; 22] = [
+            "kill", "restart", "slow", "join", "leave", "@", ":", ",", "ns", "us", "ms", "s", "0",
+            "1", "8", "128", "18446744073709551615", "18446744073709551616", "-1", " ", "é", "",
+        ];
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// `--faults` reaches `FaultPlan::parse` with any string: it
+            /// returns a value or an error, never panics, and a plan it
+            /// accepts is time-sorted and fits the ring.
+            #[test]
+            fn prop_fault_plan_parse_never_panics(words in proptest::collection::vec(0u64..u64::MAX, 0..24)) {
+                if let Ok(plan) = FaultPlan::parse(&crate::fault::fuzz_spec(&words, &PIECES)) {
+                    prop_assert!(plan.events().windows(2).all(|w| w[0].at_ns <= w[1].at_ns));
+                    prop_assert!(plan.joins() <= MAX_REPLICAS);
+                }
+            }
+        }
     }
 }

@@ -413,6 +413,17 @@ pub fn degrade_precision(p: RenderPrecision) -> Option<RenderPrecision> {
     }
 }
 
+/// A parser fuzz input from `words`: each word picks one of `pieces`
+/// or, one time in five, an arbitrary `char`.
+#[cfg(test)]
+pub(crate) fn fuzz_spec(words: &[u64], pieces: &[&str]) -> String {
+    let piece = |w: u64| match w % 5 {
+        0 => char::from_u32((w >> 8) as u32 % 0x11_0000).unwrap_or('?').to_string(),
+        _ => pieces[(w >> 8) as usize % pieces.len()].to_string(),
+    };
+    words.iter().map(|&w| piece(w)).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -607,8 +618,25 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
+        /// Fragments of the chaos grammar, numbers around the per-mille
+        /// and `u64` edges, and separators.
+        const PIECES: [&str; 21] = [
+            "panic", "delay", "seed", "=", ":", ",", "ns", "us", "ms", "s", "0", "12", "1000",
+            "1001", "4294967296", "18446744073709551616", "-1", " ", "‰", "\n", "",
+        ];
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// `--faults-live` reaches `FaultInjector::parse` with any
+            /// string: it returns a value or an error, never panics, and
+            /// an injector it accepts keeps its rates within 1000‰.
+            #[test]
+            fn prop_injector_parse_never_panics(words in proptest::collection::vec(0u64..u64::MAX, 0..24)) {
+                if let Ok(inj) = FaultInjector::parse(&fuzz_spec(&words, &PIECES)) {
+                    prop_assert!(inj.panic_per_mille + inj.delay_per_mille <= 1000);
+                }
+            }
 
             /// The post-jitter backoff can never exceed `MAX_BACKOFF_NS`,
             /// for any attempt number (including the out-of-contract 0)

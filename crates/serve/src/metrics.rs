@@ -81,23 +81,101 @@ impl NsStats {
     }
 }
 
-/// Escapes a string for embedding in the hand-rolled JSON record. Lane
-/// names are the one string callers control (every other string in the
-/// record is a literal this crate owns), so they must not be able to
-/// break the document.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+/// The hand-rolled JSON of the serve and cluster records, as a value
+/// tree that owns escaping, indentation, layout and commas, so each
+/// record only lists its fields. Every value is a number, a bool or a
+/// string this crate writes, except lane names: callers control those,
+/// so [`Json::str`] escapes them and they cannot break the document.
+enum Json {
+    /// A number, a bool or an already-quoted string, written verbatim.
+    Raw(String),
+    /// An object. Its first `inline` fields share the opening line and
+    /// the rest go one per line, two spaces deeper: `0` is the block
+    /// layout, [`INLINE`] keeps every field on one line.
+    Obj(Vec<(&'static str, Json)>, usize),
+    /// An array, laid out like an object.
+    Arr(Vec<Json>, usize),
+}
+
+/// Every item on the opening line.
+const INLINE: usize = usize::MAX;
+
+/// A value written verbatim: a number, a bool, or one already formatted.
+fn raw(value: impl std::fmt::Display) -> Json {
+    Json::Raw(value.to_string())
+}
+
+/// A ratio, at the records' four decimals.
+fn ratio(value: f64) -> Json {
+    raw(format!("{value:.4}"))
+}
+
+/// A digest, as a quoted zero-padded hex string.
+fn hex(digest: u64) -> Json {
+    raw(format!("\"{digest:#018x}\""))
+}
+
+/// An object's fields, each key written once: a bare `key` writes
+/// `src.key` verbatim, `key = value` writes the [`Json`] `value`.
+macro_rules! fields {
+    (@value $src:expr, $key:ident) => { raw($src.$key) };
+    (@value $src:expr, $key:ident, $value:expr) => { $value };
+    ($src:expr; $($key:ident $(= $value:expr)?),* $(,)?) => {
+        vec![$((stringify!($key), fields!(@value $src, $key $(, $value)?))),*]
+    };
+}
+
+impl Json {
+    /// A string value, quoted and escaped.
+    fn str(s: &str) -> Json {
+        let mut out = String::from('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
             }
-            c => out.push(c),
         }
+        Json::Raw(out + "\"")
     }
-    out
+
+    /// A whole record: a block object, newline-terminated.
+    fn document(fields: Vec<(&'static str, Json)>) -> String {
+        let mut out = String::new();
+        Json::Obj(fields, 0).write(&mut out, 0);
+        out + "\n"
+    }
+
+    /// Writes the value with its container's items at `indent + 2`. Items
+    /// after the first follow a comma; an item past `inline` starts a new
+    /// line, and a block container (`inline == 0`) also closes on one.
+    fn write(&self, out: &mut String, indent: usize) {
+        let (brackets, pad, items, inline): (_, _, Vec<_>, _) = match self {
+            Json::Raw(s) => return out.push_str(s),
+            Json::Obj(f, inline) => (["{", "}"], " ", f.iter().map(|(k, v)| (*k, v)).collect(), *inline),
+            Json::Arr(a, inline) => (["[", "]"], "", a.iter().map(|v| ("", v)).collect(), *inline),
+        };
+        out.push_str(brackets[0]);
+        for (i, (key, value)) in items.into_iter().enumerate() {
+            let comma = if i == 0 { "" } else { "," };
+            if i < inline {
+                out.push_str(&format!("{comma}{}", if i == 0 { pad } else { " " }));
+            } else {
+                out.push_str(&format!("{comma}\n{:w$}", "", w = indent + 2));
+            }
+            if !key.is_empty() {
+                out.push_str(&format!("\"{key}\": "));
+            }
+            value.write(out, indent + 2);
+        }
+        if inline == 0 {
+            out.push_str(&format!("\n{:w$}", "", w = indent));
+        } else {
+            out.push_str(pad);
+        }
+        out.push_str(brackets[1]);
+    }
 }
 
 /// Number of histogram buckets: one per edge plus the overflow bucket.
@@ -184,15 +262,9 @@ impl LatencyHistogram {
     }
 
     /// The `{ "edges_ns": [...], "counts": [...] }` JSON fragment.
-    fn to_json(self) -> String {
-        let join = |it: &mut dyn Iterator<Item = u64>| {
-            it.map(|v| v.to_string()).collect::<Vec<_>>().join(", ")
-        };
-        format!(
-            "{{ \"edges_ns\": [{}], \"counts\": [{}] }}",
-            join(&mut LATENCY_EDGES_NS.iter().copied()),
-            join(&mut self.counts.iter().copied())
-        )
+    fn json(&self) -> Json {
+        let list = |v: &[u64]| raw(format!("{v:?}"));
+        Json::Obj(fields!(self; edges_ns = list(&LATENCY_EDGES_NS), counts = list(&self.counts)), INLINE)
     }
 }
 
@@ -290,76 +362,42 @@ impl ServeMetrics {
     /// object — and re-bases the per-lane counters on chunk units
     /// (identical to `/3` at chunk count 1).
     pub fn to_json(&self) -> String {
-        let stats = |s: &NsStats| {
-            format!(
-                "{{ \"mean\": {}, \"p50\": {}, \"p95\": {}, \"p99\": {}, \"max\": {} }}",
-                s.mean, s.p50, s.p95, s.p99, s.max
-            )
-        };
-        let mut out = String::from("{\n");
-        out.push_str("  \"schema\": \"flexnerfer-serve-bench/4\",\n");
-        out.push_str(&format!("  \"threads\": {},\n", self.threads));
-        out.push_str(&format!("  \"workers\": {},\n", self.workers));
-        out.push_str(&format!("  \"requests\": {},\n", self.requests));
-        out.push_str(&format!("  \"chunks_served\": {},\n", self.chunks_served));
-        out.push_str(&format!("  \"rejected\": {},\n", self.rejected));
-        out.push_str(&format!("  \"shed\": {},\n", self.shed));
-        out.push_str(&format!("  \"expired\": {},\n", self.expired));
-        out.push_str(&format!("  \"failed\": {},\n", self.failed));
-        out.push_str(&format!("  \"retried\": {},\n", self.retried));
-        out.push_str(&format!("  \"degraded\": {},\n", self.degraded));
-        out.push_str(&format!("  \"worker_restarts\": {},\n", self.worker_restarts));
-        out.push_str(&format!(
-            "  \"breaker\": {{ \"opened\": {}, \"half_open_probes\": {} }},\n",
-            self.breaker_opened, self.breaker_half_open_probes
-        ));
-        out.push_str("  \"lanes\": [\n");
-        out.push_str(&lanes_json(&self.lanes, "    "));
-        out.push_str("  ],\n");
-        out.push_str(&format!("  \"batches\": {},\n", self.batches));
-        out.push_str(&format!("  \"mean_batch_occupancy\": {:.4},\n", self.mean_occupancy));
-        out.push_str(&format!("  \"coalescable_occupancy\": {:.4},\n", self.coalescable_occupancy));
-        out.push_str(&format!(
-            "  \"flushes\": {{ \"size\": {}, \"timeout\": {}, \"drain\": {} }},\n",
-            self.flushed_size, self.flushed_timeout, self.flushed_drain
-        ));
-        out.push_str(&format!("  \"queue_ns\": {},\n", stats(&self.queue_ns)));
-        out.push_str(&format!("  \"service_ns\": {},\n", stats(&self.service_ns)));
-        out.push_str(&format!("  \"first_chunk_ns\": {},\n", stats(&self.first_chunk_ns)));
-        out.push_str(&format!("  \"render_ns\": {},\n", stats(&self.render_ns)));
-        out.push_str(&format!("  \"request_latency_hist\": {},\n", self.latency_hist.to_json()));
-        out.push_str(&format!("  \"first_chunk_hist\": {},\n", self.first_chunk_hist.to_json()));
-        out.push_str(&format!("  \"wall_ns\": {},\n", self.wall_ns));
-        out.push_str(&format!("  \"digest\": \"{:#018x}\"\n", self.digest));
-        out.push_str("}\n");
-        out
+        let stats = |s: &NsStats| Json::Obj(fields!(s; mean, p50, p95, p99, max), INLINE);
+        let breaker = fields!(self;
+            opened = raw(self.breaker_opened), half_open_probes = raw(self.breaker_half_open_probes));
+        let flushes = fields!(self;
+            size = raw(self.flushed_size), timeout = raw(self.flushed_timeout), drain = raw(self.flushed_drain));
+        Json::document(fields!(self;
+            schema = Json::str("flexnerfer-serve-bench/4"),
+            threads, workers, requests, chunks_served, rejected, shed, expired, failed, retried,
+            degraded, worker_restarts,
+            breaker = Json::Obj(breaker, INLINE),
+            lanes = lanes_json(&self.lanes),
+            batches,
+            mean_batch_occupancy = ratio(self.mean_occupancy),
+            coalescable_occupancy = ratio(self.coalescable_occupancy),
+            flushes = Json::Obj(flushes, INLINE),
+            queue_ns = stats(&self.queue_ns),
+            service_ns = stats(&self.service_ns),
+            first_chunk_ns = stats(&self.first_chunk_ns),
+            render_ns = stats(&self.render_ns),
+            request_latency_hist = self.latency_hist.json(),
+            first_chunk_hist = self.first_chunk_hist.json(),
+            wall_ns,
+            digest = hex(self.digest),
+        ))
     }
 }
 
-/// Renders a `lanes` array body (one line per lane, `indent`-prefixed),
-/// shared by the serve and cluster schemas so per-lane counter shapes
-/// stay identical between them.
-fn lanes_json(lanes: &[LaneStats], indent: &str) -> String {
-    let mut out = String::new();
-    for (i, lane) in lanes.iter().enumerate() {
-        out.push_str(&format!(
-            "{indent}{{ \"name\": \"{}\", \"weight\": {}, \"submitted\": {}, \"served\": {}, \
-             \"shed\": {}, \"expired\": {}, \"rejected\": {}, \"failed\": {}, \"degraded\": {}, \
-             \"queue_hist\": {} }}{}\n",
-            json_escape(&lane.name),
-            lane.weight,
-            lane.submitted,
-            lane.served,
-            lane.shed,
-            lane.expired,
-            lane.rejected,
-            lane.failed,
-            lane.degraded,
-            lane.queue_hist.to_json(),
-            if i + 1 == lanes.len() { "" } else { "," }
-        ));
-    }
-    out
+/// A `lanes` array, one line per lane, shared by the serve and cluster
+/// schemas so per-lane counter shapes stay identical between them.
+fn lanes_json(lanes: &[LaneStats]) -> Json {
+    let lane = |l: &LaneStats| {
+        let f = fields!(l; name = Json::str(&l.name), weight, submitted, served, shed, expired,
+            rejected, failed, degraded, queue_hist = l.queue_hist.json());
+        Json::Obj(f, INLINE)
+    };
+    Json::Arr(lanes.iter().map(lane).collect(), 0)
 }
 
 /// The serving report as a fold: the scheduling core lands every terminal
@@ -744,89 +782,37 @@ impl ClusterMetrics {
     /// `rejected`/`failed` on chunk units (identical to `/3` at chunk
     /// count 1).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"schema\": \"flexnerfer-cluster-bench/4\",\n");
-        out.push_str(&format!("  \"threads\": {},\n", self.threads));
-        out.push_str(&format!("  \"replicas\": {},\n", self.replicas.len()));
-        out.push_str(&format!("  \"workers_per_replica\": {},\n", self.workers_per_replica));
-        out.push_str(&format!("  \"submitted\": {},\n", self.submitted));
-        out.push_str(&format!("  \"submitted_chunks\": {},\n", self.submitted_chunks));
-        out.push_str(&format!("  \"completed\": {},\n", self.completed));
-        out.push_str(&format!("  \"served\": {},\n", self.served));
-        out.push_str(&format!("  \"shed\": {},\n", self.shed));
-        out.push_str(&format!("  \"front_door_shed\": {},\n", self.front_door_shed));
-        out.push_str(&format!("  \"overload_shed\": {},\n", self.overload_shed));
-        out.push_str(&format!("  \"expired\": {},\n", self.expired));
-        out.push_str(&format!("  \"rejected\": {},\n", self.rejected));
-        out.push_str(&format!("  \"failed\": {},\n", self.failed));
-        out.push_str(&format!("  \"failed_over\": {},\n", self.failed_over));
-        out.push_str(&format!(
-            "  \"hedging\": {{ \"hedged\": {}, \"won\": {}, \"wasted\": {} }},\n",
-            self.hedged, self.hedge_won, self.hedge_wasted
-        ));
-        out.push_str(&format!("  \"kills\": {},\n", self.kills));
-        out.push_str(&format!("  \"restarts\": {},\n", self.restarts));
-        out.push_str(&format!("  \"joins\": {},\n", self.joins));
-        out.push_str(&format!("  \"leaves\": {},\n", self.leaves));
-        out.push_str(&format!("  \"suspects\": {},\n", self.suspects));
-        out.push_str("  \"replica_stats\": [\n");
-        for (i, r) in self.replicas.iter().enumerate() {
+        let share = |a: u64, b: u64| ratio(if b == 0 { 0.0 } else { a as f64 / b as f64 });
+        let replica = |r: &ReplicaStats| {
             let m = &r.metrics;
-            let hit_ratio = if r.cache_hits + r.cache_misses == 0 {
-                0.0
-            } else {
-                r.cache_hits as f64 / (r.cache_hits + r.cache_misses) as f64
-            };
-            let utilization = if self.wall_ns == 0 {
-                0.0
-            } else {
-                r.busy_ns as f64 / self.wall_ns as f64
-            };
-            out.push_str(&format!(
-                "    {{ \"replica\": {}, \"alive\": {}, \"departed\": {}, \"kills\": {}, \
-                 \"restarts\": {}, \"suspects\": {}, \"slow_factor\": {}, \
-                 \"routed\": {}, \"failed_over_out\": {}, \"failed_over_in\": {}, \
-                 \"served\": {}, \"shed\": {}, \"expired\": {}, \"rejected\": {}, \
-                 \"failed\": {}, \
-                 \"cache\": {{ \"hits\": {}, \"misses\": {}, \"hit_ratio\": {:.4} }}, \
-                 \"utilization\": {:.4}, \"digest\": \"{:#018x}\",\n",
-                r.replica,
-                r.alive,
-                r.departed,
-                r.kills,
-                r.restarts,
-                r.suspects,
-                r.slow_factor,
-                r.routed,
-                r.failed_over_out,
-                r.failed_over_in,
-                m.chunks_served,
-                m.shed,
-                m.expired,
-                m.rejected,
-                m.failed,
-                r.cache_hits,
-                r.cache_misses,
-                hit_ratio,
-                utilization,
-                m.digest,
-            ));
-            out.push_str("      \"lanes\": [\n");
-            out.push_str(&lanes_json(&m.lanes, "        "));
-            out.push_str("      ],\n");
-            out.push_str(&format!(
-                "      \"request_latency_hist\": {} }}{}\n",
-                m.latency_hist.to_json(),
-                if i + 1 == self.replicas.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str(&format!("  \"request_latency_hist\": {},\n", self.latency_hist.to_json()));
-        out.push_str(&format!("  \"first_chunk_hist\": {},\n", self.first_chunk_hist.to_json()));
-        out.push_str(&format!("  \"wall_ns\": {},\n", self.wall_ns));
-        out.push_str(&format!("  \"digest\": \"{:#018x}\"\n", self.digest));
-        out.push_str("}\n");
-        out
+            let (hits, misses) = (r.cache_hits, r.cache_misses);
+            let cache = fields!(r; hits = raw(hits), misses = raw(misses), hit_ratio = share(hits, hits + misses));
+            let mut f = fields!(r; replica, alive, departed, kills, restarts, suspects, slow_factor,
+                routed, failed_over_out, failed_over_in, served = raw(m.chunks_served));
+            f.extend(fields!(m; shed, expired, rejected, failed));
+            f.extend(fields!(r; cache = Json::Obj(cache, INLINE),
+                utilization = share(r.busy_ns, self.wall_ns), digest = hex(m.digest)));
+            // The counters share the opening line; the lanes array and
+            // the histogram follow one per line.
+            let inline = f.len();
+            f.extend(fields!(m; lanes = lanes_json(&m.lanes), request_latency_hist = m.latency_hist.json()));
+            Json::Obj(f, inline)
+        };
+        let hedging = fields!(self; hedged, won = raw(self.hedge_won), wasted = raw(self.hedge_wasted));
+        Json::document(fields!(self;
+            schema = Json::str("flexnerfer-cluster-bench/4"),
+            threads,
+            replicas = raw(self.replicas.len()),
+            workers_per_replica, submitted, submitted_chunks, completed, served, shed,
+            front_door_shed, overload_shed, expired, rejected, failed, failed_over,
+            hedging = Json::Obj(hedging, INLINE),
+            kills, restarts, joins, leaves, suspects,
+            replica_stats = Json::Arr(self.replicas.iter().map(replica).collect(), 0),
+            request_latency_hist = self.latency_hist.json(),
+            first_chunk_hist = self.first_chunk_hist.json(),
+            wall_ns,
+            digest = hex(self.digest),
+        ))
     }
 }
 

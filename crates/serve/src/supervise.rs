@@ -2,9 +2,9 @@
 //! bisection quarantine of poisoned batches.
 //!
 //! The worker pool is panic-isolated (each batch executes under
-//! `catch_unwind` in [`crate::server::attempt_batch`]), but a panic still
+//! `catch_unwind` in the server's private `attempt_batch`), but a panic still
 //! retires the worker thread — unwinding through arbitrary render state is
-//! not worth trusting twice. The retired worker ships a [`CrashReport`]
+//! not worth trusting twice. The retired worker ships a `CrashReport`
 //! (the intact batch plus the panic reason) to the supervisor thread,
 //! which:
 //!
