@@ -69,6 +69,10 @@ use fnr_serve::{
 /// OS thread per client and the live server one per worker.
 const MAX_THREADS: usize = 1024;
 
+/// Upper bound on `--requests`: the workload is generated up front, one
+/// entry per request (2^24, above the million-request CI legs).
+const MAX_REQUESTS: usize = 1 << 24;
+
 /// Upper bound on `--vnodes`: the ring holds `replicas × vnodes` points.
 const MAX_VNODES: usize = 4096;
 
@@ -125,7 +129,7 @@ type Setter = fn(&mut Cli, &str) -> Result<(), String>;
 /// Every flag: name, operand hint (empty for a switch, which takes no
 /// operand) and parser.
 static FLAGS: &[(&str, &str, Setter)] = &[
-    ("--requests", "N", |c, s| num(s).map(|v| c.spec.requests = v)),
+    ("--requests", "N", |c, s| upto(s, MAX_REQUESTS).map(|v| c.spec.requests = v)),
     ("--pattern", "bursty|uniform|heavy|diurnal|flash", |c, s| {
         ArrivalPattern::parse(s).map(|p| c.spec.pattern = p).ok_or_else(|| format!("unknown pattern `{s}`"))
     }),
@@ -383,11 +387,11 @@ fn serve_mode(cli: &Cli, jobs: &[TimedJob]) -> Tail {
     println!("streaming: {} chunks requested, {} chunks served", cfg.chunks, m.chunks_served);
     // Greppable robustness roll-up: CI's chaos legs diff the
     // width-invariant fields (served/failed/degraded; retried is
-    // deterministic too, worker restarts are timing-dependent and live
-    // on their own line).
+    // deterministic too, recovered batch panics are timing-dependent and
+    // live on their own line).
     println!("outcomes: served {} failed {} retried {} degraded {}", m.requests, m.failed, m.retried, m.degraded);
     println!(
-        "supervision: {} worker restarts, breaker opened {} (half-open probes {})",
+        "recovery: {} batch panics quarantined, breaker opened {} (half-open probes {})",
         m.worker_restarts, m.breaker_opened, m.breaker_half_open_probes
     );
     for lane in &m.lanes {
@@ -553,7 +557,10 @@ mod tests {
 
     #[test]
     fn out_of_range_and_malformed_input_is_a_typed_error() {
-        let over = ["--clients 1025", "--workers 4096", "--vnodes 4097", "--fault-kills 1048577", "--replicas 0"];
+        let over = [
+            "--clients 1025", "--workers 4096", "--vnodes 4097", "--fault-kills 1048577", "--replicas 0",
+            "--requests 16777217", "--requests 18446744073709551615",
+        ];
         for line in over.into_iter().chain(["--retry 4294967296", "--seed -1"]) {
             assert!(matches!(refused(line), ParseError::Bad(..)), "{line}");
         }
@@ -565,7 +572,7 @@ mod tests {
         assert_eq!(refused("--no-such-flag"), ParseError::Unknown("--no-such-flag".into()));
         assert!(usage().contains(" [--health] [--codel-target-us U] "));
         // The seeded plan's horizon saturates instead of wrapping.
-        let c = cli("--mode cluster --requests 18446744073709551615 --mean-gap-us 18446744073709551615 --fault-kills 2");
+        let c = cli("--mode cluster --requests 16777216 --mean-gap-us 18446744073709551615 --fault-kills 2");
         assert_eq!(cluster_plan(&c).map(|p| p.events().len()), Ok(4));
         let joins = cli("--mode cluster --replicas 128 --faults join@1s");
         assert!(matches!(cluster_plan(&joins), Err(ParseError::Bad("--faults", _))));

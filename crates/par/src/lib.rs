@@ -2,8 +2,8 @@
 //!
 //! The build environment has no crates.io access, so this crate vendors the
 //! small slice of rayon's API the workspace needs: [`par_map`],
-//! [`par_for_index`], [`par_for_chunks`], [`join`] and [`scope`], all backed
-//! by one lazily-spawned global pool of `std::thread` workers.
+//! [`par_for_index`] and [`par_for_chunks`], all backed by one
+//! lazily-spawned global pool of `std::thread` workers.
 //!
 //! # Sizing and determinism
 //!
@@ -344,62 +344,6 @@ pub fn par_for_chunks<T: Send>(
     });
 }
 
-/// Runs both closures, potentially in parallel, and returns their results.
-pub fn join<RA: Send, RB: Send>(
-    a: impl FnOnce() -> RA + Send,
-    b: impl FnOnce() -> RB + Send,
-) -> (RA, RB) {
-    if current_num_threads() <= 1 {
-        return (a(), b());
-    }
-    let fa = Mutex::new(Some(a));
-    let fb = Mutex::new(Some(b));
-    let ra = Mutex::new(None);
-    let rb = Mutex::new(None);
-    par_for_index(2, |i| {
-        if i == 0 {
-            let f = fa.lock().unwrap().take().expect("join: task a runs once");
-            *ra.lock().unwrap() = Some(f());
-        } else {
-            let f = fb.lock().unwrap().take().expect("join: task b runs once");
-            *rb.lock().unwrap() = Some(f());
-        }
-    });
-    (
-        ra.into_inner().unwrap().expect("join: task a completed"),
-        rb.into_inner().unwrap().expect("join: task b completed"),
-    )
-}
-
-/// A collector of heterogeneous tasks run in parallel when [`scope`] ends.
-///
-/// Unlike rayon's eager scope, tasks here start only after the scope closure
-/// returns — the shape every current caller wants (build a task list, then
-/// fan out).
-pub struct Scope<'s> {
-    tasks: Vec<Box<dyn FnOnce() + Send + 's>>,
-}
-
-impl<'s> Scope<'s> {
-    /// Registers a task; it may borrow from the enclosing stack frame.
-    pub fn spawn(&mut self, f: impl FnOnce() + Send + 's) {
-        self.tasks.push(Box::new(f));
-    }
-}
-
-/// Collects tasks via [`Scope::spawn`] and runs them all in parallel,
-/// returning once every task has finished.
-pub fn scope<'s>(build: impl FnOnce(&mut Scope<'s>)) {
-    let mut s = Scope { tasks: Vec::new() };
-    build(&mut s);
-    type TaskSlot<'s> = Mutex<Option<Box<dyn FnOnce() + Send + 's>>>;
-    let tasks: Vec<TaskSlot<'s>> = s.tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    par_for_index(tasks.len(), |i| {
-        let task = tasks[i].lock().unwrap().take().expect("scope: task runs once");
-        task();
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -459,32 +403,6 @@ mod tests {
         });
         set_num_threads(1);
         assert_eq!(sums, vec![45, 190, 435]);
-    }
-
-    #[test]
-    fn join_returns_both_results() {
-        let _g = width_lock();
-        set_num_threads(2);
-        let (a, b) = join(|| 6 * 7, || "ok");
-        set_num_threads(1);
-        assert_eq!((a, b), (42, "ok"));
-    }
-
-    #[test]
-    fn scope_runs_spawned_tasks() {
-        let _g = width_lock();
-        set_num_threads(4);
-        let counter = AtomicU64::new(0);
-        scope(|s| {
-            for add in 1..=10u64 {
-                let counter = &counter;
-                s.spawn(move || {
-                    counter.fetch_add(add, Ordering::Relaxed);
-                });
-            }
-        });
-        set_num_threads(1);
-        assert_eq!(counter.load(Ordering::Relaxed), 55);
     }
 
     #[test]

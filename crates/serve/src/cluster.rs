@@ -635,7 +635,7 @@ impl Replica {
 
     /// Applies the chaos injector to a batch a worker is about to take:
     /// poisoned members fail on the spot (the virtual analogue of the live
-    /// supervisor's quarantine verdict), delayed members stretch the
+    /// worker's quarantine verdict), delayed members stretch the
     /// batch's service time by the largest member delay. Returns `None`
     /// when no member survives, else the surviving batch and the extra
     /// service nanoseconds.

@@ -170,16 +170,16 @@ impl Default for VirtualService {
 ///
 /// A seeded `cfg.injector` adds chaos: poisoned requests fail at the
 /// instant a virtual worker would take their batch (the virtual analogue
-/// of the live supervisor's quarantine verdict), delayed batches stretch
+/// of the live worker's quarantine verdict), delayed batches stretch
 /// their virtual service time. The injector takes the same seeds as the
 /// live server's, so the poisoned-request *set* is identical in both
 /// modes — CI's chaos legs diff exactly that.
 ///
 /// It drives the live server's own scheduling core and ledger. What
 /// differs: a full lane *rejects* (an open-loop virtual submitter cannot
-/// park), and `cfg.retry`, `cfg.breaker` and `cfg.supervise` are unused —
-/// retries, the circuit breaker and worker supervision exist only on the
-/// live server, so a poisoned request fails on its first take.
+/// park), and `cfg.retry` and `cfg.breaker` are unused — retries and the
+/// circuit breaker exist only on the live server, so a poisoned request
+/// fails on its first take.
 ///
 /// The run is [`run_cluster`] over one replica (no faults, no cold-start
 /// cost, no inflight bound); the report is that replica's metrics with

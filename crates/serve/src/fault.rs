@@ -16,9 +16,10 @@ use std::collections::HashMap;
 use crate::request::{job_hash, BatchKey, RenderPrecision, Workload};
 use fnr_tensor::Precision;
 
-/// SplitMix64 finalizer (bijective avalanche), shared by the fault roll
-/// and the retry jitter so both are pure functions of their seeds.
-fn mix(mut z: u64) -> u64 {
+/// SplitMix64 finalizer (bijective avalanche), shared by the fault roll,
+/// the retry jitter, the hash ring and the synthetic payload so each is a
+/// pure function of its seed.
+pub(crate) fn mix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -28,9 +29,9 @@ fn mix(mut z: u64) -> u64 {
 /// A fault the injector decided for one request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InjectedFault {
-    /// The request poisons its batch: execution panics until the
-    /// supervisor has bisected it down to a singleton and exhausted its
-    /// retry budget, at which point it completes as
+    /// The request poisons its batch: execution panics until quarantine
+    /// has bisected it down to a singleton and exhausted its retry
+    /// budget, at which point it completes as
     /// [`crate::WaitOutcome::Failed`].
     Panic,
     /// Execution of any batch holding the request is slowed by this many

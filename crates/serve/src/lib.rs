@@ -16,12 +16,12 @@
 //!   scene/model/precision — into one batched render or one shared table
 //!   regeneration (the per-batch format/precision amortization is exactly
 //!   where the paper's adaptive datapath pays off per request),
-//! * a supervised worker pool ([`supervise`]) driving `fnr_nerf`'s
-//!   batched render entry points and registered `fnr_bench` table
-//!   generators — panicking batches are bisected to isolate poisoned
-//!   requests, crashed workers respawn within a bounded budget, and the
-//!   [`fault`] module adds retries, a per-key circuit breaker, precision
-//!   brownout under overload, and seeded chaos injection,
+//! * a panic-isolated worker pool driving `fnr_nerf`'s batched render
+//!   entry points and registered `fnr_bench` table generators — the
+//!   worker that catches a batch panic bisects the batch to isolate the
+//!   poisoned requests and carries on, and the [`fault`] module adds
+//!   retries, a per-key circuit breaker, precision brownout under
+//!   overload, and seeded chaos injection,
 //! * metrics folded as each outcome lands — per-lane counters and
 //!   queue histograms, per-key batch totals, and only the samples the
 //!   exact percentiles need — into one [`ServeMetrics`] report (queue
@@ -81,7 +81,7 @@ mod request;
 pub mod router;
 pub mod sched;
 mod server;
-pub mod supervise;
+mod supervise;
 pub mod workload;
 
 pub use batch::{Batch, Batcher, BatcherConfig, FlushReason};
@@ -116,4 +116,3 @@ pub use server::{
     run, Client, ServeReport, Server, ServerConfig, SubmitError, TableFn, TableRegistry,
     WaitOutcome,
 };
-pub use supervise::{SuperviseConfig, MAX_RESPAWN_BACKOFF};

@@ -299,7 +299,9 @@ pub struct ServeMetrics {
     pub degraded: usize,
     /// Re-execution attempts of quarantined requests.
     pub retried: usize,
-    /// Crashed workers the supervisor respawned.
+    /// Batch panics a worker caught and recovered from by quarantining
+    /// the batch (re-executions under quarantine are not counted).
+    /// Timing-dependent: how poisoned requests share batches decides it.
     pub worker_restarts: usize,
     /// Times a per-key circuit breaker tripped open.
     pub breaker_opened: usize,
@@ -520,7 +522,7 @@ impl Ledger {
 
     /// The serving report over what has landed so far: `digest` is the
     /// set digest of the payloads served, `wall_ns` the run's length on
-    /// the caller's clock, `workers` the pool size. The supervisor/breaker
+    /// the caller's clock, `workers` the pool size. The recovery/breaker
     /// counters are zero — only the live server knows them, and fills
     /// them in.
     pub(crate) fn report(&self, digest: u64, wall_ns: u64, workers: usize) -> ServeMetrics {
@@ -924,7 +926,7 @@ mod tests {
         l.degraded(0);
         rm(&mut l, 0, 0, 100, true);
         let mut m = l.report(0, 42, 3);
-        // The supervisor/breaker totals are the live server's to fill in.
+        // The recovery/breaker totals are the live server's to fill in.
         m.worker_restarts = 1;
         m.retried = 2;
         m.breaker_opened = 1;

@@ -330,10 +330,7 @@ pub fn chunk_image_bytes(img: &fnr_nerf::psnr::Image, full_height: usize, chunk:
 pub fn synthetic_payload(job: &Workload) -> Vec<u8> {
     let h = job_hash(job);
     // SplitMix finalize for a second uncorrelated word.
-    let mut z = h.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^= z >> 31;
+    let z = crate::fault::mix(h);
     let mut out = Vec::with_capacity(16);
     out.extend_from_slice(&h.to_le_bytes());
     out.extend_from_slice(&z.to_le_bytes());
@@ -383,22 +380,22 @@ pub fn assemble_chunks(mut chunks: Vec<ChunkResponse>) -> Vec<Response> {
 /// the job, shared by [`synthetic_payload`] and the fault injector so the
 /// chaos-poisoned set is mode- and timing-independent.
 pub fn job_hash(job: &Workload) -> u64 {
-    let mut h = fnv1a(job.key().to_string().as_bytes());
-    if let Workload::Render(j) = job {
-        for field in [j.width as u64, j.height as u64, j.spp as u64, j.camera_seed] {
-            for b in field.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
+    let h = fnv1a(job.key().to_string().as_bytes());
+    match job {
+        Workload::Render(j) => [j.width as u64, j.height as u64, j.spp as u64, j.camera_seed]
+            .iter()
+            .fold(h, |h, field| fnv1a_with(h, &field.to_le_bytes())),
+        Workload::Table(_) => h,
     }
-    h
 }
 
 /// FNV-1a 64-bit hash of a byte slice.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    fnv1a_with(0xcbf2_9ce4_8422_2325, bytes)
+    fnv1a_with(FNV_OFFSET, bytes)
 }
+
+/// The FNV-1a 64-bit offset basis: the hash of no bytes.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Continues an FNV-1a fold from a prior state. Because FNV-1a is a byte
 /// fold, hashing a payload in pieces reproduces the one-shot hash:
@@ -428,14 +425,7 @@ pub fn response_set_digest(responses: &[Response]) -> u64 {
 /// payloads' [`fnv1a`] hashes: sort them, then hash the sorted sequence.
 pub(crate) fn set_digest(mut hashes: Vec<u64>) -> u64 {
     hashes.sort_unstable();
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for x in hashes {
-        for b in x.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+    hashes.iter().fold(FNV_OFFSET, |h, x| fnv1a_with(h, &x.to_le_bytes()))
 }
 
 #[cfg(test)]

@@ -10,6 +10,7 @@
 //! keys that replica owned (the classic minimal-remap property, pinned by
 //! `tests/cluster_properties.rs`).
 
+use crate::fault::mix;
 use crate::request::{fnv1a, BatchKey};
 
 /// Ring shape knobs.
@@ -27,16 +28,6 @@ impl Default for RouterConfig {
     fn default() -> Self {
         RouterConfig { vnodes: 64, seed: 0 }
     }
-}
-
-/// SplitMix64 finalizer: the bijective avalanche stage, used to turn
-/// structured inputs (replica/vnode indices, FNV key hashes) into
-/// uniformly spread ring positions.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// The consistent-hash ring: sorted vnode positions, each owned by a

@@ -1,7 +1,7 @@
 //! The serving runtime: multi-lane admission → scheduler → batcher →
-//! worker pool → completion board, with worker supervision and metrics.
+//! worker pool → completion board, with panic quarantine and metrics.
 //!
-//! Serving concurrency (client / worker / supervisor threads) is decoupled
+//! Serving concurrency (client / worker threads) is decoupled
 //! from data-parallel width: the roles run on dedicated `std::thread`s,
 //! while the *work* inside a batch (pixel rows, batch views) fans out over
 //! `fnr_par`'s pool and therefore honours `FNR_THREADS`. Response bytes
@@ -24,32 +24,31 @@
 //! condvar while their lane is full and wake when a pump frees a slot
 //! (served or shed) or the server drains.
 //!
-//! The core also holds the server's one ledger: workers and the
-//! supervisor land served batches and failed chunks in it on its clock
-//! (nanoseconds since the server epoch), exactly as virtual mode does,
-//! and it folds each outcome into the report as it lands; [`Server::drain`]
-//! adds only the supervisor/breaker counters it keeps outside. No
+//! The core also holds the server's one ledger: workers land served
+//! batches and failed chunks in it on its clock (nanoseconds since the
+//! server epoch), exactly as virtual mode does, and it folds each outcome
+//! into the report as it lands; [`Server::drain`] adds only the
+//! recovery/breaker counters it keeps outside. No
 //! role takes a lock while it holds another: sheds are posted to waiters,
 //! and reassembly slots opened, with the core lock released.
 //!
 //! # Fault tolerance
 //!
-//! A panicking batch no longer takes the run down. Workers execute every
-//! batch under `catch_unwind`; a panic ships the batch to the supervisor
-//! ([`crate::supervise`]) and retires the worker thread. The supervisor
-//! respawns workers within a bounded restart budget and **bisects** the
-//! crashed batch to isolate the poisoned request(s): innocents are
-//! re-served with byte-identical payloads, the culprits retry per
-//! [`RetryPolicy`] and finally complete as [`WaitOutcome::Failed`] —
-//! every admitted request terminates, so waiters never hang. A per-key
+//! A panicking batch does not take the run down. Workers execute every
+//! batch under `catch_unwind`; the worker that catches a panic
+//! **bisects** the batch itself to isolate the poisoned request(s), then
+//! goes back to the pipeline for more work. Innocents are re-served with
+//! byte-identical payloads, the culprits retry per [`RetryPolicy`] and
+//! finally complete as [`WaitOutcome::Failed`] — every admitted request
+//! terminates, so waiters never hang. A per-key
 //! [`CircuitBreaker`] can fast-fail keys with persistent failure streaks,
 //! and under queue-depth overload the [`Brownout`] controller downgrades
 //! Standard/Batch renders one precision step instead of shedding them.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -66,7 +65,7 @@ use crate::request::{
     ChunkResponse, ChunkSpan, RenderPrecision, Request, Response, Workload,
 };
 use crate::sched::{Priority, SchedConfig};
-use crate::supervise::{panic_reason, supervisor_loop, CrashReport, SuperviseConfig};
+use crate::supervise::{panic_reason, quarantine};
 
 /// A named table generator the server can execute: `name → payload bytes`.
 pub type TableFn = Arc<dyn Fn() -> Vec<u8> + Send + Sync>;
@@ -123,8 +122,6 @@ pub struct ServerConfig {
     pub sched: SchedConfig,
     /// Table generators servable through [`Workload::Table`].
     pub tables: TableRegistry,
-    /// Worker supervision: restart budget and respawn backoff.
-    pub supervise: SuperviseConfig,
     /// Per-request retry policy for quarantined (panicking) requests.
     pub retry: RetryPolicy,
     /// Per-(scene, precision) circuit breaker (threshold 0 disables).
@@ -145,7 +142,6 @@ impl Default for ServerConfig {
             chunks: 1,
             sched: SchedConfig::priority_lanes(),
             tables: TableRegistry::new(),
-            supervise: SuperviseConfig::default(),
             retry: RetryPolicy::default(),
             breaker: crate::fault::BreakerConfig::default(),
             brownout: BrownoutConfig::default(),
@@ -171,8 +167,8 @@ pub enum WaitOutcome {
     /// The request's deadline passed while it queued: the scheduler shed
     /// it without rendering.
     Shed,
-    /// The request kept panicking (or its key's breaker was open): the
-    /// supervisor quarantined it and exhausted its retry budget. The
+    /// The request kept panicking (or its key's breaker was open): its
+    /// worker quarantined it and exhausted its retry budget. The
     /// string is the final failure reason.
     Failed(String),
     /// The server shut down before answering.
@@ -360,7 +356,7 @@ pub(crate) struct LiveCore {
     shed: Vec<Request>,
     /// Blocking submitters parked on [`ServerShared::space`].
     parked: usize,
-    /// Workers (or the supervisor) parked on [`ServerShared::work`].
+    /// Workers parked on [`ServerShared::work`].
     idle: usize,
 }
 
@@ -404,18 +400,12 @@ pub(crate) struct ServerShared {
     pub(crate) work: Condvar,
     pub(crate) board: Board,
     pub(crate) next_id: AtomicU64,
-    /// Batches completed successfully — the supervisor reads this to
-    /// reset its consecutive-crash streak.
-    pub(crate) served_batches: AtomicUsize,
+    /// Batch panics a worker caught and quarantined.
     pub(crate) worker_restarts: AtomicUsize,
     pub(crate) retried: AtomicUsize,
     pub(crate) breaker: Mutex<CircuitBreaker>,
     pub(crate) injector: Option<FaultInjector>,
     pub(crate) retry: RetryPolicy,
-    pub(crate) supervise: SuperviseConfig,
-    /// Set by [`Server::drain`] once the workers are joined; the
-    /// supervisor exits on its next idle tick.
-    pub(crate) shutdown: AtomicBool,
     pub(crate) workers: usize,
     /// Configured row-band chunk count (see [`ServerConfig::chunks`]).
     pub(crate) chunks: usize,
@@ -434,9 +424,8 @@ impl ServerShared {
 /// after it (the freed ready slot admits a stalled flush), wakes parked
 /// submitters when lane slots were freed, and hands the linger timer and
 /// any further ready batch to an idle peer. Idle callers sleep until the
-/// next linger deadline. Workers and the supervisor (once the pool is
-/// extinct) both take batches here.
-pub(crate) fn next_batch(shared: &ServerShared) -> Option<Batch> {
+/// next linger deadline.
+fn next_batch(shared: &ServerShared) -> Option<Batch> {
     let mut core = shared.core.lock().unwrap();
     loop {
         let now = shared.now_ns();
@@ -649,7 +638,7 @@ pub struct ServeReport {
     pub metrics: ServeMetrics,
 }
 
-/// A live serving pipeline: scheduling core, supervised worker pool, and
+/// A live serving pipeline: scheduling core, panic-isolated worker pool, and
 /// completion board. Create with [`Server::start`], submit through
 /// [`Server::client`] handles, and finish with [`Server::drain`] —
 /// admission closes, in-flight work completes, and the final metrics
@@ -658,12 +647,10 @@ pub struct ServeReport {
 pub struct Server {
     shared: Arc<ServerShared>,
     workers: Vec<JoinHandle<()>>,
-    supervisor: Option<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Spawns the pipeline threads (`workers` workers, one supervisor)
-    /// and returns the running server.
+    /// Spawns the `workers` worker threads and returns the running server.
     ///
     /// # Panics
     ///
@@ -684,31 +671,22 @@ impl Server {
             work: Condvar::new(),
             board: Board::new(),
             next_id: AtomicU64::new(0),
-            served_batches: AtomicUsize::new(0),
             worker_restarts: AtomicUsize::new(0),
             retried: AtomicUsize::new(0),
             breaker: Mutex::new(CircuitBreaker::new(cfg.breaker)),
             injector: cfg.injector,
             retry: cfg.retry,
-            supervise: cfg.supervise,
-            shutdown: AtomicBool::new(false),
             workers,
             chunks: cfg.chunks,
         });
 
-        let (crash_tx, crash_rx) = mpsc::channel::<CrashReport>();
-        let worker_handles: Vec<JoinHandle<()>> = (0..workers)
+        let workers = (0..workers)
             .map(|_| {
                 let sh = Arc::clone(&shared);
-                let tx = crash_tx.clone();
-                std::thread::spawn(move || worker_loop(&sh, tx))
+                std::thread::spawn(move || worker_loop(&sh))
             })
             .collect();
-        let supervisor = {
-            let sh = Arc::clone(&shared);
-            std::thread::spawn(move || supervisor_loop(&sh, crash_rx, crash_tx))
-        };
-        Server { shared, workers: worker_handles, supervisor: Some(supervisor) }
+        Server { shared, workers }
     }
 
     /// A new submission handle. Handles share the server's id space and
@@ -734,7 +712,7 @@ impl Server {
         let wall_ns = sh.now_ns();
         let digest = response_set_digest(&responses);
         let mut metrics = sh.core.lock().unwrap().pipe.ledger.report(digest, wall_ns, sh.workers);
-        // The supervisor/breaker counters live outside the core's ledger.
+        // The recovery/breaker counters live outside the core's ledger.
         metrics.worker_restarts = sh.worker_restarts.load(Ordering::Relaxed);
         metrics.retried = sh.retried.load(Ordering::Relaxed);
         let breaker = sh.breaker.lock().unwrap();
@@ -743,10 +721,8 @@ impl Server {
         ServeReport { responses, metrics }
     }
 
-    /// Closes the pipeline and joins every thread: the original workers
-    /// first (they exit once the drained pipeline is empty), then the
-    /// supervisor (which joins its respawns and fail-drains the pipeline
-    /// if the pool went extinct). Idempotent.
+    /// Closes the pipeline and joins the workers (they exit once the
+    /// drained pipeline is empty). Idempotent.
     fn shutdown(&mut self) {
         // Later pumps drain the lanes and flush the batcher, parked
         // submitters return `Closed`, and workers exit once it is empty.
@@ -755,10 +731,6 @@ impl Server {
         self.shared.work.notify_all();
         for h in self.workers.drain(..) {
             h.join().expect("worker thread panicked outside catch_unwind");
-        }
-        self.shared.shutdown.store(true, Ordering::Release);
-        if let Some(h) = self.supervisor.take() {
-            h.join().expect("supervisor thread panicked");
         }
         self.shared.board.close();
     }
@@ -795,26 +767,24 @@ pub fn run<R: Send>(cfg: &ServerConfig, drive: impl FnOnce(&Client) -> R + Send)
 }
 
 /// The worker role: executes batches until the drained pipeline is empty.
-/// A panicking batch retires this thread after shipping a [`CrashReport`]
-/// to the supervisor, which bisects the batch and respawns a replacement.
-pub(crate) fn worker_loop(shared: &Arc<ServerShared>, crash_tx: mpsc::Sender<CrashReport>) {
+/// A batch that panics is counted and quarantined by this worker, which
+/// then carries on.
+fn worker_loop(shared: &ServerShared) {
     while let Some(batch) = next_batch(shared) {
-        if let Err(report) = attempt_batch(shared, batch) {
-            // The channel outlives us (the supervisor holds the receiver
-            // and a template sender); a send can only fail during teardown
-            // races, in which case the supervisor fail-drains anyway.
-            let _ = crash_tx.send(report);
-            return;
+        if let Err(reason) = attempt_batch(shared, &batch) {
+            shared.worker_restarts.fetch_add(1, Ordering::Relaxed);
+            quarantine(shared, batch, reason);
         }
     }
 }
 
 /// Executes one batch end-to-end: breaker gate, injected chaos, the real
 /// work under `catch_unwind`, then ledger record + completion posting. `Ok`
-/// means every member terminated (answered or fast-failed); `Err` hands
-/// the intact batch back for quarantine. Shared by workers and the
-/// supervisor's bisection re-executions so both paths stay identical.
-pub(crate) fn attempt_batch(shared: &ServerShared, batch: Batch) -> Result<(), CrashReport> {
+/// means every member terminated (answered or fast-failed); `Err` carries
+/// the panic reason, and nothing was posted, so the batch can be
+/// quarantined. Shared by first runs and quarantine re-executions so both
+/// paths stay identical.
+pub(crate) fn attempt_batch(shared: &ServerShared, batch: &Batch) -> Result<(), String> {
     // Circuit-breaker gate: an open key fast-fails the whole batch
     // without executing (or crashing) anything.
     let allowed = {
@@ -822,7 +792,7 @@ pub(crate) fn attempt_batch(shared: &ServerShared, batch: Batch) -> Result<(), C
         !breaker.enabled() || breaker.allow(&batch.key, shared.now_ns())
     };
     if !allowed {
-        fail_batch(shared, &batch, &format!("circuit open for key {}", batch.key));
+        fail_batch(shared, batch, &format!("circuit open for key {}", batch.key));
         return Ok(());
     }
     // Injected delay: slow the batch down by the largest member delay.
@@ -847,19 +817,18 @@ pub(crate) fn attempt_batch(shared: &ServerShared, batch: Batch) -> Result<(), C
                 panic!("injected fault: request {} is poisoned", bad.id);
             }
         }
-        execute_batch(&batch, &shared.tables)
+        execute_batch(batch, &shared.tables)
     }));
     match result {
         Ok(responses) => {
             let service_ns = shared.now_ns().saturating_sub(start_ns);
             let size = batch.requests.len();
-            shared.core.lock().unwrap().pipe.record_served(&batch, size, start_ns, service_ns);
+            shared.core.lock().unwrap().pipe.record_served(batch, size, start_ns, service_ns);
             shared.breaker.lock().unwrap().record_success(&batch.key);
-            shared.served_batches.fetch_add(1, Ordering::Relaxed);
             shared.board.post_served(responses);
             Ok(())
         }
-        Err(payload) => Err(CrashReport { batch, reason: panic_reason(payload) }),
+        Err(payload) => Err(panic_reason(payload)),
     }
 }
 
@@ -1046,9 +1015,10 @@ mod tests {
 
     #[test]
     fn worker_panic_is_quarantined_not_fatal() {
-        // The supervision contract: an organically panicking request (an
+        // The recovery contract: an organically panicking request (an
         // unknown table generator) resolves as Failed with the panic
-        // message, the worker is respawned, and the server keeps serving.
+        // message, the worker that caught it quarantines the batch and
+        // carries on, and the server keeps serving.
         let cfg = ServerConfig::default(); // empty registry: unknown table panics
         let (outcomes, report) = run(&cfg, |client| {
             let bad = client.submit(Workload::Table("no-such-generator".into())).unwrap();
@@ -1067,7 +1037,7 @@ mod tests {
         assert!(matches!(outcomes.1, WaitOutcome::Answered(_)), "server survived the panic");
         assert_eq!(report.metrics.failed, 1);
         assert_eq!(report.metrics.requests, 1);
-        assert!(report.metrics.worker_restarts >= 1, "crashed worker was respawned");
+        assert_eq!(report.metrics.worker_restarts, 1, "one batch panicked and was recovered from");
     }
 
     #[test]

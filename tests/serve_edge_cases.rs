@@ -318,10 +318,10 @@ fn single_lane_no_deadline_reproduces_the_pre_scheduler_fifo_digest() {
 
 #[test]
 fn worker_panic_is_quarantined_and_the_pool_keeps_serving() {
-    // Unknown table name → the executing worker panics. The supervisor
+    // Unknown table name → the executing worker panics. That worker
     // must quarantine the poisoned request (a `Failed` outcome carrying
-    // the panic reason — the waiter unblocks, nothing deadlocks),
-    // respawn the worker, and keep every lane serving.
+    // the panic reason — the waiter unblocks, nothing deadlocks), then
+    // go back to work and keep every lane serving.
     let cfg = ServerConfig::default(); // empty registry: any table lookup panics
     let (_, report) = run(&cfg, |client| {
         let poisoned =
@@ -334,7 +334,7 @@ fn worker_panic_is_quarantined_and_the_pool_keeps_serving() {
             other => panic!("poisoned request must resolve Failed, got {other:?}"),
         }
         // Follow-up submits on *every* lane must still be admitted and
-        // answered — worker death is the supervisor's problem, not the
+        // answered — a batch panic is the worker's problem, not the
         // client's.
         for p in Priority::ALL {
             let id = client
@@ -349,7 +349,7 @@ fn worker_panic_is_quarantined_and_the_pool_keeps_serving() {
     });
     assert_eq!(report.metrics.failed, 1, "exactly the poisoned request fails");
     assert_eq!(report.metrics.requests, 3, "the three follow-ups all serve");
-    assert!(report.metrics.worker_restarts >= 1, "the crashed worker must respawn");
+    assert_eq!(report.metrics.worker_restarts, 1, "the worker recovered from exactly one batch panic");
 }
 
 #[test]

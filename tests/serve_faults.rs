@@ -1,7 +1,7 @@
-//! Chaos and resilience integration tests for the supervised serving
-//! runtime: seeded panic injection with bisection quarantine, retry
-//! accounting, live/virtual poisoned-set agreement, circuit-breaker
-//! fast-fail, precision brownout, restart-budget exhaustion, and the
+//! Chaos and resilience integration tests for the serving runtime:
+//! seeded panic injection with bisection quarantine, retry accounting,
+//! live/virtual poisoned-set agreement, circuit-breaker fast-fail,
+//! precision brownout, workers recovering from their own panics, and the
 //! graceful [`Server::drain`] path.
 //!
 //! Determinism contract under chaos: the injector poisons requests as a
@@ -17,7 +17,7 @@ use fnr_serve::workload::{generate, ArrivalPattern, TimedJob, WorkloadSpec};
 use fnr_serve::{
     response_set_digest, run, run_open_loop, run_virtual, BreakerConfig,
     BrownoutConfig, FaultInjector, Priority, RenderJob, RenderPrecision, Response, RetryPolicy,
-    SceneKind, Server, ServerConfig, SubmitError, SuperviseConfig, VirtualService, WaitOutcome,
+    SceneKind, Server, ServerConfig, SubmitError, VirtualService, WaitOutcome,
     Workload,
 };
 
@@ -304,36 +304,76 @@ fn brownout_degrades_standard_renders_but_never_interactive() {
     }
 }
 
-/// Exhausting the restart budget must fail pending work loudly — never
-/// hang the scheduler or the clients.
+/// A lone worker recovers from every batch panic itself: back-to-back
+/// poisoned requests each retry once and resolve `Failed`, and the same
+/// worker then answers a healthy render.
 #[test]
-fn restart_budget_exhaustion_fails_pending_work_instead_of_hanging() {
+fn a_single_worker_quarantines_every_poisoned_request_and_keeps_serving() {
+    const POISONED: usize = 5;
     let cfg = ServerConfig {
         workers: 1,
-        supervise: SuperviseConfig { restart_budget: 0, backoff: Duration::from_micros(100) },
+        retry: RetryPolicy { max_attempts: 2, backoff_ns: 10_000, seed: 3 },
         ..ServerConfig::default() // empty registry: tables panic
     };
-    let (reasons, report) = run(&cfg, |client| {
-        let first = client.submit(Workload::Table("kaboom".into())).unwrap();
-        let r1 = match client.wait_outcome(first) {
-            WaitOutcome::Failed(reason) => reason,
-            other => panic!("expected Failed, got {other:?}"),
-        };
-        // The lone worker is dead and may not respawn: follow-up work is
-        // fail-drained by the supervisor, not left to rot in the queue.
-        let second = client.submit(Workload::Table("kaboom".into())).unwrap();
-        let r2 = match client.wait_outcome(second) {
-            WaitOutcome::Failed(reason) => reason,
-            other => panic!("expected Failed, got {other:?}"),
-        };
-        (r1, r2)
+    let (outcomes, report) = run(&cfg, |client| {
+        let ids: Vec<u64> =
+            (0..POISONED).map(|_| client.submit(Workload::Table("kaboom".into())).unwrap()).collect();
+        let failed: Vec<WaitOutcome> = ids.into_iter().map(|id| client.wait_outcome(id)).collect();
+        let good = client.submit(tiny_render(1, RenderPrecision::Fp32)).unwrap();
+        (failed, client.wait_outcome(good))
     });
-    assert!(reasons.0.contains("kaboom"), "first failure names the panic: {}", reasons.0);
-    assert!(
-        reasons.1.contains("restart budget"),
-        "post-extinction failures name the budget: {}",
-        reasons.1
-    );
+    for outcome in &outcomes.0 {
+        assert!(
+            matches!(outcome, WaitOutcome::Failed(reason) if reason.contains("kaboom")),
+            "a poisoned request must fail with its panic reason, got {outcome:?}"
+        );
+    }
+    assert!(matches!(outcomes.1, WaitOutcome::Answered(_)), "the worker kept serving");
+    assert_eq!(report.metrics.failed, POISONED);
+    assert_eq!(report.metrics.retried, POISONED, "one retry per poisoned request");
+    assert_eq!(report.metrics.requests, 1);
+    let panics = report.metrics.worker_restarts;
+    assert!((1..=POISONED).contains(&panics), "one recovery per poisoned batch, got {panics}");
+}
+
+/// Two workers whose batches panic at the same instant quarantine them
+/// side by side; neither waits on the other, and nothing hangs.
+#[test]
+fn two_workers_quarantine_at_the_same_time() {
+    let mut cfg = ServerConfig {
+        workers: 2,
+        retry: RetryPolicy { max_attempts: 3, backoff_ns: 1_000_000, seed: 3 },
+        ..ServerConfig::default()
+    };
+    // Each generator's first run waits for the other's, so both workers
+    // hold a panicking batch at once before either starts its quarantine.
+    let meet = Arc::new(std::sync::Barrier::new(2));
+    for name in ["left", "right"] {
+        let (meet, first) = (Arc::clone(&meet), std::sync::atomic::AtomicBool::new(true));
+        cfg.tables.register(
+            name,
+            Arc::new(move || {
+                if first.swap(false, std::sync::atomic::Ordering::SeqCst) {
+                    meet.wait();
+                }
+                panic!("table {name} is poisoned")
+            }),
+        );
+    }
+    let (outcomes, report) = run(&cfg, |client| {
+        let ids = ["left", "right"].map(|name| client.submit(Workload::Table(name.into())).unwrap());
+        let failed = ids.map(|id| client.wait_outcome(id));
+        let good = client.submit(tiny_render(2, RenderPrecision::Fp32)).unwrap();
+        (failed, client.wait_outcome(good))
+    });
+    for (name, outcome) in ["left", "right"].iter().zip(&outcomes.0) {
+        assert!(
+            matches!(outcome, WaitOutcome::Failed(reason) if reason.contains(name)),
+            "{name} must fail with its panic reason, got {outcome:?}"
+        );
+    }
+    assert!(matches!(outcomes.1, WaitOutcome::Answered(_)), "the pool kept serving");
     assert_eq!(report.metrics.failed, 2);
-    assert_eq!(report.metrics.worker_restarts, 0, "budget 0 means no respawns");
+    assert_eq!(report.metrics.retried, 4, "two retries per poisoned request");
+    assert_eq!(report.metrics.worker_restarts, 2, "each worker recovered from one panic");
 }
