@@ -578,6 +578,24 @@ mod tests {
         assert!(matches!(cluster_plan(&joins), Err(ParseError::Bad("--faults", _))));
     }
 
+    #[test]
+    fn service_and_linger_at_the_end_of_the_clock_still_finish_and_conserve() {
+        // Virtual mode and the cluster both run on the saturating virtual
+        // clock: batches that start at `u64::MAX` still complete there, and
+        // every chunk is accounted for (a failed check is in `failures`).
+        let max = u64::MAX;
+        for mode in ["virtual", "cluster"] {
+            for flag in ["--service-us", "--linger-us"] {
+                let line = format!("--mode {mode} --requests 50 {flag} {max}");
+                let c = cli(&line);
+                let jobs = generate(&c.spec);
+                let tail = if mode == "cluster" { cluster_mode(&c, &jobs) } else { serve_mode(&c, &jobs) };
+                assert!(tail.failures.is_empty(), "`{line}`: {:?}", tail.failures);
+                assert_eq!((tail.chunks, tail.whole), (50, 50), "`{line}` serves every request");
+            }
+        }
+    }
+
     /// An argv token from `w`: a flag of the table, an edge-case operand,
     /// or a stray character.
     fn token(w: u64) -> String {

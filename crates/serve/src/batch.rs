@@ -9,7 +9,7 @@
 
 use std::time::Duration;
 
-use crate::request::{BatchKey, ChunkSpan, Request};
+use crate::request::{clock_ns, BatchKey, ChunkSpan, Request};
 
 /// Why a batch left the batcher.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,24 +100,25 @@ impl Batcher {
     /// A batcher with the given policy.
     pub fn new(cfg: BatcherConfig) -> Self {
         assert!(cfg.max_batch >= 1, "max_batch must be at least 1");
-        let linger_ns = u64::try_from(cfg.linger.as_nanos()).unwrap_or(u64::MAX);
+        let linger_ns = clock_ns(cfg.linger);
         Batcher { max_batch: cfg.max_batch, linger_ns, pending: Vec::new() }
     }
 
     /// Admits one request at time `now_ns`; returns a batch if the
-    /// request's group just hit the size threshold.
+    /// request's group just hit the size threshold. A key is only built
+    /// (cloning a table name) when the request opens a new group.
     pub fn offer(&mut self, req: Request, now_ns: u64) -> Option<Batch> {
-        let key = req.job.key();
-        let group = match self.pending.iter_mut().find(|g| g.key == key) {
-            Some(g) => g,
+        let gi = match self.pending.iter().position(|g| req.job.matches_key(&g.key)) {
+            Some(gi) => gi,
             None => {
-                self.pending.push(PendingGroup { key: key.clone(), entries: Vec::new() });
-                self.pending.last_mut().expect("just pushed")
+                self.pending.push(PendingGroup { key: req.job.key(), entries: Vec::new() });
+                self.pending.len() - 1
             }
         };
+        let group = &mut self.pending[gi];
         group.entries.push((req, now_ns));
         if group.entries.len() >= self.max_batch {
-            return self.take_key(&key, FlushReason::Size);
+            return Some(self.pending.remove(gi).into_batch(FlushReason::Size));
         }
         None
     }
@@ -130,13 +131,14 @@ impl Batcher {
     }
 
     /// Flushes every group whose oldest member lingered past the timeout
-    /// at `now_ns`, oldest first.
+    /// at `now_ns`, oldest first: exactly the groups whose deadline (as
+    /// [`Batcher::next_deadline`] reports it, saturating) is due.
     pub fn expire(&mut self, now_ns: u64) -> Vec<Batch> {
         let mut out = Vec::new();
         while let Some(pos) = self
             .pending
             .iter()
-            .position(|g| now_ns.saturating_sub(g.oldest()) >= self.linger_ns)
+            .position(|g| g.oldest().saturating_add(self.linger_ns) <= now_ns)
         {
             let g = self.pending.remove(pos);
             out.push(g.into_batch(FlushReason::Timeout));
@@ -171,12 +173,6 @@ impl Batcher {
             self.pending.remove(gi);
         }
         Some(req)
-    }
-
-    fn take_key(&mut self, key: &BatchKey, flush: FlushReason) -> Option<Batch> {
-        let pos = self.pending.iter().position(|g| &g.key == key)?;
-        let g = self.pending.remove(pos);
-        Some(g.into_batch(flush))
     }
 }
 
@@ -229,6 +225,18 @@ mod tests {
         assert_eq!(flushed[0].flush, FlushReason::Timeout);
         assert!(b.is_empty());
         assert_eq!(b.next_deadline(), None);
+    }
+
+    #[test]
+    fn a_linger_that_saturates_the_clock_flushes_at_its_end() {
+        let cfg = BatcherConfig { max_batch: 100, linger: Duration::MAX };
+        let mut b = Batcher::new(cfg);
+        b.offer(req(0, SceneKind::Mic), 1_000);
+        assert_eq!(b.next_deadline(), Some(u64::MAX), "the deadline saturates");
+        assert!(b.expire(u64::MAX - 1).is_empty(), "not before it");
+        let flushed = b.expire(u64::MAX);
+        assert_eq!(flushed.len(), 1, "expire flushes at the deadline next_deadline reports");
+        assert!(b.is_empty() && b.next_deadline().is_none());
     }
 
     #[test]

@@ -42,7 +42,7 @@
 //! live (`Tracked`), and records a lost chunk unless another copy still
 //! owns it.
 
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -53,7 +53,7 @@ use crate::health::{AdmissionConfig, CoDelAdmission, HealthConfig, HealthDetecto
 use crate::metrics::{ClusterMetrics, FrontDoorTotals, ReplicaStats};
 use crate::pipeline::Pipeline;
 use crate::request::{
-    assemble_chunks, effective_chunks, fnv1a, response_set_digest, set_digest,
+    assemble_chunks, clock_ns, effective_chunks, fnv1a, response_set_digest, set_digest,
     synthetic_chunk_payload, BatchKey, ChunkResponse, ChunkSpan, Request, Response,
 };
 use crate::router::{HashRing, RouterConfig};
@@ -415,9 +415,10 @@ struct Running {
 }
 
 impl Running {
-    /// Virtual time the batch completes and its worker frees up.
+    /// Virtual time the batch completes and its worker frees up
+    /// (saturating: the clock ends at `u64::MAX`).
     fn done_at(&self) -> u64 {
-        self.start_ns + self.service_ns
+        self.start_ns.saturating_add(self.service_ns)
     }
 }
 
@@ -567,10 +568,12 @@ impl Replica {
     }
 
     /// Earliest pending timer: a busy worker finishing or a linger expiry.
+    /// Every timer before `now` has fired, so a busy worker only finishes
+    /// at `now` when its completion saturated at the end of the clock.
     fn next_event(&self, now: u64) -> Option<u64> {
-        let completion = self.workers.iter().flatten().map(Running::done_at).filter(|&t| t > now).min();
-        let linger = self.core.next_deadline().map(|d| d.max(now));
-        completion.into_iter().chain(linger).min()
+        let completion = self.workers.iter().flatten().map(Running::done_at).min();
+        let linger = self.core.next_deadline();
+        completion.into_iter().chain(linger).min().map(|t| t.max(now))
     }
 
     /// One timer firing at `t`: finished batches complete, linger-expired
@@ -603,7 +606,7 @@ impl Replica {
                 for req in &batch.requests {
                     self.events.push(PipeEvent::Completed { id: req.id, chunk: req.chunk.index });
                 }
-                self.busy_ns += run.service_ns;
+                self.busy_ns = self.busy_ns.saturating_add(run.service_ns);
                 self.inflight -= full_size;
                 if !batch.requests.is_empty() {
                     self.decided.push(batch);
@@ -692,7 +695,7 @@ impl Replica {
                 let Some((batch, delay_ns)) = self.apply_faults(batch, now) else {
                     continue; // every member was poisoned: nothing to run
                 };
-                let service_ns = self.service_for(&batch) + delay_ns;
+                let service_ns = self.service_for(&batch).saturating_add(delay_ns);
                 for req in &batch.requests {
                     self.events.push(PipeEvent::Started {
                         id: req.id,
@@ -758,6 +761,100 @@ struct Tracked {
     clone_replica: Option<usize>,
 }
 
+/// The hedge arbiter's book of tracked chunks, by key `id × stride +
+/// chunk index` (`stride` is the largest chunk count of any arrival, so
+/// keys are unique and ordered id-then-chunk). Keys are inserted in
+/// increasing order, only by the arrival loop, and each chunk settles
+/// soon after, so the live keys span a short window: `window[k - base]`
+/// holds the slab index of key `k` (or [`TrackedBook::VACANT`]), and the
+/// front is popped while vacant. Lookups are O(1), iteration is in key
+/// order, and each `Tracked` lives in a slab slot reused through a free
+/// list, so holes in the window cost four bytes each.
+struct TrackedBook {
+    stride: u64,
+    /// Key of `window[0]`.
+    base: u64,
+    window: VecDeque<u32>,
+    slab: Vec<Option<Tracked>>,
+    free: Vec<u32>,
+}
+
+impl TrackedBook {
+    const VACANT: u32 = u32::MAX;
+
+    /// An empty book for arrivals split into at most `stride` chunks.
+    fn new(stride: u32) -> Self {
+        TrackedBook {
+            stride: u64::from(stride.max(1)),
+            base: 0,
+            window: VecDeque::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.window.is_empty()
+    }
+
+    /// The window position of `(id, chunk)`, if it is tracked.
+    fn position(&self, (id, chunk): (u64, u32)) -> Option<usize> {
+        let offset = (id * self.stride + u64::from(chunk)).checked_sub(self.base)?;
+        let pos = usize::try_from(offset).ok()?;
+        (*self.window.get(pos)? != Self::VACANT).then_some(pos)
+    }
+
+    fn get(&self, key: (u64, u32)) -> Option<&Tracked> {
+        let pos = self.position(key)?;
+        self.slab[self.window[pos] as usize].as_ref()
+    }
+
+    fn get_mut(&mut self, key: (u64, u32)) -> Option<&mut Tracked> {
+        let pos = self.position(key)?;
+        self.slab[self.window[pos] as usize].as_mut()
+    }
+
+    /// Tracks `tr` under its request's `(id, chunk)`, which must follow
+    /// every key tracked so far.
+    fn insert(&mut self, tr: Tracked) {
+        let key = tr.req.id * self.stride + u64::from(tr.req.chunk.index);
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(tr);
+                slot
+            }
+            None => {
+                self.slab.push(Some(tr));
+                u32::try_from(self.slab.len() - 1).expect("fewer than 2^32 chunks in flight")
+            }
+        };
+        if self.window.is_empty() {
+            self.base = key;
+        }
+        let end = self.base + self.window.len() as u64;
+        assert!(key >= end, "tracked keys are inserted in increasing order");
+        self.window.extend(std::iter::repeat_n(Self::VACANT, (key - end) as usize));
+        self.window.push_back(slot);
+    }
+
+    fn remove(&mut self, key: (u64, u32)) -> Option<Tracked> {
+        let pos = self.position(key)?;
+        let slot = std::mem::replace(&mut self.window[pos], Self::VACANT);
+        self.free.push(slot);
+        while self.window.front() == Some(&Self::VACANT) {
+            self.window.pop_front();
+            self.base += 1;
+        }
+        self.slab[slot as usize].take()
+    }
+
+    /// Every tracked chunk, in id-then-chunk order.
+    fn iter(&self) -> impl Iterator<Item = &Tracked> {
+        let live = self.window.iter().filter(|&&slot| slot != Self::VACANT);
+        live.map(|&slot| self.slab[slot as usize].as_ref().expect("a window slot names a live entry"))
+    }
+}
+
 /// The mutable cluster state the event loop advances.
 struct ClusterState<'c> {
     cfg: &'c ClusterConfig,
@@ -770,9 +867,9 @@ struct ClusterState<'c> {
     health: HealthDetector,
     codel: CoDelAdmission,
     /// Hedge-arbitrated chunks by `(id, chunk index)`, empty unless
-    /// hedging is on (`BTreeMap` so suspect-triggered hedges fire in
-    /// deterministic id-then-chunk order).
-    tracked: BTreeMap<(u64, u32), Tracked>,
+    /// hedging is on (iterated in id-then-chunk order, so suspect-triggered
+    /// hedges fire deterministically).
+    tracked: TrackedBook,
     /// Pending hedge timers `(due_ns, (id, chunk))` — arrivals are
     /// monotone, so this stays sorted by construction.
     hedge_timers: VecDeque<(u64, (u64, u32))>,
@@ -812,7 +909,7 @@ impl<'c> ClusterState<'c> {
     /// A tracked chunk's terminal happened outside any replica (front
     /// door drop or lane-full reject on failover): close its book.
     fn settle_terminal(&mut self, key: (u64, u32)) {
-        if let Some(tr) = self.tracked.remove(&key) {
+        if let Some(tr) = self.tracked.remove(key) {
             if tr.clone_replica.is_some() {
                 self.front_door.hedge_wasted += 1;
             }
@@ -832,7 +929,7 @@ impl<'c> ClusterState<'c> {
                 if self.replicas[r].admit_request(req) {
                     self.replicas[r].failed_over_in += 1;
                     self.replicas[from].failed_over_out += 1;
-                    if let Some(tr) = self.tracked.get_mut(&key) {
+                    if let Some(tr) = self.tracked.get_mut(key) {
                         tr.copies.retain(|&c| c != from);
                         tr.copies.push(r);
                     }
@@ -857,7 +954,7 @@ impl<'c> ClusterState<'c> {
     /// untracked chunk records at once.
     fn settle_loss(&mut self, r: usize, req: Request, at_ns: u64, failed: bool) {
         let key = (req.id, req.chunk.index);
-        if let Some(tr) = self.tracked.get_mut(&key) {
+        if let Some(tr) = self.tracked.get_mut(key) {
             tr.copies.retain(|&c| c != r);
             if !tr.copies.is_empty() {
                 return;
@@ -886,13 +983,13 @@ impl<'c> ClusterState<'c> {
             match ev {
                 PipeEvent::Started { id, chunk, queue_ns } => {
                     self.codel.observe(r, queue_ns, t);
-                    if let Some(tr) = self.tracked.get_mut(&(id, chunk)) {
+                    if let Some(tr) = self.tracked.get_mut((id, chunk)) {
                         tr.started = true;
                     }
                 }
                 PipeEvent::Completed { id, chunk } => {
                     progressed = true;
-                    if let Some(tr) = self.tracked.remove(&(id, chunk)) {
+                    if let Some(tr) = self.tracked.remove((id, chunk)) {
                         for &other in tr.copies.iter().filter(|&&c| c != r) {
                             // The losing copy is pulled from its queue,
                             // or suppressed if already in service.
@@ -916,7 +1013,7 @@ impl<'c> ClusterState<'c> {
     /// worth it (un-started, un-hedged, single copy). Returns whether a
     /// clone was placed.
     fn fire_hedge(&mut self, key: (u64, u32), t: u64) -> bool {
-        let Some(tr) = self.tracked.get(&key) else { return false };
+        let Some(tr) = self.tracked.get(key) else { return false };
         if tr.started || tr.clone_replica.is_some() || tr.copies.len() != 1 {
             return false;
         }
@@ -928,7 +1025,7 @@ impl<'c> ClusterState<'c> {
             // No lane room on the alternate: the clone never existed.
             return false;
         }
-        let tr = self.tracked.get_mut(&key).expect("still tracked");
+        let tr = self.tracked.get_mut(key).expect("still tracked");
         tr.clone_replica = Some(r2);
         tr.copies.push(r2);
         self.front_door.hedged += 1;
@@ -940,18 +1037,18 @@ impl<'c> ClusterState<'c> {
 
     /// Hedges every pending un-started chunk whose only copy sits on
     /// `r` — fired the instant the detector turns `r` Suspect, in
-    /// id-then-chunk order (deterministic by `BTreeMap` iteration).
+    /// id-then-chunk order.
     fn hedge_suspect_replica(&mut self, r: usize, t: u64) {
         let keys: Vec<(u64, u32)> = self
             .tracked
             .iter()
-            .filter(|(_, tr)| {
+            .filter(|tr| {
                 !tr.started
                     && tr.clone_replica.is_none()
                     && tr.copies.len() == 1
                     && tr.copies[0] == r
             })
-            .map(|(&key, _)| key)
+            .map(|tr| (tr.req.id, tr.req.chunk.index))
             .collect();
         for key in keys {
             self.fire_hedge(key, t);
@@ -1017,7 +1114,7 @@ impl<'c> ClusterState<'c> {
                 self.replicas[r].kills += 1;
                 self.last_event_ns = self.last_event_ns.max(ev.at_ns);
                 for req in self.replicas[r].kill(ev.at_ns) {
-                    if let Some(tr) = self.tracked.get_mut(&(req.id, req.chunk.index)) {
+                    if let Some(tr) = self.tracked.get_mut((req.id, req.chunk.index)) {
                         if tr.copies.len() > 1 {
                             // The other copy is live: this orphan
                             // silently dies, no failover needed.
@@ -1152,6 +1249,11 @@ pub fn run_cluster(cfg: &ClusterConfig, jobs: &[TimedJob]) -> ClusterReport {
     cfg.server.sched.validate();
     let replicas = cfg.replicas.max(1);
     let hedging = cfg.hedge.enabled();
+    let chunk_stride = if hedging {
+        jobs.iter().map(|tj| effective_chunks(cfg.server.chunks, &tj.job)).max().unwrap_or(1)
+    } else {
+        1
+    };
     let mut state = ClusterState {
         ring: HashRing::new(replicas, &cfg.router),
         replicas: (0..replicas).map(|_| Replica::new(cfg)).collect(),
@@ -1159,7 +1261,7 @@ pub fn run_cluster(cfg: &ClusterConfig, jobs: &[TimedJob]) -> ClusterReport {
         draining: 0,
         health: HealthDetector::new(cfg.health, replicas, cfg.service.service_ns),
         codel: CoDelAdmission::new(cfg.admission, replicas),
-        tracked: BTreeMap::new(),
+        tracked: TrackedBook::new(chunk_stride),
         hedge_timers: VecDeque::new(),
         next_fault: 0,
         last_event_ns: 0,
@@ -1174,7 +1276,7 @@ pub fn run_cluster(cfg: &ClusterConfig, jobs: &[TimedJob]) -> ClusterReport {
     let mut now = 0u64;
     let mut submitted_chunks = 0usize;
     for (id, tj) in jobs.iter().enumerate() {
-        let at = now + tj.delay_before.as_nanos() as u64;
+        let at = now.saturating_add(clock_ns(tj.delay_before));
         now = state.process_until(at, now);
         state.last_event_ns = state.last_event_ns.max(at);
         state.refresh_health(at);
@@ -1199,17 +1301,19 @@ pub fn run_cluster(cfg: &ClusterConfig, jobs: &[TimedJob]) -> ClusterReport {
                         id: rid,
                         priority: tj.priority,
                         arrival_ns: at,
-                        deadline_ns: tj.deadline.map(|d| at + d.as_nanos() as u64),
+                        deadline_ns: tj.deadline.map(|d| at.saturating_add(clock_ns(d))),
                         chunk: ChunkSpan { index, of },
                         job: tj.job.clone(),
                     };
                     if !hedging {
                         state.replicas[r].admit_request(req);
                     } else if state.replicas[r].admit_request(req.clone()) {
-                        state.tracked.insert(
-                            (rid, index),
-                            Tracked { req, copies: vec![r], started: false, clone_replica: None },
-                        );
+                        state.tracked.insert(Tracked {
+                            req,
+                            copies: vec![r],
+                            started: false,
+                            clone_replica: None,
+                        });
                         state
                             .hedge_timers
                             .push_back((at.saturating_add(cfg.hedge.delay_ns), (rid, index)));
@@ -1333,6 +1437,55 @@ mod tests {
 
     fn synth_cfg(replicas: usize) -> ClusterConfig {
         ClusterConfig { replicas, payload: PayloadMode::Synthetic, ..ClusterConfig::default() }
+    }
+
+    #[test]
+    fn the_tracked_book_finds_iterates_and_compacts_by_id_then_chunk() {
+        let tracked = |id: u64, index: u32| Tracked {
+            req: Request {
+                id,
+                priority: crate::sched::Priority::Standard,
+                arrival_ns: 0,
+                deadline_ns: None,
+                chunk: ChunkSpan { index, of: 3 },
+                job: crate::request::Workload::Table("t".into()),
+            },
+            copies: vec![0],
+            started: false,
+            clone_replica: None,
+        };
+        let keys = |book: &TrackedBook| -> Vec<(u64, u32)> {
+            book.iter().map(|tr| (tr.req.id, tr.req.chunk.index)).collect()
+        };
+        // Three chunks per arrival; ids 1 and 4 were never tracked.
+        let mut book = TrackedBook::new(3);
+        for (id, index) in [(0, 0), (0, 2), (2, 0), (2, 1), (2, 2), (3, 1), (5, 0)] {
+            book.insert(tracked(id, index));
+        }
+        assert_eq!(keys(&book), [(0, 0), (0, 2), (2, 0), (2, 1), (2, 2), (3, 1), (5, 0)]);
+        assert!(book.get((0, 1)).is_none() && book.get((1, 0)).is_none() && book.get((9, 0)).is_none());
+        book.get_mut((2, 1)).expect("tracked").started = true;
+        assert!(book.get((2, 1)).expect("tracked").started);
+
+        // Out-of-order removal: the front only advances once it is vacant.
+        assert_eq!(book.remove((2, 1)).map(|tr| tr.req.id), Some(2));
+        assert!(book.remove((2, 1)).is_none(), "already gone");
+        assert_eq!(book.remove((0, 2)).map(|tr| tr.req.chunk.index), Some(2));
+        assert_eq!(book.window.len(), 16, "keys 0..=15 still span the window");
+        assert!(book.remove((0, 0)).is_some());
+        assert_eq!((book.base, book.window.len()), (6, 10), "the front compacts to key 6 = (2, 0)");
+        assert_eq!(keys(&book), [(2, 0), (2, 2), (3, 1), (5, 0)]);
+
+        // Freed slab slots are reused; a later insert extends the window.
+        book.insert(tracked(6, 1));
+        assert_eq!(book.slab.len(), 7, "the new entry took a freed slot");
+        assert_eq!(keys(&book), [(2, 0), (2, 2), (3, 1), (5, 0), (6, 1)]);
+        for key in keys(&book) {
+            assert!(book.remove(key).is_some());
+        }
+        assert!(book.is_empty() && book.iter().next().is_none());
+        book.insert(tracked(7, 0));
+        assert_eq!((book.base, keys(&book)), (21, vec![(7, 0)]), "an empty book rebases");
     }
 
     #[test]

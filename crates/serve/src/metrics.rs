@@ -481,9 +481,9 @@ impl Ledger {
         let queue_ns = start_ns.saturating_sub(req.arrival_ns);
         let l = self.admitted(lane, queue_ns);
         l.served += 1;
-        l.expired += usize::from(req.deadline_ns.is_some_and(|d| start_ns + service_ns >= d));
+        l.expired += usize::from(req.deadline_ns.is_some_and(|d| start_ns.saturating_add(service_ns) >= d));
         self.queue_samples.push(queue_ns);
-        let lat = queue_ns + service_ns;
+        let lat = queue_ns.saturating_add(service_ns);
         let (first, full) = if req.chunk.of == 1 {
             (lat, lat)
         } else {

@@ -1,8 +1,8 @@
-//! The clock-free scheduling core both serving clocks drive: per-lane
-//! bounded admission queues → [`LaneScheduler`] (with the [`Brownout`]
-//! precision downgrade) → [`Batcher`] → a bounded ready queue of
-//! `2 × workers` batches — plus the ledger every terminal outcome folds
-//! into.
+//! The clock-free scheduling core both serving clocks drive: bounded
+//! per-lane admission → [`LaneScheduler`], which owns the lane queues
+//! (with the [`Brownout`] precision downgrade) → [`Batcher`] → a bounded
+//! ready queue of `2 × workers` batches — plus the ledger every terminal
+//! outcome folds into.
 //!
 //! [`Pipeline`] is a pure state machine on one clock: time comes in as
 //! `u64` nanoseconds on the caller's clock (real elapsed time since the
@@ -45,7 +45,7 @@ pub(crate) struct Pipeline {
     batcher_cfg: BatcherConfig,
     brownout_cfg: BrownoutConfig,
     caps: Vec<usize>,
-    lanes: Vec<VecDeque<Request>>,
+    /// The lanes and the policy that drains them.
     sched: LaneScheduler,
     brownout: Brownout,
     batcher: Batcher,
@@ -76,7 +76,6 @@ impl Pipeline {
             batcher_cfg,
             brownout: Brownout::new(cfg.brownout),
             brownout_cfg: cfg.brownout,
-            lanes: caps.iter().map(|_| VecDeque::new()).collect(),
             caps,
             flushed: VecDeque::new(),
             ready_cap: cfg.workers.max(1) * 2,
@@ -97,7 +96,7 @@ impl Pipeline {
 
     /// Whether `lane` has a free slot.
     pub(crate) fn has_room(&self, lane: usize) -> bool {
-        self.lanes[lane].len() < self.caps[lane]
+        self.sched.queued(lane).len() < self.caps[lane]
     }
 
     /// Enqueues `req` in its lane. Returns `false` (dropping `req`,
@@ -108,7 +107,7 @@ impl Pipeline {
         if !self.has_room(lane) {
             return false;
         }
-        self.lanes[lane].push_back(req);
+        self.sched.admit(lane, req);
         true
     }
 
@@ -139,12 +138,8 @@ impl Pipeline {
             }
             // The brownout's pressure signal: lane depth before the step.
             // Summed only when brownout is on — the off path stays free.
-            let depth = if self.brownout_cfg.enabled {
-                self.lanes.iter().map(VecDeque::len).sum()
-            } else {
-                0
-            };
-            match self.sched.step(&mut self.lanes, now_ns) {
+            let depth = if self.brownout_cfg.enabled { self.sched.depth() } else { 0 };
+            match self.sched.step(now_ns) {
                 Some(SchedStep::Serve { lane, mut req }) => {
                     stepped += 1;
                     if self.brownout.observe(depth) && req.priority != Priority::Interactive {
@@ -221,16 +216,10 @@ impl Pipeline {
     /// batcher, or a flushed batch (dropped if left empty).
     /// Returns whether it was found.
     pub(crate) fn cancel(&mut self, id: u64, chunk: ChunkSpan) -> bool {
-        let is = |r: &Request| r.id == id && r.chunk == chunk;
-        for lane in &mut self.lanes {
-            if let Some(pos) = lane.iter().position(is) {
-                lane.remove(pos);
-                return true;
-            }
-        }
-        if self.batcher.remove(id, chunk).is_some() {
+        if self.sched.cancel(id, chunk).is_some() || self.batcher.remove(id, chunk).is_some() {
             return true;
         }
+        let is = |r: &Request| r.id == id && r.chunk == chunk;
         for bi in 0..self.flushed.len() {
             if let Some(ri) = self.flushed[bi].requests.iter().position(is) {
                 self.flushed[bi].requests.remove(ri);
@@ -247,14 +236,10 @@ impl Pipeline {
     /// batcher, flushed — unsorted) and restarts scheduler, batcher
     /// and brownout fresh. The ledger survives.
     pub(crate) fn drain_all(&mut self) -> Vec<Request> {
-        let mut out: Vec<Request> = Vec::new();
-        for lane in &mut self.lanes {
-            out.extend(lane.drain(..));
-        }
+        let mut out = self.sched.drain_all();
         for b in self.batcher.drain().into_iter().chain(self.flushed.drain(..)) {
             out.extend(b.requests);
         }
-        self.sched = LaneScheduler::new(&self.sched_cfg);
         self.batcher = Batcher::new(self.batcher_cfg);
         self.brownout = Brownout::new(self.brownout_cfg);
         out
@@ -273,7 +258,7 @@ impl Pipeline {
 
     /// Whether nothing is queued anywhere in the core.
     pub(crate) fn is_empty(&self) -> bool {
-        self.lanes.iter().all(VecDeque::is_empty)
+        self.sched.is_empty()
             && self.batcher.is_empty()
             && self.flushed.is_empty()
     }

@@ -3,6 +3,7 @@
 //! byte-for-byte across thread widths and machines.
 
 use std::fmt;
+use std::time::Duration;
 
 use fnr_nerf::camera::Camera;
 use fnr_nerf::scene::{LegoScene, MicScene, PalaceScene, Scene};
@@ -245,6 +246,12 @@ impl Request {
     pub fn expired_at(&self, now_ns: u64) -> bool {
         self.deadline_ns.is_some_and(|d| now_ns >= d)
     }
+}
+
+/// `d` in nanoseconds on a scheduling clock, saturating at `u64::MAX`
+/// (the end of every clock) instead of truncating.
+pub(crate) fn clock_ns(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// A completed request: the id plus the response payload. Render payloads

@@ -61,7 +61,7 @@ use crate::fault::{BrownoutConfig, CircuitBreaker, FaultInjector, InjectedFault,
 use crate::metrics::ServeMetrics;
 use crate::pipeline::Pipeline;
 use crate::request::{
-    chunk_image_bytes, effective_chunks, response_set_digest, row_band, BatchKey, ChunkOutcome,
+    chunk_image_bytes, clock_ns, effective_chunks, response_set_digest, row_band, BatchKey, ChunkOutcome,
     ChunkResponse, ChunkSpan, RenderPrecision, Request, Response, Workload,
 };
 use crate::sched::{Priority, SchedConfig};
@@ -502,7 +502,7 @@ impl Client {
         sh.board.open(id, k);
         let mut core = sh.core.lock().unwrap();
         let arrival_ns = sh.now_ns();
-        let deadline_ns = deadline.map(|d| arrival_ns.saturating_add(d.as_nanos() as u64));
+        let deadline_ns = deadline.map(|d| arrival_ns.saturating_add(clock_ns(d)));
         let deadline_before = core.pipe.next_deadline();
         for index in 0..k {
             // Admission is atomic per request: only the first chunk can be

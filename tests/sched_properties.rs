@@ -1,11 +1,9 @@
 //! Property suite for the `fnr_serve` scheduler core: weighted-deficit
 //! drain order, starvation-freedom under sustained high-priority load,
 //! and deadline-shed correctness under the virtual clock. The scheduler
-//! is a pure state machine (`LaneScheduler::step` over plain lane queues
+//! is a pure state machine (`LaneScheduler::step` over the lanes it owns,
 //! with an injected clock), so every property replays deterministically
 //! from its seed.
-
-use std::collections::VecDeque;
 
 use fnr_serve::sched::{LaneScheduler, Priority, SchedConfig, SchedStep};
 use fnr_serve::{RenderJob, RenderPrecision, Request, SceneKind, Workload};
@@ -48,25 +46,20 @@ proptest! {
         let cfg = SchedConfig::priority_lanes();
         let mut sched = LaneScheduler::new(&cfg);
         let mut id = 0u64;
-        let mut lanes: Vec<VecDeque<Request>> = Priority::ALL
-            .iter()
-            .map(|&p| {
-                (0..per_lane)
-                    .map(|_| {
-                        id += 1;
-                        req(id, scene(&mut rng), p, None)
-                    })
-                    .collect()
-            })
-            .collect();
+        for (lane, &p) in Priority::ALL.iter().enumerate() {
+            for _ in 0..per_lane {
+                id += 1;
+                sched.admit(lane, req(id, scene(&mut rng), p, None));
+            }
+        }
         let mut served = [0usize; 3];
         let mut order = Vec::new();
-        while let Some(step) = sched.step(&mut lanes, 0) {
+        while let Some(step) = sched.step(0) {
             match step {
                 SchedStep::Serve { lane, .. } => {
                     served[lane] += 1;
                     order.push(lane);
-                    if lanes.iter().any(|l| l.is_empty()) {
+                    if (0..3).any(|l| sched.queued(l).is_empty()) {
                         continue; // ratio invariant only holds while all lanes feed
                     }
                     let (s0, s1, s2) = (served[0] as i64, served[1] as i64, served[2] as i64);
@@ -102,11 +95,14 @@ proptest! {
             id += 1;
             req(id, scene(rng), p, None)
         };
-        let mut lanes: Vec<VecDeque<Request>> = vec![
-            (0..8).map(|_| next(Priority::Interactive, &mut rng)).collect(),
-            VecDeque::new(),
-            (0..batch_backlog).map(|_| next(Priority::Batch, &mut rng)).collect(),
-        ];
+        for _ in 0..8 {
+            let r = next(Priority::Interactive, &mut rng);
+            sched.admit(0, r);
+        }
+        for _ in 0..batch_backlog {
+            let r = next(Priority::Batch, &mut rng);
+            sched.admit(2, r);
+        }
         let mut batch_served = 0usize;
         let mut total = 0usize;
         // 4 interactive per 1 batch per round, plus slack for round
@@ -117,16 +113,16 @@ proptest! {
                 total <= budget,
                 "batch starved: {batch_served}/{batch_backlog} after {total} services"
             );
-            match sched.step(&mut lanes, 0) {
+            match sched.step(0) {
                 Some(SchedStep::Serve { lane, .. }) => {
                     total += 1;
                     if lane == 2 {
                         batch_served += 1;
                     }
                     // Sustain the overload: the interactive lane never runs dry.
-                    while lanes[0].len() < 8 {
+                    while sched.queued(0).len() < 8 {
                         let r = next(Priority::Interactive, &mut rng);
-                        lanes[0].push_back(r);
+                        sched.admit(0, r);
                     }
                 }
                 other => prop_assert!(false, "drain stalled: {other:?}"),
@@ -147,12 +143,11 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let cfg = SchedConfig::priority_lanes();
         let mut sched = LaneScheduler::new(&cfg);
-        let mut lanes: Vec<VecDeque<Request>> = vec![VecDeque::new(); 3];
         let mut submitted = 0usize;
         for i in 0..n {
             let p = Priority::ALL[rng.gen_range(0usize..3)];
             let deadline = if rng.gen_bool(0.6) { Some(rng.gen_range(0u64..horizon * 2)) } else { None };
-            lanes[cfg.lane_of(p)].push_back(req(i as u64, scene(&mut rng), p, deadline));
+            sched.admit(cfg.lane_of(p), req(i as u64, scene(&mut rng), p, deadline));
             submitted += 1;
         }
         let mut now = 0u64;
@@ -161,7 +156,7 @@ proptest! {
         loop {
             // The clock only moves forward, by random strides.
             now += rng.gen_range(0u64..horizon / 2 + 1);
-            match sched.step(&mut lanes, now) {
+            match sched.step(now) {
                 Some(SchedStep::Serve { req, .. }) => {
                     prop_assert!(
                         !req.expired_at(now),
@@ -184,7 +179,7 @@ proptest! {
             }
         }
         prop_assert_eq!(served + shed, submitted, "every request leaves exactly once");
-        prop_assert!(lanes.iter().all(|l| l.is_empty()));
+        prop_assert!(sched.is_empty());
     }
 
     /// Per-key fairness: under one lane, a hot key with a deep backlog
@@ -197,16 +192,18 @@ proptest! {
     ) {
         let cfg = SchedConfig::single_lane();
         let mut sched = LaneScheduler::new(&cfg);
-        let mut queue: VecDeque<Request> = (0..hot)
+        let mut queue: Vec<Request> = (0..hot)
             .map(|i| req(i as u64, SceneKind::Mic, Priority::Standard, None))
             .collect();
         let cold_id = 1000;
         let insert_at = cold_pos * hot / 2; // head or middle of the backlog
         queue.insert(insert_at, req(cold_id, SceneKind::Lego, Priority::Standard, None));
-        let mut lanes = vec![queue];
+        for r in queue {
+            sched.admit(0, r);
+        }
         let mut position = None;
         for served in 0.. {
-            match sched.step(&mut lanes, 0) {
+            match sched.step(0) {
                 Some(SchedStep::Serve { req, .. }) => {
                     if req.id == cold_id {
                         position = Some(served);
