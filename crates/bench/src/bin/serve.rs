@@ -596,6 +596,25 @@ mod tests {
         }
     }
 
+    #[test]
+    fn the_largest_mean_gap_finishes_and_conserves_under_every_pattern() {
+        // The generator's gap and every `gap × burst` product saturate at
+        // `u64::MAX` ns instead of wrapping into short gaps; the runs then
+        // play out on the saturating virtual clock.
+        let max = u64::MAX;
+        for mode in ["virtual", "cluster"] {
+            for pattern in ["bursty", "uniform", "heavy", "diurnal", "flash"] {
+                let line = format!("--mode {mode} --requests 50 --pattern {pattern} --mean-gap-us {max}");
+                let c = cli(&line);
+                let jobs = generate(&c.spec);
+                assert!(jobs.iter().skip(1).any(|j| j.delay_before.as_nanos() >= u128::from(max) / 8), "`{line}`");
+                let tail = if mode == "cluster" { cluster_mode(&c, &jobs) } else { serve_mode(&c, &jobs) };
+                assert!(tail.failures.is_empty(), "`{line}`: {:?}", tail.failures);
+                assert_eq!(tail.whole, 50, "`{line}` accounts for every request");
+            }
+        }
+    }
+
     /// An argv token from `w`: a flag of the table, an edge-case operand,
     /// or a stray character.
     fn token(w: u64) -> String {

@@ -87,15 +87,16 @@ pub struct HashGrid {
     lanes: LevelLanes,
 }
 
-/// Per-level lookup constants. Resolution and dense/hashed mode are
-/// functions of the (immutable) config, but recomputing them through
+/// Per-level lookup constants: each level's [`LevelEncoder`] fields, laid
+/// out for the levels-wide plan kernel. Resolution and dense/hashed mode
+/// are functions of the (immutable) config, but recomputing them through
 /// `powi` on every corner lookup dominated the scalar encode cost.
 ///
 /// Stored structure-of-arrays in one allocation: one row per field, one
-/// `i32` lane per level, so the levels-wide plan kernel loads a field of 8
-/// consecutive levels as one vector. Each row is padded with 7 zero lanes
-/// so a load starting at any level stays in bounds; padding lanes are
-/// computed but never stored.
+/// `i32` lane per level, so the kernel loads a field of 8 consecutive
+/// levels as one vector. Each row is padded with 7 zero lanes so a load
+/// starting at any level stays in bounds; padding lanes are computed but
+/// never stored.
 ///
 /// A corner's table entry is `t₀ ⊕ t₁ ⊕ t₂` with per-axis terms `tᵈ = cᵈ ·
 /// mulᵈ` (wrapping `i32`), where `⊕` is `+` on dense levels (`mul = ((N+1)²,
@@ -128,20 +129,17 @@ impl LevelLanes {
     fn new(config: &HashGridConfig, level_stride: usize) -> Self {
         let row = config.levels + 7;
         let mut lanes = LevelLanes { data: vec![0; Self::ROWS * row], row };
-        let table_mask = ((1usize << config.log2_table_size) - 1) as i32;
         for l in 0..config.levels {
-            let res = config.resolution(l);
-            let dense = config.is_dense_level(l);
-            let n1 = (res + 1) as u32;
-            let mul = if dense { [n1.wrapping_mul(n1), n1, 1] } else { PRIMES.map(|p| p as u32) };
+            let e = LevelEncoder::new(config, config.resolution(l), config.is_dense_level(l));
+            let (mul, mask) = e.index_lanes();
             let mut set = |field: usize, v: i32| lanes.data[field * row + l] = v;
-            set(Self::RES, res as i32);
-            set(Self::MAX_BASE, res.saturating_sub(1) as i32);
+            set(Self::RES, e.res as i32);
+            set(Self::MAX_BASE, e.res.saturating_sub(1) as i32);
             for (field, m) in Self::MUL.into_iter().zip(mul) {
-                set(field, m as i32);
+                set(field, m);
             }
-            set(Self::DENSE, if dense { -1 } else { 0 });
-            set(Self::MASK, if dense { -1 } else { table_mask });
+            set(Self::DENSE, if e.dense { -1 } else { 0 });
+            set(Self::MASK, mask);
             set(Self::BASE, (l * level_stride) as i32);
         }
         lanes
@@ -152,12 +150,9 @@ impl LevelLanes {
         &self.data[field * self.row..(field + 1) * self.row]
     }
 
-    fn res(&self, l: usize) -> usize {
-        self.row(Self::RES)[l] as usize
-    }
-
-    fn dense(&self, l: usize) -> bool {
-        self.row(Self::DENSE)[l] != 0
+    /// Level `l`'s [`LevelEncoder`] of a grid with `config`.
+    fn encoder(&self, config: &HashGridConfig, l: usize) -> LevelEncoder {
+        LevelEncoder::new(config, self.row(Self::RES)[l] as usize, self.row(Self::DENSE)[l] != 0)
     }
 }
 
@@ -167,10 +162,10 @@ pub type CornerLookups = [(usize, f32); 8];
 /// Precomputed corner lookups of one point across every level — the hash
 /// and trilinear-weight arithmetic computed **once** per sample and shared
 /// by the forward encode ([`HashGrid::encode_planned`]) and the backward
-/// scatter ([`HashGrid::accumulate_grad_planned`], or level by level
-/// through [`EncodePlan::write_level_corners`] and
-/// [`accumulate_grad_level`]), which the training loop runs on the same
-/// point. Buffers are reused across samples via [`HashGrid::plan_into`].
+/// scatter ([`HashGrid::accumulate_grad_planned`]) of the same point.
+/// Buffers are reused across samples via [`HashGrid::plan_into`]. This is
+/// the sample-major view of the lookups; training computes the level-major
+/// one instead, many samples at a time ([`LevelEncoder::encode`]).
 ///
 /// Layout is corner-major (`slot = ci * levels + l`): one corner's
 /// per-level entries are contiguous, so the levels-wide plan kernel writes
@@ -189,96 +184,351 @@ pub struct EncodePlan {
     level_stride: usize,
 }
 
-/// One corner of one level's lookup, relative to that level: the element
-/// index of the corner's feature 0 counted from the level's first element
-/// in [`HashGrid::tables`], and the corner's trilinear weight.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct LevelCorner {
-    /// Level-relative element index (`entry · F`).
-    pub idx: u32,
-    /// Trilinear weight.
-    pub w: f32,
+/// One level's lookup constants, detached from the [`HashGrid`] so that a
+/// level task can encode with them while it holds that level's table
+/// mutably (its Adam step runs just before). From
+/// [`HashGrid::level_encoder`].
+#[derive(Debug, Clone, Copy)]
+pub struct LevelEncoder {
+    /// Grid resolution `N_l`.
+    res: usize,
+    /// Dense indexing (`(c₀n + c₁)n + c₂`, `n = N_l + 1`) or the XOR hash.
+    dense: bool,
+    /// `T − 1`.
+    table_mask: usize,
+    /// Features per entry `F`.
+    features: usize,
+    /// The level's table length, `T · F`.
+    table_len: usize,
 }
 
-impl EncodePlan {
-    /// Writes the plan's corners at every level into `out`, level-major:
-    /// level `l`'s 8 corners, in corner order, with level-relative indices
-    /// (`l · level_stride` subtracted), land at `out[l · section ..][..8]`.
-    /// One call fills one record of a store whose level sections sit
-    /// `section` slots apart — the level-major view of the plan that
-    /// [`accumulate_grad_level`] scatters from. Bounds are checked once,
-    /// up front; the slots between a level's 8 and the next section stay
-    /// untouched.
+impl LevelEncoder {
+    /// A level of resolution `res` of a grid with `config`, indexed
+    /// densely or through the hash.
+    fn new(config: &HashGridConfig, res: usize, dense: bool) -> Self {
+        let entries = 1 << config.log2_table_size;
+        let features = config.features;
+        LevelEncoder { res, dense, table_mask: entries - 1, features, table_len: entries * features }
+    }
+
+    /// Table entry of an integer corner — dense indexing for coarse
+    /// levels, XOR-of-primes hash for fine levels.
+    fn corner_index(&self, c: [usize; 3]) -> usize {
+        if self.dense {
+            let n = self.res + 1;
+            (c[0] * n + c[1]) * n + c[2]
+        } else {
+            let mut h = 0u64;
+            for (i, &ci) in c.iter().enumerate() {
+                h ^= (ci as u64).wrapping_mul(PRIMES[i]);
+            }
+            (h as usize) & self.table_mask
+        }
+    }
+
+    /// The 8 corner `(entry, trilinear weight)` pairs of `p`, clamped to
+    /// the unit cube: the one scalar definition every lookup path matches.
+    fn corner_lookups(&self, p: Vec3) -> CornerLookups {
+        let n = self.res;
+        let clamp01 = |v: f32| v.clamp(0.0, 1.0);
+        let scaled = [clamp01(p.x) * n as f32, clamp01(p.y) * n as f32, clamp01(p.z) * n as f32];
+        let base = scaled.map(|v| (v.floor() as usize).min(n.saturating_sub(1)));
+        let frac = [scaled[0] - base[0] as f32, scaled[1] - base[1] as f32, scaled[2] - base[2] as f32];
+        let mut out = [(0usize, 0.0f32); 8];
+        for (ci, slot) in out.iter_mut().enumerate() {
+            let offs = [ci & 1, (ci >> 1) & 1, (ci >> 2) & 1];
+            let corner = [base[0] + offs[0], base[1] + offs[1], base[2] + offs[2]];
+            let mut w = 1.0f32;
+            for d in 0..3 {
+                w *= if offs[d] == 1 { frac[d] } else { 1.0 - frac[d] };
+            }
+            *slot = (self.corner_index(corner), w);
+        }
+        out
+    }
+
+    /// The per-axis corner multipliers and the entry mask of the vector
+    /// kernels (see [`LevelLanes`]): `((N+1)², N+1, 1)` and all ones on a
+    /// dense level, the primes' low 32 bits and `T − 1` on a hashed one.
+    /// Each kernel's index equals [`LevelEncoder::corner_index`] modulo
+    /// 2³².
+    fn index_lanes(&self) -> ([i32; 3], i32) {
+        let n1 = (self.res + 1) as u32;
+        if self.dense {
+            ([n1.wrapping_mul(n1) as i32, n1 as i32, 1], -1)
+        } else {
+            (PRIMES.map(|p| p as u32 as i32), self.table_mask as i32)
+        }
+    }
+
+    /// Plans and encodes `n` samples at this level, lane = sample: the
+    /// level-major counterpart of [`HashGrid::plan_into`] +
+    /// [`HashGrid::encode_planned`]. Sample `j` sits at `(xyz[0][j],
+    /// xyz[1][j], xyz[2][j])`; `table` is the level's table
+    /// ([`HashGrid::level_table`]). Writes, structure-of-arrays:
+    ///
+    /// - `enc[f · n + j]`: feature `f` of sample `j`'s encoding at this
+    ///   level (the level's `F` encoding columns);
+    /// - `idx[ci · n + j]` and `w[ci · n + j]`: corner `ci`'s
+    ///   level-relative element index (`entry · F`) and trilinear weight,
+    ///   what [`accumulate_grad_level`] scatters from.
+    ///
+    /// Bit-identical at every SIMD level to the plan and encode of each
+    /// sample on its own: 16 samples per AVX-512 register, 8 per AVX2
+    /// register, masked lanes for a final partial register, and a scalar
+    /// twin. Per lane the kernels clamp as `f32::clamp` does (compare and
+    /// blend, so NaN and `−0.0` pass through, as no vector min/max would
+    /// let them), then scale, floor, cap and weigh as
+    /// [`HashGrid::corner_lookups`] does. Each encoding value is `+0.0`
+    /// plus the 8 `w · feature` products in corner order, multiplied then
+    /// added, as in [`HashGrid::encode_planned`].
     ///
     /// # Panics
     ///
-    /// Panics if `section < 8` or `out` ends before the last level's 8
-    /// slots.
-    pub fn write_level_corners(&self, out: &mut [LevelCorner], section: usize) {
-        let levels = self.levels;
-        if levels == 0 {
-            return;
+    /// Panics if the coordinate slices differ in length, `enc` does not
+    /// hold `F · n` values, `idx` or `w` not `8 · n`, or `table` is not
+    /// this level's table length (or a dense level's corners could reach
+    /// past it).
+    pub fn encode(&self, table: &[f32], xyz: [&[f32]; 3], enc: &mut [f32], idx: &mut [u32], w: &mut [f32]) {
+        self.encode_at(fnr_tensor::simd::level(), table, xyz, enc, idx, w);
+    }
+
+    /// [`LevelEncoder::encode`] at dispatch level `lv` (which the host
+    /// must support).
+    fn encode_at(
+        &self,
+        lv: fnr_tensor::simd::SimdLevel,
+        table: &[f32],
+        xyz: [&[f32]; 3],
+        enc: &mut [f32],
+        idx: &mut [u32],
+        w: &mut [f32],
+    ) {
+        let n = xyz[0].len();
+        assert!(xyz[1].len() == n && xyz[2].len() == n, "one coordinate per sample and axis");
+        assert_eq!(enc.len(), self.features * n, "F encoding values per sample");
+        assert!(idx.len() == 8 * n && w.len() == 8 * n, "8 corners per sample");
+        assert_eq!(table.len(), self.table_len, "the level's table");
+        // Every corner a dense level can index lies below `(max(N, 1) +
+        // 1)³`; the vector kernels gather without bounds checks.
+        let reach = if self.dense { (self.res.max(1) + 1).pow(3) } else { self.table_mask + 1 };
+        assert!(reach * self.features <= table.len(), "a dense level's corners outgrow its table");
+        #[cfg(target_arch = "x86_64")]
+        {
+            use fnr_tensor::simd::SimdLevel;
+            // SAFETY: the matching CPU features were runtime-detected (the
+            // dispatch level never exceeds the host's); the lengths are
+            // checked above, and every gathered index is below `reach · F`.
+            match lv {
+                SimdLevel::Avx512 => return unsafe { self.encode_avx512(table, xyz, enc, idx, w) },
+                SimdLevel::Avx2 => return unsafe { self.encode_avx2(table, xyz, enc, idx, w) },
+                SimdLevel::Scalar => {}
+            }
         }
-        assert!(section >= 8, "a level section holds 8 corners, got {section}");
-        let out = &mut out[..(levels - 1) * section + 8];
-        // Corner `ci`'s entries of every level, contiguous in the plan.
-        let idx: [&[i32]; 8] = std::array::from_fn(|ci| &self.idx[ci * levels..][..levels]);
-        let w: [&[f32]; 8] = std::array::from_fn(|ci| &self.w[ci * levels..][..levels]);
-        for (l, level) in out.chunks_mut(section).enumerate() {
-            let base = (l * self.level_stride) as u32;
-            for (ci, o) in level[..8].iter_mut().enumerate() {
-                *o = LevelCorner { idx: idx[ci][l] as u32 - base, w: w[ci][l] };
+        let _ = lv;
+        let f = self.features;
+        for j in 0..n {
+            let lookups = self.corner_lookups(Vec3::new(xyz[0][j], xyz[1][j], xyz[2][j]));
+            for (ci, &(entry, wc)) in lookups.iter().enumerate() {
+                idx[ci * n + j] = (entry * f) as u32;
+                w[ci * n + j] = wc;
+            }
+            for fi in 0..f {
+                let mut acc = 0.0f32;
+                for &(entry, wc) in &lookups {
+                    acc += wc * table[entry * f + fi];
+                }
+                enc[fi * n + j] = acc;
             }
         }
     }
 
-    /// Copies the plan's 8 corners at level `l` into `out`, in corner
-    /// order, with level-relative indices: one level of
-    /// [`EncodePlan::write_level_corners`], kept as its test oracle.
+    /// The AVX-512 form of [`LevelEncoder::encode`]: 16 samples per
+    /// register. First the 8 corners' indices and weights go to `idx`/`w`;
+    /// then, per feature, the 8 corners are gathered back in order and
+    /// summed.
     ///
-    /// # Panics
+    /// # Safety
     ///
-    /// Panics if `l` is not a level of the plan or `out` does not hold 8
-    /// corners.
-    #[cfg(test)]
-    pub fn level_corners(&self, l: usize, out: &mut [LevelCorner]) {
-        assert!(l < self.levels, "level {l} out of range");
-        assert_eq!(out.len(), 8, "a level lookup has 8 corners");
-        let base = l * self.level_stride;
-        let corners = self.idx[l..].iter().step_by(self.levels).zip(self.w[l..].iter().step_by(self.levels));
-        for (o, (&i, &w)) in out.iter_mut().zip(corners) {
-            *o = LevelCorner { idx: (i as usize - base) as u32, w };
+    /// The CPU must support AVX-512F; the slices must have the lengths
+    /// [`LevelEncoder::encode_at`] checks, and every corner index must lie
+    /// inside `table`.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn encode_avx512(&self, table: &[f32], xyz: [&[f32]; 3], enc: &mut [f32], idx: &mut [u32], w: &mut [f32]) {
+        use std::arch::x86_64::*;
+        let (n, f) = (xyz[0].len(), self.features);
+        let (mul, mask) = self.index_lanes();
+        let res = _mm512_set1_ps(self.res as f32);
+        let max_base = _mm512_set1_epi32(self.res.saturating_sub(1) as i32);
+        let (zero, one) = (_mm512_setzero_ps(), _mm512_set1_ps(1.0));
+        let (izero, ione) = (_mm512_setzero_si512(), _mm512_set1_epi32(1));
+        let features = _mm512_set1_epi32(f as i32);
+        let (idx_p, w_p, enc_p) = (idx.as_mut_ptr() as *mut i32, w.as_mut_ptr(), enc.as_mut_ptr());
+        for j0 in (0..n).step_by(16) {
+            let live: __mmask16 = if n - j0 >= 16 { !0 } else { (1 << (n - j0)) - 1 };
+            let mut term = [[izero; 2]; 3];
+            let mut weight = [[zero; 2]; 3];
+            for d in 0..3 {
+                // Dead lanes load 0.0, whose corners are in bounds.
+                let v = _mm512_maskz_loadu_ps(live, xyz[d].as_ptr().add(j0));
+                let below = _mm512_cmp_ps_mask::<_CMP_LT_OQ>(v, zero);
+                let above = _mm512_cmp_ps_mask::<_CMP_GT_OQ>(v, one);
+                let clamped = _mm512_mask_blend_ps(above, _mm512_mask_blend_ps(below, v, zero), one);
+                let scaled = _mm512_mul_ps(clamped, res);
+                let floor = _mm512_roundscale_ps::<{ _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC }>(scaled);
+                // A NaN converts to i32::MIN; `max(0)` maps it to 0 as the
+                // saturating `as usize` cast does.
+                let base = _mm512_min_epi32(_mm512_max_epi32(_mm512_cvttps_epi32(floor), izero), max_base);
+                let frac = _mm512_sub_ps(scaled, _mm512_cvtepi32_ps(base));
+                let m = _mm512_set1_epi32(mul[d]);
+                term[d] = [_mm512_mullo_epi32(base, m), _mm512_mullo_epi32(_mm512_add_epi32(base, ione), m)];
+                weight[d] = [_mm512_sub_ps(one, frac), frac];
+            }
+            for ci in 0..8 {
+                let (ox, oy, oz) = (ci & 1, (ci >> 1) & 1, ci >> 2);
+                let wc = _mm512_mul_ps(_mm512_mul_ps(weight[0][ox], weight[1][oy]), weight[2][oz]);
+                let (tx, ty, tz) = (term[0][ox], term[1][oy], term[2][oz]);
+                let entry = if self.dense {
+                    _mm512_add_epi32(_mm512_add_epi32(tx, ty), tz)
+                } else {
+                    _mm512_and_si512(_mm512_xor_si512(_mm512_xor_si512(tx, ty), tz), _mm512_set1_epi32(mask))
+                };
+                let elem = _mm512_mullo_epi32(entry, features);
+                _mm512_mask_storeu_epi32(idx_p.add(ci * n + j0), live, elem);
+                _mm512_mask_storeu_ps(w_p.add(ci * n + j0), live, wc);
+            }
+            for fi in 0..f {
+                let off = _mm512_set1_epi32(fi as i32);
+                let mut acc = zero;
+                for ci in 0..8 {
+                    let elem = _mm512_maskz_loadu_epi32(live, idx_p.add(ci * n + j0));
+                    let wc = _mm512_maskz_loadu_ps(live, w_p.add(ci * n + j0));
+                    let feat = _mm512_i32gather_ps::<4>(_mm512_add_epi32(elem, off), table.as_ptr());
+                    // mul then add, never fused — the simd module's contract.
+                    acc = _mm512_add_ps(acc, _mm512_mul_ps(wc, feat));
+                }
+                _mm512_mask_storeu_ps(enc_p.add(fi * n + j0), live, acc);
+            }
+        }
+    }
+
+    /// The AVX2 form of [`LevelEncoder::encode`]: 8 samples per register,
+    /// otherwise step for step [`LevelEncoder::encode_avx512`].
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2; the slices must have the lengths
+    /// [`LevelEncoder::encode_at`] checks, and every corner index must lie
+    /// inside `table`.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn encode_avx2(&self, table: &[f32], xyz: [&[f32]; 3], enc: &mut [f32], idx: &mut [u32], w: &mut [f32]) {
+        use std::arch::x86_64::*;
+        let (n, f) = (xyz[0].len(), self.features);
+        let (mul, mask) = self.index_lanes();
+        let res = _mm256_set1_ps(self.res as f32);
+        let max_base = _mm256_set1_epi32(self.res.saturating_sub(1) as i32);
+        let (zero, one) = (_mm256_setzero_ps(), _mm256_set1_ps(1.0));
+        let (izero, ione) = (_mm256_setzero_si256(), _mm256_set1_epi32(1));
+        let features = _mm256_set1_epi32(f as i32);
+        let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        let (idx_p, w_p, enc_p) = (idx.as_mut_ptr() as *mut i32, w.as_mut_ptr(), enc.as_mut_ptr());
+        for j0 in (0..n).step_by(8) {
+            let live = _mm256_cmpgt_epi32(_mm256_set1_epi32((n - j0).min(8) as i32), lane);
+            let mut term = [[izero; 2]; 3];
+            let mut weight = [[zero; 2]; 3];
+            for d in 0..3 {
+                // Dead lanes load 0.0, whose corners are in bounds.
+                let v = _mm256_maskload_ps(xyz[d].as_ptr().add(j0), live);
+                let below = _mm256_cmp_ps::<_CMP_LT_OQ>(v, zero);
+                let above = _mm256_cmp_ps::<_CMP_GT_OQ>(v, one);
+                let clamped = _mm256_blendv_ps(_mm256_blendv_ps(v, zero, below), one, above);
+                let scaled = _mm256_mul_ps(clamped, res);
+                let floor = _mm256_round_ps::<{ _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC }>(scaled);
+                let base = _mm256_min_epi32(_mm256_max_epi32(_mm256_cvttps_epi32(floor), izero), max_base);
+                let frac = _mm256_sub_ps(scaled, _mm256_cvtepi32_ps(base));
+                let m = _mm256_set1_epi32(mul[d]);
+                term[d] = [_mm256_mullo_epi32(base, m), _mm256_mullo_epi32(_mm256_add_epi32(base, ione), m)];
+                weight[d] = [_mm256_sub_ps(one, frac), frac];
+            }
+            for ci in 0..8 {
+                let (ox, oy, oz) = (ci & 1, (ci >> 1) & 1, ci >> 2);
+                let wc = _mm256_mul_ps(_mm256_mul_ps(weight[0][ox], weight[1][oy]), weight[2][oz]);
+                let (tx, ty, tz) = (term[0][ox], term[1][oy], term[2][oz]);
+                let entry = if self.dense {
+                    _mm256_add_epi32(_mm256_add_epi32(tx, ty), tz)
+                } else {
+                    _mm256_and_si256(_mm256_xor_si256(_mm256_xor_si256(tx, ty), tz), _mm256_set1_epi32(mask))
+                };
+                let elem = _mm256_mullo_epi32(entry, features);
+                _mm256_maskstore_epi32(idx_p.add(ci * n + j0), live, elem);
+                _mm256_maskstore_ps(w_p.add(ci * n + j0), live, wc);
+            }
+            for fi in 0..f {
+                let off = _mm256_set1_epi32(fi as i32);
+                let mut acc = zero;
+                for ci in 0..8 {
+                    let elem = _mm256_maskload_epi32(idx_p.add(ci * n + j0), live);
+                    let wc = _mm256_maskload_ps(w_p.add(ci * n + j0), live);
+                    let feat = _mm256_i32gather_ps::<4>(table.as_ptr(), _mm256_add_epi32(elem, off));
+                    acc = _mm256_add_ps(acc, _mm256_mul_ps(wc, feat));
+                }
+                _mm256_maskstore_ps(enc_p.add(fi * n + j0), live, acc);
+            }
         }
     }
 }
 
-/// One level's share of [`HashGrid::accumulate_grad_planned`]: adds `w ·
-/// d_level[f]` to feature `f` of each corner, corner by corner and feature
-/// by feature, into `grad_level`, the level's own span of the flat
-/// gradient (`level_stride` elements). `corners` and `d_level` are the
-/// level's slices of a plan ([`EncodePlan::write_level_corners`]) and of
-/// ∂L/∂encoding (`F` values). Every table entry belongs to exactly one
-/// level and receives the same products in the same order as in the
-/// whole-grid scatter, so scattering each level in turn — on any thread —
-/// reproduces it bit for bit.
+/// Scatters one level's records into that level's gradient span, in
+/// sample → corner → feature order: for each `(k, j)` in `kept` order,
+/// adds `w · d[k · F + f]` to feature `f` of each of sample `j`'s 8
+/// corners. `idx`/`w` are one level's corner columns of `n = idx.len() /
+/// 8` samples, as [`LevelEncoder::encode`] writes them; `kept` holds
+/// sample indices below `n`; `d` holds `F` values of ∂L/∂encoding at this
+/// level per kept sample. Every table entry belongs to exactly one level
+/// and receives the same products in the same order as in the whole-grid
+/// scatter ([`HashGrid::accumulate_grad_planned`]) of the same samples,
+/// so scattering each level in turn — on any thread — reproduces it bit
+/// for bit. The scatter is scalar: two corners of one lookup can share an
+/// entry, and their updates must apply in turn.
 ///
 /// # Panics
 ///
-/// Panics if a corner's features fall outside `grad_level`.
-pub fn accumulate_grad_level(corners: &[LevelCorner], d_level: &[f32], grad_level: &mut [f32]) {
-    if let [d0, d1] = *d_level {
+/// Panics if `idx` and `w` differ in length, `d` does not hold `F` values
+/// per kept sample, or a kept sample or a corner's features fall outside
+/// the columns or `grad_level`.
+pub fn accumulate_grad_level(
+    idx: &[u32],
+    w: &[f32],
+    kept: &[usize],
+    d: &[f32],
+    features: usize,
+    grad_level: &mut [f32],
+) {
+    assert_eq!(idx.len(), w.len(), "one weight per corner index");
+    assert_eq!(d.len(), kept.len() * features, "F gradient values per kept sample");
+    let n = idx.len() / 8;
+    let corners = |j: usize| {
+        assert!(j < n, "kept sample {j} of {n}");
+        (0..8).map(move |ci| (idx[ci * n + j] as usize, w[ci * n + j]))
+    };
+    if features == 2 {
         // F == 2, the configuration every experiment trains.
-        for c in corners {
-            let g = &mut grad_level[c.idx as usize..][..2];
-            g[0] += c.w * d0;
-            g[1] += c.w * d1;
+        for (&j, d) in kept.iter().zip(d.chunks_exact(2)) {
+            for (e, wc) in corners(j) {
+                let g = &mut grad_level[e..][..2];
+                g[0] += wc * d[0];
+                g[1] += wc * d[1];
+            }
         }
         return;
     }
-    for c in corners {
-        let g = &mut grad_level[c.idx as usize..][..d_level.len()];
-        for (g, &d) in g.iter_mut().zip(d_level) {
-            *g += c.w * d;
+    for (&j, d) in kept.iter().zip(d.chunks_exact(features.max(1))) {
+        for (e, wc) in corners(j) {
+            for (g, &dv) in grad_level[e..][..features].iter_mut().zip(d) {
+                *g += wc * dv;
+            }
         }
     }
 }
@@ -331,41 +581,23 @@ impl HashGrid {
         self.tables.len()
     }
 
+    /// Level `l`'s lookup constants, for encoding many samples at that
+    /// level ([`LevelEncoder::encode`]) while its table is borrowed
+    /// elsewhere.
+    pub fn level_encoder(&self, l: usize) -> LevelEncoder {
+        self.lanes.encoder(&self.config, l)
+    }
+
     /// Table index of an integer corner at level `l` — dense indexing for
     /// coarse levels, XOR-of-primes hash for fine levels.
     pub fn corner_index(&self, l: usize, c: [usize; 3]) -> usize {
-        let t = 1usize << self.config.log2_table_size;
-        if self.lanes.dense(l) {
-            let n = self.lanes.res(l) + 1;
-            (c[0] * n + c[1]) * n + c[2]
-        } else {
-            let mut h = 0u64;
-            for (i, &ci) in c.iter().enumerate() {
-                h ^= (ci as u64).wrapping_mul(PRIMES[i]);
-            }
-            (h as usize) & (t - 1)
-        }
+        self.level_encoder(l).corner_index(c)
     }
 
     /// Computes the 8 corner `(index, trilinear weight)` pairs for point
     /// `p` at level `l` (positions clamped to the unit cube).
     pub fn corner_lookups(&self, l: usize, p: Vec3) -> CornerLookups {
-        let n = self.lanes.res(l);
-        let clamp01 = |v: f32| v.clamp(0.0, 1.0);
-        let scaled = [clamp01(p.x) * n as f32, clamp01(p.y) * n as f32, clamp01(p.z) * n as f32];
-        let base = scaled.map(|v| (v.floor() as usize).min(n.saturating_sub(1)));
-        let frac = [scaled[0] - base[0] as f32, scaled[1] - base[1] as f32, scaled[2] - base[2] as f32];
-        let mut out = [(0usize, 0.0f32); 8];
-        for (ci, slot) in out.iter_mut().enumerate() {
-            let offs = [ci & 1, (ci >> 1) & 1, (ci >> 2) & 1];
-            let corner = [base[0] + offs[0], base[1] + offs[1], base[2] + offs[2]];
-            let mut w = 1.0f32;
-            for d in 0..3 {
-                w *= if offs[d] == 1 { frac[d] } else { 1.0 - frac[d] };
-            }
-            *slot = (self.corner_index(l, corner), w);
-        }
-        out
+        self.level_encoder(l).corner_lookups(p)
     }
 
     /// Encodes a point: concatenated interpolated features of every level.
@@ -960,10 +1192,10 @@ mod tests {
             }
 
             /// The level scatter reproduces the whole-grid planned scatter
-            /// on its own level and leaves every other level alone, on
-            /// grids mixing dense and hashed levels, with F from 1 to 3,
-            /// small tables (so hashed corners collide) and every point
-            /// scattered twice.
+            /// of the kept points on its own level and leaves every other
+            /// level alone, on grids mixing dense and hashed levels, with F
+            /// from 1 to 3, small tables (so hashed corners collide) and
+            /// every point scattered twice.
             #[test]
             fn prop_level_scatter_matches_the_whole_grid_scatter(
                 li in 0usize..7,
@@ -992,19 +1224,20 @@ mod tests {
                 check_level_scatter(&g, &pts, &d_outs, &init);
             }
 
-            /// The one-call record copy writes exactly `level_corners` of
-            /// every level at its section offset and nothing else: the
-            /// slots before the record, between a level's 8 corners and the
-            /// next section, and after the last level keep a guard
-            /// pattern. Every corner also stays inside its level's
-            /// `live_entries`, on grids mixing dense and hashed levels.
+            /// The level-major encode equals `plan_into` + `encode_planned`
+            /// of each sample on its own, bit for bit (corner indices,
+            /// weights and encoded values), at every SIMD level the host
+            /// has: levels 1–16 mixing dense and hashed ones, F from 1 to
+            /// 3, and sample counts that leave every lane tail of the 16-
+            /// and 8-lane kernels, with NaN, ±0, negative, exactly 1 and
+            /// above-1 coordinates. Every corner also stays inside its
+            /// level's `live_entries`.
             #[test]
-            fn prop_write_level_corners_matches_level_corners(
+            fn prop_level_encode_matches_the_planned_encode_bitwise(
                 levels in 1usize..17,
                 log2 in 6usize..14,
                 features in 1usize..4,
-                section in 8usize..41,
-                lead in 0usize..9,
+                n in 0usize..41,
                 seed in 0u64..1000,
             ) {
                 let config = HashGridConfig {
@@ -1015,57 +1248,116 @@ mod tests {
                     growth: 1.2 + (seed % 7) as f32 * 0.1,
                 };
                 let g = HashGrid::new(config, 0.1, seed);
-                let guard = LevelCorner { idx: 0xDEAD_BEEF, w: f32::from_bits(0x7FC0_1234) };
-                let same = |a: &LevelCorner, b: &LevelCorner| a.idx == b.idx && a.w.to_bits() == b.w.to_bits();
-                let mut out = vec![guard; lead + (levels - 1) * section + 8 + 5];
-                let mut plan = EncodePlan::default();
-                let mut want = [LevelCorner::default(); 8];
-                for p in points(seed) {
-                    g.plan_into(p, &mut plan);
-                    out.fill(guard);
-                    plan.write_level_corners(&mut out[lead..], section);
+                let pts = edge_points(seed, n);
+                let xyz: [Vec<f32>; 3] = [
+                    pts.iter().map(|p| p.x).collect(),
+                    pts.iter().map(|p| p.y).collect(),
+                    pts.iter().map(|p| p.z).collect(),
+                ];
+                let planned: Vec<(EncodePlan, Vec<f32>)> = pts
+                    .iter()
+                    .map(|&p| {
+                        let mut plan = EncodePlan::default();
+                        g.plan_into(p, &mut plan);
+                        let mut enc = vec![0.0f32; config.output_dims()];
+                        g.encode_planned(&plan, &mut enc);
+                        (plan, enc)
+                    })
+                    .collect();
+                let (f, stride) = (features, g.level_stride());
+                for lv in host_levels() {
                     for l in 0..levels {
-                        plan.level_corners(l, &mut want);
-                        let live = (config.live_entries(l) * features) as u32;
-                        prop_assert!(want.iter().all(|c| c.idx < live), "{p:?} level {l}: corner past live_entries");
-                        let got = &out[lead + l * section..][..8];
-                        prop_assert!(got.iter().zip(&want).all(|(a, b)| same(a, b)), "{p:?} level {l}: {got:?} vs {want:?}");
-                    }
-                    for (i, o) in out.iter().enumerate() {
-                        let written = i >= lead && (i - lead) / section < levels && (i - lead) % section < 8;
-                        prop_assert!(written || same(o, &guard), "{p:?}: guard slot {i} overwritten");
+                        let (mut enc, mut idx, mut w) = (vec![0.0f32; f * n], vec![0u32; 8 * n], vec![0.0f32; 8 * n]);
+                        let xyz = [&xyz[0][..], &xyz[1][..], &xyz[2][..]];
+                        g.level_encoder(l).encode_at(lv, g.level_table(l), xyz, &mut enc, &mut idx, &mut w);
+                        let live = (config.live_entries(l) * f) as u32;
+                        for (j, (plan, want)) in planned.iter().enumerate() {
+                            let at = format!("{lv:?} {:?} level {l}", pts[j]);
+                            for ci in 0..8 {
+                                let (slot, k) = (ci * levels + l, ci * n + j);
+                                let want_idx = (plan.idx[slot] as usize - l * stride) as u32;
+                                prop_assert_eq!(idx[k], want_idx, "{} corner {}", at, ci);
+                                prop_assert!(idx[k] < live, "{} corner {}: past live_entries", at, ci);
+                                prop_assert_eq!(w[k].to_bits(), plan.w[slot].to_bits(), "{} corner {}", at, ci);
+                            }
+                            for fi in 0..f {
+                                let (got, want) = (enc[fi * n + j], want[l * f + fi]);
+                                prop_assert_eq!(got.to_bits(), want.to_bits(), "{}: {} vs {}", at, got, want);
+                            }
+                        }
                     }
                 }
             }
         }
     }
 
-    /// Scatters `d_outs` at `pts` into a copy of `init`, whole-grid and
-    /// then level by level, and checks the level scatter bit for bit: its
-    /// own level's range must equal the whole-grid scatter's, and every
-    /// other range must still hold `init`. Returns how many level lookups
-    /// had two corners on one table entry.
+    /// The dispatch levels this host can run, scalar first.
+    fn host_levels() -> Vec<fnr_tensor::simd::SimdLevel> {
+        let mut levels = vec![fnr_tensor::simd::SimdLevel::Scalar];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                levels.push(fnr_tensor::simd::SimdLevel::Avx2);
+            }
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                levels.push(fnr_tensor::simd::SimdLevel::Avx512);
+            }
+        }
+        levels
+    }
+
+    /// `n` points: first the edge cases (NaN, ±0, negative, exactly 1
+    /// and above-1 coordinates), then seeded ones in and around the cube.
+    fn edge_points(seed: u64, n: usize) -> Vec<Vec3> {
+        use rand::{Rng, SeedableRng};
+        let edges = [
+            Vec3::new(f32::NAN, 0.3, 0.7),
+            Vec3::new(-0.0, 1.0, 0.0),
+            Vec3::splat(1.0),
+            Vec3::new(-0.25, 1.5, 0.5),
+            Vec3::new(0.0, -0.0, 2.0),
+            Vec3::new(0.999, f32::NAN, -1.0),
+        ];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xED6E);
+        let mut coord = move || match rng.gen_range(0..8u32) {
+            0 => 1.0,
+            1 => -0.0,
+            _ => rng.gen_range(-0.5f32..1.5),
+        };
+        edges.into_iter().chain(std::iter::repeat_with(|| Vec3::new(coord(), coord(), coord()))).take(n).collect()
+    }
+
+    /// Scatters `d_outs` at the kept points (every index not ≡ 1 mod 3)
+    /// of `pts` into a copy of `init`, whole-grid and then level by level
+    /// from the level encode's corner columns, and checks the level
+    /// scatter bit for bit: its own level's range must equal the
+    /// whole-grid scatter's, and every other range must still hold
+    /// `init`. Returns how many kept level lookups had two corners on one
+    /// table entry.
     fn check_level_scatter(g: &HashGrid, pts: &[Vec3], d_outs: &[Vec<f32>], init: &[f32]) -> usize {
-        let (levels, f, stride) = (g.config().levels, g.config().features, g.level_stride());
+        let (levels, f, stride, n) = (g.config().levels, g.config().features, g.level_stride(), pts.len());
+        let kept: Vec<usize> = (0..n).filter(|j| j % 3 != 1).collect();
         let mut plan = EncodePlan::default();
         let mut whole = init.to_vec();
-        for (&p, d) in pts.iter().zip(d_outs) {
-            g.plan_into(p, &mut plan);
-            g.accumulate_grad_planned(&plan, d, &mut whole);
+        for &j in &kept {
+            g.plan_into(pts[j], &mut plan);
+            g.accumulate_grad_planned(&plan, &d_outs[j], &mut whole);
         }
+        let xyz: [Vec<f32>; 3] =
+            [pts.iter().map(|p| p.x).collect(), pts.iter().map(|p| p.y).collect(), pts.iter().map(|p| p.z).collect()];
+        let (mut enc, mut idx, mut w) = (vec![0.0f32; f * n], vec![0u32; 8 * n], vec![0.0f32; 8 * n]);
         let mut collisions = 0;
-        let mut corners = [LevelCorner::default(); 8];
         for l in 0..levels {
-            let mut by_level = init.to_vec();
-            for (&p, d) in pts.iter().zip(d_outs) {
-                g.plan_into(p, &mut plan);
-                plan.level_corners(l, &mut corners);
-                let mut idx: Vec<u32> = corners.iter().map(|c| c.idx).collect();
-                idx.sort_unstable();
-                idx.dedup();
-                collisions += usize::from(idx.len() < 8);
-                accumulate_grad_level(&corners, &d[l * f..(l + 1) * f], &mut by_level[l * stride..(l + 1) * stride]);
+            g.level_encoder(l).encode(g.level_table(l), [&xyz[0], &xyz[1], &xyz[2]], &mut enc, &mut idx, &mut w);
+            let d: Vec<f32> = kept.iter().flat_map(|&j| d_outs[j][l * f..(l + 1) * f].iter().copied()).collect();
+            for &j in &kept {
+                let mut corners: Vec<u32> = (0..8).map(|ci| idx[ci * n + j]).collect();
+                corners.sort_unstable();
+                corners.dedup();
+                collisions += usize::from(corners.len() < 8);
             }
+            let mut by_level = init.to_vec();
+            accumulate_grad_level(&idx, &w, &kept, &d, f, &mut by_level[l * stride..(l + 1) * stride]);
             for (i, (a, b)) in whole.iter().zip(&by_level).enumerate() {
                 let expect = if i / stride == l { a } else { &init[i] };
                 assert_eq!(b.to_bits(), expect.to_bits(), "level {l}, element {i}: {b} vs {expect}");

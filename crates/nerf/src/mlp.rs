@@ -195,16 +195,17 @@ impl MlpRows {
         self.len = 0;
     }
 
-    /// Appends a row and returns its input slot for the caller to fill.
+    /// Appends `n` rows and returns their input slots, row after row, for
+    /// the caller to fill.
     ///
     /// # Panics
     ///
-    /// Panics if the cache is full.
-    pub fn push_row(&mut self) -> &mut [f32] {
-        assert!(self.len < self.cap, "MlpRows holds {} rows", self.cap);
+    /// Panics if the cache cannot hold `n` more rows.
+    pub fn push_rows(&mut self, n: usize) -> &mut [f32] {
+        assert!(n <= self.cap - self.len, "MlpRows holds {} rows", self.cap);
         let w = self.widths[0];
-        self.len += 1;
-        &mut self.activations[0][(self.len - 1) * w..][..w]
+        self.len += n;
+        &mut self.activations[0][(self.len - n) * w..][..n * w]
     }
 
     /// Row `r` of the network output from the last [`Mlp::forward_rows`].
@@ -1155,7 +1156,7 @@ mod tests {
             let mut tiled = mlp.zero_grads();
             let mut rows = mlp.rows(n);
             for x in &xs {
-                rows.push_row().copy_from_slice(x);
+                rows.push_rows(1).copy_from_slice(x);
             }
             mlp.forward_rows(&packed, &mut rows);
             let got_out: Vec<f32> = (0..n).flat_map(|r| rows.output_row(r).to_vec()).collect();

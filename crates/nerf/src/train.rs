@@ -3,11 +3,13 @@
 //! checkpoints (needed by the Fig. 20(a) quantization/PSNR study).
 
 use crate::camera::Camera;
+use crate::hashgrid::{accumulate_grad_level, LevelEncoder};
 use crate::psnr::Image;
 use crate::render::{composite, composite_backward_into, sigmoid, softplus, NgpModel, ShadedSample};
 use crate::sampling::{sample_ray_into, RaySample};
 use crate::scene::Scene;
 use rand::{Rng, SeedableRng};
+use std::ops::Range;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Training hyper-parameters.
@@ -100,22 +102,25 @@ fn scale_in_place(grads: &mut [f32], scale: f32) {
 /// The hash-grid gradient is merged level by level rather than shard by
 /// shard, with the same bits. Every table entry belongs to exactly one
 /// level. Within a level, each entry receives the same `w · d` products,
-/// in the same ray → sample → corner → feature order, as a whole-grid
-/// scatter would give it. Shard 0's sum starts from `+0.0`, and every
-/// other shard's sum is added in shard order, `((s₀ + s₁) + s₂) + …`,
-/// exactly as a dense per-shard merge adds them. Scaling and Adam are
-/// elementwise. So which thread runs a level cannot change what that level
-/// computes.
+/// in the same shard → ray → sample → corner → feature order, as a
+/// whole-grid scatter would give it. Shard 0's sum starts from `+0.0`, and
+/// every other shard's sum is added in shard order, `((s₀ + s₁) + s₂) +
+/// …`, exactly as a dense per-shard merge adds them. Scaling and Adam are
+/// elementwise. The encoding a level task computes for the next iteration
+/// is a pure function of each sample's position and of the level's own
+/// table after this iteration's Adam step, which no other task writes.
+/// So which thread runs a shard or a level cannot change what it computes.
 ///
 /// What a shard or a level task keeps across iterations is only what must
-/// outlive it: a shard's records ([`LevelRecords`]) and MLP partial, a
-/// level's Adam moments ([`LevelGrads`]). Scratch that lives only while a
-/// task runs — a shard's [`RayGroup`], a level task's [`LevelScratch`] —
-/// comes from a pool of one entry per pool thread, because no more tasks
-/// than threads run at once. Held per shard or per level instead, that
-/// scratch would be the largest thing the step touches (the merge buffers
-/// alone were 1 MB at fig20a's 8 levels), crowding the records and moments
-/// the phases read out of cache and adding to RSS.
+/// outlive it: a shard's samples, kept list and MLP partial
+/// ([`ShardGrads`] and its samples), a level's records and Adam moments
+/// ([`LevelRecords`] in a `Level`). Scratch that lives only while a task
+/// runs — a shard's [`RayGroup`], a level task's [`LevelScratch`] — comes
+/// from a pool of one entry per pool thread, because no more tasks than
+/// threads run at once. Held per shard or per level instead, that scratch
+/// would be the largest thing the step touches (the merge buffers alone
+/// were 1 MB at fig20a's 8 levels), crowding the records and moments the
+/// phases read out of cache and adding to RSS.
 const TRAIN_SHARDS: usize = 8;
 
 /// Per-ray RNG stream: every ray of every iteration draws from its own
@@ -132,81 +137,240 @@ fn ray_rng(seed: u64, iter: usize, ray: usize, batch_rays: usize) -> rand::rngs:
 /// group holds whole rays, `max(GROUP_ROWS, samples_per_ray)` rows at
 /// most, so every ray fits in one. 32 rows are four 8-sample tiles,
 /// enough to keep the tile kernels busy, while a group's buffers (forward
-/// cache, encode plans, propagation rows) stay near 45 KB. Sizing them for
-/// a shard's whole sample count instead (256 rows at fig20a) would add
-/// about 300 KB per group, which is why the group is bounded and not a
-/// setting.
+/// cache, propagation rows) stay small. Sizing them for a shard's whole
+/// sample count instead (256 rows at fig20a) would add about 300 KB per
+/// group, which is why the group is bounded and not a setting.
 const GROUP_ROWS: usize = 32;
 
-/// One shard's pooled working set: its partial MLP gradient and the
-/// records its hash-grid gradient is scattered from. Slots are built once
-/// before the training loop and reused by every iteration (cleared in
-/// place), so steady-state training allocates nothing per step.
+/// One ray of a shard: its ground-truth pixel and its samples' range in
+/// the shard's [`ShardSamples`].
+struct ShardRay {
+    gt: [f32; 3],
+    samples: Range<usize>,
+}
+
+/// The samples of the iteration a shard runs next, in ray → sample order:
+/// positions as three coordinate columns (the layout the level encode
+/// loads 16 samples at a time from), segment lengths δ, and the rays they
+/// belong to. Rays that miss the unit cube have no samples and are left
+/// out. Sized once for the shard's largest sample count.
+struct ShardSamples {
+    xyz: [Vec<f32>; 3],
+    delta: Vec<f32>,
+    rays: Vec<ShardRay>,
+}
+
+impl ShardSamples {
+    fn new(rays: usize, samples: usize) -> Self {
+        ShardSamples {
+            xyz: std::array::from_fn(|_| Vec::with_capacity(samples)),
+            delta: Vec::with_capacity(samples),
+            rays: Vec::with_capacity(rays),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.delta.len()
+    }
+
+    fn xyz(&self) -> [&[f32]; 3] {
+        self.xyz.each_ref().map(Vec::as_slice)
+    }
+
+    /// Replaces the samples with those of rays `rays` at iteration `iter`.
+    fn sample(
+        &mut self,
+        rays: Range<usize>,
+        iter: usize,
+        cfg: &TrainConfig,
+        cameras: &[Camera],
+        truths: &[Image],
+        scratch: &mut Vec<RaySample>,
+    ) {
+        self.xyz.iter_mut().for_each(Vec::clear);
+        self.delta.clear();
+        self.rays.clear();
+        for ray_idx in rays {
+            let mut rng = ray_rng(cfg.seed, iter, ray_idx, cfg.batch_rays);
+            let view = rng.gen_range(0..cfg.views);
+            let px = rng.gen_range(0..cfg.image_size);
+            let py = rng.gen_range(0..cfg.image_size);
+            let ray = cameras[view].ray(px, py, cfg.image_size, cfg.image_size);
+            sample_ray_into(&ray, cfg.samples_per_ray, None, scratch);
+            if scratch.is_empty() {
+                continue;
+            }
+            let start = self.len();
+            for s in scratch.iter() {
+                let [x, y, z] = &mut self.xyz;
+                x.push(s.position.x);
+                y.push(s.position.y);
+                z.push(s.position.z);
+                self.delta.push(s.delta);
+            }
+            self.rays.push(ShardRay { gt: truths[view].get(px, py), samples: start..self.len() });
+        }
+    }
+}
+
+/// What one shard phase produces, in buffers built once before the
+/// training loop and cleared in place, so steady-state training allocates
+/// nothing per step: the shard's partial MLP gradient and loss, and, for
+/// the level phase, the samples whose head gradient is not all zero
+/// (`kept`) with their ∂L/∂encoding.
 ///
-/// A shard runs its rays group by group, in ray order, through a
+/// A shard runs its samples group by group, in ray order, through a
 /// [`RayGroup`] it borrows for the shard's duration:
 ///
-/// 1. sample, plan and encode every ray of the group into MLP input rows;
+/// 1. build each sample's MLP input row from the level-major encoding
+///    columns the level phase wrote ([`LevelRecords`]);
 /// 2. run the MLP forward over all rows at once, in sample tiles that
 ///    cross ray boundaries ([`crate::mlp::Mlp::forward_rows`]);
 /// 3. per ray, in ray order: heads, composite, loss, composite backward
 ///    and head gradients, keeping the rows whose head gradient is not all
 ///    zero;
 /// 4. run the MLP backward over the kept rows at once
-///    ([`crate::mlp::Mlp::backward_rows`]) and push their records in ray →
-///    sample order.
+///    ([`crate::mlp::Mlp::backward_rows`]) and write their ∂L/∂encoding
+///    level-major, in ray → sample order.
 ///
 /// The weights are frozen for the whole shard phase, so computing a
 /// group's forward before any of its backward changes no value, and every
-/// gradient entry still receives samples in ray → sample order.
+/// gradient entry still receives samples in ray → sample order. Then the
+/// shard samples its rays for the next iteration into [`ShardSamples`].
 ///
-/// A shard holds no grid-sized buffer: the scatter into the hash grid's
-/// gradient is deferred to the level phase of [`train_ngp`], which reads
-/// `records`.
+/// A shard holds no grid-sized buffer and reads no table: the scatter into
+/// the hash grid's gradient, and the encode, belong to the level phase of
+/// [`train_ngp`].
 struct ShardGrads {
     mlp: crate::mlp::MlpGrads,
     loss: f32,
-    /// What the level phase scatters into the hash grid's gradient.
-    records: LevelRecords,
+    /// The kept samples' indices in the iteration's [`ShardSamples`],
+    /// ascending.
+    kept: Vec<usize>,
+    /// ∂L/∂encoding of each kept sample, level-major: level `l`'s section
+    /// starts at `l · cap · F` and holds `F` values per kept sample.
+    d: Vec<f32>,
+    /// Samples of the iteration `kept` refers to: the length of that
+    /// iteration's corner columns in [`LevelRecords`].
+    of: usize,
+    /// Samples per level section of `d`.
+    cap: usize,
+    features: usize,
 }
 
 impl ShardGrads {
-    /// A fresh slot sized for `model`, with room for `samples` records.
+    /// A fresh slot sized for `model`, with room for `samples` samples.
     fn new(model: &NgpModel, samples: usize) -> Self {
         let grid = model.grid.config();
         ShardGrads {
             mlp: model.mlp.zero_grads(),
             loss: 0.0,
-            records: LevelRecords::new(grid.levels, grid.features, samples),
+            kept: Vec::with_capacity(samples),
+            d: vec![0.0; grid.levels * samples * grid.features],
+            of: 0,
+            cap: samples,
+            features: grid.features,
         }
     }
 
-    /// Clears the accumulators in place for the next iteration.
-    fn reset(&mut self) {
+    /// Clears the accumulators in place for an iteration of `of` samples.
+    fn reset(&mut self, of: usize) {
         self.mlp.zero();
         self.loss = 0.0;
-        self.records.len = 0;
+        self.kept.clear();
+        self.of = of;
+    }
+
+    /// Keeps samples `s0 + r` for each row `r` of `rows`, with their
+    /// ∂L/∂encoding rows `d_enc` (every level's `F` values per row),
+    /// transposed into the level sections one level at a time and element
+    /// by element: at `F = 2` a `copy_from_slice` is a library call per
+    /// two floats.
+    fn keep(&mut self, s0: usize, rows: &[usize], d_enc: &[f32]) {
+        let (cap, f, k0, m) = (self.cap, self.features, self.kept.len(), rows.len());
+        if m == 0 {
+            return;
+        }
+        assert!(k0 + m <= cap, "more kept samples than the shard's samples");
+        self.kept.extend(rows.iter().map(|&r| s0 + r));
+        let dims = d_enc.len() / m;
+        for (l, section) in self.d.chunks_exact_mut(cap * f).enumerate() {
+            let out = section[k0 * f..][..m * f].chunks_exact_mut(f);
+            for (o, d_row) in out.zip(d_enc.chunks_exact(dims)) {
+                for (o, &v) in o.iter_mut().zip(&d_row[l * f..]) {
+                    *o = v;
+                }
+            }
+        }
+    }
+
+    /// Level `l`'s ∂L/∂encoding of every kept sample.
+    fn level_d(&self, l: usize) -> &[f32] {
+        let f = self.features;
+        &self.d[l * self.cap * f..][..self.kept.len() * f]
     }
 }
 
-/// One ray of a [`RayGroup`]: its ground-truth pixel and its rows.
-struct GroupRay {
-    gt: [f32; 3],
-    rows: std::ops::Range<usize>,
+/// One of the [`TRAIN_SHARDS`] fixed slices of the ray batch, with every
+/// buffer its shard phase uses.
+struct Shard {
+    /// The shard's rays in the batch.
+    rays: Range<usize>,
+    /// The shard's first sample slot in every level's [`LevelRecords`].
+    base: usize,
+    samples: ShardSamples,
+    grads: ShardGrads,
 }
 
-/// A bounded group of whole rays and every buffer it needs, each
-/// allocated once (see [`ShardGrads`] for the phases). A group is empty
-/// whenever no shard holds it, so the training loop keeps one per pool
-/// thread rather than one per shard.
+impl Shard {
+    /// The shard phase (see [`ShardGrads`]) over the samples the previous
+    /// iteration drew, encoded by the level tasks into `levels`.
+    fn run(
+        &mut self,
+        mlp: &crate::mlp::Mlp,
+        packed: &crate::mlp::PackedMlp,
+        levels: &[Level<'_>],
+        group: &mut RayGroup,
+    ) {
+        let Shard { base, samples, grads, .. } = self;
+        let n = samples.len();
+        grads.reset(n);
+        let rays = &samples.rays;
+        let mut r = 0;
+        while r < rays.len() {
+            let s0 = rays[r].samples.start;
+            let mut end = r;
+            while end < rays.len() && rays[end].samples.end - s0 <= group.mlp.capacity() {
+                end += 1;
+            }
+            assert!(end > r, "a group holds at least one whole ray");
+            // Input row `j − s0` is column `l · F + f` ← level `l`'s
+            // encoding column `f` at sample `j`, column by column.
+            let rows = rays[end - 1].samples.end - s0;
+            let inputs = group.mlp.push_rows(rows);
+            let dims = inputs.len() / rows;
+            for (l, level) in levels.iter().enumerate() {
+                let enc = level.records.enc(*base, n);
+                for (fi, col) in enc.chunks_exact(n).enumerate() {
+                    let out = inputs[l * grads.features + fi..].iter_mut().step_by(dims);
+                    for (o, &v) in out.zip(&col[s0..s0 + rows]) {
+                        *o = v;
+                    }
+                }
+            }
+            group.flush(mlp, packed, samples, &rays[r..end], grads);
+            r = end;
+        }
+    }
+}
+
+/// A bounded group of whole rays' MLP rows and every buffer the shard
+/// phase needs around them, each allocated once (see [`ShardGrads`] for
+/// the phases). A group is empty whenever no shard holds it, so the
+/// training loop keeps one per pool thread rather than one per shard.
 struct RayGroup {
-    rays: Vec<GroupRay>,
-    /// The ray being added.
+    /// One ray's samples while a shard draws them.
     samples: Vec<RaySample>,
-    /// Per row: its encode plan (recorded for the level scatter) and its
-    /// segment length δ.
-    plans: Vec<crate::hashgrid::EncodePlan>,
-    deltas: Vec<f32>,
     /// MLP inputs and forward cache, one row per sample.
     mlp: crate::mlp::MlpRows,
     /// One ray's shaded samples and composite gradients.
@@ -221,10 +385,7 @@ struct RayGroup {
 impl RayGroup {
     fn new(model: &NgpModel, rows: usize) -> Self {
         RayGroup {
-            rays: Vec::with_capacity(rows),
             samples: Vec::with_capacity(rows),
-            plans: vec![Default::default(); rows],
-            deltas: vec![0.0; rows],
             mlp: model.mlp.rows(rows),
             shaded: Vec::with_capacity(rows),
             d_sigma: Vec::with_capacity(rows),
@@ -234,40 +395,30 @@ impl RayGroup {
         }
     }
 
-    /// Plans and encodes the samples in `self.samples` as new rows of one
-    /// ray whose pixel is `gt`.
-    fn add_ray(&mut self, grid: &crate::hashgrid::HashGrid, gt: [f32; 3]) {
-        let start = self.mlp.len();
-        for (i, s) in self.samples.iter().enumerate() {
-            let plan = &mut self.plans[start + i];
-            grid.plan_into(s.position, plan);
-            grid.encode_planned(plan, self.mlp.push_row());
-            self.deltas[start + i] = s.delta;
-        }
-        self.rays.push(GroupRay { gt, rows: start..self.mlp.len() });
-    }
-
-    /// Runs the group through the model, adds its loss and MLP gradient,
-    /// pushes its records, and empties it.
+    /// Runs the group's rows, one per sample of `rays` (consecutive rays of
+    /// `samples`), through the model; adds their loss and MLP gradient to
+    /// `grads`, keeps their kept samples there, and empties the group.
     fn flush(
         &mut self,
-        model: &NgpModel,
+        mlp: &crate::mlp::Mlp,
         packed: &crate::mlp::PackedMlp,
-        loss: &mut f32,
-        g_mlp: &mut crate::mlp::MlpGrads,
-        records: &mut LevelRecords,
+        samples: &ShardSamples,
+        rays: &[ShardRay],
+        grads: &mut ShardGrads,
     ) {
-        model.mlp.forward_rows(packed, &mut self.mlp);
+        let s0 = rays[0].samples.start;
+        mlp.forward_rows(packed, &mut self.mlp);
         self.kept.clear();
         self.d_raw.clear();
-        for ray in &self.rays {
+        for ray in rays {
+            let rows = ray.samples.start - s0..ray.samples.end - s0;
             self.shaded.clear();
-            self.shaded.extend(ray.rows.clone().map(|r| {
+            self.shaded.extend(rows.clone().map(|r| {
                 let raw = self.mlp.output_row(r);
                 ShadedSample {
                     sigma: softplus(raw[0]),
                     color: [sigmoid(raw[1]), sigmoid(raw[2]), sigmoid(raw[3])],
-                    delta: self.deltas[r],
+                    delta: samples.delta[s0 + r],
                 }
             }));
             let (c, gt) = (composite(&self.shaded), ray.gt);
@@ -276,9 +427,9 @@ impl RayGroup {
                 2.0 * (c[1] - gt[1]) / 3.0,
                 2.0 * (c[2] - gt[2]) / 3.0,
             ];
-            *loss += ((c[0] - gt[0]).powi(2) + (c[1] - gt[1]).powi(2) + (c[2] - gt[2]).powi(2)) / 3.0;
+            grads.loss += ((c[0] - gt[0]).powi(2) + (c[1] - gt[1]).powi(2) + (c[2] - gt[2]).powi(2)) / 3.0;
             composite_backward_into(&self.shaded, d_out, &mut self.d_sigma, &mut self.d_color);
-            for (i, r) in ray.rows.clone().enumerate() {
+            for (i, r) in rows.enumerate() {
                 // Head gradients: σ = softplus(z0), c = sigmoid(z1..3).
                 let mut d_raw = [0.0f32; 4];
                 d_raw[0] = self.d_sigma[i] * sigmoid(self.mlp.output_row(r)[0]);
@@ -294,84 +445,103 @@ impl RayGroup {
             }
         }
         self.mlp.compact(&self.kept);
-        let d_enc = model.mlp.backward_rows(&mut self.mlp, &self.d_raw, g_mlp);
-        let dims = model.mlp.inputs();
-        for (&r, d) in self.kept.iter().zip(d_enc.chunks_exact(dims)) {
-            records.push(&self.plans[r], d);
-        }
-        self.rays.clear();
+        let d_enc = mlp.backward_rows(&mut self.mlp, &self.d_raw, &mut grads.mlp);
+        grads.keep(s0, &self.kept, d_enc);
         self.mlp.clear();
     }
 }
 
-/// A shard's hash-grid gradient records: one per sample whose head
-/// gradient is not all zero, in ray-then-sample order, stored level-major
-/// so a level task reads only its own level, contiguously. Section `l` of
-/// `corners` holds each record's 8 level-`l` corners, and section `l` of
-/// `d` its `F` values of ∂L/∂encoding at level `l`. Sized once for the
-/// shard's largest sample count.
+/// One hash-grid level's records of an iteration, for every shard's
+/// samples: the level's `F` encoding columns, which the shard phase builds
+/// its MLP input rows from, and its 8 corner columns (level-relative
+/// element index and trilinear weight), which the level phase scatters
+/// from. The level task writes both in one pass
+/// ([`crate::hashgrid::LevelEncoder::encode`]) right after its Adam step,
+/// so the records are level-major from the start and no per-sample copy
+/// moves them there. Shard `s`'s `n` samples sit at its base slot `b`,
+/// structure-of-arrays: `enc[b·F + f·n + j]`, `idx[8b + ci·n + j]` and
+/// `w[8b + ci·n + j]`. Sized once for the batch's largest sample count.
 ///
-/// Records stay per shard, not per pool thread like [`RayGroup`] and
-/// [`LevelScratch`]: every level task reads every shard's records, so they
-/// must outlive the shard phase. They are also the most the step writes
-/// per sample (576 B at fig20a: 8 levels × 8 corners × 8 B, plus `d`),
-/// which is why [`LevelRecords::push`] is one copy per sample.
+/// Records stay per level, not per pool thread like [`RayGroup`] and
+/// [`LevelScratch`]: the shard phase reads every level's encoding columns,
+/// and the next level phase scatters from the corners.
 struct LevelRecords {
-    corners: Vec<crate::hashgrid::LevelCorner>,
-    d: Vec<f32>,
-    /// Records per level section.
-    cap: usize,
+    enc: Vec<f32>,
+    idx: Vec<u32>,
+    w: Vec<f32>,
     features: usize,
-    /// Records held this iteration.
-    len: usize,
 }
 
 impl LevelRecords {
-    fn new(levels: usize, features: usize, cap: usize) -> Self {
+    fn new(features: usize, samples: usize) -> Self {
         LevelRecords {
-            corners: vec![Default::default(); levels * cap * 8],
-            d: vec![0.0; levels * cap * features],
-            cap,
+            enc: vec![0.0; features * samples],
+            idx: vec![0; 8 * samples],
+            w: vec![0.0; 8 * samples],
             features,
-            len: 0,
         }
     }
 
-    /// Records one sample: its encode plan and ∂L/∂encoding. Every
-    /// level's corners go in with one
-    /// [`crate::hashgrid::EncodePlan::write_level_corners`] call, and `d`
-    /// element by element: at `F = 2` a per-level `copy_from_slice` is a
-    /// library call per two floats.
-    fn push(&mut self, plan: &crate::hashgrid::EncodePlan, d_enc: &[f32]) {
-        let (cap, f, r) = (self.cap, self.features, self.len);
-        assert!(r < cap, "more records than the shard's samples");
-        plan.write_level_corners(&mut self.corners[r * 8..], cap * 8);
-        let d = &mut self.d[r * f..];
-        for (l, d_level) in d_enc.chunks_exact(f).enumerate() {
-            for (fi, &v) in d_level.iter().enumerate() {
-                d[l * cap * f + fi] = v;
-            }
-        }
-        self.len += 1;
+    /// The encoding columns of the `n` samples at base slot `base`.
+    fn enc(&self, base: usize, n: usize) -> &[f32] {
+        &self.enc[base * self.features..][..self.features * n]
     }
 
-    /// Scatters every record, in order, into level `l`'s gradient span.
-    fn scatter_level(&self, l: usize, grad_level: &mut [f32]) {
-        let (cap, f, n) = (self.cap, self.features, self.len);
-        let corners = self.corners[l * cap * 8..][..n * 8].chunks_exact(8);
-        for (c, d) in corners.zip(self.d[l * cap * f..][..n * f].chunks_exact(f)) {
-            crate::hashgrid::accumulate_grad_level(c, d, grad_level);
-        }
+    /// The corner columns of the `n` samples at base slot `base`.
+    fn corners(&self, base: usize, n: usize) -> (&[u32], &[f32]) {
+        (&self.idx[8 * base..][..8 * n], &self.w[8 * base..][..8 * n])
     }
 }
 
-/// One hash-grid level's Adam moments, allocated once before the training
-/// loop over the level's live elements
-/// ([`crate::hashgrid::HashGridConfig::live_entries`] × `F`).
-struct LevelGrads {
-    /// Adam's first and second moments of the level's parameters.
+/// A hash-grid level task's state: the level's slice of the tables, its
+/// lookup constants, its Adam moments over the level's live elements
+/// ([`crate::hashgrid::HashGridConfig::live_entries`] × `F`), and its
+/// [`LevelRecords`]. Allocated once before the training loop.
+struct Level<'g> {
+    params: &'g mut [f32],
+    encoder: LevelEncoder,
+    live: usize,
+    /// Adam's first and second moments of the live parameters.
     m: Vec<f32>,
     v: Vec<f32>,
+    records: LevelRecords,
+}
+
+impl Level<'_> {
+    /// Scatters every shard's kept records at this level (`l`) into the
+    /// level's accumulator, merging the shards in shard order, scales the
+    /// sum and runs Adam in place on the level's live parameters.
+    fn step(&mut self, l: usize, shards: &[Shard], scratch: &mut LevelScratch, scale: f32, lr: f32, bc: (f32, f32)) {
+        let (n, f) = (self.live, self.records.features);
+        let (acc, part) = (&mut scratch.acc[..n], &mut scratch.part[..n]);
+        acc.fill(0.0);
+        for (si, shard) in shards.iter().enumerate() {
+            let (idx, w) = self.records.corners(shard.base, shard.grads.of);
+            let (kept, d) = (&shard.grads.kept, shard.grads.level_d(l));
+            if si == 0 {
+                accumulate_grad_level(idx, w, kept, d, f, acc);
+            } else {
+                accumulate_grad_level(idx, w, kept, d, f, part);
+                fnr_tensor::simd::add_assign(acc, part);
+                part.fill(0.0);
+            }
+        }
+        scale_in_place(acc, scale);
+        adam_update(&mut self.params[..n], acc, &mut self.m, &mut self.v, lr, bc);
+    }
+
+    /// Plans and encodes every shard's samples at this level against the
+    /// level's table as it stands, into the level's records.
+    fn encode(&mut self, shards: &[Shard]) {
+        let (f, records) = (self.records.features, &mut self.records);
+        for shard in shards {
+            let (b, n) = (shard.base, shard.samples.len());
+            let enc = &mut records.enc[b * f..][..f * n];
+            let idx = &mut records.idx[8 * b..][..8 * n];
+            let w = &mut records.w[8 * b..][..8 * n];
+            self.encoder.encode(self.params, shard.samples.xyz(), enc, idx, w);
+        }
+    }
 }
 
 /// The merge buffers of one level task, each a whole level long. A task
@@ -386,25 +556,30 @@ struct LevelScratch {
     part: Vec<f32>,
 }
 
-/// Locks a free entry of a per-thread pool (one entry per pool thread, so
-/// a free one exists unless the width rose mid-run), or waits for entry
-/// `hint % len`.
+/// Locks an entry of a per-thread pool (one entry per pool thread, so a
+/// free one exists unless the width rose mid-run): entry `hint % len`
+/// first, else any free one, else waits for entry `hint % len`. A task
+/// passes its index as the hint, so under `fnr_par`'s home-first claiming
+/// the same thread takes the same entry every iteration and finds it in
+/// its own cache.
 fn lock_free<T>(pool: &[Mutex<T>], hint: usize) -> MutexGuard<'_, T> {
-    pool.iter()
-        .find_map(|e| e.try_lock().ok())
-        .unwrap_or_else(|| pool[hint % pool.len()].lock().unwrap_or_else(PoisonError::into_inner))
+    let home = &pool[hint % pool.len()];
+    home.try_lock()
+        .ok()
+        .or_else(|| pool.iter().find_map(|e| e.try_lock().ok()))
+        .unwrap_or_else(|| home.lock().unwrap_or_else(PoisonError::into_inner))
 }
 
 /// Splits `0..batch_rays` into [`TRAIN_SHARDS`] contiguous ranges (the
 /// first `batch_rays % TRAIN_SHARDS` shards take the extra ray).
-fn shard_ranges(batch_rays: usize) -> Vec<(usize, usize)> {
+fn shard_ranges(batch_rays: usize) -> Vec<Range<usize>> {
     let base = batch_rays / TRAIN_SHARDS;
     let extra = batch_rays % TRAIN_SHARDS;
     let mut ranges = Vec::with_capacity(TRAIN_SHARDS);
     let mut lo = 0;
     for s in 0..TRAIN_SHARDS {
         let hi = lo + base + usize::from(s < extra);
-        ranges.push((lo, hi));
+        ranges.push(lo..hi);
         lo = hi;
     }
     ranges
@@ -417,19 +592,35 @@ fn shard_ranges(batch_rays: usize) -> Vec<(usize, usize)> {
 /// through the compositing equation, the sigmoid/softplus heads, the MLP
 /// and the trilinear hash-grid interpolation.
 ///
-/// Each iteration runs two parallel phases:
+/// Each iteration `t` runs two parallel phases, and the samples and
+/// encodings of iteration 0 are drawn and computed once, before the loop:
 ///
-/// 1. **Shards.** The ray batch fans out across the thread pool in
-///    `TRAIN_SHARDS` fixed shards. Each walks its rays in bounded groups
-///    of whole rays: it samples and encodes a group into MLP input rows,
-///    runs the MLP forward and backward over the group in 8-sample tiles
-///    (the GEMM form of the per-sample GEMV), and records each sample's
-///    corner lookups and ∂L/∂encoding, level-major, instead of scattering
-///    them into a grid. The private `ShardGrads` docs give the group phases.
-/// 2. **Levels.** One task per hash-grid level scatters every shard's
-///    records for that level into the level's accumulator, merging the
-///    shards in shard order, then scales it and runs Adam in place on the
-///    level's slice of the tables.
+/// 1. **S(t), one task per shard.** The ray batch is split into
+///    `TRAIN_SHARDS` fixed shards. Each builds its samples' MLP input rows
+///    from the level-major encoding columns, runs the MLP forward and
+///    backward over bounded groups of whole rays in 8-sample tiles (the
+///    GEMM form of the per-sample GEMV), and writes ∂L/∂encoding
+///    level-major with the list of kept samples. Then it samples its rays
+///    for iteration `t + 1` into the same buffers. The private
+///    `ShardGrads` docs give the group phases.
+/// 2. **L(t), one task per hash-grid level.** Each scatters every shard's
+///    kept records at its level, in shard → ray → sample → corner order,
+///    into the level's accumulator, merging the shards in shard order,
+///    then scales it and runs Adam in place on the level's slice of the
+///    tables. Then it plans and encodes every sample of `t + 1` at its
+///    level, across samples (16 per AVX-512 register), writing the
+///    level's encoding columns and corner records in one pass
+///    ([`crate::hashgrid::LevelEncoder::encode`]).
+///
+/// So a level's table is touched only by its own task: Adam writes it and
+/// the next encode reads it straight after, in the same task. With
+/// `fnr_par`'s home-first claiming, level `l`'s task runs on the same
+/// thread every iteration, as does shard `s`'s, so a level's table and a
+/// shard's buffers stay in one core's cache; only the encoding columns
+/// and the kept samples' ∂L/∂encoding cross between the phases. Moving the
+/// encode from S(t + 1) to L(t) changes no bit: the encoding is a pure
+/// function of the sample's position and of its level's table after
+/// Adam(t), and S(t + 1) runs after L(t) either way.
 ///
 /// The level phase works on a level's live elements only: the first
 /// [`crate::hashgrid::HashGridConfig::live_entries`] × `F`. A dense level
@@ -456,105 +647,113 @@ pub fn train_ngp(scene: &dyn Scene, model: &mut NgpModel, cfg: &TrainConfig) -> 
         .map(|c| crate::render::render_reference(scene, c, cfg.image_size, cfg.image_size, 48))
         .collect();
 
-    let ranges = shard_ranges(cfg.batch_rays);
     // The pooled per-shard and per-level arenas: every gradient/activation
     // buffer the two phases need, allocated once and reused by every
-    // iteration. Each level's state sits behind its own (uncontended)
-    // mutex: only the task that owns the level locks it.
-    let mut slots: Vec<ShardGrads> =
-        ranges.iter().map(|&(lo, hi)| ShardGrads::new(model, (hi - lo) * cfg.samples_per_ray)).collect();
+    // iteration.
+    let mut base = 0;
+    let mut shards: Vec<Shard> = shard_ranges(cfg.batch_rays)
+        .into_iter()
+        .map(|rays| {
+            let samples = rays.len() * cfg.samples_per_ray;
+            let shard = Shard {
+                base,
+                samples: ShardSamples::new(rays.len(), samples),
+                grads: ShardGrads::new(model, samples),
+                rays,
+            };
+            base += samples;
+            shard
+        })
+        .collect();
     // At most one shard per pool thread runs at a time, and each takes a
     // free group; were the width raised mid-run, a shard would wait for one.
     let groups: Vec<Mutex<RayGroup>> = (0..fnr_par::current_num_threads().min(TRAIN_SHARDS))
         .map(|_| Mutex::new(RayGroup::new(model, GROUP_ROWS.max(cfg.samples_per_ray))))
         .collect();
-    let stride = model.grid.level_stride();
     let grid_cfg = *model.grid.config();
-    let live: Vec<usize> = (0..grid_cfg.levels).map(|l| grid_cfg.live_entries(l) * grid_cfg.features).collect();
-    let level_grads: Vec<Mutex<LevelGrads>> =
-        live.iter().map(|&n| Mutex::new(LevelGrads { m: vec![0.0; n], v: vec![0.0; n] })).collect();
+    let stride = model.grid.level_stride();
     let level_scratch: Vec<Mutex<LevelScratch>> = (0..fnr_par::current_num_threads().min(grid_cfg.levels))
         .map(|_| Mutex::new(LevelScratch { acc: vec![0.0; stride], part: vec![0.0; stride] }))
         .collect();
+    let NgpModel { grid, mlp } = model;
+    let encoders: Vec<LevelEncoder> = (0..grid_cfg.levels).map(|l| grid.level_encoder(l)).collect();
+    let mut levels: Vec<Level<'_>> = grid
+        .tables_mut()
+        .chunks_mut(stride)
+        .zip(encoders)
+        .enumerate()
+        .map(|(l, (params, encoder))| {
+            let live = grid_cfg.live_entries(l) * grid_cfg.features;
+            Level {
+                params,
+                encoder,
+                live,
+                m: vec![0.0; live],
+                v: vec![0.0; live],
+                records: LevelRecords::new(grid_cfg.features, base),
+            }
+        })
+        .collect();
     // MLP Adam moments, laid out layer by layer: weights, then bias.
-    let mut mlp_m = vec![0.0f32; model.mlp.param_count()];
-    let mut mlp_v = vec![0.0f32; model.mlp.param_count()];
+    let mut mlp_m = vec![0.0f32; mlp.param_count()];
+    let mut mlp_v = vec![0.0f32; mlp.param_count()];
 
     // Transposed-weight pack of the MLP, rebuilt (in place) after every
     // optimizer step so the shards' forward passes run the SIMD axpy path.
-    let mut packed = model.mlp.pack();
+    let mut packed = mlp.pack();
+
+    // Each shard writes only its own slot and each level task only its
+    // own level, and what they compute is a pure function of the config
+    // and the index (see `TRAIN_SHARDS`), so the partial gradients and
+    // records are identical at any thread count.
+    let sample = |shard: &mut Shard, iter: usize, group: &mut RayGroup| {
+        let rays = shard.rays.clone();
+        shard.samples.sample(rays, iter, cfg, &cameras, &truths, &mut group.samples);
+    };
+    if cfg.iters > 0 {
+        fnr_par::par_for_chunks(&mut shards, 1, |si, s| sample(&mut s[0], 0, &mut lock_free(&groups, si)));
+        let shards = &shards;
+        fnr_par::par_for_chunks(&mut levels, 1, |_, lv| lv[0].encode(shards));
+    }
 
     let mut losses = Vec::new();
     let mut running = 0.0f32;
     for iter in 0..cfg.iters {
-        model.mlp.pack_into(&mut packed);
-        let frozen: &NgpModel = model;
-        let packed_ref = &packed;
-        // One chunk = one shard slot: each slot is written only by the
-        // pool task that claimed its index, and `ranges[si]` is a pure
-        // function of the config, so the partial gradients and records
-        // are identical at any thread count.
-        fnr_par::par_for_chunks(&mut slots, 1, |si, slot| {
-            let shard = &mut slot[0];
-            shard.reset();
-            // Split the slot into its independently-borrowed working sets.
-            let ShardGrads { mlp: g_mlp, loss, records } = shard;
-            let mut group = lock_free(&groups, si);
-            let (lo, hi) = ranges[si];
-            for ray_idx in lo..hi {
-                let mut rng = ray_rng(cfg.seed, iter, ray_idx, cfg.batch_rays);
-                let view = rng.gen_range(0..cfg.views);
-                let px = rng.gen_range(0..cfg.image_size);
-                let py = rng.gen_range(0..cfg.image_size);
-                let ray = cameras[view].ray(px, py, cfg.image_size, cfg.image_size);
-                sample_ray_into(&ray, cfg.samples_per_ray, None, &mut group.samples);
-                if group.samples.is_empty() {
-                    continue;
-                }
-                if group.mlp.len() + group.samples.len() > group.mlp.capacity() {
-                    group.flush(frozen, packed_ref, loss, g_mlp, records);
-                }
-                group.add_ray(&frozen.grid, truths[view].get(px, py));
+        let next = iter + 1 < cfg.iters;
+        mlp.pack_into(&mut packed);
+        let (frozen, packed_ref, levels_ref) = (&*mlp, &packed, &levels);
+        fnr_par::par_for_chunks(&mut shards, 1, |si, s| {
+            let (shard, mut group) = (&mut s[0], lock_free(&groups, si));
+            shard.run(frozen, packed_ref, levels_ref, &mut group);
+            if next {
+                sample(shard, iter + 1, &mut group);
             }
-            group.flush(frozen, packed_ref, loss, g_mlp, records);
         });
 
         let scale = 1.0 / cfg.batch_rays as f32;
         let bc = bias_corrections(iter + 1);
-
-        // Level phase: one task per hash-grid level, each touching only
-        // its own slice of the tables, its own `LevelGrads` and a free
-        // `LevelScratch`, over the level's live elements.
-        fnr_par::par_for_chunks(model.grid.tables_mut(), stride, |l, params| {
-            let n = live[l];
-            let mut level = level_grads[l].lock().unwrap_or_else(PoisonError::into_inner);
-            let mut scratch = lock_free(&level_scratch, l);
-            let LevelScratch { acc, part } = &mut *scratch;
-            let (acc, part) = (&mut acc[..n], &mut part[..n]);
-            acc.fill(0.0);
-            slots[0].records.scatter_level(l, acc);
-            for shard in &slots[1..] {
-                shard.records.scatter_level(l, part);
-                fnr_tensor::simd::add_assign(acc, part);
-                part.fill(0.0);
+        let shards_ref = &shards;
+        fnr_par::par_for_chunks(&mut levels, 1, |l, lv| {
+            let level = &mut lv[0];
+            level.step(l, shards_ref, &mut lock_free(&level_scratch, l), scale, cfg.lr * 2.0, bc);
+            if next {
+                level.encode(shards_ref);
             }
-            scale_in_place(acc, scale);
-            let LevelGrads { m, v } = &mut *level;
-            adam_update(&mut params[..n], acc, m, v, cfg.lr * 2.0, bc);
         });
 
-        // Merge the MLP partials in fixed shard order (into slot 0, whose
+        // Merge the MLP partials in fixed shard order (into shard 0, whose
         // buffers double as the merged accumulator until the next reset),
         // then run its Adam in place, layer by layer.
-        let (merged, rest) = slots.split_first_mut().expect("TRAIN_SHARDS >= 1");
+        let (first, rest) = shards.split_first_mut().expect("TRAIN_SHARDS >= 1");
+        let merged = &mut first.grads;
         for shard in rest.iter() {
-            merged.mlp.add_assign(&shard.mlp);
-            merged.loss += shard.loss;
+            merged.mlp.add_assign(&shard.grads.mlp);
+            merged.loss += shard.grads.loss;
         }
         let batch_loss = merged.loss;
         let mut off = 0;
         let grads = merged.mlp.weights.iter_mut().map(|w| w.as_mut_slice()).zip(merged.mlp.bias.iter_mut());
-        for (layer, (g_w, g_b)) in model.mlp.layers_mut().iter_mut().zip(grads) {
+        for (layer, (g_w, g_b)) in mlp.layers_mut().iter_mut().zip(grads) {
             for (p, g) in [(layer.weights.as_mut_slice(), g_w), (&mut layer.bias[..], &mut g_b[..])] {
                 let n = p.len();
                 scale_in_place(g, scale);

@@ -19,13 +19,19 @@
 //!
 //! # Scheduling
 //!
-//! Work distribution is dynamic: each parallel call shares one atomic index
-//! cursor, and every participating thread (the caller included) repeatedly
-//! claims the next unclaimed item — idle threads therefore steal whatever
-//! work a slow thread has not reached yet. Nested calls are safe: a caller
-//! waiting for its batch first *revokes* the batch's unstarted queue
-//! entries (running the items itself via the shared cursor), so no thread
-//! ever blocks on work that only a blocked thread could run.
+//! Every thread that joins a parallel call is a *participant* with a fixed
+//! number: the caller is 0 and pool worker `k` is `k + 1`. At width `w`,
+//! participant `p < w` is the *home* of the indices `i ≡ p (mod w)` and
+//! claims those first, in ascending order; then it steals unclaimed indices
+//! from the other homes, so idle threads still take whatever work a slow
+//! thread has not reached yet. A participant without a home (a worker whose
+//! number is `w` or more, left over from a wider call) only steals. So when
+//! a caller runs the same `n`-index loop every step, index `i` runs on the
+//! same thread step after step unless that thread falls behind, and the
+//! data index `i` owns stays in that core's cache. Nested calls are safe: a
+//! caller waiting for its batch first *revokes* the batch's unstarted queue
+//! entries (running the items itself through the shared claims), so no
+//! thread ever blocks on work that only a blocked thread could run.
 //!
 //! ```
 //! let squares = fnr_par::par_map(&[1u64, 2, 3, 4], |&x| x * x);
@@ -100,14 +106,15 @@ pub fn width_test_guard() -> std::sync::MutexGuard<'static, ()> {
 // ---------------------------------------------------------------------------
 
 /// One parallel call in flight. Queue entries are `Arc` clones of this; each
-/// entry a worker pops runs `work` once (the shared-cursor claim loop).
+/// entry a worker pops runs `work` once (the claim loop), passing the
+/// worker's participant number.
 struct Batch {
     /// Lifetime-erased borrow of the caller's claim-loop closure.
     ///
     /// SAFETY invariant: the submitting thread keeps the closure alive until
     /// `pending` reaches zero (it blocks in [`Batch::wait`] before
     /// returning), so dereferencing from a worker is sound.
-    work: *const (dyn Fn() + Sync),
+    work: *const (dyn Fn(usize) + Sync),
     /// Queue entries not yet finished (queued + running).
     pending: Mutex<usize>,
     done: Condvar,
@@ -121,11 +128,12 @@ unsafe impl Send for Batch {}
 unsafe impl Sync for Batch {}
 
 impl Batch {
-    /// Runs the claim loop once on this thread and retires one entry.
-    fn run(&self) {
+    /// Runs the claim loop once on this thread, as `participant`, and
+    /// retires one entry.
+    fn run(&self, participant: usize) {
         // SAFETY: see the `work` field invariant.
         let work = unsafe { &*self.work };
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(work)) {
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| work(participant))) {
             self.panic.lock().unwrap().get_or_insert(payload);
         }
         self.retire(1);
@@ -178,10 +186,10 @@ impl Pool {
     fn submit(&'static self, batch: &Arc<Batch>, copies: usize) {
         let mut st = self.state.lock().unwrap();
         while st.workers < copies.min(MAX_WORKERS) {
-            let name = format!("fnr-par-{}", st.workers);
+            let k = st.workers;
             let spawned = std::thread::Builder::new()
-                .name(name)
-                .spawn(worker_loop);
+                .name(format!("fnr-par-{k}"))
+                .spawn(move || worker_loop(k + 1));
             if spawned.is_err() {
                 break; // resource limit: run with the workers we have
             }
@@ -208,7 +216,9 @@ impl Pool {
     }
 }
 
-fn worker_loop() {
+/// Pops batches forever, joining each as `participant` (worker `k` is
+/// participant `k + 1`; the caller of a batch is participant 0).
+fn worker_loop(participant: usize) {
     let p = pool();
     loop {
         let batch = {
@@ -220,22 +230,22 @@ fn worker_loop() {
                 st = p.work_ready.wait(st).unwrap();
             }
         };
-        batch.run();
+        batch.run(participant);
     }
 }
 
-/// Runs `work` on this thread plus up to `helpers` pool workers, returning
-/// after every participant has finished. Panics from any participant are
-/// rethrown here.
-fn run_batch(helpers: usize, work: &(dyn Fn() + Sync)) {
+/// Runs `work` on this thread (as participant 0) plus up to `helpers` pool
+/// workers (each as its own participant number), returning after every
+/// participant has finished. Panics from any participant are rethrown here.
+fn run_batch(helpers: usize, work: &(dyn Fn(usize) + Sync)) {
     if helpers == 0 {
-        work();
+        work(0);
         return;
     }
     // SAFETY: only the trait-object lifetime is erased; `batch.wait()` below
     // keeps `work` borrowed until no worker can touch it again.
-    let work_static: *const (dyn Fn() + Sync) =
-        unsafe { std::mem::transmute::<&(dyn Fn() + Sync), &'static (dyn Fn() + Sync)>(work) };
+    let work_static: *const (dyn Fn(usize) + Sync) =
+        unsafe { std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(work) };
     let batch = Arc::new(Batch {
         work: work_static,
         pending: Mutex::new(helpers),
@@ -244,7 +254,7 @@ fn run_batch(helpers: usize, work: &(dyn Fn() + Sync)) {
     });
     let p = pool();
     p.submit(&batch, helpers);
-    let caller_result = catch_unwind(AssertUnwindSafe(work));
+    let caller_result = catch_unwind(AssertUnwindSafe(|| work(0)));
     p.revoke(&batch);
     batch.wait();
     if let Err(payload) = caller_result {
@@ -275,11 +285,59 @@ impl<T> SendPtr<T> {
     }
 }
 
+/// The claims of one `n`-index call at width `w`: home `q < w` holds the
+/// indices `q, q + w, q + 2w, …` below `n`, and its cursor counts how many
+/// of them have been claimed. Every claim is one `fetch_add` on a cursor,
+/// so each index goes to exactly one participant, whoever asks. The
+/// cursors are `Relaxed`: they publish no data, and what `f` writes is
+/// ordered by the batch's join (a mutex) before the caller returns.
+struct HomeClaims {
+    n: usize,
+    width: usize,
+    /// Cursor of home `q` at `[q]`; only the first `width` are used.
+    taken: [AtomicUsize; MAX_WORKERS + 1],
+}
+
+impl HomeClaims {
+    fn new(n: usize, width: usize) -> Self {
+        HomeClaims { n, width, taken: std::array::from_fn(|_| AtomicUsize::new(0)) }
+    }
+
+    /// Claims the next unclaimed index of home `q`, if any is left. A
+    /// participant stops asking a home after its first miss there, so a
+    /// cursor counts at most one past its home's last index per
+    /// participant.
+    fn claim_from(&self, q: usize) -> Option<usize> {
+        if q >= self.n {
+            return None; // home `q` holds no index
+        }
+        let i = q + self.taken[q].fetch_add(1, Ordering::Relaxed) * self.width;
+        (i < self.n).then_some(i)
+    }
+
+    /// Runs `f` on every index `participant` claims: its home indices in
+    /// ascending order, then the other homes' leftovers, home by home
+    /// (`participant + 1`, `+ 2`, … modulo the width). A participant
+    /// numbered `width` or more has no home and starts stealing at home 0.
+    fn run(&self, participant: usize, f: &impl Fn(usize)) {
+        let first = if participant < self.width { participant } else { 0 };
+        for q in (first..self.width).chain(0..first) {
+            while let Some(i) = self.claim_from(q) {
+                f(i);
+            }
+        }
+    }
+}
+
 /// Calls `f(i)` exactly once for every `i in 0..n`, spread across the pool.
 ///
-/// Distribution is dynamic (threads claim the next index from a shared
-/// cursor) but which thread runs an index never affects *what* it computes,
-/// so index-addressed output is deterministic at any width.
+/// Each participant runs its home indices first, then steals (see the
+/// crate's *Scheduling* docs), so which thread runs an index depends on
+/// timing. That cannot change a result: `f(i)` is the same call whichever
+/// thread makes it, each index runs exactly once, and callers write
+/// results into index-addressed slots (as [`par_map`] does), never into
+/// state shared by the order in which indices finish. So the output is
+/// byte-identical at any width and under any partition.
 pub fn par_for_index(n: usize, f: impl Fn(usize) + Sync) {
     let width = current_num_threads();
     if width <= 1 || n <= 1 {
@@ -288,15 +346,8 @@ pub fn par_for_index(n: usize, f: impl Fn(usize) + Sync) {
         }
         return;
     }
-    let cursor = AtomicUsize::new(0);
-    let work = || loop {
-        let i = cursor.fetch_add(1, Ordering::Relaxed);
-        if i >= n {
-            break;
-        }
-        f(i);
-    };
-    run_batch(width.min(n) - 1, &work);
+    let claims = HomeClaims::new(n, width);
+    run_batch(width.min(n) - 1, &|participant| claims.run(participant, &f));
 }
 
 /// Maps `f` over `0..n` in parallel, collecting results in index order.
@@ -376,6 +427,69 @@ mod tests {
         });
         set_num_threads(1);
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+    }
+
+    #[test]
+    fn every_index_runs_exactly_once_at_every_width_and_count() {
+        let _g = width_lock();
+        for width in 1..=9 {
+            set_num_threads(width);
+            for n in 0..=3 * width + 1 {
+                let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
+                par_for_index(n, |i| {
+                    hits[i].fetch_add(1, Ordering::Relaxed);
+                });
+                let counts: Vec<u64> = hits.iter().map(|h| h.load(Ordering::Relaxed)).collect();
+                assert!(counts.iter().all(|&c| c == 1), "width {width}, n {n}: {counts:?}");
+            }
+        }
+        set_num_threads(1);
+    }
+
+    /// Claiming alone, on one thread: a participant takes its home
+    /// indices in ascending order, then the other homes' leftovers, home
+    /// by home; a participant without a home steals from home 0 on.
+    #[test]
+    fn participants_claim_home_indices_first_and_the_homeless_only_steal() {
+        let order = |n: usize, width: usize, participant: usize| {
+            let claims = HomeClaims::new(n, width);
+            let seen = Mutex::new(Vec::new());
+            claims.run(participant, &|i| seen.lock().unwrap().push(i));
+            seen.into_inner().unwrap()
+        };
+        assert_eq!(order(10, 3, 0), [0, 3, 6, 9, 1, 4, 7, 2, 5, 8]);
+        assert_eq!(order(10, 3, 1), [1, 4, 7, 2, 5, 8, 0, 3, 6, 9]);
+        assert_eq!(order(10, 3, 2), [2, 5, 8, 0, 3, 6, 9, 1, 4, 7]);
+        assert_eq!(order(10, 3, 7), [0, 3, 6, 9, 1, 4, 7, 2, 5, 8], "homeless: steals only");
+        assert_eq!(order(2, 4, 3), [0, 1], "home 3 of 2 indices is empty");
+        assert_eq!(order(0, 4, 0), Vec::<usize>::new());
+        // Two participants sharing the claims: everything once, and the
+        // second's first claim is still its own home's first index.
+        let claims = HomeClaims::new(7, 2);
+        assert_eq!(claims.claim_from(0), Some(0));
+        assert_eq!(claims.claim_from(1), Some(1));
+        assert_eq!(claims.claim_from(0), Some(2));
+        let rest = Mutex::new(Vec::new());
+        claims.run(1, &|i| rest.lock().unwrap().push(i));
+        assert_eq!(rest.into_inner().unwrap(), [3, 5, 4, 6]);
+    }
+
+    #[test]
+    fn nested_calls_and_panics_hold_at_every_width() {
+        let _g = width_lock();
+        for width in 1..=9 {
+            set_num_threads(width);
+            let sums = par_map_index(width + 2, |n| par_map_index(n * 3, |x| x).into_iter().sum::<usize>());
+            let expect: Vec<usize> = (0..width + 2).map(|n| (n * 3) * (n * 3).saturating_sub(1) / 2).collect();
+            assert_eq!(sums, expect, "width {width}");
+            let result = catch_unwind(|| {
+                par_for_index(3 * width + 1, |i| {
+                    par_for_index(4, |j| assert!(i != width || j != 2, "boom at {i}, {j}"));
+                });
+            });
+            assert!(result.is_err(), "width {width}: a nested panic must reach the caller");
+        }
+        set_num_threads(1);
     }
 
     #[test]

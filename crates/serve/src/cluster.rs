@@ -1277,7 +1277,9 @@ pub fn run_cluster(cfg: &ClusterConfig, jobs: &[TimedJob]) -> ClusterReport {
     let mut submitted_chunks = 0usize;
     for (id, tj) in jobs.iter().enumerate() {
         let at = now.saturating_add(clock_ns(tj.delay_before));
-        now = state.process_until(at, now);
+        // `process_until(u64::MAX, …)` reports the last event, not the
+        // target: an arrival at the end of the clock must still move it.
+        now = state.process_until(at, now).max(at);
         state.last_event_ns = state.last_event_ns.max(at);
         state.refresh_health(at);
         let of = effective_chunks(cfg.server.chunks, &tj.job);

@@ -157,7 +157,10 @@ fn random_render(rng: &mut StdRng, scene: SceneKind, precision: RenderPrecision)
 /// the job multiset — and therefore never the response-set digest.
 pub fn generate(spec: &WorkloadSpec) -> Vec<TimedJob> {
     let mut rng = StdRng::seed_from_u64(spec.seed);
-    let gap_ns = spec.mean_gap.as_nanos() as u64;
+    // Saturating, like every product below: `--mean-gap-us` near its bound
+    // would otherwise wrap into short gaps. No schedule that fits in `u64`
+    // nanoseconds changes.
+    let gap_ns = u64::try_from(spec.mean_gap.as_nanos()).unwrap_or(u64::MAX);
     let mut out = Vec::with_capacity(spec.requests);
     let timed = |delay_before: Duration, job: Workload| TimedJob {
         delay_before,
@@ -178,7 +181,7 @@ pub fn generate(spec: &WorkloadSpec) -> Vec<TimedJob> {
                 // back to back; the idle gap before it preserves the mean
                 // arrival rate.
                 let jobs = pick_job(&mut rng, spec, burst);
-                let idle = Duration::from_nanos(gap_ns * burst as u64);
+                let idle = Duration::from_nanos(gap_ns.saturating_mul(burst as u64));
                 for (i, job) in jobs.into_iter().enumerate() {
                     let delay = if i == 0 { idle } else { Duration::ZERO };
                     out.push(timed(delay, job));
@@ -203,7 +206,7 @@ pub fn generate(spec: &WorkloadSpec) -> Vec<TimedJob> {
                 let burst = if s > 0.75 { rng.gen_range(2usize..=6) } else { 1 }
                     .min(spec.requests - out.len());
                 let jobs = pick_job(&mut rng, spec, burst);
-                let idle = Duration::from_nanos((gap_ns as f64 * scale) as u64 * burst as u64);
+                let idle = Duration::from_nanos(((gap_ns as f64 * scale) as u64).saturating_mul(burst as u64));
                 for (i, job) in jobs.into_iter().enumerate() {
                     let delay = if i == 0 { idle } else { Duration::ZERO };
                     out.push(timed(delay, job));
@@ -221,7 +224,7 @@ pub fn generate(spec: &WorkloadSpec) -> Vec<TimedJob> {
                     let jobs: Vec<Workload> = (0..burst)
                         .map(|_| random_render(&mut rng, scene, RenderPrecision::Fp32))
                         .collect();
-                    let idle = Duration::from_nanos(gap_ns * burst as u64 / 8);
+                    let idle = Duration::from_nanos(gap_ns.saturating_mul(burst as u64) / 8);
                     for (i, job) in jobs.into_iter().enumerate() {
                         let delay = if i == 0 { idle } else { Duration::ZERO };
                         out.push(timed(delay, job));
@@ -230,7 +233,7 @@ pub fn generate(spec: &WorkloadSpec) -> Vec<TimedJob> {
                     // Outside the window: the bursty baseline.
                     let burst = rng.gen_range(2usize..=12).min(spec.requests - out.len());
                     let jobs = pick_job(&mut rng, spec, burst);
-                    let idle = Duration::from_nanos(gap_ns * burst as u64);
+                    let idle = Duration::from_nanos(gap_ns.saturating_mul(burst as u64));
                     for (i, job) in jobs.into_iter().enumerate() {
                         let delay = if i == 0 { idle } else { Duration::ZERO };
                         out.push(timed(delay, job));

@@ -242,3 +242,42 @@ fn trained_parameters_match_the_pinned_hash() {
     fnr_tensor::simd::force_scalar(false);
     assert_eq!(h, PINNED, "scalar kernels: trained parameters hash to {h:#018x}");
 }
+
+/// The trained bytes of two odd grid shapes, pinned like the one above.
+/// Each runs the level-major encode's lane tails and its scalar path:
+/// 11 levels is one 8-level chunk plus 3, with dense coarse levels and
+/// hashed fine ones; 3 levels at `F = 3` take the scalar encode at every
+/// SIMD level. `batch_rays: 45` is not a multiple of the eight shards or
+/// of a vector's lanes.
+#[test]
+fn odd_grid_shapes_train_to_their_pinned_hashes() {
+    let grid = |levels, features, log2_table_size, base_resolution| HashGridConfig {
+        levels,
+        features,
+        log2_table_size,
+        base_resolution,
+        growth: 1.45,
+    };
+    let shapes = [(grid(11, 2, 12, 8), 0x4ca9_f56a_16cb_9014u64), (grid(3, 3, 8, 4), 0x4bb2_931c_06a5_4f8f)];
+    let _g = width_guard();
+    let cfg = TrainConfig { batch_rays: 45, iters: 12, ..TrainConfig::quick() };
+    for (grid, pinned) in shapes {
+        assert!(grid.is_dense_level(0) && !grid.is_dense_level(grid.levels - 1), "{grid:?}: dense and hashed");
+        let run = || {
+            let mut model = NgpModel::new(grid, 16, 11);
+            train_ngp(&MicScene, &mut model, &cfg);
+            let mlp = model.mlp.layers().iter().flat_map(|l| l.weights.as_slice().iter().chain(&l.bias));
+            fnv1a64(mlp.chain(model.grid.tables()).copied())
+        };
+        for width in [1, 2, 3] {
+            fnr_par::set_num_threads(width);
+            let h = run();
+            assert_eq!(h, pinned, "{grid:?}, width {width}: trained parameters hash to {h:#018x}");
+        }
+        fnr_par::set_num_threads(1);
+        fnr_tensor::simd::force_scalar(true);
+        let h = run();
+        fnr_tensor::simd::force_scalar(false);
+        assert_eq!(h, pinned, "{grid:?}, scalar kernels: trained parameters hash to {h:#018x}");
+    }
+}
