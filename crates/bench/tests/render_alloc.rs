@@ -1,17 +1,22 @@
-//! Allocation pin for the FP32 and analytic-reference render paths: once
-//! a thread has rendered a frame, the next frame of the same size
-//! allocates only its image.
+//! Allocation pin for the FP32, analytic-reference and quantized render
+//! paths: once a thread has rendered a frame or band, the next one of the
+//! same size allocates only its image.
 //!
 //! Like `quant_alloc.rs`, this binary installs the counting global
-//! allocator and pins the pool to width 1, so the counts are exact and
-//! machine-independent. Its one `#[test]` keeps the process-global
+//! allocator and pins the pool width (1, then 2), so the counts are exact
+//! and machine-independent. Its one `#[test]` keeps the process-global
 //! counters free of concurrent traffic.
+//!
+//! At width 2 the pins also show that a band never touches the pool: each
+//! `fnr_par` fan-out allocates its shared batch record, so a band that
+//! handed its rows to the pool would count more than its image.
 
 use fnr_bench::alloc_track::{snapshot, AllocSnapshot, CountingAllocator};
 use fnr_nerf::camera::Camera;
 use fnr_nerf::hashgrid::HashGridConfig;
-use fnr_nerf::render::{render_reference_rows, NgpModel};
+use fnr_nerf::render::{render_reference_rows, BatchView, NgpModel};
 use fnr_nerf::scene::MicScene;
+use fnr_tensor::Precision;
 
 #[global_allocator]
 static COUNTING: CountingAllocator = CountingAllocator;
@@ -51,4 +56,19 @@ fn warm_fp32_and_reference_renders_allocate_only_their_image() {
         std::hint::black_box(model.render(&cam, 8, 8, 4, None));
     });
     assert_eq!(frame.count, 1, "a warm FP32 frame allocates its image only: {frame:?}");
+
+    // Width 2: the serving bands render on the calling thread, so the
+    // pool's fan-out records never appear.
+    fnr_par::set_num_threads(2);
+    let band = warm(|| {
+        std::hint::black_box(render_reference_rows(&MicScene, &cam, 8, 8, 4, 2, 4));
+    });
+    assert_eq!(band.count, 1, "a warm reference band at width 2 allocates its image only: {band:?}");
+    let prepared = model.prepare_quantized(Precision::Int8);
+    let view = BatchView { camera: cam, width: 8, height: 8, spp: 4 };
+    let band = warm(|| {
+        std::hint::black_box(prepared.render_rows(&view, 2, 4));
+    });
+    assert_eq!(band.count, 1, "a warm quantized band at width 2 allocates its image only: {band:?}");
+    fnr_par::set_num_threads(1);
 }

@@ -51,10 +51,11 @@ impl HashGridConfig {
     }
 
     /// Whether level `l` fits the table without hashing (dense indexing —
-    /// the case the HEE's coalescing units serve).
+    /// the case the HEE's coalescing units serve): every entry its corners
+    /// can reach, `(max(N_l, 1) + 1)³` of them, lies inside the `T`-entry
+    /// table. A resolution-0 level still has corners at coordinate 1.
     pub fn is_dense_level(&self, l: usize) -> bool {
-        let n = self.resolution(l) + 1;
-        n * n * n <= (1 << self.log2_table_size)
+        self.dense_reach(l) <= 1 << self.log2_table_size
     }
 
     /// Table entries a lookup at level `l` can reach. A dense level
@@ -63,12 +64,17 @@ impl HashGridConfig {
     /// 1) + 1)³` are never read or written; a hashed level reaches all
     /// `T`.
     pub fn live_entries(&self, l: usize) -> usize {
-        let t = 1 << self.log2_table_size;
         if self.is_dense_level(l) {
-            (self.resolution(l).max(1) + 1).pow(3).min(t)
+            self.dense_reach(l)
         } else {
-            t
+            1 << self.log2_table_size
         }
+    }
+
+    /// `(max(N_l, 1) + 1)³`: the entries dense indexing at level `l`
+    /// reaches.
+    fn dense_reach(&self, l: usize) -> usize {
+        (self.resolution(l).max(1) + 1).pow(3)
     }
 }
 
@@ -188,6 +194,12 @@ pub struct EncodePlan {
 /// level task can encode with them while it holds that level's table
 /// mutably (its Adam step runs just before). From
 /// [`HashGrid::level_encoder`].
+///
+/// [`LevelEncoder::encode`] runs entirely on the calling thread. In
+/// training that is the pool thread running the level's task; in
+/// rendering it is the thread that owns the render tile being flushed: a
+/// serving worker rendering its band, or the pool thread that took a pixel
+/// row of a whole frame.
 #[derive(Debug, Clone, Copy)]
 pub struct LevelEncoder {
     /// Grid resolution `N_l`.
@@ -276,7 +288,10 @@ impl LevelEncoder {
     /// Bit-identical at every SIMD level to the plan and encode of each
     /// sample on its own: 16 samples per AVX-512 register, 8 per AVX2
     /// register, masked lanes for a final partial register, and a scalar
-    /// twin. Per lane the kernels clamp as `f32::clamp` does (compare and
+    /// twin. With `F == 2` the vector kernels fetch each corner's feature
+    /// pair with one 64-bit gather (per 8 samples on AVX-512, per 4 on
+    /// AVX2) and deinterleave it, instead of one 32-bit gather per
+    /// feature. Per lane the kernels clamp as `f32::clamp` does (compare and
     /// blend, so NaN and `−0.0` pass through, as no vector min/max would
     /// let them), then scale, floor, cap and weigh as
     /// [`HashGrid::corner_lookups`] does. Each encoding value is `+0.0`
@@ -344,9 +359,11 @@ impl LevelEncoder {
     }
 
     /// The AVX-512 form of [`LevelEncoder::encode`]: 16 samples per
-    /// register. First the 8 corners' indices and weights go to `idx`/`w`;
-    /// then, per feature, the 8 corners are gathered back in order and
-    /// summed.
+    /// register. Each corner's indices and weights go to `idx`/`w`. With
+    /// `F == 2` the corner's feature pairs are fetched right away, one
+    /// 64-bit gather per 8 samples, deinterleaved into the two features
+    /// and added in; otherwise, per feature, the 8 corners are gathered
+    /// back in order and summed.
     ///
     /// # Safety
     ///
@@ -365,6 +382,11 @@ impl LevelEncoder {
         let (izero, ione) = (_mm512_setzero_si512(), _mm512_set1_epi32(1));
         let features = _mm512_set1_epi32(f as i32);
         let (idx_p, w_p, enc_p) = (idx.as_mut_ptr() as *mut i32, w.as_mut_ptr(), enc.as_mut_ptr());
+        let pairs_p = table.as_ptr() as *const i64;
+        // Lane k of the pair registers (lo | hi) holds sample k/2's
+        // feature k mod 2: the even lanes are feature 0, the odd ones 1.
+        let even = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30);
+        let odd = _mm512_add_epi32(even, ione);
         for j0 in (0..n).step_by(16) {
             let live: __mmask16 = if n - j0 >= 16 { !0 } else { (1 << (n - j0)) - 1 };
             let mut term = [[izero; 2]; 3];
@@ -385,6 +407,7 @@ impl LevelEncoder {
                 term[d] = [_mm512_mullo_epi32(base, m), _mm512_mullo_epi32(_mm512_add_epi32(base, ione), m)];
                 weight[d] = [_mm512_sub_ps(one, frac), frac];
             }
+            let mut pair_acc = [zero; 2];
             for ci in 0..8 {
                 let (ox, oy, oz) = (ci & 1, (ci >> 1) & 1, ci >> 2);
                 let wc = _mm512_mul_ps(_mm512_mul_ps(weight[0][ox], weight[1][oy]), weight[2][oz]);
@@ -397,6 +420,22 @@ impl LevelEncoder {
                 let elem = _mm512_mullo_epi32(entry, features);
                 _mm512_mask_storeu_epi32(idx_p.add(ci * n + j0), live, elem);
                 _mm512_mask_storeu_ps(w_p.add(ci * n + j0), live, wc);
+                if f == 2 {
+                    // `elem` is even, so each pair is one aligned i64.
+                    let lo = _mm512_i32gather_epi64::<4>(_mm512_castsi512_si256(elem), pairs_p);
+                    let hi = _mm512_i32gather_epi64::<4>(_mm512_extracti64x4_epi64::<1>(elem), pairs_p);
+                    let (lo, hi) = (_mm512_castsi512_ps(lo), _mm512_castsi512_ps(hi));
+                    for (acc, pick) in pair_acc.iter_mut().zip([even, odd]) {
+                        let feat = _mm512_permutex2var_ps(lo, pick, hi);
+                        // mul then add, never fused — the simd module's contract.
+                        *acc = _mm512_add_ps(*acc, _mm512_mul_ps(wc, feat));
+                    }
+                }
+            }
+            if f == 2 {
+                _mm512_mask_storeu_ps(enc_p.add(j0), live, pair_acc[0]);
+                _mm512_mask_storeu_ps(enc_p.add(n + j0), live, pair_acc[1]);
+                continue;
             }
             for fi in 0..f {
                 let off = _mm512_set1_epi32(fi as i32);
@@ -414,7 +453,8 @@ impl LevelEncoder {
     }
 
     /// The AVX2 form of [`LevelEncoder::encode`]: 8 samples per register,
-    /// otherwise step for step [`LevelEncoder::encode_avx512`].
+    /// otherwise step for step [`LevelEncoder::encode_avx512`] (with
+    /// `F == 2`, one 64-bit gather per 4 samples and corner).
     ///
     /// # Safety
     ///
@@ -434,6 +474,7 @@ impl LevelEncoder {
         let features = _mm256_set1_epi32(f as i32);
         let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
         let (idx_p, w_p, enc_p) = (idx.as_mut_ptr() as *mut i32, w.as_mut_ptr(), enc.as_mut_ptr());
+        let pairs_p = table.as_ptr() as *const i64;
         for j0 in (0..n).step_by(8) {
             let live = _mm256_cmpgt_epi32(_mm256_set1_epi32((n - j0).min(8) as i32), lane);
             let mut term = [[izero; 2]; 3];
@@ -452,6 +493,7 @@ impl LevelEncoder {
                 term[d] = [_mm256_mullo_epi32(base, m), _mm256_mullo_epi32(_mm256_add_epi32(base, ione), m)];
                 weight[d] = [_mm256_sub_ps(one, frac), frac];
             }
+            let mut pair_acc = [zero; 2];
             for ci in 0..8 {
                 let (ox, oy, oz) = (ci & 1, (ci >> 1) & 1, ci >> 2);
                 let wc = _mm256_mul_ps(_mm256_mul_ps(weight[0][ox], weight[1][oy]), weight[2][oz]);
@@ -464,6 +506,27 @@ impl LevelEncoder {
                 let elem = _mm256_mullo_epi32(entry, features);
                 _mm256_maskstore_epi32(idx_p.add(ci * n + j0), live, elem);
                 _mm256_maskstore_ps(w_p.add(ci * n + j0), live, wc);
+                if f == 2 {
+                    let lo = _mm256_i32gather_epi64::<4>(pairs_p, _mm256_castsi256_si128(elem));
+                    let hi = _mm256_i32gather_epi64::<4>(pairs_p, _mm256_extracti128_si256::<1>(elem));
+                    let (lo, hi) = (_mm256_castsi256_ps(lo), _mm256_castsi256_ps(hi));
+                    // Per 128-bit half, the even (odd) floats of lo then
+                    // hi: samples (0 1 4 5 | 2 3 6 7); the 64-bit permute
+                    // puts them in order.
+                    let feats = [
+                        _mm256_shuffle_ps::<0b10_00_10_00>(lo, hi),
+                        _mm256_shuffle_ps::<0b11_01_11_01>(lo, hi),
+                    ];
+                    for (acc, feat) in pair_acc.iter_mut().zip(feats) {
+                        let feat = _mm256_castpd_ps(_mm256_permute4x64_pd::<0b11_01_10_00>(_mm256_castps_pd(feat)));
+                        *acc = _mm256_add_ps(*acc, _mm256_mul_ps(wc, feat));
+                    }
+                }
+            }
+            if f == 2 {
+                _mm256_maskstore_ps(enc_p.add(j0), live, pair_acc[0]);
+                _mm256_maskstore_ps(enc_p.add(n + j0), live, pair_acc[1]);
+                continue;
             }
             for fi in 0..f {
                 let off = _mm256_set1_epi32(fi as i32);
@@ -1231,60 +1294,70 @@ mod tests {
             /// 3, and sample counts that leave every lane tail of the 16-
             /// and 8-lane kernels, with NaN, ±0, negative, exactly 1 and
             /// above-1 coordinates. Every corner also stays inside its
-            /// level's `live_entries`.
+            /// level's `live_entries`. Each case runs a second time at
+            /// F = 2 (the paired-gather kernels) with a sample count that
+            /// is no multiple of 4, so the paired gathers always end in a
+            /// partial register.
             #[test]
             fn prop_level_encode_matches_the_planned_encode_bitwise(
                 levels in 1usize..17,
                 log2 in 6usize..14,
                 features in 1usize..4,
                 n in 0usize..41,
+                tail in 1usize..4,
                 seed in 0u64..1000,
             ) {
-                let config = HashGridConfig {
+                let config = |features| HashGridConfig {
                     levels,
                     log2_table_size: log2,
                     features,
                     base_resolution: 2 + (seed % 18) as usize,
                     growth: 1.2 + (seed % 7) as f32 * 0.1,
                 };
-                let g = HashGrid::new(config, 0.1, seed);
-                let pts = edge_points(seed, n);
-                let xyz: [Vec<f32>; 3] = [
-                    pts.iter().map(|p| p.x).collect(),
-                    pts.iter().map(|p| p.y).collect(),
-                    pts.iter().map(|p| p.z).collect(),
-                ];
-                let planned: Vec<(EncodePlan, Vec<f32>)> = pts
-                    .iter()
-                    .map(|&p| {
-                        let mut plan = EncodePlan::default();
-                        g.plan_into(p, &mut plan);
-                        let mut enc = vec![0.0f32; config.output_dims()];
-                        g.encode_planned(&plan, &mut enc);
-                        (plan, enc)
-                    })
-                    .collect();
-                let (f, stride) = (features, g.level_stride());
-                for lv in host_levels() {
-                    for l in 0..levels {
-                        let (mut enc, mut idx, mut w) = (vec![0.0f32; f * n], vec![0u32; 8 * n], vec![0.0f32; 8 * n]);
-                        let xyz = [&xyz[0][..], &xyz[1][..], &xyz[2][..]];
-                        g.level_encoder(l).encode_at(lv, g.level_table(l), xyz, &mut enc, &mut idx, &mut w);
-                        let live = (config.live_entries(l) * f) as u32;
-                        for (j, (plan, want)) in planned.iter().enumerate() {
-                            let at = format!("{lv:?} {:?} level {l}", pts[j]);
-                            for ci in 0..8 {
-                                let (slot, k) = (ci * levels + l, ci * n + j);
-                                let want_idx = (plan.idx[slot] as usize - l * stride) as u32;
-                                prop_assert_eq!(idx[k], want_idx, "{} corner {}", at, ci);
-                                prop_assert!(idx[k] < live, "{} corner {}: past live_entries", at, ci);
-                                prop_assert_eq!(w[k].to_bits(), plan.w[slot].to_bits(), "{} corner {}", at, ci);
-                            }
-                            for fi in 0..f {
-                                let (got, want) = (enc[fi * n + j], want[l * f + fi]);
-                                prop_assert_eq!(got.to_bits(), want.to_bits(), "{}: {} vs {}", at, got, want);
-                            }
-                        }
+                check_level_encode(config(features), n, seed);
+                check_level_encode(config(2), 4 * (n / 4) + tail, seed);
+            }
+        }
+    }
+
+    /// Checks [`LevelEncoder::encode_at`] on `n` edge points of a grid
+    /// with `config` against `plan_into` + `encode_planned` of each point
+    /// on its own, bit for bit, at every level and every SIMD level the
+    /// host has, and checks every corner against `live_entries`.
+    fn check_level_encode(config: HashGridConfig, n: usize, seed: u64) {
+        let g = HashGrid::new(config, 0.1, seed);
+        let pts = edge_points(seed, n);
+        let xyz: [Vec<f32>; 3] =
+            [pts.iter().map(|p| p.x).collect(), pts.iter().map(|p| p.y).collect(), pts.iter().map(|p| p.z).collect()];
+        let planned: Vec<(EncodePlan, Vec<f32>)> = pts
+            .iter()
+            .map(|&p| {
+                let mut plan = EncodePlan::default();
+                g.plan_into(p, &mut plan);
+                let mut enc = vec![0.0f32; config.output_dims()];
+                g.encode_planned(&plan, &mut enc);
+                (plan, enc)
+            })
+            .collect();
+        let (levels, f, stride) = (config.levels, config.features, g.level_stride());
+        for lv in host_levels() {
+            for l in 0..levels {
+                let (mut enc, mut idx, mut w) = (vec![0.0f32; f * n], vec![0u32; 8 * n], vec![0.0f32; 8 * n]);
+                let xyz = [&xyz[0][..], &xyz[1][..], &xyz[2][..]];
+                g.level_encoder(l).encode_at(lv, g.level_table(l), xyz, &mut enc, &mut idx, &mut w);
+                let live = (config.live_entries(l) * f) as u32;
+                for (j, (plan, want)) in planned.iter().enumerate() {
+                    let at = format!("{lv:?} F={f} n={n} {:?} level {l}", pts[j]);
+                    for ci in 0..8 {
+                        let (slot, k) = (ci * levels + l, ci * n + j);
+                        let want_idx = (plan.idx[slot] as usize - l * stride) as u32;
+                        assert_eq!(idx[k], want_idx, "{at} corner {ci}");
+                        assert!(idx[k] < live, "{at} corner {ci}: past live_entries");
+                        assert_eq!(w[k].to_bits(), plan.w[slot].to_bits(), "{at} corner {ci}");
+                    }
+                    for fi in 0..f {
+                        let (got, want) = (enc[fi * n + j], want[l * f + fi]);
+                        assert_eq!(got.to_bits(), want.to_bits(), "{at}: {got} vs {want}");
                     }
                 }
             }
@@ -1380,6 +1453,88 @@ mod tests {
             (0..pts.len()).map(|i| (0..6).map(|j| (i * 6 + j) as f32 * 0.13 - 2.0).collect()).collect();
         let init: Vec<f32> = (0..g.param_count()).map(|i| i as f32 * 0.01).collect();
         assert!(check_level_scatter(&g, &pts, &d_outs, &init) > 0, "no lookup collided");
+    }
+
+    /// A resolution-0 level's corners sit at coordinates 0 and 1, so they
+    /// reach 8 entries, and with a 2-entry table the level must hash. At
+    /// every SIMD level the host has, scalar included, every encode path
+    /// agrees with `corner_lookups` bit for bit, and the model built on
+    /// such a grid renders the same frames and bands.
+    #[test]
+    fn resolution_zero_levels_encode_and_render_at_every_simd_level() {
+        use crate::camera::Camera;
+        use crate::render::{BatchView, NgpModel};
+        for features in 1..=3 {
+            let config = HashGridConfig { levels: 3, log2_table_size: 1, features, base_resolution: 0, growth: 1.5 };
+            assert!((0..3).all(|l| config.resolution(l) == 0 && !config.is_dense_level(l)));
+            assert!((0..3).all(|l| config.live_entries(l) == 2));
+            let g = HashGrid::new(config, 0.1, 5);
+            let (f, dims) = (features, config.output_dims());
+            let pts = edge_points(7, 21);
+            let reference: Vec<Vec<f32>> = pts
+                .iter()
+                .map(|&p| {
+                    let mut enc = vec![0.0f32; dims];
+                    for l in 0..3 {
+                        for (e, w) in g.corner_lookups(l, p) {
+                            for fi in 0..f {
+                                enc[l * f + fi] += w * g.level_table(l)[e * f + fi];
+                            }
+                        }
+                    }
+                    enc
+                })
+                .collect();
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let model = NgpModel::new(config, 8, 3);
+            let prepared = model.prepare_quantized(fnr_tensor::Precision::Int8);
+            let cam = Camera::orbit(0.8, 1.6, 0.9);
+            let view = BatchView { camera: cam, width: 5, height: 4, spp: 6 };
+            let mut renders = Vec::new();
+            for lv in host_levels() {
+                fnr_tensor::simd::cap_level(lv);
+                let mut plan = EncodePlan::default();
+                let mut planned = vec![0.0f32; dims];
+                for (&p, want) in pts.iter().zip(&reference) {
+                    g.plan_into(p, &mut plan);
+                    g.encode_planned(&plan, &mut planned);
+                    assert_eq!(bits(&g.encode(p)), bits(want), "{lv:?} F={f} {p:?}: encode");
+                    assert_eq!(bits(&planned), bits(want), "{lv:?} F={f} {p:?}: planned encode");
+                }
+                let n = pts.len();
+                let xyz: [Vec<f32>; 3] = [
+                    pts.iter().map(|p| p.x).collect(),
+                    pts.iter().map(|p| p.y).collect(),
+                    pts.iter().map(|p| p.z).collect(),
+                ];
+                for l in 0..3 {
+                    let (mut enc, mut idx, mut w) = (vec![0.0f32; f * n], vec![0u32; 8 * n], vec![0.0f32; 8 * n]);
+                    let cols = [&xyz[0][..], &xyz[1][..], &xyz[2][..]];
+                    g.level_encoder(l).encode_at(lv, g.level_table(l), cols, &mut enc, &mut idx, &mut w);
+                    for (j, &p) in pts.iter().enumerate() {
+                        for (ci, (e, wc)) in g.corner_lookups(l, p).into_iter().enumerate() {
+                            assert_eq!(idx[ci * n + j] as usize, e * f, "{lv:?} F={f} level {l} {p:?}");
+                            assert_eq!(w[ci * n + j].to_bits(), wc.to_bits(), "{lv:?} F={f} level {l} {p:?}");
+                        }
+                        for fi in 0..f {
+                            let (got, want) = (enc[fi * n + j], reference[j][l * f + fi]);
+                            assert_eq!(got.to_bits(), want.to_bits(), "{lv:?} F={f} level {l} {p:?}");
+                        }
+                    }
+                }
+                renders.push([
+                    model.render(&cam, 5, 4, 6, None),
+                    model.render_rows(&cam, 5, 4, 6, None, 1, 2),
+                    prepared.render_batch(std::slice::from_ref(&view)).remove(0),
+                    prepared.render_rows(&view, 1, 2),
+                ]);
+            }
+            fnr_tensor::simd::force_scalar(false);
+            for (lv, r) in host_levels().iter().zip(&renders) {
+                assert!(r.iter().all(|img| img.pixels().iter().flatten().all(|c| c.is_finite())));
+                assert!(r == &renders[0], "{lv:?} F={f}: renders drifted from the scalar level");
+            }
+        }
     }
 
     #[test]

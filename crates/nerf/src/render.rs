@@ -101,15 +101,17 @@ pub fn composite_backward_into(
 /// the pool; every pixel is an independent deterministic computation, so
 /// the image is byte-identical at any `FNR_THREADS`.
 pub fn render_reference(scene: &dyn Scene, camera: &Camera, w: usize, h: usize, spp: usize) -> Image {
-    render_reference_rows(scene, camera, w, h, spp, 0, h)
+    frame_image(w, h, |y, row| reference_row(scene, camera, (w, h, spp), y, row))
 }
 
 /// Renders only the pixel rows `[row0, row0 + rows)` of the full `w×h`
-/// analytic-scene frame. Rays are cast with absolute pixel coordinates
-/// against the full-frame geometry, and every pixel is independent, so
-/// the band is bit-identical to the same rows of [`render_reference`] —
-/// the property the serving front-end's chunked response path relies on.
-/// The returned image is `rows` tall.
+/// analytic-scene frame, one row after another on the calling thread (a
+/// serving worker renders its band itself; it never hands rows to the
+/// pool). Rays are cast with absolute pixel coordinates against the
+/// full-frame geometry, and every pixel is independent, so the band is
+/// bit-identical to the same rows of [`render_reference`] — the property
+/// the serving front-end's chunked response path relies on. The returned
+/// image is `rows` tall.
 pub fn render_reference_rows(
     scene: &dyn Scene,
     camera: &Camera,
@@ -119,27 +121,53 @@ pub fn render_reference_rows(
     row0: usize,
     rows: usize,
 ) -> Image {
-    let mut img = Image::new(w, rows);
-    fnr_par::par_for_chunks(img.pixels_mut(), w.max(1), |yy, row| {
-        let y = row0 + yy;
-        // The thread's render tile lends its ray and shaded-sample
-        // buffers, so a warm thread renders a band allocating only its
-        // image.
-        RENDER_TILE.with(|tile| {
-            let RenderTile { samples, shaded, .. } = &mut *tile.borrow_mut();
-            for (x, px) in row.iter_mut().enumerate() {
-                let ray = camera.ray(x, y, w, h);
-                sample_ray_into(&ray, spp, None, samples);
-                shaded.clear();
-                shaded.extend(samples.iter().map(|s| ShadedSample {
-                    sigma: scene.density(s.position),
-                    color: scene.color(s.position, s.dir),
-                    delta: s.delta,
-                }));
-                *px = composite(shaded);
-            }
-        });
+    band_image(w, rows, |yy, row| reference_row(scene, camera, (w, h, spp), row0 + yy, row))
+}
+
+/// Pixel row `y` of the analytic `w×h` frame at `spp` into `row`. The
+/// calling thread's render tile lends its ray and shaded-sample buffers,
+/// so a warm thread renders a row allocating nothing.
+fn reference_row(
+    scene: &dyn Scene,
+    camera: &Camera,
+    (w, h, spp): (usize, usize, usize),
+    y: usize,
+    row: &mut [[f32; 3]],
+) {
+    RENDER_TILE.with(|tile| {
+        let RenderTile { samples, shaded, .. } = &mut *tile.borrow_mut();
+        for (x, px) in row.iter_mut().enumerate() {
+            let ray = camera.ray(x, y, w, h);
+            sample_ray_into(&ray, spp, None, samples);
+            shaded.clear();
+            shaded.extend(samples.iter().map(|s| ShadedSample {
+                sigma: scene.density(s.position),
+                color: scene.color(s.position, s.dir),
+                delta: s.delta,
+            }));
+            *px = composite(shaded);
+        }
     });
+}
+
+/// A `rows`-tall, `w`-wide image whose pixel row `yy` is filled by
+/// `row(yy, pixels)`, one row after another on the calling thread: the
+/// driver of every band render.
+fn band_image(w: usize, rows: usize, mut row: impl FnMut(usize, &mut [[f32; 3]])) -> Image {
+    let mut img = Image::new(w, rows);
+    for (yy, pixels) in img.pixels_mut().chunks_mut(w.max(1)).enumerate() {
+        row(yy, pixels);
+    }
+    img
+}
+
+/// [`band_image`] of a whole `h`-tall frame, its pixel rows spread across
+/// the pool: the driver of every whole-frame render. Each row is the same
+/// call on whichever thread runs it, so the image does not depend on the
+/// pool width.
+fn frame_image(w: usize, h: usize, row: impl Fn(usize, &mut [[f32; 3]]) + Sync) -> Image {
+    let mut img = Image::new(w, h);
+    fnr_par::par_for_chunks(img.pixels_mut(), w.max(1), row);
     img
 }
 
@@ -215,7 +243,8 @@ impl NgpModel {
 
     /// Renders an image with the FP32 model (optionally skipping empty
     /// space with `grid`; skipped samples contribute nothing, exactly as
-    /// zero-padded batch slots do on the accelerator).
+    /// zero-padded batch slots do on the accelerator). Pixel rows render
+    /// in parallel across the pool.
     pub fn render(
         &self,
         camera: &Camera,
@@ -224,13 +253,13 @@ impl NgpModel {
         spp: usize,
         occupancy: Option<&OccupancyGrid>,
     ) -> Image {
-        self.render_rows(camera, w, h, spp, occupancy, 0, h)
+        self.with_packed(|head| render_frame_with(&self.grid, head, camera, w, h, spp, occupancy))
     }
 
     /// Renders only rows `[row0, row0 + rows)` of the full `w×h` FP32
-    /// frame — bit-identical to the same rows of [`NgpModel::render`]
-    /// (see [`render_reference_rows`] for why). The returned image is
-    /// `rows` tall.
+    /// frame on the calling thread — bit-identical to the same rows of
+    /// [`NgpModel::render`] (see [`render_reference_rows`] for why). The
+    /// returned image is `rows` tall.
     #[allow(clippy::too_many_arguments)]
     pub fn render_rows(
         &self,
@@ -242,10 +271,15 @@ impl NgpModel {
         row0: usize,
         rows: usize,
     ) -> Image {
-        // Transpose-pack the weights once per render for the tile kernels,
-        // into the calling thread's pack when its shape fits. The pack is
-        // taken out for the render, so a nested render on this thread
-        // would pack afresh rather than share it.
+        self.with_packed(|head| render_rows_with(&self.grid, head, camera, w, h, spp, occupancy, row0, rows))
+    }
+
+    /// Runs `render` with this model's FP32 head. The weights are
+    /// transpose-packed once per render for the tile kernels, into the
+    /// calling thread's pack when its shape fits. The pack is taken out
+    /// for the render, so a nested render on this thread would pack afresh
+    /// rather than share it.
+    fn with_packed(&self, render: impl FnOnce(&(&Mlp, &PackedMlp)) -> Image) -> Image {
         let packed = match PACKED_MLP.take() {
             Some(mut p) if p.fits(&self.mlp) => {
                 self.mlp.pack_into(&mut p);
@@ -253,7 +287,7 @@ impl NgpModel {
             }
             _ => self.mlp.pack(),
         };
-        let img = render_rows_with(&self.grid, &(&self.mlp, &packed), camera, w, h, spp, occupancy, row0, rows);
+        let img = render(&(&self.mlp, &packed));
         PACKED_MLP.set(Some(packed));
         img
     }
@@ -334,7 +368,7 @@ impl NgpModel {
         let mut qmlp = OutlierQuantizedMlp::quantize(&self.mlp, precision, outlier_fraction);
         qmlp.calibrate(&self.mlp, &self.calibration_batch());
         let grid = quantize_grid(&self.grid, precision, Some(outlier_fraction));
-        render_rows_with(&grid, &qmlp, camera, w, h, spp, None, 0, h)
+        render_frame_with(&grid, &qmlp, camera, w, h, spp, None)
     }
 }
 
@@ -343,24 +377,42 @@ impl NgpModel {
 /// spp)` rows at most, so every ray fits in one. 128 rows are sixteen
 /// 8-sample kernel tiles, and a serving band's pixel row (at most 96
 /// samples) is a single tile, while a thread's tile buffers stay near
-/// 56 KB at the Fig. 20(a) widths and 32 KB for the serving model.
+/// 66 KB at the Fig. 20(a) widths and 42 KB for the serving model (10 KB of
+/// it the level-major encode columns).
 const TILE_ROWS: usize = 128;
 
 /// One thread's render tile, allocated once and reused by every pixel
 /// row the thread renders: its buffers only grow, so a warm thread renders
 /// any frame up to the largest tile it has seen without allocating. The
-/// analytic reference renderer ([`render_reference_rows`]) borrows its
-/// `samples` and `shaded` buffers the same way.
+/// analytic reference renderer ([`reference_row`]) borrows its `samples`
+/// and `shaded` buffers the same way.
+///
+/// Everything a tile does runs on the thread that owns it: the calling
+/// thread of a band render, or whichever pool thread took the pixel row of
+/// a whole-frame render. A flush encodes the tile's samples level by level
+/// ([`LevelEncoder::encode`], many samples per register) on that same
+/// thread.
+///
+/// [`LevelEncoder::encode`]: crate::hashgrid::LevelEncoder::encode
 #[derive(Default)]
 struct RenderTile {
     /// The ray being added.
     samples: Vec<RaySample>,
-    /// Encoded active samples, one head input row each.
-    x: Vec<f32>,
-    /// Per row: its segment length δ.
+    /// The pending active samples' positions, one column per axis.
+    xyz: [Vec<f32>; 3],
+    /// Per pending sample: its segment length δ.
     deltas: Vec<f32>,
-    /// Per pending pixel: the end of its rows in the tile.
+    /// Per pending pixel: the end of its samples in the tile.
     ends: Vec<usize>,
+    /// The encoded samples, one head input row each.
+    x: Vec<f32>,
+    /// One level's encoding columns, `F` columns of one value per pending
+    /// sample.
+    enc: Vec<f32>,
+    /// One level's corner indices and weights, which a render does not
+    /// read back.
+    corner_idx: Vec<u32>,
+    corner_w: Vec<f32>,
     /// One ray's shaded samples.
     shaded: Vec<ShadedSample>,
     head: QuantScratch,
@@ -375,18 +427,63 @@ thread_local! {
 }
 
 impl RenderTile {
-    /// Drops every pending row and pixel.
+    /// Drops every pending sample and pixel.
     fn clear(&mut self) {
-        self.x.clear();
+        self.xyz.iter_mut().for_each(Vec::clear);
         self.deltas.clear();
         self.ends.clear();
+        self.x.clear();
+        self.enc.clear();
+        self.corner_idx.clear();
+        self.corner_w.clear();
     }
 
-    /// Runs the pending pixels' rows through `head`, shades and composites
-    /// each pixel into `pixels` (one per pending pixel, in order) and
-    /// empties the tile.
-    fn flush(&mut self, head: &impl TileHead, pixels: &mut [[f32; 3]]) {
-        let RenderTile { x, deltas, ends, shaded, head: scratch, .. } = self;
+    /// Empties the tile and sizes its buffers for `cap` samples of `dims`
+    /// encoding values (`features` per level) and `w` pixels.
+    fn reset(&mut self, cap: usize, dims: usize, features: usize, w: usize) {
+        self.clear();
+        self.xyz.iter_mut().for_each(|c| c.reserve(cap));
+        self.deltas.reserve(cap);
+        self.ends.reserve(w);
+        self.x.reserve(cap * dims);
+        self.enc.reserve(cap * features);
+        self.corner_idx.reserve(8 * cap);
+        self.corner_w.reserve(8 * cap);
+    }
+
+    /// Adds the active samples of the ray in `samples` as one pending
+    /// pixel.
+    fn push_ray(&mut self) {
+        for s in self.samples.iter().filter(|s| s.active) {
+            self.xyz[0].push(s.position.x);
+            self.xyz[1].push(s.position.y);
+            self.xyz[2].push(s.position.z);
+            self.deltas.push(s.delta);
+        }
+        self.ends.push(self.deltas.len());
+    }
+
+    /// Encodes the pending samples with `grid`, one level at a time across
+    /// all of them, into the head input rows; runs the rows through
+    /// `head`; shades and composites each pending pixel into `pixels` (one
+    /// per pending pixel, in order) and empties the tile.
+    fn flush(&mut self, grid: &HashGrid, head: &impl TileHead, pixels: &mut [[f32; 3]]) {
+        let RenderTile { xyz, deltas, ends, x, enc, corner_idx, corner_w, shaded, head: scratch, .. } = self;
+        let n = deltas.len();
+        let (f, dims) = (grid.config().features, grid.config().output_dims());
+        x.resize(n * dims, 0.0);
+        enc.resize(f * n, 0.0);
+        corner_idx.resize(8 * n, 0);
+        corner_w.resize(8 * n, 0.0);
+        for l in 0..grid.config().levels {
+            let xyz = [&xyz[0][..], &xyz[1][..], &xyz[2][..]];
+            grid.level_encoder(l).encode(grid.level_table(l), xyz, enc, corner_idx, corner_w);
+            for (fi, column) in enc.chunks_exact(n.max(1)).enumerate() {
+                for (row, &v) in x.chunks_exact_mut(dims).zip(column) {
+                    row[l * f + fi] = v;
+                }
+            }
+        }
         let outs = head.outputs();
         let raw = head.forward_tile(x, scratch);
         let mut start = 0;
@@ -407,19 +504,11 @@ impl RenderTile {
     }
 }
 
-/// The image loop of every hash-grid model render: rows `[row0, row0 +
-/// rows)` of the full `w×h` frame into a `rows`-tall image, pixel rows in
-/// parallel on the pool. Rays use absolute pixel coordinates, so each band
-/// pixel is the same computation as in the full frame.
-///
-/// Each pixel row fills its thread's [`RenderTile`] ray by ray: it samples
-/// the pixel's ray and encodes its active samples as new rows (skipped
-/// samples contribute nothing, exactly as zero-padded batch slots do on
-/// the accelerator), first flushing the tile if the ray would overflow it.
-/// A flush runs `head` once over every row, then per pixel in order
-/// applies softplus/sigmoid and [`composite`]. Every row of the head is
-/// bit-identical to a forward of that sample alone, so the image equals a
-/// per-sample render byte for byte.
+/// Rows `[row0, row0 + rows)` of the full `w×h` hash-grid model frame
+/// into a `rows`-tall image, one pixel row after another on the calling
+/// thread: the band render every serving member runs on the worker that
+/// took it. Rays use absolute pixel coordinates, so each band pixel is the
+/// same computation as in the full frame ([`render_frame_with`]).
 #[allow(clippy::too_many_arguments)]
 fn render_rows_with(
     grid: &HashGrid,
@@ -432,39 +521,65 @@ fn render_rows_with(
     row0: usize,
     rows: usize,
 ) -> Image {
-    let mut img = Image::new(w, rows);
-    let (dims, cap) = (grid.config().output_dims(), TILE_ROWS.max(spp));
-    fnr_par::par_for_chunks(img.pixels_mut(), w.max(1), |yy, row| {
-        let y = row0 + yy;
-        RENDER_TILE.with(|tile| {
-            let tile = &mut *tile.borrow_mut();
-            // A row that panicked mid-tile on this thread (the serving
-            // workers survive a render panic) must not leak its rows here.
-            tile.clear();
-            tile.x.reserve(cap * dims);
-            tile.deltas.reserve(cap);
-            tile.ends.reserve(w);
-            let mut first = 0; // the first pending pixel
-            for x in 0..row.len() {
-                let ray = camera.ray(x, y, w, h);
-                sample_ray_into(&ray, spp, occupancy, &mut tile.samples);
-                let active = tile.samples.iter().filter(|s| s.active).count();
-                if tile.deltas.len() + active > cap {
-                    tile.flush(head, &mut row[first..x]);
-                    first = x;
-                }
-                for s in tile.samples.iter().filter(|s| s.active) {
-                    let at = tile.x.len();
-                    tile.x.resize(at + dims, 0.0);
-                    grid.encode_into(s.position, &mut tile.x[at..]);
-                    tile.deltas.push(s.delta);
-                }
-                tile.ends.push(tile.deltas.len());
+    band_image(w, rows, |yy, row| model_row(grid, head, camera, (w, h, spp), occupancy, row0 + yy, row))
+}
+
+/// The whole `w×h` hash-grid model frame, its pixel rows spread across the
+/// pool: every whole-frame render ([`NgpModel::render`],
+/// [`PreparedQuantized::render_batch`] and the outlier-aware render).
+fn render_frame_with(
+    grid: &HashGrid,
+    head: &impl TileHead,
+    camera: &Camera,
+    w: usize,
+    h: usize,
+    spp: usize,
+    occupancy: Option<&OccupancyGrid>,
+) -> Image {
+    frame_image(w, h, |y, row| model_row(grid, head, camera, (w, h, spp), occupancy, y, row))
+}
+
+/// The row body of every hash-grid model render: pixel row `y` of the
+/// full `w×h` frame at `spp` into `row`, on the calling thread's
+/// [`RenderTile`].
+///
+/// The row fills the tile ray by ray: it samples the pixel's ray and adds
+/// its active samples' positions (skipped samples contribute nothing,
+/// exactly as zero-padded batch slots do on the accelerator), first
+/// flushing the tile if the ray would overflow it. A flush encodes every
+/// pending sample level-major, runs `head` once over every row, then per
+/// pixel in order applies softplus/sigmoid and [`composite`]. Each
+/// encoding value equals the per-sample [`HashGrid::encode_into`] bit for
+/// bit, and every row of the head is bit-identical to a forward of that
+/// sample alone, so the image equals a per-sample render byte for byte.
+fn model_row(
+    grid: &HashGrid,
+    head: &impl TileHead,
+    camera: &Camera,
+    (w, h, spp): (usize, usize, usize),
+    occupancy: Option<&OccupancyGrid>,
+    y: usize,
+    row: &mut [[f32; 3]],
+) {
+    let (cap, config) = (TILE_ROWS.max(spp), grid.config());
+    RENDER_TILE.with(|tile| {
+        let tile = &mut *tile.borrow_mut();
+        // A row that panicked mid-tile on this thread (the serving
+        // workers survive a render panic) must not leak its samples here.
+        tile.reset(cap, config.output_dims(), config.features, w);
+        let mut first = 0; // the first pending pixel
+        for x in 0..row.len() {
+            let ray = camera.ray(x, y, w, h);
+            sample_ray_into(&ray, spp, occupancy, &mut tile.samples);
+            let active = tile.samples.iter().filter(|s| s.active).count();
+            if tile.deltas.len() + active > cap {
+                tile.flush(grid, head, &mut row[first..x]);
+                first = x;
             }
-            tile.flush(head, &mut row[first..]);
-        });
+            tile.push_ray();
+        }
+        tile.flush(grid, head, &mut row[first..]);
     });
-    img
 }
 
 /// A quantized-and-calibrated model ready for repeated batched rendering:
@@ -479,20 +594,24 @@ pub struct PreparedQuantized {
 }
 
 impl PreparedQuantized {
-    /// Renders several views through the prepared integer datapath,
-    /// fanning out across the pool. Byte-identical to
-    /// [`NgpModel::render_batch_quantized`] on the source model.
+    /// Renders several views through the prepared integer datapath, the
+    /// views and each view's pixel rows fanning out across the pool.
+    /// Byte-identical to [`NgpModel::render_batch_quantized`] on the source
+    /// model.
     pub fn render_batch(&self, views: &[BatchView]) -> Vec<Image> {
-        fnr_par::par_map(views, |v| self.render_rows(v, 0, v.height))
+        fnr_par::par_map(views, |v| {
+            render_frame_with(&self.grid, &self.qmlp, &v.camera, v.width, v.height, v.spp, None)
+        })
     }
 
     /// Renders only rows `[row0, row0 + rows)` of the full frame `view`
-    /// describes, through the prepared integer datapath — bit-identical to
-    /// the same rows of the corresponding [`PreparedQuantized::render_batch`]
-    /// image. The returned image is `rows` tall. Each pixel row's samples
-    /// run through the [`QuantizedMlp`] as tiles, so every activation
-    /// quantize is one [`fnr_tensor::simd::quantize_static`] call per tile
-    /// and layer, on the thread's warm render tile.
+    /// describes, through the prepared integer datapath, on the calling
+    /// thread — bit-identical to the same rows of the corresponding
+    /// [`PreparedQuantized::render_batch`] image. The returned image is
+    /// `rows` tall. Each pixel row's samples run through the
+    /// [`QuantizedMlp`] as tiles, so every activation quantize is one
+    /// [`fnr_tensor::simd::quantize_static`] call per tile and layer, on
+    /// the thread's warm render tile.
     pub fn render_rows(&self, view: &BatchView, row0: usize, rows: usize) -> Image {
         let BatchView { camera, width, height, spp } = view;
         render_rows_with(&self.grid, &self.qmlp, camera, *width, *height, *spp, None, row0, rows)
@@ -660,34 +779,50 @@ mod tests {
         }
     }
 
+    /// Every band render (on the calling thread) is a bitwise slice of the
+    /// whole-frame render (rows across the pool), for the reference, FP32,
+    /// INT and outlier-INT heads, at pool widths 1, 2 and 3.
     #[test]
     fn row_band_renders_are_bitwise_slices_of_the_full_frame() {
+        let _guard = fnr_par::width_test_guard();
         let model = NgpModel::new(crate::hashgrid::HashGridConfig::small(), 16, 9);
         let cam = Camera::orbit(1.1, 1.7, 0.8);
         let (w, h, spp) = (5usize, 7usize, 6usize);
         let view = BatchView { camera: cam, width: w, height: h, spp };
         let prepared = model.prepare_quantized(Precision::Int8);
-        let fulls = [
-            render_reference(&MicScene, &cam, w, h, spp),
-            model.render(&cam, w, h, spp, None),
-            prepared.render_batch(std::slice::from_ref(&view)).pop().unwrap(),
-        ];
-        for (row0, rows) in [(0usize, 3usize), (3, 2), (5, 2), (0, 7)] {
-            let bands = [
-                render_reference_rows(&MicScene, &cam, w, h, spp, row0, rows),
-                model.render_rows(&cam, w, h, spp, None, row0, rows),
-                prepared.render_rows(&view, row0, rows),
+        let (outlier_frac, outlier_p) = (0.03, Precision::Int4);
+        let mut outlier = OutlierQuantizedMlp::quantize(&model.mlp, outlier_p, outlier_frac);
+        outlier.calibrate(&model.mlp, &model.calibration_batch());
+        let outlier_grid = quantize_grid(&model.grid, outlier_p, Some(outlier_frac));
+        let before = fnr_par::current_num_threads();
+        for width in 1..=3 {
+            fnr_par::set_num_threads(width);
+            let fulls = [
+                render_reference(&MicScene, &cam, w, h, spp),
+                model.render(&cam, w, h, spp, None),
+                prepared.render_batch(std::slice::from_ref(&view)).pop().unwrap(),
+                model.render_quantized_outlier_aware(&cam, w, h, spp, outlier_p, outlier_frac),
             ];
-            for (band, full) in bands.iter().zip(&fulls) {
-                assert_eq!(band.height(), rows);
-                assert_eq!(
-                    band.pixels(),
-                    &full.pixels()[row0 * w..(row0 + rows) * w],
-                    "band [{row0}, {}) must be a bitwise slice of the full frame",
-                    row0 + rows
-                );
+            for (row0, rows) in [(0usize, 3usize), (3, 2), (5, 2), (0, 7)] {
+                let bands = [
+                    render_reference_rows(&MicScene, &cam, w, h, spp, row0, rows),
+                    model.render_rows(&cam, w, h, spp, None, row0, rows),
+                    prepared.render_rows(&view, row0, rows),
+                    render_rows_with(&outlier_grid, &outlier, &cam, w, h, spp, None, row0, rows),
+                ];
+                let heads = ["reference", "FP32", "INT8", "outlier INT4"];
+                for (head, (band, full)) in heads.iter().zip(bands.iter().zip(&fulls)) {
+                    assert_eq!(band.height(), rows);
+                    assert_eq!(
+                        band.pixels(),
+                        &full.pixels()[row0 * w..(row0 + rows) * w],
+                        "{head} at width {width}: band [{row0}, {}) must be a bitwise slice of the full frame",
+                        row0 + rows
+                    );
+                }
             }
         }
+        fnr_par::set_num_threads(before);
     }
 
     /// The per-sample render `render_rows_with` replaces: each active

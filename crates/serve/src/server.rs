@@ -1,16 +1,18 @@
 //! The serving runtime: multi-lane admission → scheduler → batcher →
 //! worker pool → completion board, with panic quarantine and metrics.
 //!
-//! Serving concurrency (client / worker threads) is decoupled
-//! from data-parallel width: the roles run on dedicated `std::thread`s,
-//! while the *work* inside a batch (pixel rows, batch views) fans out over
-//! `fnr_par`'s pool and therefore honours `FNR_THREADS`. Response bytes
-//! are a pure function of each request, so the response set is
-//! byte-identical at any width, worker count, or batching outcome —
-//! timing only moves metrics. With deadlines disabled (the default)
-//! scheduling can only *reorder* requests, never drop them, so any lane
-//! policy — including the degenerate single-lane config — reproduces the
-//! FIFO server's response-set digest exactly.
+//! The workers are the serving parallelism: each runs on its own
+//! `std::thread` and renders every member of the batches it takes, one
+//! after another, each member's row band on that same thread. Nothing on
+//! the live path fans out over `fnr_par`'s pool, so `FNR_THREADS` does not
+//! change how a live server renders (the virtual and cluster modes spread
+//! their decided batches over the pool). Response bytes are a pure
+//! function of each request, so the response set is byte-identical at any
+//! width, worker count, or batching outcome — timing only moves metrics.
+//! With deadlines disabled (the default) scheduling can only *reorder*
+//! requests, never drop them, so any lane policy — including the
+//! degenerate single-lane config — reproduces the FIFO server's
+//! response-set digest exactly.
 //!
 //! Scheduling is the same clock-free core the virtual harness drives
 //! ([`Pipeline`]: per-class bounded lanes → [`crate::LaneScheduler`] →
@@ -106,7 +108,11 @@ pub struct ServerConfig {
     /// not override it (the hard-overload posture); blocking submits
     /// otherwise park on a full lane (backpressure).
     pub queue_capacity: usize,
-    /// Worker threads executing batches.
+    /// Worker threads executing batches: the live server's serving
+    /// parallelism (`serve --workers`). A worker renders a batch's members
+    /// one after another on its own thread, and never hands a band to
+    /// `fnr_par`'s pool, so this — not `FNR_THREADS` — sets how many
+    /// renders run at once.
     pub workers: usize,
     /// Flush a batch at this many members.
     pub max_batch: usize,
@@ -904,13 +910,19 @@ pub(crate) fn execute_batch(batch: &Batch, tables: &TableRegistry) -> Vec<ChunkR
                     Workload::Table(_) => unreachable!("table job under a render key"),
                 })
                 .collect();
-            let images = match precision {
-                RenderPrecision::Fp32 => fnr_par::par_map(&members, |(v, row0, rows)| {
-                    render_reference_rows(scene.scene(), &v.camera, v.width, v.height, v.spp, *row0, *rows)
-                }),
+            // The members render one after another on this thread: the
+            // workers are the serving parallelism, so a band never waits
+            // on the pool.
+            let images: Vec<_> = match precision {
+                RenderPrecision::Fp32 => members
+                    .iter()
+                    .map(|(v, row0, rows)| {
+                        render_reference_rows(scene.scene(), &v.camera, v.width, v.height, v.spp, *row0, *rows)
+                    })
+                    .collect(),
                 RenderPrecision::Quantized(p) => {
                     let prepared = prepared_quantized(*scene, *p);
-                    fnr_par::par_map(&members, |(v, row0, rows)| prepared.render_rows(v, *row0, *rows))
+                    members.iter().map(|(v, row0, rows)| prepared.render_rows(v, *row0, *rows)).collect()
                 }
             };
             batch
