@@ -279,6 +279,16 @@ fn usage() -> String {
     format!("usage: serve{}", FLAGS.iter().map(flag).collect::<String>())
 }
 
+/// Parses `argv` and, in cluster mode, resolves the fault plan: every
+/// refusal a run can meet before it starts.
+fn resolve(argv: &[String]) -> Result<Cli, ParseError> {
+    let mut cli = parse(argv)?;
+    if cli.mode == "cluster" {
+        cli.cluster.faults = cluster_plan(&cli)?;
+    }
+    Ok(cli)
+}
+
 /// The cluster's fault plan: `--faults` if given, else `--fault-kills`
 /// kills seeded by `--fault-seed` over the schedule's nominal span
 /// (requests × mean gap), checked against the replica count.
@@ -309,13 +319,7 @@ struct Tail {
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let parsed = parse(&argv).and_then(|mut cli| {
-        if cli.mode == "cluster" {
-            cli.cluster.faults = cluster_plan(&cli)?;
-        }
-        Ok(cli)
-    });
-    let cli = parsed.unwrap_or_else(|e| {
+    let cli = resolve(&argv).unwrap_or_else(|e| {
         eprintln!("[serve] {e}\n{}", usage());
         std::process::exit(2);
     });
@@ -330,7 +334,7 @@ fn main() {
         server.max_batch,
         if server.sched.lanes.len() == 1 { "single-lane" } else { "priority-lane" },
     );
-    let mut tail = if cli.mode == "cluster" { cluster_mode(&cli, &jobs) } else { serve_mode(&cli, &jobs) };
+    let mut tail = run_mode(&cli, &jobs);
 
     if let Some(path) = &cli.json {
         if let Err(e) = std::fs::write(path, &tail.json) {
@@ -350,6 +354,11 @@ fn main() {
         eprintln!("[serve] {failure}");
         std::process::exit(1);
     }
+}
+
+/// Runs `jobs` in the mode `cli` names.
+fn run_mode(cli: &Cli, jobs: &[TimedJob]) -> Tail {
+    if cli.mode == "cluster" { cluster_mode(cli, jobs) } else { serve_mode(cli, jobs) }
 }
 
 /// `label: mean X ms, ...` over the named percentiles of `s`.
@@ -502,6 +511,7 @@ fn cluster_mode(cli: &Cli, jobs: &[TimedJob]) -> Tail {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::sync::mpsc::RecvTimeoutError;
 
     fn argv(line: &str) -> Vec<String> {
         line.split_whitespace().map(String::from).collect()
@@ -589,7 +599,7 @@ mod tests {
                 let line = format!("--mode {mode} --requests 50 {flag} {max}");
                 let c = cli(&line);
                 let jobs = generate(&c.spec);
-                let tail = if mode == "cluster" { cluster_mode(&c, &jobs) } else { serve_mode(&c, &jobs) };
+                let tail = run_mode(&c, &jobs);
                 assert!(tail.failures.is_empty(), "`{line}`: {:?}", tail.failures);
                 assert_eq!((tail.chunks, tail.whole), (50, 50), "`{line}` serves every request");
             }
@@ -608,9 +618,148 @@ mod tests {
                 let c = cli(&line);
                 let jobs = generate(&c.spec);
                 assert!(jobs.iter().skip(1).any(|j| j.delay_before.as_nanos() >= u128::from(max) / 8), "`{line}`");
-                let tail = if mode == "cluster" { cluster_mode(&c, &jobs) } else { serve_mode(&c, &jobs) };
+                let tail = run_mode(&c, &jobs);
                 assert!(tail.failures.is_empty(), "`{line}`: {:?}", tail.failures);
                 assert_eq!(tail.whole, 50, "`{line}` accounts for every request");
+            }
+        }
+    }
+
+    const U64_MAX: &str = "18446744073709551615";
+    const U64_OVER: &str = "18446744073709551616";
+
+    /// Every flag of [`FLAGS`] with the operands the sweep gives it: the
+    /// smallest and largest it accepts (every choice, for a flag that
+    /// names one; none, for a switch), the values just past its ends that
+    /// it must refuse, and whether the accepted values run. `--requests`,
+    /// `--clients` and `--workers` are checked at parse level only: at
+    /// their bounds a run would generate a 2^24-request schedule or start
+    /// 1 024 threads. `--mode` and `--payload` do not run either: every
+    /// run is a `virtual` and a `cluster` run with synthetic payloads, and
+    /// `open`/`closed`/`render` are the live and rendering legs.
+    const EXTREMES: &[(&str, &[&str], &[&str], bool)] = &[
+        ("--requests", &["0", "16777216"], &["16777217", U64_MAX], false),
+        ("--pattern", &["bursty", "uniform", "heavy", "diurnal", "flash"], &["poisson"], true),
+        ("--seed", &["0", U64_MAX], &["-1", U64_OVER], true),
+        ("--mode", &["open", "closed", "virtual", "cluster"], &["live"], false),
+        ("--clients", &["0", "1024"], &["1025"], false),
+        ("--workers", &["0", "1024"], &["1025"], false),
+        ("--queue-capacity", &["0", U64_MAX], &["-1", U64_OVER], true),
+        ("--max-batch", &["0", U64_MAX], &["-1", U64_OVER], true),
+        ("--linger-us", &["0", U64_MAX], &["-1", U64_OVER], true),
+        ("--mean-gap-us", &["0", U64_MAX], &["-1", U64_OVER], true),
+        ("--think", &["none", "constant", "exp"], &["gamma"], true),
+        ("--think-us", &["0", U64_MAX], &["-1", U64_OVER], true),
+        ("--sched", &["lanes", "fifo"], &["edf"], true),
+        (
+            "--priority-mix",
+            &["5e-324,0,0", "0,0,1", "1.7976931348623157e308,0,0"],
+            &["1e308,1e308,0", "0,0,0", "-1,1,1", "1,1"],
+            true,
+        ),
+        ("--deadline-us", &["0", U64_MAX], &["-1", U64_OVER], true),
+        ("--service-us", &["0", U64_MAX], &["-1", U64_OVER], true),
+        ("--json", &["out.json"], &[], true),
+        ("--expect-coalescing", &[], &[], true),
+        ("--replicas", &["1", "128"], &["0", "129"], true),
+        (
+            "--faults",
+            &[
+                "",
+                "kill@0ns:0,restart@0ns:0,slow@0ns:1:1,join@0ns,leave@0ns:2",
+                "kill@18446744073709551615s:0,restart@18446744073709551615s:0,\
+                 slow@18446744073709551615s:3:4294967295,join@18446744073709551615s,\
+                 leave@18446744073709551615s:1",
+            ],
+            &["slow@1s:0:0", "join@1s:0", "kill@18446744073709551616ns:0"],
+            true,
+        ),
+        ("--fault-seed", &["0", U64_MAX], &["-1", U64_OVER], true),
+        ("--fault-kills", &["0", "1048576"], &["1048577"], true),
+        ("--max-inflight", &["0", U64_MAX], &["-1", U64_OVER], true),
+        ("--cold-start-us", &["0", U64_MAX], &["-1", U64_OVER], true),
+        ("--vnodes", &["0", "4096"], &["4097"], true),
+        ("--router-seed", &["0", U64_MAX], &["-1", U64_OVER], true),
+        ("--payload", &["render", "synthetic"], &["pixels"], false),
+        ("--service-per-item-us", &["0", U64_MAX], &["-1", U64_OVER], true),
+        ("--hedge-us", &["0", U64_MAX], &["-1", U64_OVER], true),
+        ("--health", &[], &[], true),
+        ("--codel-target-us", &["0", U64_MAX], &["-1", U64_OVER], true),
+        ("--codel-interval-us", &["0", U64_MAX], &["-1", U64_OVER], true),
+        (
+            "--faults-live",
+            &["", "panic=1000,seed=18446744073709551615", "delay=1000:18446744073709551615s"],
+            &["panic=1001", "panic=600,delay=401:1ms", "delay=1:1parsec"],
+            true,
+        ),
+        ("--retry", &["0", "4294967295"], &["-1", "4294967296"], true),
+        ("--brownout", &["0", U64_MAX], &["-1", U64_OVER], true),
+        ("--chunks", &["0", U64_MAX], &["-1", U64_OVER], true),
+        ("--expect-streaming", &[], &[], true),
+    ];
+
+    /// Wall-clock budget of one 50-request sweep run.
+    const RUN_BUDGET: Duration = Duration::from_secs(30);
+
+    /// `base` plus `flag` (and its operand, if any) as an argv.
+    fn with_flag(base: &str, flag: &str, operand: Option<&str>) -> Vec<String> {
+        let mut args = argv(base);
+        args.push(flag.to_string());
+        args.extend(operand.map(String::from));
+        args
+    }
+
+    /// Resolves and runs `args` on its own thread; panics unless the run
+    /// finishes within [`RUN_BUDGET`] and conserves every chunk. A run
+    /// over budget is left running: the failed test ends the process.
+    fn run_within_budget(args: Vec<String>) {
+        let line = args.join(" ");
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let cli = resolve(&args).unwrap_or_else(|e| panic!("refused: {e}"));
+            let jobs = generate(&cli.spec);
+            let tail = run_mode(&cli, &jobs);
+            let _ = tx.send(tail.failures);
+        });
+        match rx.recv_timeout(RUN_BUDGET) {
+            Ok(failures) => {
+                // Only the coalescing check may fail: 50 requests need not
+                // coalesce, but every chunk must be accounted for.
+                let broken: Vec<_> = failures.iter().filter(|f| !f.contains("failed to coalesce")).collect();
+                assert!(broken.is_empty(), "`{line}`: {broken:?}");
+                worker.join().expect("the run thread finished");
+            }
+            Err(RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(worker.join().expect_err("the run thread sent nothing"))
+            }
+            Err(RecvTimeoutError::Timeout) => panic!("`{line}` did not finish within {RUN_BUDGET:?}"),
+        }
+    }
+
+    #[test]
+    fn every_flag_at_its_extremes_finishes_and_conserves_or_is_refused() {
+        let names: Vec<&str> = FLAGS.iter().map(|f| f.0).collect();
+        let swept: Vec<&str> = EXTREMES.iter().map(|e| e.0).collect();
+        assert_eq!(swept, names, "the sweep lists every flag of FLAGS, in order");
+        for &(flag, accepted, refused_ops, run) in EXTREMES {
+            let hint = FLAGS.iter().find(|f| f.0 == flag).map(|f| f.1).unwrap_or_default();
+            let operands: Vec<Option<&str>> =
+                if hint.is_empty() { vec![None] } else { accepted.iter().map(|&a| Some(a)).collect() };
+            for &operand in &operands {
+                let args = with_flag("", flag, operand);
+                parse(&args).unwrap_or_else(|e| panic!("`{}` refused: {e}", args.join(" ")));
+                if !run {
+                    continue;
+                }
+                for mode in ["virtual", "cluster"] {
+                    let base = format!("--mode {mode} --requests 50 --payload synthetic");
+                    run_within_budget(with_flag(&base, flag, operand));
+                }
+            }
+            for &operand in refused_ops {
+                let args = with_flag("", flag, Some(operand));
+                let e = resolve(&args).err().unwrap_or_else(|| panic!("`{}` was accepted", args.join(" ")));
+                assert!(matches!(e, ParseError::Bad(f, _) if f == flag), "`{}`: {e:?}", args.join(" "));
             }
         }
     }

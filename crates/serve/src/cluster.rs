@@ -750,6 +750,9 @@ impl Replica {
 struct Tracked {
     /// A clone of the admitted chunk request, for hedge placement.
     req: Request,
+    /// The request's ring position, hashed once at arrival so a hedge
+    /// placement never hashes.
+    key_hash: u64,
     /// Replicas currently holding a live copy (one or two entries).
     copies: Vec<usize>,
     /// Whether any copy has started service — a started chunk is not
@@ -923,7 +926,7 @@ impl<'c> ClusterState<'c> {
     /// this cannot re-admit) a chunk whose completion already committed.
     fn reroute(&mut self, req: Request, t: u64, from: usize) {
         let key = (req.id, req.chunk.index);
-        let key_hash = HashRing::key_hash(&req.job.key());
+        let key_hash = HashRing::job_key_hash(&req.job);
         match self.pick(key_hash, t, None) {
             Some(r) => {
                 if self.replicas[r].admit_request(req) {
@@ -1018,8 +1021,7 @@ impl<'c> ClusterState<'c> {
             return false;
         }
         let primary = tr.copies[0];
-        let key_hash = HashRing::key_hash(&tr.req.job.key());
-        let Some(r2) = self.pick(key_hash, t, Some(primary)) else { return false };
+        let Some(r2) = self.pick(tr.key_hash, t, Some(primary)) else { return false };
         let req = tr.req.clone();
         if !self.replicas[r2].admit_hedge(req) {
             // No lane room on the alternate: the clone never existed.
@@ -1284,7 +1286,7 @@ pub fn run_cluster(cfg: &ClusterConfig, jobs: &[TimedJob]) -> ClusterReport {
         state.refresh_health(at);
         let of = effective_chunks(cfg.server.chunks, &tj.job);
         submitted_chunks += of as usize;
-        let key_hash = HashRing::key_hash(&tj.job.key());
+        let key_hash = HashRing::job_key_hash(&tj.job);
         match state.pick(key_hash, at, None) {
             Some(r) => {
                 if state.codel.should_shed(r, tj.priority) {
@@ -1312,6 +1314,7 @@ pub fn run_cluster(cfg: &ClusterConfig, jobs: &[TimedJob]) -> ClusterReport {
                     } else if state.replicas[r].admit_request(req.clone()) {
                         state.tracked.insert(Tracked {
                             req,
+                            key_hash,
                             copies: vec![r],
                             started: false,
                             clone_replica: None,
@@ -1334,34 +1337,34 @@ pub fn run_cluster(cfg: &ClusterConfig, jobs: &[TimedJob]) -> ClusterReport {
     let wall_ns = state.last_event_ns.max(end);
     debug_assert!(state.tracked.is_empty(), "every tracked request must settle by drain");
 
-    // Decisions locked in — produce payloads. Per replica, fan the
-    // decided batches out over `fnr_par`; thread width moves wall time
-    // only. Replicas serve *chunks*; whole responses are reassembled
-    // across the fleet afterwards (a failover can scatter one request's
-    // chunks over several replicas).
+    // Decisions locked in — produce payloads. Rendered payloads fan each
+    // replica's decided batches out over `fnr_par` (thread width moves
+    // wall time only); synthetic ones are a hash each, written straight
+    // into place. Replicas serve *chunks*; whole responses are
+    // reassembled across the fleet afterwards (a failover can scatter one
+    // request's chunks over several replicas).
     let threads = fnr_par::current_num_threads();
     let workers = cfg.server.workers.max(1);
-    let mut all_chunks: Vec<ChunkResponse> = Vec::new();
+    let decided_chunks =
+        state.replicas.iter().flat_map(|rep| &rep.decided).map(|b| b.requests.len()).sum();
+    let mut all_chunks: Vec<ChunkResponse> = Vec::with_capacity(decided_chunks);
     let mut replica_stats: Vec<ReplicaStats> = Vec::new();
     for (i, rep) in state.replicas.iter().enumerate() {
-        let nested: Vec<Vec<ChunkResponse>> = match cfg.payload {
-            PayloadMode::Render => {
-                fnr_par::par_map(&rep.decided, |batch| execute_batch(batch, &cfg.server.tables))
-            }
-            PayloadMode::Synthetic => fnr_par::par_map(&rep.decided, |batch| {
-                batch
-                    .requests
-                    .iter()
-                    .map(|req| ChunkResponse {
-                        id: req.id,
-                        chunk: req.chunk,
-                        bytes: synthetic_chunk_payload(&req.job, req.chunk),
-                    })
-                    .collect()
-            }),
-        };
         let first = all_chunks.len();
-        all_chunks.extend(nested.into_iter().flatten());
+        match cfg.payload {
+            PayloadMode::Render => all_chunks.extend(
+                fnr_par::par_map(&rep.decided, |batch| execute_batch(batch, &cfg.server.tables))
+                    .into_iter()
+                    .flatten(),
+            ),
+            PayloadMode::Synthetic => all_chunks.extend(
+                rep.decided.iter().flat_map(|batch| &batch.requests).map(|req| ChunkResponse {
+                    id: req.id,
+                    chunk: req.chunk,
+                    bytes: synthetic_chunk_payload(&req.job, req.chunk),
+                }),
+            ),
+        }
         // The per-replica digest is over the chunk payloads this replica
         // served (identical to the response set at chunk count 1).
         let digest = set_digest(all_chunks[first..].iter().map(|c| fnv1a(&c.bytes)).collect());
@@ -1452,6 +1455,7 @@ mod tests {
                 chunk: ChunkSpan { index, of: 3 },
                 job: crate::request::Workload::Table("t".into()),
             },
+            key_hash: 0,
             copies: vec![0],
             started: false,
             clone_replica: None,

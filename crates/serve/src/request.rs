@@ -156,6 +156,15 @@ impl Workload {
         }
     }
 
+    /// This workload's coalescing key, borrowed: no key is built and no
+    /// table name cloned.
+    pub(crate) fn key_ref(&self) -> KeyRef<'_> {
+        match self {
+            Workload::Render(j) => KeyRef::Render(j.scene, j.precision),
+            Workload::Table(name) => KeyRef::Table(name),
+        }
+    }
+
     /// Whether two workloads share a coalescing key (the allocation-free
     /// form of `a.key() == b.key()`).
     pub fn same_key(&self, other: &Workload) -> bool {
@@ -169,12 +178,48 @@ impl Workload {
     }
 }
 
+impl BatchKey {
+    /// This key, borrowed.
+    pub(crate) fn key_ref(&self) -> KeyRef<'_> {
+        match self {
+            BatchKey::Render(s, p) => KeyRef::Render(*s, *p),
+            BatchKey::Table(name) => KeyRef::Table(name),
+        }
+    }
+}
+
+/// A coalescing key borrowed from a [`BatchKey`] or a [`Workload`].
+#[derive(Clone, Copy)]
+pub(crate) enum KeyRef<'a> {
+    Render(SceneKind, RenderPrecision),
+    Table(&'a str),
+}
+
+impl<'a> KeyRef<'a> {
+    /// The one definition of a key's bytes: concatenated, these pieces
+    /// are the key's text. [`BatchKey`]'s `Display` writes them and
+    /// [`KeyRef::fnv`] hashes them, so the text and the hash cannot drift.
+    fn parts(self) -> [&'a str; 4] {
+        match self {
+            KeyRef::Render(s, p) => ["render/", s.name(), "/", p.name()],
+            KeyRef::Table(name) => ["table/", name, "", ""],
+        }
+    }
+
+    /// FNV-1a over the key's text, `fnv1a(key.to_string().as_bytes())`.
+    /// FNV-1a is a byte fold, so folding the pieces in order gives the
+    /// hash of their concatenation, with no allocation.
+    pub(crate) fn fnv(self) -> u64 {
+        self.parts().iter().fold(FNV_OFFSET, |h, part| fnv1a_with(h, part.as_bytes()))
+    }
+}
+
+/// Writes the key's text, `render/{scene}/{precision}` or `table/{name}`,
+/// from the same pieces the routing and job hashes fold (one definition
+/// of a key's bytes; hashing a key allocates nothing).
 impl fmt::Display for BatchKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BatchKey::Render(s, p) => write!(f, "render/{}/{}", s.name(), p.name()),
-            BatchKey::Table(name) => write!(f, "table/{name}"),
-        }
+        self.key_ref().parts().iter().try_for_each(|part| f.write_str(part))
     }
 }
 
@@ -382,12 +427,15 @@ pub fn assemble_chunks(mut chunks: Vec<ChunkResponse>) -> Vec<Response> {
     out
 }
 
-/// Identity hash of a workload: FNV-1a over the coalescing key plus (for
-/// renders) the per-request geometry and camera seed — a pure function of
-/// the job, shared by [`synthetic_payload`] and the fault injector so the
-/// chaos-poisoned set is mode- and timing-independent.
+/// Identity hash of a workload: FNV-1a over the coalescing key's text
+/// plus (for renders) the per-request geometry and camera seed — a pure
+/// function of the job, shared by [`synthetic_payload`] and the fault
+/// injector so the chaos-poisoned set is mode- and timing-independent.
+/// The key's bytes are folded from the same pieces [`BatchKey`]'s
+/// `Display` writes (one definition of a key's bytes), so the hash
+/// allocates nothing.
 pub fn job_hash(job: &Workload) -> u64 {
-    let h = fnv1a(job.key().to_string().as_bytes());
+    let h = job.key_ref().fnv();
     match job {
         Workload::Render(j) => [j.width as u64, j.height as u64, j.spp as u64, j.camera_seed]
             .iter()

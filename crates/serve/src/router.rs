@@ -11,7 +11,7 @@
 //! `tests/cluster_properties.rs`).
 
 use crate::fault::mix;
-use crate::request::{fnv1a, BatchKey};
+use crate::request::{BatchKey, Workload};
 
 /// Ring shape knobs.
 #[derive(Debug, Clone, Copy)]
@@ -144,9 +144,19 @@ impl HashRing {
         Ok(())
     }
 
-    /// The ring position of a coalescing key.
+    /// The ring position of a coalescing key: `mix` of the FNV-1a hash of
+    /// the key's text (its `Display`). The text is never formatted: the
+    /// hash folds the same pieces `Display` writes (one definition of a
+    /// key's bytes), so it allocates nothing.
     pub fn key_hash(key: &BatchKey) -> u64 {
-        mix(fnv1a(key.to_string().as_bytes()))
+        mix(key.key_ref().fnv())
+    }
+
+    /// The ring position of `job`'s coalescing key, equal to
+    /// `key_hash(&job.key())` but without building the key (a table job
+    /// clones nothing). Allocates nothing.
+    pub fn job_key_hash(job: &Workload) -> u64 {
+        mix(job.key_ref().fnv())
     }
 
     /// The replica owning `key_hash` ignoring liveness/capacity — the
@@ -183,7 +193,74 @@ impl HashRing {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::{RenderPrecision, SceneKind};
+    use crate::request::{fnv1a, fnv1a_with, job_hash, RenderJob, RenderPrecision, SceneKind};
+    use fnr_tensor::Precision;
+    use proptest::prelude::*;
+
+    /// The formatted key text, spelled out independently of
+    /// `BatchKey`'s `Display`: the oracle of the key-fold contract.
+    fn formatted(key: &BatchKey) -> String {
+        match key {
+            BatchKey::Render(s, p) => format!("render/{}/{}", s.name(), p.name()),
+            BatchKey::Table(name) => format!("table/{name}"),
+        }
+    }
+
+    /// Asserts that every hash of `job` equals its formatted-key form.
+    fn assert_fold_matches_formatted(job: &Workload) {
+        let key = job.key();
+        let text = formatted(&key);
+        assert_eq!(key.to_string(), text, "Display writes the key's bytes");
+        let want = mix(fnv1a(text.as_bytes()));
+        assert_eq!(HashRing::key_hash(&key), want, "key_hash({text:?})");
+        assert_eq!(HashRing::job_key_hash(job), want, "job_key_hash({text:?})");
+        let fields = match job {
+            Workload::Render(j) => vec![j.width as u64, j.height as u64, j.spp as u64, j.camera_seed],
+            Workload::Table(_) => vec![],
+        };
+        let want_job =
+            fields.iter().fold(fnv1a(text.as_bytes()), |h, f| fnv1a_with(h, &f.to_le_bytes()));
+        assert_eq!(job_hash(job), want_job, "job_hash({text:?})");
+    }
+
+    #[test]
+    fn key_fold_equals_the_formatted_key_hash_for_every_render_key() {
+        let precisions = [
+            RenderPrecision::Fp32,
+            RenderPrecision::Quantized(Precision::Int4),
+            RenderPrecision::Quantized(Precision::Int8),
+            RenderPrecision::Quantized(Precision::Int16),
+            RenderPrecision::Quantized(Precision::Fp32),
+        ];
+        let names: Vec<&str> = precisions.iter().map(|p| p.name()).collect();
+        assert_eq!(names, ["fp32", "int4", "int8", "int16", "qfp32"]);
+        for scene in SceneKind::ALL {
+            for (i, precision) in precisions.into_iter().enumerate() {
+                assert_fold_matches_formatted(&Workload::Render(RenderJob {
+                    scene,
+                    precision,
+                    width: 3 + i,
+                    height: 7,
+                    spp: 4,
+                    camera_seed: 0x9e37_79b9 ^ i as u64,
+                }));
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Table names of any shape — empty, holding `/`, multi-byte
+        /// UTF-8 — hash as their formatted key does.
+        #[test]
+        fn prop_key_fold_equals_the_formatted_key_hash_for_table_keys(
+            words in proptest::collection::vec(0u64..u64::MAX, 0..12),
+        ) {
+            let name = crate::fault::fuzz_spec(&words, &["/", "é", "日本", "🦀", "t", "table/", ""]);
+            assert_fold_matches_formatted(&Workload::Table(name));
+        }
+    }
 
     #[test]
     fn ring_is_seed_deterministic() {
