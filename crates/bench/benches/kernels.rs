@@ -12,7 +12,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use flexnerfer::FlexibleFormatCodec;
 use fnr_hw::TechParams;
 use fnr_mac::{FusedMacUnit, MacArray, ReductionTreeKind};
-use fnr_nerf::hashgrid::{EncodePlan, HashGrid, HashGridConfig};
+use fnr_nerf::hashgrid::{HashGrid, HashGridConfig};
 use fnr_nerf::mlp::{Mlp, QuantScratch, QuantizedMlp, TileHead};
 use fnr_nerf::render::{composite, ShadedSample};
 use fnr_nerf::vec3::Vec3;
@@ -72,14 +72,22 @@ fn bench_kernels(c: &mut Criterion) {
         b.iter(|| grid.encode(black_box(Vec3::new(0.3, 0.6, 0.9))))
     });
 
-    // Corner plan of one point across all 8 levels: the levels-wide plan
-    // kernel, then the per-level scalar loop under the scalar pin.
-    let point = Vec3::new(0.3, 0.6, 0.9);
-    let mut plan = EncodePlan::default();
-    g.bench_function("hashgrid_plan_point", |b| b.iter(|| grid.plan_into(black_box(point), &mut plan)));
+    // The shipped lookup kernel: 128 samples planned and encoded at one
+    // hashed level (2^13 entries, F = 2) through `LevelEncoder::encode`,
+    // then the same call under the scalar pin.
+    let n = 128;
+    let xyz: [Vec<f32>; 3] =
+        [0.618f32, 0.414, 0.732].map(|step| (0..n).map(|i| (i as f32 * step + 0.05).fract()).collect());
+    let xyz = [&xyz[0][..], &xyz[1][..], &xyz[2][..]];
+    let level = grid.config().levels - 1;
+    let (encoder, table) = (grid.level_encoder(level), grid.level_table(level));
+    let (mut enc, mut idx, mut wts) = (vec![0.0f32; 2 * n], vec![0u32; 8 * n], vec![0.0f32; 8 * n]);
+    g.bench_function("hashgrid_level_encode_128", |b| {
+        b.iter(|| encoder.encode(table, black_box(xyz), &mut enc, &mut idx, &mut wts))
+    });
     simd::force_scalar(true);
-    g.bench_function("hashgrid_plan_point_scalar", |b| {
-        b.iter(|| grid.plan_into(black_box(point), &mut plan))
+    g.bench_function("hashgrid_level_encode_128_scalar", |b| {
+        b.iter(|| encoder.encode(table, black_box(xyz), &mut enc, &mut idx, &mut wts))
     });
     simd::force_scalar(false);
 

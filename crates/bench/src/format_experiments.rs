@@ -3,10 +3,11 @@
 
 use crate::Table;
 use fnr_nerf::camera::Camera;
-use fnr_nerf::hashgrid::HashGridConfig;
+use fnr_nerf::hashgrid::{HashGridConfig, LevelColumns};
 use fnr_nerf::render::NgpModel;
 use fnr_nerf::sampling::{batch_sparsity, sample_ray, OccupancyGrid};
 use fnr_nerf::scene::{LegoScene, MicScene, Scene};
+use fnr_nerf::vec3::Vec3;
 use fnr_tensor::sparse::EncodedMatrix;
 use fnr_tensor::{gen, FootprintModel, Precision, SparsityFormat};
 
@@ -117,13 +118,16 @@ pub fn fig13_stage_sparsity() -> Table {
 
         // ReLU-1 output sparsity of the MLP on encoded active samples.
         let model = NgpModel::new(HashGridConfig::small(), 32, 11);
-        let encs: Vec<Vec<f32>> = batch
-            .iter()
-            .flatten()
-            .filter(|s| s.active)
-            .take(512)
-            .map(|s| model.grid.encode(s.position))
-            .collect();
+        let active: Vec<Vec3> = batch.iter().flatten().filter(|s| s.active).take(512).map(|s| s.position).collect();
+        let xyz: [Vec<f32>; 3] = [
+            active.iter().map(|p| p.x).collect(),
+            active.iter().map(|p| p.y).collect(),
+            active.iter().map(|p| p.z).collect(),
+        ];
+        let dims = model.grid.config().output_dims();
+        let mut rows = vec![0.0f32; active.len() * dims];
+        model.grid.encode_rows([&xyz[0], &xyz[1], &xyz[2]], &mut rows, &mut LevelColumns::default());
+        let encs: Vec<Vec<f32>> = rows.chunks_exact(dims).map(<[f32]>::to_vec).collect();
         let relu = model.mlp.hidden_sparsity(&encs);
         values.push((input_sparsity, relu[0] * 100.0));
     }

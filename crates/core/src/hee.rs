@@ -56,13 +56,6 @@ impl Hee {
         self.units
     }
 
-    /// Functional encode of a batch of points against a hash grid —
-    /// bit-identical to the software path (the engine changes *where*
-    /// table entries are read, not their values).
-    pub fn encode_points(&self, grid: &HashGrid, points: &[Vec3]) -> Vec<Vec<f32>> {
-        points.iter().map(|&p| grid.encode(p)).collect()
-    }
-
     /// Counts the distinct table blocks touched by a batch at one coarse
     /// level — the measure of what coalescing saves.
     pub fn coalesced_accesses(&self, grid: &HashGrid, level: usize, points: &[Vec3]) -> usize {
@@ -157,16 +150,6 @@ mod tests {
             points,
             input_dims: 3,
             cost_factor: 1.0,
-        }
-    }
-
-    #[test]
-    fn functional_encode_matches_software() {
-        let grid = HashGrid::new(HashGridConfig::small(), 0.1, 3);
-        let points = vec![Vec3::new(0.2, 0.5, 0.7), Vec3::new(0.9, 0.1, 0.3)];
-        let hw = hee().encode_points(&grid, &points);
-        for (p, enc) in points.iter().zip(&hw) {
-            assert_eq!(*enc, grid.encode(*p));
         }
     }
 

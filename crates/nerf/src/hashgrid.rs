@@ -84,82 +84,16 @@ pub struct HashGrid {
     config: HashGridConfig,
     /// All feature tables in one flat allocation, one level after another:
     /// `tables[l * level_stride + entry * F + f]`. The flat layout lets the
-    /// optimizer split the grid into per-level slices, and gives the AVX2
-    /// encode kernel one base pointer to gather from.
+    /// optimizer split the grid into per-level slices
+    /// ([`HashGrid::level_table`]), each the table one [`LevelEncoder`]
+    /// gathers from.
     tables: Vec<f32>,
     /// `entries × F` — the span of one level inside [`HashGrid::tables`].
     level_stride: usize,
-    /// Cached per-level lookup constants.
-    lanes: LevelLanes,
-}
-
-/// Per-level lookup constants: each level's [`LevelEncoder`] fields, laid
-/// out for the levels-wide plan kernel. Resolution and dense/hashed mode
-/// are functions of the (immutable) config, but recomputing them through
-/// `powi` on every corner lookup dominated the scalar encode cost.
-///
-/// Stored structure-of-arrays in one allocation: one row per field, one
-/// `i32` lane per level, so the kernel loads a field of 8 consecutive
-/// levels as one vector. Each row is padded with 7 zero lanes so a load
-/// starting at any level stays in bounds; padding lanes are computed but
-/// never stored.
-///
-/// A corner's table entry is `t₀ ⊕ t₁ ⊕ t₂` with per-axis terms `tᵈ = cᵈ ·
-/// mulᵈ` (wrapping `i32`), where `⊕` is `+` on dense levels (`mul = ((N+1)²,
-/// N+1, 1)`, so the sum is `(c₀(N+1) + c₁)(N+1) + c₂`) and XOR on hashed
-/// levels (`mul` = the primes' low 32 bits, then `& (T−1)`). Both equal
-/// the scalar `usize` index modulo 2³², which is all the `i32` plan keeps.
-#[derive(Debug, Clone)]
-struct LevelLanes {
-    data: Vec<i32>,
-    /// Row length: `levels + 7`.
-    row: usize,
-}
-
-impl LevelLanes {
-    /// Grid resolution `N_l`.
-    const RES: usize = 0;
-    /// `N_l − 1` (saturating): the largest base corner.
-    const MAX_BASE: usize = 1;
-    /// The three per-axis corner multipliers.
-    const MUL: [usize; 3] = [2, 3, 4];
-    /// All ones on dense levels, zero on hashed ones.
-    const DENSE: usize = 5;
-    /// Entry mask: all ones on dense levels, `T − 1` on hashed ones.
-    const MASK: usize = 6;
-    /// First element of the level in [`HashGrid::tables`]: `l ·
-    /// level_stride`.
-    const BASE: usize = 7;
-    const ROWS: usize = 8;
-
-    fn new(config: &HashGridConfig, level_stride: usize) -> Self {
-        let row = config.levels + 7;
-        let mut lanes = LevelLanes { data: vec![0; Self::ROWS * row], row };
-        for l in 0..config.levels {
-            let e = LevelEncoder::new(config, config.resolution(l), config.is_dense_level(l));
-            let (mul, mask) = e.index_lanes();
-            let mut set = |field: usize, v: i32| lanes.data[field * row + l] = v;
-            set(Self::RES, e.res as i32);
-            set(Self::MAX_BASE, e.res.saturating_sub(1) as i32);
-            for (field, m) in Self::MUL.into_iter().zip(mul) {
-                set(field, m);
-            }
-            set(Self::DENSE, if e.dense { -1 } else { 0 });
-            set(Self::MASK, mask);
-            set(Self::BASE, (l * level_stride) as i32);
-        }
-        lanes
-    }
-
-    /// Field `field` of every level (plus the padding).
-    fn row(&self, field: usize) -> &[i32] {
-        &self.data[field * self.row..(field + 1) * self.row]
-    }
-
-    /// Level `l`'s [`LevelEncoder`] of a grid with `config`.
-    fn encoder(&self, config: &HashGridConfig, l: usize) -> LevelEncoder {
-        LevelEncoder::new(config, self.row(Self::RES)[l] as usize, self.row(Self::DENSE)[l] != 0)
-    }
+    /// Each level's lookup constants. Resolution and dense/hashed mode are
+    /// functions of the (immutable) config, but recomputing them through
+    /// `powi` on every corner lookup dominated the scalar encode cost.
+    encoders: Vec<LevelEncoder>,
 }
 
 /// The 8 corner contributions of one level lookup: `(table index, weight)`.
@@ -174,9 +108,7 @@ pub type CornerLookups = [(usize, f32); 8];
 /// one instead, many samples at a time ([`LevelEncoder::encode`]).
 ///
 /// Layout is corner-major (`slot = ci * levels + l`): one corner's
-/// per-level entries are contiguous, so the levels-wide plan kernel writes
-/// 8 levels of a corner with one vector store and the gather kernels read
-/// them back as one vector.
+/// per-level entries are contiguous.
 #[derive(Debug, Clone, Default)]
 pub struct EncodePlan {
     /// Absolute f32 element index into [`HashGrid::tables`] of corner
@@ -260,10 +192,12 @@ impl LevelEncoder {
     }
 
     /// The per-axis corner multipliers and the entry mask of the vector
-    /// kernels (see [`LevelLanes`]): `((N+1)², N+1, 1)` and all ones on a
-    /// dense level, the primes' low 32 bits and `T − 1` on a hashed one.
-    /// Each kernel's index equals [`LevelEncoder::corner_index`] modulo
-    /// 2³².
+    /// kernels. A corner's table entry is `t₀ ⊕ t₁ ⊕ t₂` with per-axis
+    /// terms `tᵈ = cᵈ · mulᵈ` (wrapping `i32`), where `⊕` is `+` on dense
+    /// levels (`mul = ((N+1)², N+1, 1)`, so the sum is `(c₀(N+1) + c₁)(N+1)
+    /// + c₂`, and the mask is all ones) and XOR on hashed levels (`mul` =
+    /// the primes' low 32 bits, then `& (T−1)`). Both equal
+    /// [`LevelEncoder::corner_index`] modulo 2³².
     fn index_lanes(&self) -> ([i32; 3], i32) {
         let n1 = (self.res + 1) as u32;
         if self.dense {
@@ -596,6 +530,28 @@ pub fn accumulate_grad_level(
     }
 }
 
+/// Reusable buffers of [`HashGrid::encode_rows`]: one level's encoding
+/// and corner columns of a batch, as [`LevelEncoder::encode`] writes them.
+#[derive(Debug, Clone, Default)]
+pub struct LevelColumns {
+    enc: Vec<f32>,
+    idx: Vec<u32>,
+    w: Vec<f32>,
+}
+
+impl LevelColumns {
+    /// Empties the columns and makes room for `n` samples of `features`
+    /// features each.
+    pub(crate) fn reserve(&mut self, n: usize, features: usize) {
+        self.enc.clear();
+        self.idx.clear();
+        self.w.clear();
+        self.enc.reserve(n * features);
+        self.idx.reserve(8 * n);
+        self.w.reserve(8 * n);
+    }
+}
+
 impl HashGrid {
     /// Creates a grid with features initialized uniformly in `[-a, a]`
     /// from the given seed.
@@ -609,8 +565,10 @@ impl HashGrid {
         let tables = (0..config.levels * level_stride)
             .map(|_| rng.gen_range(-init_amplitude..=init_amplitude))
             .collect();
-        let lanes = LevelLanes::new(&config, level_stride);
-        HashGrid { config, tables, level_stride, lanes }
+        let encoders = (0..config.levels)
+            .map(|l| LevelEncoder::new(&config, config.resolution(l), config.is_dense_level(l)))
+            .collect();
+        HashGrid { config, tables, level_stride, encoders }
     }
 
     /// Grid configuration.
@@ -648,19 +606,43 @@ impl HashGrid {
     /// level ([`LevelEncoder::encode`]) while its table is borrowed
     /// elsewhere.
     pub fn level_encoder(&self, l: usize) -> LevelEncoder {
-        self.lanes.encoder(&self.config, l)
-    }
-
-    /// Table index of an integer corner at level `l` — dense indexing for
-    /// coarse levels, XOR-of-primes hash for fine levels.
-    pub fn corner_index(&self, l: usize, c: [usize; 3]) -> usize {
-        self.level_encoder(l).corner_index(c)
+        self.encoders[l]
     }
 
     /// Computes the 8 corner `(index, trilinear weight)` pairs for point
     /// `p` at level `l` (positions clamped to the unit cube).
     pub fn corner_lookups(&self, l: usize, p: Vec3) -> CornerLookups {
-        self.level_encoder(l).corner_lookups(p)
+        self.encoders[l].corner_lookups(p)
+    }
+
+    /// Encodes `n` points, given as coordinate columns `xyz`, into
+    /// row-major `rows`: row `j`, `rows[j · D..(j + 1) · D]` with `D` =
+    /// [`HashGridConfig::output_dims`], receives point `j`'s encoding. Each
+    /// level in turn encodes every point through [`LevelEncoder::encode`]
+    /// into `cols`, then its `F` columns are written into the rows. This
+    /// is the batch encode of every render tile and of the cold batch
+    /// callers; bit-identical to [`HashGrid::encode_into`] of each point.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the coordinate columns differ in length or `rows` does
+    /// not hold `n · D` values.
+    pub fn encode_rows(&self, xyz: [&[f32]; 3], rows: &mut [f32], cols: &mut LevelColumns) {
+        let n = xyz[0].len();
+        let (f, dims) = (self.config.features, self.config.output_dims());
+        assert_eq!(rows.len(), n * dims, "one row of output_dims values per point");
+        let LevelColumns { enc, idx, w } = cols;
+        enc.resize(f * n, 0.0);
+        idx.resize(8 * n, 0);
+        w.resize(8 * n, 0.0);
+        for (l, encoder) in self.encoders.iter().enumerate() {
+            encoder.encode(self.level_table(l), xyz, enc, idx, w);
+            for (fi, column) in enc.chunks_exact(n.max(1)).enumerate() {
+                for (row, &v) in rows.chunks_exact_mut(dims).zip(column) {
+                    row[l * f + fi] = v;
+                }
+            }
+        }
     }
 
     /// Encodes a point: concatenated interpolated features of every level.
@@ -671,16 +653,11 @@ impl HashGrid {
     }
 
     /// Encodes a point into a caller-provided buffer of length
-    /// [`HashGridConfig::output_dims`] — the allocation-free form the
-    /// training arena and the render loop use. Bit-identical to
-    /// [`HashGrid::encode`], and — per the `fnr_tensor::simd` contract —
-    /// bit-identical between the vector path and the scalar one. With
-    /// `F == 2` on an AVX2 host, each 8-level (AVX-512) or 4-level (AVX2)
-    /// chunk is planned levels-wide by the same kernel as
-    /// [`HashGrid::plan_into`], then gathered; leftover levels run the
-    /// scalar lookup. Each output element receives the same 8 `w ·
-    /// feature` products, multiplied then added in the same
-    /// (corner-ascending) order, whichever path runs.
+    /// [`HashGridConfig::output_dims`]: per level, `+0.0` plus the 8 `w ·
+    /// feature` products in corner order, multiplied then added. This
+    /// per-point scalar loop is the reference the batch encodes
+    /// ([`LevelEncoder::encode`], [`HashGrid::encode_rows`]) are tested
+    /// against; no render or training path calls it.
     ///
     /// # Panics
     ///
@@ -689,39 +666,7 @@ impl HashGrid {
         let f = self.config.features;
         assert_eq!(out.len(), self.config.output_dims(), "encoding width mismatch");
         out.fill(0.0);
-        let mut l0 = 0;
-        #[cfg(target_arch = "x86_64")]
-        if f == 2 {
-            let lv = fnr_tensor::simd::level();
-            let mut idx = [0i32; 64];
-            let mut wts = [0f32; 64];
-            if lv == fnr_tensor::simd::SimdLevel::Avx512 {
-                // 8 levels × 2 features = one 512-bit accumulator.
-                while l0 + 8 <= self.config.levels {
-                    // SAFETY: AVX-512F (hence AVX2) runtime-detected; the
-                    // plan writes slots `ci * 8 + k < 64`, and its indices
-                    // stay in bounds (masked within level_stride).
-                    unsafe {
-                        self.plan_levels_avx2(l0, 8, p, idx.as_mut_ptr(), wts.as_mut_ptr(), 8);
-                        self.encode8_avx512(l0, idx.as_ptr(), wts.as_ptr(), 8, out);
-                    }
-                    l0 += 8;
-                }
-            }
-            if lv >= fnr_tensor::simd::SimdLevel::Avx2 {
-                // 4 levels × 2 features = one 256-bit accumulator.
-                while l0 + 4 <= self.config.levels {
-                    // SAFETY: AVX2 runtime-detected; the plan writes slots
-                    // `ci * 4 + k < 32`; indices in bounds.
-                    unsafe {
-                        self.plan_levels_avx2(l0, 4, p, idx.as_mut_ptr(), wts.as_mut_ptr(), 4);
-                        self.encode4_avx2(l0, idx.as_ptr(), wts.as_ptr(), 4, out);
-                    }
-                    l0 += 4;
-                }
-            }
-        }
-        for l in l0..self.config.levels {
+        for l in 0..self.config.levels {
             let table = self.level_table(l);
             for (idx, w) in self.corner_lookups(l, p) {
                 for fi in 0..f {
@@ -731,83 +676,12 @@ impl HashGrid {
         }
     }
 
-    /// AVX2 encode of the 4-level chunk starting at `l0` (requires
-    /// `F == 2`): per corner, one 64-bit gather fetches the feature pair
-    /// of all 4 levels, and a duplicated-weight vector multiplies them in.
-    /// Corner-major iteration over the chunk is bit-identical to the
-    /// level-major scalar loop because each output element only ever sees
-    /// its own level's corners — in the same ascending order.
-    ///
-    /// `idx`/`wts` hold one entry per `(corner, level)` at slot
-    /// `ci * stride + k` — absolute f32 element indices into
-    /// [`HashGrid::tables`] (even, since `F == 2`) and trilinear weights,
-    /// from [`HashGrid::plan_levels_avx2`] or an [`EncodePlan`].
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2; `out` must hold at least `(l0 + 4) * 2`
-    /// elements; `idx`/`wts` must stay readable for `7 * stride + 4`
-    /// entries and every index must be in `tables` bounds.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn encode4_avx2(&self, l0: usize, idx: *const i32, wts: *const f32, stride: usize, out: &mut [f32]) {
-        use std::arch::x86_64::*;
-        let base = self.tables.as_ptr() as *const i64;
-        let mut acc = _mm256_loadu_ps(out.as_ptr().add(l0 * 2));
-        for ci in 0..8 {
-            let vi = _mm_loadu_si128(idx.add(ci * stride) as *const __m128i);
-            // Element index → i64 pair index (F == 2 keeps pairs aligned).
-            let pi = _mm_srli_epi32::<1>(vi);
-            // Lane k receives the f32 pair (2 × 4 bytes = one i64) of
-            // level l0+k — matching out[(l0+k)*2 .. (l0+k)*2+2].
-            let pairs = _mm256_castsi256_ps(_mm256_i32gather_epi64::<8>(base, pi));
-            let w4 = _mm_loadu_ps(wts.add(ci * stride));
-            let w8 = _mm256_set_m128(_mm_unpackhi_ps(w4, w4), _mm_unpacklo_ps(w4, w4));
-            // mul then add, never fused — the simd module's contract.
-            acc = _mm256_add_ps(acc, _mm256_mul_ps(w8, pairs));
-        }
-        _mm256_storeu_ps(out.as_mut_ptr().add(l0 * 2), acc);
-    }
-
-    /// AVX-512 encode of the 8-level chunk starting at `l0` (requires
-    /// `F == 2`): the whole chunk's output — 8 levels × 2 features = 16
-    /// floats — lives in **one** 512-bit accumulator; per corner, one
-    /// 8-lane 64-bit gather fetches every level's feature pair and a
-    /// pair-duplicated weight vector multiplies them in. Same
-    /// corner-major bit-identity argument as [`HashGrid::encode4_avx2`].
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX-512F and AVX2; `out` must hold at least
-    /// `(l0 + 8) * 2` elements; `idx`/`wts` must stay readable for
-    /// `7 * stride + 8` entries and every index must be in bounds.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f", enable = "avx2")]
-    unsafe fn encode8_avx512(&self, l0: usize, idx: *const i32, wts: *const f32, stride: usize, out: &mut [f32]) {
-        use std::arch::x86_64::*;
-        let base = self.tables.as_ptr() as *const i64;
-        // Lane pair (2k, 2k+1) both select weight k.
-        let dup = _mm512_set_epi32(7, 7, 6, 6, 5, 5, 4, 4, 3, 3, 2, 2, 1, 1, 0, 0);
-        let mut acc = _mm512_loadu_ps(out.as_ptr().add(l0 * 2));
-        for ci in 0..8 {
-            let vi = _mm256_loadu_si256(idx.add(ci * stride) as *const __m256i);
-            let pi = _mm256_srli_epi32::<1>(vi);
-            let pairs = _mm512_castsi512_ps(_mm512_i32gather_epi64::<8>(pi, base));
-            let w8 = _mm256_loadu_ps(wts.add(ci * stride));
-            let w16 = _mm512_permutexvar_ps(dup, _mm512_castps256_ps512(w8));
-            acc = _mm512_add_ps(acc, _mm512_mul_ps(w16, pairs));
-        }
-        _mm512_storeu_ps(out.as_mut_ptr().add(l0 * 2), acc);
-    }
-
     /// Fills `plan` with the corner lookups of `p` across every level,
     /// reusing its buffers (no steady-state allocation). The plan holds
     /// exactly the lookups [`HashGrid::encode_into`] and
-    /// [`HashGrid::accumulate_grad`] would each recompute — building it
-    /// once halves the hash/trilinear arithmetic of a training sample. On
-    /// AVX2 hosts it is built 8 levels at a time (lane = level), with a
-    /// masked store for a final chunk of fewer than 8 levels;
-    /// bit-identical to the scalar per-level loop.
+    /// [`HashGrid::accumulate_grad`] would each recompute. A per-point
+    /// scalar loop, like `encode_into`: the reference of the level-major
+    /// plan that [`LevelEncoder::encode`] writes as corner columns.
     pub fn plan_into(&self, p: Vec3, plan: &mut EncodePlan) {
         let levels = self.config.levels;
         let f = self.config.features;
@@ -815,108 +689,11 @@ impl HashGrid {
         plan.level_stride = self.level_stride;
         plan.idx.resize(levels * 8, 0);
         plan.w.resize(levels * 8, 0.0);
-        #[cfg(target_arch = "x86_64")]
-        if fnr_tensor::simd::level() >= fnr_tensor::simd::SimdLevel::Avx2 {
-            for l0 in (0..levels).step_by(8) {
-                // SAFETY: AVX2 runtime-detected; with `k = min(8, levels −
-                // l0)` lanes the kernel writes slots `ci * levels + l0 + j`
-                // for `j < k`, all inside the buffers sized above.
-                unsafe {
-                    self.plan_levels_avx2(
-                        l0,
-                        (levels - l0).min(8),
-                        p,
-                        plan.idx.as_mut_ptr().add(l0),
-                        plan.w.as_mut_ptr().add(l0),
-                        levels,
-                    )
-                };
-            }
-            return;
-        }
         for l in 0..levels {
             let elem_base = l * self.level_stride;
             for (ci, (index, w)) in self.corner_lookups(l, p).into_iter().enumerate() {
                 plan.idx[ci * levels + l] = (elem_base + index * f) as i32;
                 plan.w[ci * levels + l] = w;
-            }
-        }
-    }
-
-    /// The corner lookups of point `p` at levels `l0 .. l0 + k` (`1 ≤ k ≤
-    /// 8`), computed across AVX2 lanes (lane = level): corner `ci`'s
-    /// absolute element indices and trilinear weights for the `k` levels
-    /// land with one (masked, when `k < 8`) vector store each at
-    /// `idx_out`/`w_out` slots `ci * stride .. ci * stride + k`.
-    /// Bit-identical to [`HashGrid::corner_lookups`]:
-    ///
-    /// - per axis, the same clamp (scalar, shared by every lane), `· N_l`,
-    ///   floor, `min(N_l − 1)` and `scaled − base` as the scalar code; a
-    ///   NaN coordinate converts to `i32::MIN`, and the extra `max(0)`
-    ///   maps it to 0 as the saturating `as usize` cast does;
-    /// - weights: the scalar loop computes `((1·wx)·wy)·wz`; `1·x == x`
-    ///   bitwise, so `(wx·wy)·wz` performs the same two roundings;
-    /// - indices: see [`LevelLanes`] — both the dense and the hashed form
-    ///   equal the scalar `usize` index modulo 2³², and so does
-    ///   `l·level_stride + entry·F`.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2; `1 ≤ k ≤ 8`, `l0 < levels`, and
-    /// `idx_out`/`w_out` must be writable at the `8 · k` slots above.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn plan_levels_avx2(
-        &self,
-        l0: usize,
-        k: usize,
-        p: Vec3,
-        idx_out: *mut i32,
-        w_out: *mut f32,
-        stride: usize,
-    ) {
-        use std::arch::x86_64::*;
-        let load = |field: usize| {
-            _mm256_loadu_si256(self.lanes.row(field).as_ptr().add(l0) as *const __m256i)
-        };
-        // `N_l as f32` from the i32 lane: both round the same integer.
-        let res = _mm256_cvtepi32_ps(load(LevelLanes::RES));
-        let max_base = load(LevelLanes::MAX_BASE);
-        let zero = _mm256_setzero_si256();
-        let one = _mm256_set1_epi32(1);
-        // Per axis d and offset o ∈ {0, 1}: the entry term `(base + o) ·
-        // mul` and the weight (`1 − frac` for o = 0, `frac` for o = 1).
-        let mut term = [[zero; 2]; 3];
-        let mut weight = [[_mm256_setzero_ps(); 2]; 3];
-        for (d, v) in [p.x, p.y, p.z].into_iter().enumerate() {
-            let scaled = _mm256_mul_ps(_mm256_set1_ps(v.clamp(0.0, 1.0)), res);
-            let floor = _mm256_round_ps::<{ _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC }>(scaled);
-            let base = _mm256_min_epi32(_mm256_max_epi32(_mm256_cvttps_epi32(floor), zero), max_base);
-            let frac = _mm256_sub_ps(scaled, _mm256_cvtepi32_ps(base));
-            let mul = load(LevelLanes::MUL[d]);
-            term[d] = [_mm256_mullo_epi32(base, mul), _mm256_mullo_epi32(_mm256_add_epi32(base, one), mul)];
-            weight[d] = [_mm256_sub_ps(_mm256_set1_ps(1.0), frac), frac];
-        }
-        let dense = load(LevelLanes::DENSE);
-        let mask = load(LevelLanes::MASK);
-        let level_base = load(LevelLanes::BASE);
-        let features = _mm256_set1_epi32(self.config.features as i32);
-        let live = _mm256_cmpgt_epi32(_mm256_set1_epi32(k as i32), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
-        for ci in 0..8 {
-            let (ox, oy, oz) = (ci & 1, (ci >> 1) & 1, ci >> 2);
-            let w = _mm256_mul_ps(_mm256_mul_ps(weight[0][ox], weight[1][oy]), weight[2][oz]);
-            let (tx, ty, tz) = (term[0][ox], term[1][oy], term[2][oz]);
-            let sum = _mm256_add_epi32(_mm256_add_epi32(tx, ty), tz);
-            let hash = _mm256_xor_si256(_mm256_xor_si256(tx, ty), tz);
-            let entry = _mm256_and_si256(_mm256_blendv_epi8(hash, sum, dense), mask);
-            let elem = _mm256_add_epi32(level_base, _mm256_mullo_epi32(entry, features));
-            let (idx_at, w_at) = (idx_out.add(ci * stride), w_out.add(ci * stride));
-            if k == 8 {
-                _mm256_storeu_si256(idx_at as *mut __m256i, elem);
-                _mm256_storeu_ps(w_at, w);
-            } else {
-                _mm256_maskstore_epi32(idx_at, live, elem);
-                _mm256_maskstore_ps(w_at, live, w);
             }
         }
     }
@@ -935,31 +712,7 @@ impl HashGrid {
         assert_eq!(plan.idx.len(), levels * 8, "plan shape mismatch");
         assert_eq!(out.len(), self.config.output_dims(), "encoding width mismatch");
         out.fill(0.0);
-        let mut l0 = 0;
-        #[cfg(target_arch = "x86_64")]
-        if f == 2 {
-            let lv = fnr_tensor::simd::level();
-            if lv == fnr_tensor::simd::SimdLevel::Avx512 {
-                while l0 + 8 <= levels {
-                    // SAFETY: AVX-512F runtime-detected; plan indices come
-                    // from corner_index, hence in bounds.
-                    unsafe {
-                        self.encode8_avx512(l0, plan.idx.as_ptr().add(l0), plan.w.as_ptr().add(l0), levels, out)
-                    };
-                    l0 += 8;
-                }
-            }
-            if lv >= fnr_tensor::simd::SimdLevel::Avx2 {
-                while l0 + 4 <= levels {
-                    // SAFETY: AVX2 runtime-detected; indices in bounds.
-                    unsafe {
-                        self.encode4_avx2(l0, plan.idx.as_ptr().add(l0), plan.w.as_ptr().add(l0), levels, out)
-                    };
-                    l0 += 4;
-                }
-            }
-        }
-        for l in l0..levels {
+        for l in 0..levels {
             for ci in 0..8 {
                 let slot = ci * levels + l;
                 let idx = plan.idx[slot] as usize;
@@ -1057,14 +810,17 @@ mod tests {
     #[test]
     fn encoding_at_exact_corner_returns_corner_features() {
         let g = grid();
-        // Level 0 resolution 16: p = (0,0,0) is exactly corner [0,0,0].
+        // Level 0 resolution 16: p = (0,0,0) is exactly corner [0,0,0],
+        // corner 0 of the lookup, with all the weight; level 0 is dense,
+        // so that corner is entry 0.
         let enc = g.encode(Vec3::ZERO);
-        let idx = g.corner_index(0, [0, 0, 0]);
+        let (idx, w) = g.corner_lookups(0, Vec3::ZERO)[0];
+        assert_eq!((idx, w), (0, 1.0));
         assert!((enc[0] - g.level_table(0)[idx * 2]).abs() < 1e-6);
     }
 
-    /// The dispatched encode (AVX2 gather on capable hosts) is bitwise
-    /// equal to an explicit level-major scalar reference.
+    /// The per-point encode is bitwise equal to an explicit level-major
+    /// sum over `corner_lookups`.
     #[test]
     fn encode_matches_scalar_reference_bitwise() {
         let g = grid();
@@ -1165,7 +921,7 @@ mod tests {
         use proptest::prelude::*;
         use rand::{Rng, SeedableRng};
 
-        /// Level counts around the 4- and 8-level chunk widths.
+        /// Level counts from 1 to 16.
         const LEVELS: [usize; 7] = [1, 3, 4, 5, 8, 12, 16];
 
         fn bits_eq(a: &[f32], b: &[f32]) -> bool {
@@ -1187,34 +943,15 @@ mod tests {
             pts
         }
 
-        /// Plan, unplanned encode and planned encode of every point.
-        fn run(g: &HashGrid, pts: &[Vec3]) -> Vec<(EncodePlan, Vec<f32>, Vec<f32>)> {
-            let dims = g.config().output_dims();
-            pts.iter()
-                .map(|&p| {
-                    let mut plan = EncodePlan::default();
-                    g.plan_into(p, &mut plan);
-                    let mut direct = vec![0.0f32; dims];
-                    g.encode_into(p, &mut direct);
-                    let mut planned = vec![0.0f32; dims];
-                    g.encode_planned(&plan, &mut planned);
-                    (plan, direct, planned)
-                })
-                .collect()
-        }
-
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(48))]
 
-            /// The levels-wide AVX2 plan and the gather encodes it feeds
-            /// equal the scalar path bit for bit, on grids mixing dense
-            /// and hashed levels, with level counts that leave partial
-            /// 8- and 4-level chunks; and the planned gradient scatter
-            /// still equals the unplanned one. `force_scalar` is
-            /// process-global, but every path is bit-identical, so a
-            /// concurrent test only ever sees correct results.
+            /// The planned encode and gradient scatter equal their
+            /// unplanned twins bit for bit, on grids mixing dense and
+            /// hashed levels, with F from 1 to 3 and points inside, on
+            /// and outside the cube (a NaN coordinate included).
             #[test]
-            fn prop_plan_and_encodes_match_the_scalar_path_bitwise(
+            fn prop_planned_encode_and_scatter_match_the_unplanned_ones_bitwise(
                 li in 0usize..7,
                 log2 in 9usize..15,
                 features in 1usize..4,
@@ -1231,21 +968,14 @@ mod tests {
                 };
                 let g = HashGrid::new(config, 0.1, seed);
                 let pts = points(seed);
-                let fast = run(&g, &pts);
-                fnr_tensor::simd::force_scalar(true);
-                let slow = run(&g, &pts);
-                fnr_tensor::simd::force_scalar(false);
-                for (i, (f, s)) in fast.iter().zip(&slow).enumerate() {
-                    prop_assert!(f.0.idx == s.0.idx, "point {i} {:?}: plan indices drifted", pts[i]);
-                    prop_assert!(bits_eq(&f.0.w, &s.0.w), "point {i} {:?}: plan weights drifted", pts[i]);
-                    prop_assert!(bits_eq(&f.1, &s.1), "point {i} {:?}: encode_into drifted", pts[i]);
-                    prop_assert!(bits_eq(&f.2, &s.2), "point {i} {:?}: encode_planned drifted", pts[i]);
-                }
-                let d_out: Vec<f32> =
-                    (0..config.output_dims()).map(|j| (j as f32 + 1.0) * 0.17 - 1.3).collect();
-                let mut plan = EncodePlan::default();
+                let (dims, mut plan) = (config.output_dims(), EncodePlan::default());
+                let (mut direct, mut planned) = (vec![0.0f32; dims], vec![0.0f32; dims]);
+                let d_out: Vec<f32> = (0..dims).map(|j| (j as f32 + 1.0) * 0.17 - 1.3).collect();
                 for &p in &pts {
                     g.plan_into(p, &mut plan);
+                    g.encode_into(p, &mut direct);
+                    g.encode_planned(&plan, &mut planned);
+                    prop_assert!(bits_eq(&direct, &planned), "{p:?}: encode_planned drifted");
                     let mut grad_direct = g.zero_grad();
                     let mut grad_planned = g.zero_grad();
                     g.accumulate_grad(p, &d_out, &mut grad_direct);
@@ -1456,10 +1186,11 @@ mod tests {
     }
 
     /// A resolution-0 level's corners sit at coordinates 0 and 1, so they
-    /// reach 8 entries, and with a 2-entry table the level must hash. At
-    /// every SIMD level the host has, scalar included, every encode path
-    /// agrees with `corner_lookups` bit for bit, and the model built on
-    /// such a grid renders the same frames and bands.
+    /// reach 8 entries, and with a 2-entry table the level must hash. The
+    /// per-point encodes, and the level encode at every SIMD level the
+    /// host has, scalar included, agree with `corner_lookups` bit for bit,
+    /// and the model built on such a grid renders the same frames and
+    /// bands at every SIMD level.
     #[test]
     fn resolution_zero_levels_encode_and_render_at_every_simd_level() {
         use crate::camera::Camera;
@@ -1486,6 +1217,14 @@ mod tests {
                 })
                 .collect();
             let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let mut plan = EncodePlan::default();
+            let mut planned = vec![0.0f32; dims];
+            for (&p, want) in pts.iter().zip(&reference) {
+                g.plan_into(p, &mut plan);
+                g.encode_planned(&plan, &mut planned);
+                assert_eq!(bits(&g.encode(p)), bits(want), "F={f} {p:?}: encode");
+                assert_eq!(bits(&planned), bits(want), "F={f} {p:?}: planned encode");
+            }
             let model = NgpModel::new(config, 8, 3);
             let prepared = model.prepare_quantized(fnr_tensor::Precision::Int8);
             let cam = Camera::orbit(0.8, 1.6, 0.9);
@@ -1493,14 +1232,6 @@ mod tests {
             let mut renders = Vec::new();
             for lv in host_levels() {
                 fnr_tensor::simd::cap_level(lv);
-                let mut plan = EncodePlan::default();
-                let mut planned = vec![0.0f32; dims];
-                for (&p, want) in pts.iter().zip(&reference) {
-                    g.plan_into(p, &mut plan);
-                    g.encode_planned(&plan, &mut planned);
-                    assert_eq!(bits(&g.encode(p)), bits(want), "{lv:?} F={f} {p:?}: encode");
-                    assert_eq!(bits(&planned), bits(want), "{lv:?} F={f} {p:?}: planned encode");
-                }
                 let n = pts.len();
                 let xyz: [Vec<f32>; 3] = [
                     pts.iter().map(|p| p.x).collect(),
@@ -1535,6 +1266,37 @@ mod tests {
                 assert!(r == &renders[0], "{lv:?} F={f}: renders drifted from the scalar level");
             }
         }
+    }
+
+    /// The batch encode's rows equal the per-point encode bit for bit at
+    /// every SIMD level the host has, for batch sizes around the 16- and
+    /// 8-lane registers (empty and a 128-row render tile included), edge
+    /// points (NaN, ±0, outside the cube) and F from 1 to 3.
+    #[test]
+    fn encode_rows_match_the_per_point_encode_bitwise() {
+        for features in 1..=3 {
+            let config = HashGridConfig { features, ..HashGridConfig::small() };
+            let g = HashGrid::new(config, 0.1, 11);
+            let dims = config.output_dims();
+            let mut cols = LevelColumns::default();
+            for n in [0usize, 1, 15, 16, 17, 128] {
+                let pts = edge_points(n as u64, n);
+                let want: Vec<u32> = pts.iter().flat_map(|&p| g.encode(p)).map(f32::to_bits).collect();
+                let xyz: [Vec<f32>; 3] = [
+                    pts.iter().map(|p| p.x).collect(),
+                    pts.iter().map(|p| p.y).collect(),
+                    pts.iter().map(|p| p.z).collect(),
+                ];
+                for lv in host_levels() {
+                    fnr_tensor::simd::cap_level(lv);
+                    let mut rows = vec![f32::NAN; n * dims];
+                    g.encode_rows([&xyz[0], &xyz[1], &xyz[2]], &mut rows, &mut cols);
+                    let got: Vec<u32> = rows.iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(got, want, "{lv:?} F={features} n={n}");
+                }
+            }
+        }
+        fnr_tensor::simd::force_scalar(false);
     }
 
     #[test]

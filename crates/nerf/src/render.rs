@@ -2,12 +2,11 @@
 //! analytic reference scenes and the trainable hash-grid model.
 
 use crate::camera::Camera;
-use crate::hashgrid::{HashGrid, HashGridConfig};
+use crate::hashgrid::{HashGrid, HashGridConfig, LevelColumns};
 use crate::mlp::{Mlp, OutlierQuantizedMlp, PackedMlp, QuantScratch, QuantizedMlp, TileHead};
 use crate::psnr::Image;
 use crate::sampling::{sample_ray_into, OccupancyGrid, RaySample};
 use crate::scene::Scene;
-use crate::vec3::Vec3;
 use fnr_tensor::{Matrix, Precision, Quantizer};
 
 /// One shaded sample ready for compositing.
@@ -327,12 +326,13 @@ impl NgpModel {
     /// Encodings of a small calibration batch (corner-to-corner diagonal
     /// sweep through the volume), used to fix static activation scales.
     fn calibration_batch(&self) -> Vec<Vec<f32>> {
-        (0..128)
-            .map(|i| {
-                let t = i as f32 / 127.0;
-                self.grid.encode(Vec3::new(t, (t * 7.3).fract(), (t * 3.1).fract()))
-            })
-            .collect()
+        let t: Vec<f32> = (0..128).map(|i| i as f32 / 127.0).collect();
+        let y: Vec<f32> = t.iter().map(|t| (t * 7.3).fract()).collect();
+        let z: Vec<f32> = t.iter().map(|t| (t * 3.1).fract()).collect();
+        let dims = self.grid.config().output_dims();
+        let mut rows = vec![0.0f32; t.len() * dims];
+        self.grid.encode_rows([&t, &y, &z], &mut rows, &mut LevelColumns::default());
+        rows.chunks_exact(dims).map(<[f32]>::to_vec).collect()
     }
 
     /// Renders with weights quantized to `precision` (Fig. 20(a), plain
@@ -390,10 +390,8 @@ const TILE_ROWS: usize = 128;
 /// Everything a tile does runs on the thread that owns it: the calling
 /// thread of a band render, or whichever pool thread took the pixel row of
 /// a whole-frame render. A flush encodes the tile's samples level by level
-/// ([`LevelEncoder::encode`], many samples per register) on that same
+/// ([`HashGrid::encode_rows`], many samples per register) on that same
 /// thread.
-///
-/// [`LevelEncoder::encode`]: crate::hashgrid::LevelEncoder::encode
 #[derive(Default)]
 struct RenderTile {
     /// The ray being added.
@@ -406,13 +404,9 @@ struct RenderTile {
     ends: Vec<usize>,
     /// The encoded samples, one head input row each.
     x: Vec<f32>,
-    /// One level's encoding columns, `F` columns of one value per pending
-    /// sample.
-    enc: Vec<f32>,
-    /// One level's corner indices and weights, which a render does not
-    /// read back.
-    corner_idx: Vec<u32>,
-    corner_w: Vec<f32>,
+    /// One level's encoding and corner columns; a render reads back only
+    /// the encoding.
+    cols: LevelColumns,
     /// One ray's shaded samples.
     shaded: Vec<ShadedSample>,
     head: QuantScratch,
@@ -433,9 +427,6 @@ impl RenderTile {
         self.deltas.clear();
         self.ends.clear();
         self.x.clear();
-        self.enc.clear();
-        self.corner_idx.clear();
-        self.corner_w.clear();
     }
 
     /// Empties the tile and sizes its buffers for `cap` samples of `dims`
@@ -446,9 +437,7 @@ impl RenderTile {
         self.deltas.reserve(cap);
         self.ends.reserve(w);
         self.x.reserve(cap * dims);
-        self.enc.reserve(cap * features);
-        self.corner_idx.reserve(8 * cap);
-        self.corner_w.reserve(8 * cap);
+        self.cols.reserve(cap, features);
     }
 
     /// Adds the active samples of the ray in `samples` as one pending
@@ -464,26 +453,14 @@ impl RenderTile {
     }
 
     /// Encodes the pending samples with `grid`, one level at a time across
-    /// all of them, into the head input rows; runs the rows through
-    /// `head`; shades and composites each pending pixel into `pixels` (one
-    /// per pending pixel, in order) and empties the tile.
+    /// all of them ([`HashGrid::encode_rows`]), into the head input rows;
+    /// runs the rows through `head`; shades and composites each pending
+    /// pixel into `pixels` (one per pending pixel, in order) and empties
+    /// the tile.
     fn flush(&mut self, grid: &HashGrid, head: &impl TileHead, pixels: &mut [[f32; 3]]) {
-        let RenderTile { xyz, deltas, ends, x, enc, corner_idx, corner_w, shaded, head: scratch, .. } = self;
-        let n = deltas.len();
-        let (f, dims) = (grid.config().features, grid.config().output_dims());
-        x.resize(n * dims, 0.0);
-        enc.resize(f * n, 0.0);
-        corner_idx.resize(8 * n, 0);
-        corner_w.resize(8 * n, 0.0);
-        for l in 0..grid.config().levels {
-            let xyz = [&xyz[0][..], &xyz[1][..], &xyz[2][..]];
-            grid.level_encoder(l).encode(grid.level_table(l), xyz, enc, corner_idx, corner_w);
-            for (fi, column) in enc.chunks_exact(n.max(1)).enumerate() {
-                for (row, &v) in x.chunks_exact_mut(dims).zip(column) {
-                    row[l * f + fi] = v;
-                }
-            }
-        }
+        let RenderTile { xyz, deltas, ends, x, cols, shaded, head: scratch, .. } = self;
+        x.resize(deltas.len() * grid.config().output_dims(), 0.0);
+        grid.encode_rows([&xyz[0], &xyz[1], &xyz[2]], x, cols);
         let outs = head.outputs();
         let raw = head.forward_tile(x, scratch);
         let mut start = 0;
