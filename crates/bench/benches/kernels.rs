@@ -2,11 +2,12 @@
 //! datapath (fused multiply, array pass, reduction), the mapping, the
 //! format codecs, the NoC routers, the NeRF encoding primitives, the
 //! quantized-inference activation quantizer, the training MLP's
-//! sample-tile layer kernels, the quantized render head and the training
-//! step's per-level merge and Adam update. Each `fnr_tensor::simd`-backed
-//! bench has a `*_scalar` twin, so a kernel's speedup is the ratio of the
-//! two lines; the tile kernels and the render head also have a
-//! `*_per_row` line, the per-sample calls they replace.
+//! sample-tile layer kernels and bias row sum, the quantized render head
+//! and the training step's per-level merge and Adam update. Each
+//! `fnr_tensor::simd`-backed bench has a `*_scalar` twin, so a kernel's
+//! speedup is the ratio of the two lines; the tile kernels, the bias row
+//! sum and the render head have a `*_per_row` line, the per-sample calls
+//! they replace.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use flexnerfer::FlexibleFormatCodec;
@@ -170,6 +171,29 @@ fn bench_kernels(c: &mut Criterion) {
             b.iter(|| {
                 simd::layer_backward_rows_scalar(&mut d_in, black_box(&wt), &mut wg, black_box(&delta), &x, rows)
             })
+        });
+    }
+
+    // The bias gradients of one Fig. 20(a) iteration (1 468 samples) at
+    // each layer width: one row-sum kernel call against the per-row merge
+    // loop it replaces. Half of each delta row is ReLU-masked to zero.
+    let samples = 1468;
+    for outs in [32usize, 4] {
+        let delta: Vec<f32> =
+            (0..samples * outs).map(|i| if i % 2 == 0 { 0.0 } else { (i % 7) as f32 * 0.1 - 0.3 }).collect();
+        let mut bias = vec![0.0f32; outs];
+        g.bench_function(&format!("add_rows_{outs}x{samples}"), |b| {
+            b.iter(|| simd::add_rows(&mut bias, black_box(&delta)))
+        });
+        g.bench_function(&format!("add_rows_{outs}x{samples}_per_row"), |b| {
+            b.iter(|| {
+                for row in black_box(&delta).chunks_exact(outs) {
+                    simd::add_assign(&mut bias, row);
+                }
+            })
+        });
+        g.bench_function(&format!("add_rows_{outs}x{samples}_scalar"), |b| {
+            b.iter(|| simd::add_rows_scalar(&mut bias, black_box(&delta)))
         });
     }
 

@@ -578,6 +578,7 @@ impl Mlp {
     /// [`Mlp::forward_rows`] (and optionally [`MlpRows::compact`]) left in
     /// `rows`: `d_out` holds ∂L/∂output row by row, and the returned
     /// slice ∂L/∂input row by row. Each layer runs as one
+    /// [`fnr_tensor::simd::add_rows`] call for its bias and one
     /// [`fnr_tensor::simd::layer_backward_rows`] call, so every gradient
     /// entry receives the rows in ascending order: bit-identical to
     /// calling `backward_into` on each row in turn.
@@ -602,9 +603,7 @@ impl Mlp {
                     *d = if z <= 0.0 { 0.0 } else { *d };
                 }
             }
-            for d_row in d.chunks_exact(outs) {
-                fnr_tensor::simd::add_assign(&mut grads.bias[i], d_row);
-            }
+            fnr_tensor::simd::add_rows(&mut grads.bias[i], d);
             let d_prev = &mut d_in[..n * cols];
             d_prev.fill(0.0);
             fnr_tensor::simd::layer_backward_rows(

@@ -44,6 +44,7 @@ pub struct Batch {
     pub flush: FlushReason,
 }
 
+#[derive(Debug)]
 struct PendingGroup {
     key: BatchKey,
     // Each member keeps its own arrival time. The linger deadline is
@@ -89,6 +90,7 @@ impl Default for BatcherConfig {
 
 /// The coalescing state machine. Groups are kept in open order (a `Vec`,
 /// not a hash map) so drain output is deterministic.
+#[derive(Debug)]
 pub struct Batcher {
     max_batch: usize,
     /// The linger timeout in nanoseconds (saturating).

@@ -471,6 +471,9 @@ struct Replica {
     /// Losing hedge copies currently in service: their completion is
     /// dropped — no request metric, no response, the work was wasted.
     suppressed: HashSet<(u64, u32)>,
+    /// The earliest worker completion or linger deadline, unclamped:
+    /// [`Replica::scan_timer`] as of the last call that could move it.
+    next_timer: Option<u64>,
     /// Every batch that completed service, in completion order.
     decided: Vec<Batch>,
     /// Total virtual time the workers spent serving completed batches.
@@ -505,6 +508,7 @@ impl Replica {
             inflight: 0,
             events: Vec::new(),
             suppressed: HashSet::new(),
+            next_timer: None,
             decided: Vec::new(),
             busy_ns: 0,
             life: Life::Up,
@@ -524,13 +528,16 @@ impl Replica {
         self.workers.iter().any(Option::is_some)
     }
 
-    /// Cancels the live copy of `(id, chunk)`, wherever it sits: removed
-    /// outright if still queued, suppressed (completes without a trace) if
-    /// already in service. The hedging layer calls this on the losing copy
-    /// the instant the winning copy completes.
-    fn cancel(&mut self, id: u64, chunk: ChunkSpan) {
-        if self.core.cancel(id, chunk) {
+    /// Cancels the live copy of `req`, wherever it sits: removed outright
+    /// if still queued, suppressed (completes without a trace) if already
+    /// in service. The hedging layer calls this on the losing copy the
+    /// instant the winning copy completes.
+    fn cancel(&mut self, req: &Request) {
+        let (id, chunk) = (req.id, req.chunk);
+        if self.core.cancel(req) {
             self.inflight -= 1;
+            // Pulling a linger group's oldest member moves its deadline.
+            self.refresh_timer();
         } else if self
             .workers
             .iter()
@@ -558,7 +565,8 @@ impl Replica {
     /// Admits a hedge clone **without** counting a rejection on failure:
     /// a clone that finds no lane room simply never existed (the primary
     /// copy still owns the request), so it must not perturb the
-    /// conservation law.
+    /// conservation law. Admission only queues in a lane, so the cached
+    /// timer stands until the next pump.
     fn admit_hedge(&mut self, req: Request) -> bool {
         if !self.core.admit(req) {
             return false;
@@ -570,10 +578,25 @@ impl Replica {
     /// Earliest pending timer: a busy worker finishing or a linger expiry.
     /// Every timer before `now` has fired, so a busy worker only finishes
     /// at `now` when its completion saturated at the end of the clock.
+    ///
+    /// Reads the cached timer, so the event loop can ask every replica at
+    /// every step without rescanning workers and batcher. Every method
+    /// that can move the timer (`pump`, and through it `fire`; `cancel`;
+    /// `kill`) refreshes the cache; debug builds check it against
+    /// [`Replica::scan_timer`] at every step of the event loop.
     fn next_event(&self, now: u64) -> Option<u64> {
+        self.next_timer.map(|t| t.max(now))
+    }
+
+    /// The earliest worker completion or linger deadline, by a fresh scan.
+    fn scan_timer(&self) -> Option<u64> {
         let completion = self.workers.iter().flatten().map(Running::done_at).min();
         let linger = self.core.next_deadline();
-        completion.into_iter().chain(linger).min().map(|t| t.max(now))
+        completion.into_iter().chain(linger).min()
+    }
+
+    fn refresh_timer(&mut self) {
+        self.next_timer = self.scan_timer();
     }
 
     /// One timer firing at `t`: finished batches complete, linger-expired
@@ -709,6 +732,7 @@ impl Replica {
                 break;
             }
         }
+        self.refresh_timer();
     }
 
     /// Whether any admitted request is still queued, pending, or in
@@ -740,6 +764,7 @@ impl Replica {
         orphans.sort_unstable_by_key(|r| (r.id, r.chunk.index));
         self.warm.clear();
         self.inflight = 0;
+        self.refresh_timer();
         orphans
     }
 }
@@ -753,8 +778,8 @@ struct Tracked {
     /// The request's ring position, hashed once at arrival so a hedge
     /// placement never hashes.
     key_hash: u64,
-    /// Replicas currently holding a live copy (one or two entries).
-    copies: Vec<usize>,
+    /// Replicas currently holding a live copy.
+    copies: Copies,
     /// Whether any copy has started service — a started chunk is not
     /// worth hedging, the work is already running.
     started: bool,
@@ -762,6 +787,62 @@ struct Tracked {
     /// at most once; `hedged == hedge_won + hedge_wasted` is an
     /// invariant).
     clone_replica: Option<usize>,
+}
+
+/// The replicas holding a live copy of one tracked chunk: the primary and
+/// at most one hedge clone, inline, in insertion order.
+#[derive(Debug, Clone, Copy)]
+struct Copies {
+    slots: [usize; 2],
+    len: u8,
+}
+
+impl Copies {
+    /// The primary copy alone.
+    fn one(r: usize) -> Self {
+        Copies { slots: [r, 0], len: 1 }
+    }
+
+    fn len(&self) -> usize {
+        usize::from(self.len)
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The replica of the only copy, unless there are two.
+    fn only(&self) -> Option<usize> {
+        (self.len == 1).then_some(self.slots[0])
+    }
+
+    /// The copies' replicas, oldest first.
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.slots[..self.len()].iter().copied()
+    }
+
+    /// Adds a copy on `r`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a third copy: a chunk hedges at most once.
+    fn push(&mut self, r: usize) {
+        assert!(self.len < 2, "a tracked chunk holds at most two live copies");
+        self.slots[self.len()] = r;
+        self.len += 1;
+    }
+
+    /// Keeps the copies `keep` accepts, in order.
+    fn retain(&mut self, keep: impl Fn(usize) -> bool) {
+        let mut kept = 0;
+        for i in 0..self.len() {
+            if keep(self.slots[i]) {
+                self.slots[kept] = self.slots[i];
+                kept += 1;
+            }
+        }
+        self.len = kept as u8;
+    }
 }
 
 /// The hedge arbiter's book of tracked chunks, by key `id × stride +
@@ -933,7 +1014,7 @@ impl<'c> ClusterState<'c> {
                     self.replicas[r].failed_over_in += 1;
                     self.replicas[from].failed_over_out += 1;
                     if let Some(tr) = self.tracked.get_mut(key) {
-                        tr.copies.retain(|&c| c != from);
+                        tr.copies.retain(|c| c != from);
                         tr.copies.push(r);
                     }
                 } else {
@@ -958,7 +1039,7 @@ impl<'c> ClusterState<'c> {
     fn settle_loss(&mut self, r: usize, req: Request, at_ns: u64, failed: bool) {
         let key = (req.id, req.chunk.index);
         if let Some(tr) = self.tracked.get_mut(key) {
-            tr.copies.retain(|&c| c != r);
+            tr.copies.retain(|c| c != r);
             if !tr.copies.is_empty() {
                 return;
             }
@@ -993,10 +1074,10 @@ impl<'c> ClusterState<'c> {
                 PipeEvent::Completed { id, chunk } => {
                     progressed = true;
                     if let Some(tr) = self.tracked.remove((id, chunk)) {
-                        for &other in tr.copies.iter().filter(|&&c| c != r) {
+                        for other in tr.copies.iter().filter(|&c| c != r) {
                             // The losing copy is pulled from its queue,
                             // or suppressed if already in service.
-                            self.replicas[other].cancel(id, tr.req.chunk);
+                            self.replicas[other].cancel(&tr.req);
                         }
                         match tr.clone_replica {
                             Some(c) if c == r => self.front_door.hedge_won += 1,
@@ -1017,10 +1098,10 @@ impl<'c> ClusterState<'c> {
     /// clone was placed.
     fn fire_hedge(&mut self, key: (u64, u32), t: u64) -> bool {
         let Some(tr) = self.tracked.get(key) else { return false };
-        if tr.started || tr.clone_replica.is_some() || tr.copies.len() != 1 {
+        if tr.started || tr.clone_replica.is_some() {
             return false;
         }
-        let primary = tr.copies[0];
+        let Some(primary) = tr.copies.only() else { return false };
         let Some(r2) = self.pick(tr.key_hash, t, Some(primary)) else { return false };
         let req = tr.req.clone();
         if !self.replicas[r2].admit_hedge(req) {
@@ -1047,8 +1128,7 @@ impl<'c> ClusterState<'c> {
             .filter(|tr| {
                 !tr.started
                     && tr.clone_replica.is_none()
-                    && tr.copies.len() == 1
-                    && tr.copies[0] == r
+                    && tr.copies.only() == Some(r)
             })
             .map(|tr| (tr.req.id, tr.req.chunk.index))
             .collect();
@@ -1120,7 +1200,7 @@ impl<'c> ClusterState<'c> {
                         if tr.copies.len() > 1 {
                             // The other copy is live: this orphan
                             // silently dies, no failover needed.
-                            tr.copies.retain(|&c| c != r);
+                            tr.copies.retain(|c| c != r);
                             continue;
                         }
                     }
@@ -1160,9 +1240,18 @@ impl<'c> ClusterState<'c> {
     /// up to `target` (faults win ties, then replica timers, then hedge
     /// timers). Returns the clock position (`target`, unless `target` is
     /// the drain sentinel `u64::MAX`, in which case the last event time).
+    ///
+    /// A step reads each replica's cached timer and each replica's cached
+    /// health crossings; neither is rescanned nor re-divided per event.
     fn process_until(&mut self, target: u64, now: u64) -> u64 {
         let mut now = now;
         loop {
+            // Every step (and every arrival since the last call) left each
+            // cached replica timer equal to a fresh scan.
+            debug_assert!(
+                self.replicas.iter().all(|rep| rep.next_timer == rep.scan_timer()),
+                "a replica's cached timer went stale"
+            );
             let pipe_next = self
                 .replicas
                 .iter()
@@ -1247,6 +1336,12 @@ impl<'c> ClusterState<'c> {
 /// renders the decided batches. See the module docs for the model; see
 /// [`ClusterMetrics::conserves_submitted`] for the accounting law the
 /// result is guaranteed (and asserted) to satisfy.
+///
+/// The decision loop re-derives nothing that did not change: each
+/// replica caches its next timer, the failure detector caches the
+/// elapsed times at which each replica turns Suspect and Dead, a hedge
+/// loser is looked for only in its own priority's lane, and a tracked
+/// chunk keeps its copies inline.
 pub fn run_cluster(cfg: &ClusterConfig, jobs: &[TimedJob]) -> ClusterReport {
     cfg.server.sched.validate();
     let replicas = cfg.replicas.max(1);
@@ -1274,7 +1369,9 @@ pub fn run_cluster(cfg: &ClusterConfig, jobs: &[TimedJob]) -> ClusterReport {
     // into its row-band chunks at the front door; all chunks of one
     // arrival share one routing decision (same coalescing key, same
     // replica — scene affinity would pick the same target anyway), and
-    // the front-door counters account in chunk units.
+    // the front-door counters account in chunk units. Between arrivals,
+    // `process_until` steps through the replicas' cached timers, and
+    // every step re-checks health with integer compares only.
     let mut now = 0u64;
     let mut submitted_chunks = 0usize;
     for (id, tj) in jobs.iter().enumerate() {
@@ -1315,7 +1412,7 @@ pub fn run_cluster(cfg: &ClusterConfig, jobs: &[TimedJob]) -> ClusterReport {
                         state.tracked.insert(Tracked {
                             req,
                             key_hash,
-                            copies: vec![r],
+                            copies: Copies::one(r),
                             started: false,
                             clone_replica: None,
                         });
@@ -1445,6 +1542,128 @@ mod tests {
     }
 
     #[test]
+    fn copies_push_retain_and_iterate_in_insertion_order() {
+        let mut copies = Copies::one(5);
+        assert_eq!((copies.len(), copies.only()), (1, Some(5)));
+        copies.push(2);
+        assert_eq!(copies.iter().collect::<Vec<_>>(), [5, 2]);
+        assert_eq!(copies.only(), None, "two copies have no only one");
+        copies.retain(|c| c != 5);
+        assert_eq!((copies.iter().collect::<Vec<_>>(), copies.only()), (vec![2], Some(2)));
+        copies.push(7);
+        assert_eq!(copies.iter().collect::<Vec<_>>(), [2, 7], "a refilled slot keeps the order");
+        copies.retain(|_| false);
+        assert!(copies.is_empty() && copies.iter().next().is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "at most two live copies")]
+    fn a_third_copy_panics() {
+        let mut copies = Copies::one(0);
+        copies.push(1);
+        copies.push(2);
+    }
+
+    /// The all-lanes search [`Replica::cancel`] replaced, kept only as its
+    /// test oracle: the core's scan (every lane, then batcher, then ready
+    /// batches), then the workers. Returns where the copy was.
+    fn cancel_by_scan(rep: &mut Replica, id: u64, chunk: ChunkSpan) -> String {
+        if let Some(place) = rep.core.cancel_by_scan(id, chunk) {
+            rep.inflight -= 1;
+            rep.refresh_timer();
+            return place;
+        }
+        let in_service = |run: &Running| run.batch.requests.iter().any(|r| r.id == id && r.chunk == chunk);
+        if rep.workers.iter().flatten().any(in_service) {
+            rep.suppressed.insert((id, chunk.index));
+            return "in service".into();
+        }
+        "nowhere".into()
+    }
+
+    /// Everything a cancel can touch on `rep`, as a comparable string.
+    fn replica_snapshot(rep: &Replica) -> String {
+        let running: Vec<_> = rep.workers.iter().map(|w| w.as_ref().map(|run| &run.batch)).collect();
+        let mut suppressed: Vec<_> = rep.suppressed.iter().collect();
+        suppressed.sort_unstable();
+        let timer = rep.next_timer;
+        format!("{} {running:?} {suppressed:?} {} {timer:?}", rep.core.snapshot(), rep.inflight)
+    }
+
+    #[test]
+    fn own_lane_cancel_takes_the_same_copy_from_the_same_place_as_the_all_lanes_search() {
+        use crate::request::{RenderJob, RenderPrecision, SceneKind, Workload};
+        use crate::sched::Priority;
+        // Two workers, batches of three and a 50 µs linger: requests wait
+        // in every lane, in batcher groups, in ready batches and in
+        // service.
+        let cfg = ClusterConfig {
+            server: ServerConfig {
+                max_batch: 3,
+                linger: Duration::from_micros(50),
+                ..ServerConfig::default()
+            },
+            ..synth_cfg(1)
+        };
+        let mut found = std::collections::BTreeMap::<String, usize>::new();
+        for seed in 0..24u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (mut own, mut scan) = (Replica::new(&cfg), Replica::new(&cfg));
+            let mut admitted: Vec<Request> = Vec::new();
+            let mut now = 0u64;
+            for step in 0..400 {
+                match rng.gen_range(0u32..10) {
+                    0..=4 => {
+                        let id = admitted.len() as u64;
+                        let req = Request {
+                            id,
+                            priority: Priority::ALL[rng.gen_range(0usize..3)],
+                            arrival_ns: now,
+                            deadline_ns: None,
+                            chunk: ChunkSpan { index: rng.gen_range(0u32..3), of: 3 },
+                            job: Workload::Render(RenderJob {
+                                scene: SceneKind::ALL[rng.gen_range(0usize..3)],
+                                precision: RenderPrecision::Fp32,
+                                width: 4,
+                                height: 4,
+                                spp: 1,
+                                camera_seed: id,
+                            }),
+                        };
+                        admitted.push(req.clone());
+                        assert_eq!(own.admit_hedge(req.clone()), scan.admit_hedge(req));
+                    }
+                    5 | 6 => {
+                        now += rng.gen_range(0u64..30_000);
+                        own.pump(now);
+                        scan.pump(now);
+                    }
+                    7 => {
+                        if let Some(t) = own.next_event(now) {
+                            now = t;
+                            own.fire(t);
+                            scan.fire(t);
+                        }
+                    }
+                    _ => {
+                        let Some(req) = admitted.get(rng.gen_range(0..admitted.len().max(1))) else { continue };
+                        own.cancel(req);
+                        let place = cancel_by_scan(&mut scan, req.id, req.chunk);
+                        *found.entry(place).or_default() += 1;
+                    }
+                }
+                assert_eq!(replica_snapshot(&own), replica_snapshot(&scan), "seed {seed} step {step}");
+                assert_eq!(own.next_timer, own.scan_timer(), "seed {seed} step {step}: stale timer");
+                own.events.clear();
+                scan.events.clear();
+            }
+        }
+        for place in ["lane 0", "lane 1", "lane 2", "batcher", "ready", "in service", "nowhere"] {
+            assert!(found.get(place).is_some_and(|&n| n > 0), "no cancel found a copy {place}: {found:?}");
+        }
+    }
+
+    #[test]
     fn the_tracked_book_finds_iterates_and_compacts_by_id_then_chunk() {
         let tracked = |id: u64, index: u32| Tracked {
             req: Request {
@@ -1456,7 +1675,7 @@ mod tests {
                 job: crate::request::Workload::Table("t".into()),
             },
             key_hash: 0,
-            copies: vec![0],
+            copies: Copies::one(0),
             started: false,
             clone_replica: None,
         };

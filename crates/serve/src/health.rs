@@ -90,6 +90,41 @@ struct ReplicaHealth {
     /// Cached state as of the last [`HealthDetector::refresh`], so
     /// transitions can be counted exactly once.
     state: HealthState,
+    /// Time since last progress at which the score reaches
+    /// `suspect_milli` (`None`: never), kept in step with `mean_gap_ns`.
+    suspect_after_ns: Option<u64>,
+    /// The same for `dead_milli`.
+    dead_after_ns: Option<u64>,
+}
+
+impl ReplicaHealth {
+    /// A replica that has made no progress since `now_ns`, at `gap_ns`.
+    fn new(cfg: &HealthConfig, gap_ns: u64, now_ns: u64) -> Self {
+        let mut h = ReplicaHealth {
+            mean_gap_ns: gap_ns,
+            last_progress_ns: now_ns,
+            busy: false,
+            state: HealthState::Healthy,
+            suspect_after_ns: None,
+            dead_after_ns: None,
+        };
+        h.set_crossings(cfg);
+        h
+    }
+
+    /// Re-derives both threshold crossings from `mean_gap_ns`.
+    fn set_crossings(&mut self, cfg: &HealthConfig) {
+        self.suspect_after_ns = crossing_ns(cfg.suspect_milli, self.mean_gap_ns);
+        self.dead_after_ns = crossing_ns(cfg.dead_milli, self.mean_gap_ns);
+    }
+}
+
+/// The least elapsed time `e` at which the score `⌊min(e · 1000, u64::MAX)
+/// / gap⌋` reaches `milli`: `⌈milli · gap / 1000⌉`, or `None` when that
+/// product overflows (the saturated score `⌊u64::MAX / gap⌋` then stays
+/// below `milli` forever).
+fn crossing_ns(milli: u64, gap_ns: u64) -> Option<u64> {
+    milli.checked_mul(gap_ns).map(|p| p.div_ceil(1_000))
 }
 
 /// The deterministic phi-accrual-style failure detector: per-replica
@@ -114,15 +149,7 @@ impl HealthDetector {
         HealthDetector {
             cfg,
             baseline_gap_ns,
-            replicas: vec![
-                ReplicaHealth {
-                    mean_gap_ns: baseline_gap_ns,
-                    last_progress_ns: 0,
-                    busy: false,
-                    state: HealthState::Healthy,
-                };
-                replicas
-            ],
+            replicas: vec![ReplicaHealth::new(&cfg, baseline_gap_ns, 0); replicas],
         }
     }
 
@@ -134,17 +161,13 @@ impl HealthDetector {
     /// Registers a newly joined replica (scale-out), starting Healthy
     /// with the baseline gap estimate.
     pub fn push_replica(&mut self, now_ns: u64) {
-        self.replicas.push(ReplicaHealth {
-            mean_gap_ns: self.baseline_gap_ns,
-            last_progress_ns: now_ns,
-            busy: false,
-            state: HealthState::Healthy,
-        });
+        self.replicas.push(ReplicaHealth::new(&self.cfg, self.baseline_gap_ns, now_ns));
     }
 
     /// One observation of replica `r` at an event-processing point:
     /// whether any of its workers is in service, and whether it completed
-    /// a batch at this instant (the heartbeat).
+    /// a batch at this instant (the heartbeat). A heartbeat moves the
+    /// smoothed gap, and with it the replica's threshold crossings.
     pub fn observe(&mut self, r: usize, busy: bool, progressed: bool, now_ns: u64) {
         let h = &mut self.replicas[r];
         if progressed {
@@ -153,6 +176,7 @@ impl HealthDetector {
             // a legitimately slow service model is not forever Suspect.
             h.mean_gap_ns = (h.mean_gap_ns - h.mean_gap_ns / 8 + gap / 8).max(1);
             h.last_progress_ns = now_ns;
+            h.set_crossings(&self.cfg);
         }
         if busy && !h.busy {
             // Going busy arms the clock: suspicion accrues from here.
@@ -173,16 +197,26 @@ impl HealthDetector {
         now_ns.saturating_sub(h.last_progress_ns).saturating_mul(1_000) / h.mean_gap_ns
     }
 
-    /// The state of replica `r` at `now_ns`. With the detector disabled
-    /// everything reads Healthy.
+    /// The state of replica `r` at `now_ns`: Dead once
+    /// [`HealthDetector::score_milli`] reaches `dead_milli`, else Suspect
+    /// once it reaches `suspect_milli`, else Healthy. With the detector
+    /// disabled everything reads Healthy.
+    ///
+    /// No division: the time since last progress (zero while idle) is
+    /// compared with the elapsed times at which the score crosses each
+    /// threshold, which [`HealthDetector::observe`] re-derives whenever
+    /// the smoothed gap moves. The verdict equals the score comparison
+    /// for every gap, clock and threshold, overflow included.
     pub fn state(&self, r: usize, now_ns: u64) -> HealthState {
         if !self.cfg.enabled {
             return HealthState::Healthy;
         }
-        let score = self.score_milli(r, now_ns);
-        if score >= self.cfg.dead_milli {
+        let h = &self.replicas[r];
+        let elapsed = if h.busy { now_ns.saturating_sub(h.last_progress_ns) } else { 0 };
+        let reached = |after: Option<u64>| after.is_some_and(|after| elapsed >= after);
+        if reached(h.dead_after_ns) {
             HealthState::Dead
-        } else if score >= self.cfg.suspect_milli {
+        } else if reached(h.suspect_after_ns) {
             HealthState::Suspect
         } else {
             HealthState::Healthy
@@ -192,7 +226,9 @@ impl HealthDetector {
     /// Re-evaluates replica `r`'s cached state at `now_ns` and returns
     /// `Some((old, new))` on a transition — called at event-processing
     /// points so transition counters (and suspect-triggered hedges) fire
-    /// exactly once per crossing, in event order.
+    /// exactly once per crossing, in event order. Like
+    /// [`HealthDetector::state`], it compares integers and never divides,
+    /// so the cluster can re-check every replica after every event.
     pub fn refresh(&mut self, r: usize, now_ns: u64) -> Option<(HealthState, HealthState)> {
         let new = self.state(r, now_ns);
         let old = self.replicas[r].state;
@@ -402,6 +438,84 @@ mod tests {
         d.observe(0, true, false, 0);
         assert_eq!(d.state(0, u64::MAX / 2), HealthState::Healthy);
         assert!(d.refresh(0, u64::MAX / 2).is_none());
+    }
+
+    mod division_free {
+        use proptest::prelude::*;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        use super::super::*;
+
+        /// The state as the score formula gives it: the oracle
+        /// [`HealthDetector::state`] must match without dividing.
+        fn scored_state(d: &HealthDetector, r: usize, now_ns: u64) -> HealthState {
+            let score = d.score_milli(r, now_ns);
+            if score >= d.cfg.dead_milli {
+                HealthState::Dead
+            } else if score >= d.cfg.suspect_milli {
+                HealthState::Suspect
+            } else {
+                HealthState::Healthy
+            }
+        }
+
+        /// One of `edges` half the time, else a small, mid-sized or
+        /// full-range value.
+        fn pick(rng: &mut StdRng, edges: &[u64]) -> u64 {
+            if rng.gen_bool(0.5) {
+                return edges[rng.gen_range(0..edges.len())];
+            }
+            match rng.gen_range(0u32..3) {
+                0 => rng.gen_range(0..5_000),
+                1 => rng.gen_range(0..1 << 40),
+                _ => rng.gen_range(0..=u64::MAX),
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Random gaps (1 and `u64::MAX` included), thresholds (0 and
+            /// values whose product with the gap overflows included),
+            /// busy and idle observations, heartbeats that move the gap,
+            /// and query clocks at `u64::MAX`, below the last progress and
+            /// one either side of each crossing: the integer comparison
+            /// always agrees with the score formula.
+            #[test]
+            fn prop_state_matches_the_score_formula(seed in 0u64..u64::MAX) {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let gap = pick(&mut rng, &[1, 2, 7, 999, 1_000, 1_001, u64::MAX / 1_000, u64::MAX]).max(1);
+                let overflow = (u64::MAX / gap).saturating_add(1);
+                let milli_edges = [0, 1, 999, 1_000, 4_000, 16_000, u64::MAX / gap, overflow, u64::MAX];
+                let cfg = HealthConfig {
+                    enabled: true,
+                    baseline_gap_ns: gap,
+                    suspect_milli: pick(&mut rng, &milli_edges),
+                    dead_milli: pick(&mut rng, &milli_edges),
+                };
+                let mut d = HealthDetector::new(cfg, 1, 1);
+                let mut cached = HealthState::Healthy;
+                for _ in 0..24 {
+                    let at = pick(&mut rng, &[0, 1, d.replicas[0].last_progress_ns, u64::MAX]);
+                    d.observe(0, rng.gen_bool(0.7), rng.gen_bool(0.3), at);
+                    let h = d.replicas[0];
+                    let mut probes = vec![0, u64::MAX, h.last_progress_ns.saturating_sub(1), h.last_progress_ns];
+                    for after in [h.suspect_after_ns, h.dead_after_ns].into_iter().flatten() {
+                        let t = h.last_progress_ns.saturating_add(after);
+                        probes.extend([t.saturating_sub(1), t, t.saturating_add(1)]);
+                    }
+                    probes.push(pick(&mut rng, &[h.last_progress_ns.saturating_add(h.mean_gap_ns)]));
+                    for now in probes {
+                        let want = scored_state(&d, 0, now);
+                        prop_assert_eq!(d.state(0, now), want, "gap {} cfg {:?} at {}", h.mean_gap_ns, cfg, now);
+                        let moved = d.refresh(0, now);
+                        prop_assert_eq!(moved, (cached != want).then_some((cached, want)));
+                        cached = want;
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -32,7 +32,7 @@ use std::collections::VecDeque;
 use crate::batch::{Batch, Batcher, BatcherConfig};
 use crate::fault::{degrade_precision, Brownout, BrownoutConfig};
 use crate::metrics::Ledger;
-use crate::request::{ChunkSpan, Request, Workload};
+use crate::request::{Request, Workload};
 use crate::sched::{LaneScheduler, Priority, SchedConfig, SchedStep};
 use crate::server::ServerConfig;
 
@@ -212,11 +212,14 @@ impl Pipeline {
         self.batcher.next_deadline()
     }
 
-    /// Removes the queued chunk `(id, chunk)` wherever it waits — lane,
-    /// batcher, or a flushed batch (dropped if left empty).
+    /// Removes the queued copy of `req` wherever it waits — batcher, a
+    /// flushed batch (dropped if left empty), or its lane. The batcher and
+    /// the flushed batches are searched first, being short; of the lanes,
+    /// only `req.priority`'s is searched, since admission fixed it.
     /// Returns whether it was found.
-    pub(crate) fn cancel(&mut self, id: u64, chunk: ChunkSpan) -> bool {
-        if self.sched.cancel(id, chunk).is_some() || self.batcher.remove(id, chunk).is_some() {
+    pub(crate) fn cancel(&mut self, req: &Request) -> bool {
+        let (id, chunk) = (req.id, req.chunk);
+        if self.batcher.remove(id, chunk).is_some() {
             return true;
         }
         let is = |r: &Request| r.id == id && r.chunk == chunk;
@@ -229,7 +232,34 @@ impl Pipeline {
                 return true;
             }
         }
-        false
+        self.sched.cancel(self.lane_of(req.priority), id, chunk).is_some()
+    }
+
+    /// The all-lanes search [`Pipeline::cancel`] replaced, kept only as
+    /// its test oracle: every lane in turn, then the batcher, then the
+    /// flushed batches. Returns where it found `(id, chunk)`.
+    #[cfg(test)]
+    pub(crate) fn cancel_by_scan(&mut self, id: u64, chunk: crate::request::ChunkSpan) -> Option<String> {
+        if let Some(lane) = (0..self.caps.len()).find(|&l| self.sched.cancel(l, id, chunk).is_some()) {
+            return Some(format!("lane {lane}"));
+        }
+        if self.batcher.remove(id, chunk).is_some() {
+            return Some("batcher".into());
+        }
+        let bi = self.flushed.iter().position(|b| b.requests.iter().any(|r| r.id == id && r.chunk == chunk))?;
+        self.flushed[bi].requests.retain(|r| r.id != id || r.chunk != chunk);
+        if self.flushed[bi].requests.is_empty() {
+            self.flushed.remove(bi);
+        }
+        Some("ready".into())
+    }
+
+    /// Everything queued in the core, lanes through flushed batches, as
+    /// a comparable string.
+    #[cfg(test)]
+    pub(crate) fn snapshot(&self) -> String {
+        let lanes: Vec<_> = (0..self.caps.len()).map(|l| self.sched.queued(l)).collect();
+        format!("{lanes:?} {:?} {:?}", self.batcher, self.flushed)
     }
 
     /// Empties the core for a crash: returns every queued request (lanes,
@@ -271,7 +301,7 @@ mod tests {
     use super::*;
     use crate::batch::FlushReason;
     use crate::metrics::LatencyHistogram;
-    use crate::request::{RenderJob, RenderPrecision, SceneKind};
+    use crate::request::{ChunkSpan, RenderJob, RenderPrecision, SceneKind};
 
     fn cfg(queue_capacity: usize, max_batch: usize) -> ServerConfig {
         ServerConfig {
@@ -495,9 +525,9 @@ mod tests {
         }
         p.pump(0, &mut Vec::new());
         for id in [6, 8, 5, 2] {
-            assert!(p.cancel(id, ChunkSpan::WHOLE), "request {id} found");
+            assert!(p.cancel(&req(id, Priority::Standard, None)), "request {id} found");
         }
-        assert!(!p.cancel(2, ChunkSpan::WHOLE), "already gone");
+        assert!(!p.cancel(&req(2, Priority::Standard, None)), "already gone");
         let mut orphans: Vec<u64> = p.drain_all().iter().map(|r| r.id).collect();
         orphans.sort_unstable();
         assert_eq!(orphans, vec![0, 1, 3, 4]);

@@ -332,13 +332,13 @@ impl LaneScheduler {
         self.lanes.iter().all(|l| l.queue.is_empty())
     }
 
-    /// Removes the queued chunk `(id, chunk)` from whichever lane holds
-    /// it.
-    pub fn cancel(&mut self, id: u64, chunk: ChunkSpan) -> Option<Request> {
-        self.lanes.iter_mut().find_map(|lane| {
-            let pos = lane.queue.iter().position(|r| r.id == id && r.chunk == chunk)?;
-            Some(lane.take(pos))
-        })
+    /// Removes the queued chunk `(id, chunk)` from `lane`, the lane its
+    /// priority was admitted to (a request never changes lanes), so the
+    /// other lanes are not searched.
+    pub fn cancel(&mut self, lane: usize, id: u64, chunk: ChunkSpan) -> Option<Request> {
+        let lane = &mut self.lanes[lane];
+        let pos = lane.queue.iter().position(|r| r.id == id && r.chunk == chunk)?;
+        Some(lane.take(pos))
     }
 
     /// Empties every lane (lane by lane, oldest first) and restarts the
@@ -758,24 +758,29 @@ mod tests {
                 let mut lanes: Vec<VecDeque<Request>> = vec![VecDeque::new(); n];
                 let mut now = 0u64;
                 let mut next_id = 0u64;
+                // Each admitted id's lane: a cancel searches only that one.
+                let mut lane_of_id = Vec::new();
                 for _ in 0..ops {
                     match rng.gen_range(0u32..100) {
                         0..=44 => {
                             let r = random_req(&mut rng, next_id, now);
                             next_id += 1;
                             let lane = cfg.lane_of(r.priority);
+                            lane_of_id.push(lane);
                             lanes[lane].push_back(r.clone());
                             sched.admit(lane, r);
                         }
                         45..=52 => {
                             let id = rng.gen_range(0..next_id.max(1));
                             let chunk = ChunkSpan { index: rng.gen_range(0u32..3), of: 3 };
+                            let lane = lane_of_id.get(id as usize).copied().unwrap_or(0);
+                            // The oracle searches every lane.
                             let expected = lanes.iter_mut().find_map(|lane| {
                                 let pos = lane.iter().position(|r| r.id == id && r.chunk == chunk)?;
                                 lane.remove(pos)
                             });
                             prop_assert_eq!(
-                                format!("{:?}", sched.cancel(id, chunk)),
+                                format!("{:?}", sched.cancel(lane, id, chunk)),
                                 format!("{expected:?}"),
                                 "cancel ({}, {:?})", id, chunk
                             );

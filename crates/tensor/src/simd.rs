@@ -257,6 +257,48 @@ pub fn add_assign_scalar(out: &mut [f32], b: &[f32]) {
     }
 }
 
+/// `out[j] += rows[r · n + j]` for each whole row `r` in ascending order,
+/// `n = out.len()` — the bias-gradient sum over a batch of delta rows.
+/// Each element receives the rows in the order one [`add_assign`] per row
+/// adds them, so the result is bit-identical to [`add_rows_scalar`]; the
+/// vector kernels keep `out` in registers across all the rows instead of
+/// loading and storing it once per row.
+#[inline]
+pub fn add_rows(out: &mut [f32], rows: &[f32]) {
+    add_rows_at(level(), out, rows);
+}
+
+/// The portable twin of [`add_rows`]: one [`add_assign_scalar`] per row.
+pub fn add_rows_scalar(out: &mut [f32], rows: &[f32]) {
+    add_rows_at(SimdLevel::Scalar, out, rows);
+}
+
+fn add_rows_at(lv: SimdLevel, out: &mut [f32], rows: &[f32]) {
+    let n = out.len();
+    if n == 0 {
+        return;
+    }
+    debug_assert_eq!(rows.len() % n, 0, "add_rows: rows must be whole");
+    #[cfg(target_arch = "x86_64")]
+    {
+        // SAFETY: the matching CPU feature was runtime-detected; the
+        // kernels read only the `rows.len() / n` whole rows.
+        if lv == SimdLevel::Avx512 {
+            unsafe { add_rows_avx512(out, rows) };
+            return;
+        }
+        if lv == SimdLevel::Avx2 {
+            unsafe { add_rows_avx2(out, rows) };
+            return;
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = lv;
+    for row in rows.chunks_exact(n) {
+        add_assign_scalar(out, row);
+    }
+}
+
 /// One dense layer forward through a transposed (`in × out` row-major)
 /// weight slice: `out[j] = (Σ_i x[i] · wt[i][j]) + bias[j]`, products
 /// added in ascending `i` and the bias joined last — the exact addition
@@ -723,6 +765,89 @@ unsafe fn add_assign_avx512(out: &mut [f32], b: &[f32]) {
     while j < n {
         *out.get_unchecked_mut(j) += *b.get_unchecked(j);
         j += 1;
+    }
+}
+
+/// AVX2 [`add_rows`]: column blocks of 16 and 8 held in registers across
+/// the rows, then the last 1–7 columns in scalar, row by row.
+///
+/// # Safety
+///
+/// The CPU must support AVX2 and `out` must not be empty.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn add_rows_avx2(out: &mut [f32], rows: &[f32]) {
+    let n = out.len();
+    let count = rows.len() / n;
+    let (op, rp) = (out.as_mut_ptr(), rows.as_ptr());
+    let mut c = 0;
+    while c + 16 <= n {
+        add_rows_block_avx2::<2>(op.add(c), rp.add(c), n, count);
+        c += 16;
+    }
+    if c + 8 <= n {
+        add_rows_block_avx2::<1>(op.add(c), rp.add(c), n, count);
+        c += 8;
+    }
+    if c < n {
+        for row in rows.chunks_exact(n) {
+            add_assign_scalar(&mut out[c..], &row[c..]);
+        }
+    }
+}
+
+/// `V` 8-lane vectors of [`add_rows_avx2`] starting at `op`.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn add_rows_block_avx2<const V: usize>(op: *mut f32, rp: *const f32, n: usize, count: usize) {
+    use std::arch::x86_64::*;
+    let mut acc: [__m256; V] = std::array::from_fn(|v| _mm256_loadu_ps(op.add(8 * v)));
+    for r in 0..count {
+        let row = rp.add(r * n);
+        for (v, a) in acc.iter_mut().enumerate() {
+            *a = _mm256_add_ps(*a, _mm256_loadu_ps(row.add(8 * v)));
+        }
+    }
+    for (v, a) in acc.iter().enumerate() {
+        _mm256_storeu_ps(op.add(8 * v), *a);
+    }
+}
+
+/// AVX-512 [`add_rows`]: each block of up to 32 columns (the last vector
+/// masked) held in registers across the rows.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F and `out` must not be empty.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn add_rows_avx512(out: &mut [f32], rows: &[f32]) {
+    let n = out.len();
+    let count = rows.len() / n;
+    let (op, rp) = (out.as_mut_ptr(), rows.as_ptr());
+    for_column_blocks(n, |v, c, tail| match v {
+        2 => add_rows_block_avx512::<2>(op.add(c), rp.add(c), n, count, tail),
+        _ => add_rows_block_avx512::<1>(op.add(c), rp.add(c), n, count, tail),
+    });
+}
+
+/// One `V`-vector column block of [`add_rows_avx512`] starting at `op`.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx512f")]
+unsafe fn add_rows_block_avx512<const V: usize>(op: *mut f32, rp: *const f32, n: usize, count: usize, tail: u16) {
+    use std::arch::x86_64::*;
+    let mut acc: [__m512; V] =
+        std::array::from_fn(|v| _mm512_maskz_loadu_ps(block_mask::<V>(v, tail), op.add(16 * v)));
+    for r in 0..count {
+        let row = rp.add(r * n);
+        for (v, a) in acc.iter_mut().enumerate() {
+            *a = _mm512_add_ps(*a, _mm512_maskz_loadu_ps(block_mask::<V>(v, tail), row.add(16 * v)));
+        }
+    }
+    for (v, a) in acc.iter().enumerate() {
+        _mm512_mask_storeu_ps(op.add(16 * v), block_mask::<V>(v, tail), *a);
     }
 }
 
@@ -1561,6 +1686,28 @@ mod tests {
         Ok(())
     }
 
+    /// [`add_rows`] at each host level against the per-row
+    /// [`add_assign`] loop it replaces and against its scalar twin, with
+    /// ±0, ±∞ and NaN in both the rows and the starting sums.
+    fn check_add_rows(rows: usize, width: usize, seed: u64) -> Result<(), String> {
+        let deltas = with_non_finite(random_vec(rows * width, seed ^ 0x91));
+        let base = with_non_finite(random_vec(width, seed ^ 0x92));
+        let mut per_row = base.clone();
+        for row in deltas.chunks_exact(width) {
+            add_assign(&mut per_row, row);
+        }
+        let mut scalar = base.clone();
+        add_rows_scalar(&mut scalar, &deltas);
+        for lv in host_levels() {
+            let mut out = base.clone();
+            add_rows_at(lv, &mut out, &deltas);
+            if !bits_eq_nan(&out, &per_row) || !bits_eq_nan(&out, &scalar) {
+                return Err(format!("{lv:?} {rows} rows of width {width}: row sum drifted"));
+            }
+        }
+        Ok(())
+    }
+
     #[test]
     fn row_kernels_match_per_row_calls_over_every_tail_and_block_width() {
         // Row counts 0–17 cover 0, 1 and 2 whole tiles with every ragged
@@ -1878,6 +2025,18 @@ mod tests {
                 seed in 0u64..500,
             ) {
                 let checked = check_forward_rows(rows, ins, outs, seed);
+                prop_assert!(checked.is_ok(), "{checked:?}");
+            }
+
+            /// The bias row sum matches the per-row add loop at every host
+            /// level, NaN and signed zeros included.
+            #[test]
+            fn prop_add_rows_matches_the_per_row_loop(
+                rows in 0usize..41,
+                width in 1usize..41,
+                seed in 0u64..500,
+            ) {
+                let checked = check_add_rows(rows, width, seed);
                 prop_assert!(checked.is_ok(), "{checked:?}");
             }
 
